@@ -284,9 +284,12 @@ def _size_config(cfg, args, name):
     target = _f(cfg, "target_size")
     polys, incl = (), None
     if {"inclusion", "kappa", "stilde_table", "ptilde_table"} & cfg.keys():
-        # table-driven overrides need the element count ahead of time; the
-        # mesh is regenerated identically inside the experiment
-        ne = generate_mesh(domain, target, _i(cfg, "element_budget")).n_elements
+        ne = None
+        if {"stilde_table", "ptilde_table"} & cfg.keys():
+            # table-driven overrides need the element count ahead of time;
+            # the mesh is regenerated identically inside the experiment
+            ne = generate_mesh(domain, target,
+                               _i(cfg, "element_budget")).n_elements
         polys, incl = _build_inclusion(cfg, ne)
     return SizeExperimentConfig(
         domain=domain, material=mat, target_size=target,

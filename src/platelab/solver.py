@@ -8,9 +8,11 @@ interpolation (covariant components tied at edge midpoints) to avoid locking;
 a fully integrated variant stays available for comparison studies.
 
 The traction-only problem is singular with the three dimensional kernel
-(phi = e1, w = -x1), (phi = e2, w = -x2), (w = 1); solving goes through a
-saddle system that pins the mean of phi and w to zero. A dense
-eigendecomposition path provides an independent oracle on small meshes.
+(phi = e1, w = -x1), (phi = e2, w = -x2), (w = 1). Solving fixes the three
+dofs of one node, which removes that kernel, factors the reduced symmetric
+positive definite stiffness, and shifts the result by kernel motions so
+that the means of phi and w vanish. A dense eigendecomposition path
+provides an independent oracle on small meshes.
 """
 
 from dataclasses import dataclass, replace
@@ -239,6 +241,9 @@ def kernel_basis(mesh):
 @dataclass
 class LinearSystem:
     """Assembled stiffness with the three mean-value constraint rows.
+
+    The constraints fix the free kernel motion of a solve: solutions are
+    normalized so that constraints @ u vanishes.
 
     rhs stays None until a load is attached with with_load; constraints has
     rows (integral of phi1, integral of phi2, integral of w).
@@ -484,39 +489,6 @@ def _parse_family(spec):
     return parts[0], params
 
 
-def load_to_csv(load, path):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["edge_id", "gauss_index", "q", "m1", "m2"])
-        for e in range(len(load.q)):
-            for g in range(2):
-                w.writerow([e, g, repr(float(load.q[e, g])),
-                            repr(float(load.m[e, g, 0])),
-                            repr(float(load.m[e, g, 1]))])
-
-
-def load_from_csv(mesh, path):
-    import csv
-
-    nb = len(mesh.boundary_edges)
-    q = np.zeros((nb, 2))
-    m = np.zeros((nb, 2, 2))
-    seen = np.zeros((nb, 2), dtype=bool)
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].startswith("#") or row[0] == "edge_id":
-                continue
-            e, g = int(row[0]), int(row[1])
-            q[e, g] = float(row[2])
-            m[e, g] = (float(row[3]), float(row[4]))
-            seen[e, g] = True
-    if not seen.all():
-        raise ValueError("load table does not cover every boundary edge")
-    return BoundaryLoad(mesh, q, m)
-
-
 def assemble_load(mesh, load, tol=1e-9, order=2, check=True):
     """Consistent load vector by edge-wise Gauss quadrature.
 
@@ -564,7 +536,7 @@ class PlateState:
 
     u: np.ndarray
     mesh: object
-    residual: float                 # ||K u - f + C^T lambda|| / ||f||
+    residual: float                 # ||K u - f|| / ||f||
     normalization: np.ndarray       # (3,) constraint values, should be ~0
     multipliers: np.ndarray
     stability_ratio: float
@@ -612,28 +584,57 @@ def _stability_ratio(mesh, u, load, rho0, assumed):
     return (np.sqrt(phi_sq) + np.sqrt(w_sq) / rho0) / denom
 
 
+def _kernel_shift(u, z, c):
+    """u minus the kernel motions (columns of z) that zero its constraints c @ u."""
+    return u - z @ np.linalg.solve(c @ z, c @ u)
+
+
+def _pinned_dofs(mesh):
+    # the three dofs of the node nearest the node centroid; a central pin
+    # keeps the pinned solution small, which keeps the residual small
+    d = mesh.nodes - mesh.nodes.mean(axis=0)
+    node = int(np.argmin(np.einsum("ij,ij->i", d, d)))
+    return 3 * node + np.arange(3)
+
+
 def solve(system, tol=1e-9):
-    """Solve the saddle system enforcing zero-mean rotations and deflection."""
+    """Sparse solve normalized to zero-mean rotations and deflection.
+
+    Fixing the dofs of one node removes the rigid-motion kernel; the reduced
+    stiffness is factored once, the solve gets one step of iterative
+    refinement, and kernel motions then shift the result onto the
+    zero-mean constraints.
+    """
     if system.rhs is None:
         raise ValueError("system has no load attached; use with_load first")
     f = system.rhs
     mesh = system.mesh
     _check_kernel_compatibility(mesh, f, tol)
     k = system.stiffness
-    c = sp.csr_matrix(system.constraints)
     n = system.n_dof
-    a = sp.bmat([[k, c.T], [c, None]], format="csc")
-    b = np.concatenate([f, np.zeros(3)])
-    x = spla.spsolve(a, b)
-    if not np.all(np.isfinite(x)):
+    free = np.ones(n, dtype=bool)
+    free[_pinned_dofs(mesh)] = False
+    kr = k[free][:, free].tocsc()
+    try:
+        lu = spla.splu(kr, permc_spec="MMD_AT_PLUS_A",
+                       options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise SolveError(f"sparse factorization failed: {exc}") from exc
+    fr = f[free]
+    ur = lu.solve(fr)
+    ur += lu.solve(fr - kr @ ur)
+    if not np.all(np.isfinite(ur)):
         raise SolveError("sparse factorization produced non-finite values")
-    u, mult = x[:n], x[n:]
+    u = np.zeros(n)
+    u[free] = ur
+    c = system.constraints
+    u = _kernel_shift(u, kernel_basis(mesh).T, c)
     fn = np.linalg.norm(f)
-    res = np.linalg.norm(k @ u + c.T @ mult - f) / (fn + _TINY)
+    res = np.linalg.norm(k @ u - f) / (fn + _TINY)
     rho0 = mesh.domain.apriori.rho0
     ratio = _stability_ratio(mesh, u, system.load, rho0, system.assumed_shear)
-    return PlateState(u, mesh, float(res), system.constraints @ u, mult,
-                      ratio, system.assumed_shear)
+    return PlateState(u, mesh, float(res), c @ u, np.zeros(3), ratio,
+                      system.assumed_shear)
 
 
 def dense_oracle_solve(system, cap=600, tol=1e-9, kernel_cut=1e-10):
@@ -665,10 +666,9 @@ def dense_oracle_solve(system, cap=600, tol=1e-9, kernel_cut=1e-10):
     vp = v[:, ~null]
     u = vp @ ((vp.T @ f) / w[~null])
     c = system.constraints
-    alpha = np.linalg.solve(c @ vk, c @ u)
-    u = u - vk @ alpha
-    res = np.linalg.norm(kd @ u - f) / (fn + _TINY)
     mesh = system.mesh
+    u = _kernel_shift(u, kernel_basis(mesh).T, c)
+    res = np.linalg.norm(kd @ u - f) / (fn + _TINY)
     rho0 = mesh.domain.apriori.rho0
     ratio = _stability_ratio(mesh, u, system.load, rho0, system.assumed_shear)
     return PlateState(u, mesh, float(res), c @ u, np.zeros(3), ratio,

@@ -97,6 +97,47 @@ def test_size_command_soft(tmp_path):
     assert "lower" in text and "upper" in text
 
 
+def test_size_builds_one_mesh(tmp_path, monkeypatch):
+    import platelab.cli
+    import platelab.estimates
+    from platelab.geometry import generate_mesh
+
+    calls = []
+
+    def counting(*a, **kw):
+        calls.append(a)
+        return generate_mesh(*a, **kw)
+
+    monkeypatch.setattr(platelab.cli, "generate_mesh", counting)
+    monkeypatch.setattr(platelab.estimates, "generate_mesh", counting)
+    poly = _sq_poly(tmp_path)
+    cfg = _cfg(tmp_path, BASE + f"inclusion = {poly}\nkappa = 2.0\n")
+    assert main(["size", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+def test_size_command_tensor_tables(tmp_path):
+    from platelab.material import (IsotropicMaterial, bending_voigt,
+                                   derive_plate_tensors, shear_matrix,
+                                   write_bending_table, write_shear_table)
+
+    # a kappa = 2 override written out as tables over all 16 elements
+    tens = derive_plate_tensors(IsotropicMaterial(lam=1.0, mu=1.0, h=1.0))
+    ids = np.arange(16)
+    spath, bpath = tmp_path / "s.csv", tmp_path / "p.csv"
+    write_shear_table(spath, ids, 2.0 * shear_matrix(tens, 16))
+    write_bending_table(bpath, ids, 2.0 * bending_voigt(tens, 16))
+    poly = _sq_poly(tmp_path)
+    tab = _cfg(tmp_path, BASE + f"inclusion = {poly}\nstilde_table = {spath}\n"
+               f"ptilde_table = {bpath}\nname = tab\n", "tab.cfg")
+    kap = _cfg(tmp_path, BASE + f"inclusion = {poly}\nkappa = 2.0\n"
+               "name = kap\n", "kap.cfg")
+    for cfg in (tab, kap):
+        assert main(["size", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "tab_quantities.csv").read_text().replace("tab", "kap") \
+        == (tmp_path / "kap_quantities.csv").read_text()
+
+
 def test_three_spheres_command(tmp_path):
     cfg = _cfg(tmp_path, BASE.replace("target_size = 0.25",
                                       "target_size = 0.0625")

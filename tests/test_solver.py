@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -22,6 +24,8 @@ MAT = IsotropicMaterial(lam=1.0, mu=1.0, h=1.0)
 
 SQUARE = Domain(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float))
 ROT = Domain(np.array([[0.2, 0.0], [1.2, 0.4], [0.8, 1.4], [-0.2, 1.0]], float))
+LSHAPE = Domain(np.array([[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]],
+                         float))
 
 
 def _solved(domain, family, target=0.25, assumed=True, mat=MAT):
@@ -152,10 +156,13 @@ def test_state_carries_diagnostics():
 
 
 def test_dense_matches_sparse():
-    for domain, family in ((SQUARE, "twist a=1.0"), (ROT, "pure_bending a=1.0")):
+    moderate = IsotropicMaterial(lam=1.0, mu=1.0, h=0.1)
+    for domain, family, mat in ((SQUARE, "twist a=1.0", MAT),
+                                (ROT, "pure_bending a=1.0", MAT),
+                                (LSHAPE, "pure_bending a=1.0", moderate)):
         mesh = generate_mesh(domain, 0.25)
-        load = load_from_family(mesh, family, MAT)
-        sys_ = assemble_stiffness(mesh, MAT)
+        load = load_from_family(mesh, family, mat)
+        sys_ = assemble_stiffness(mesh, mat)
         f = assemble_load(mesh, load)
         sys_ = sys_.with_load(f, load)
         us = solve(sys_).u
@@ -189,6 +196,25 @@ def test_full_integration_locks_thin():
             assert err < bound
         else:
             assert err > 0.5
+
+
+def test_thin_plate_residual_small():
+    # the thin plate is the worst-conditioned stiffness in the suite
+    thin = IsotropicMaterial(lam=1.0, mu=1.0, h=0.01)
+    mesh, load, f, state = _solved(SQUARE, "pure_bending a=1.0",
+                                   target=1.0 / 16.0, mat=thin)
+    assert state.residual <= 1e-10
+    assert np.abs(state.normalization).max() < 1e-10 * np.abs(state.u).max()
+
+
+def test_singular_stiffness_is_solve_error():
+    mesh = generate_mesh(SQUARE, 0.25)
+    load = load_from_family(mesh, "pure_bending a=1.0", MAT)
+    sys_ = assemble_stiffness(mesh, MAT).with_load(assemble_load(mesh, load), load)
+    zero = sys_.stiffness * 0.0
+    zero.eliminate_zeros()
+    with pytest.raises(SolveError):
+        solve(replace(sys_, stiffness=zero))
 
 
 def test_element_grouping_collapses_structured():
