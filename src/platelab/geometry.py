@@ -262,14 +262,6 @@ def quad_jacobian(xy, r, s):
     return dn @ xy
 
 
-def element_jacobians_ok(xy, rule=GAUSS2):
-    for r in rule:
-        for s in rule:
-            if np.linalg.det(quad_jacobian(xy, r, s)) <= 0.0:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # mesh
 
@@ -337,40 +329,48 @@ class Mesh:
         return self.boundary_edges[:, 0].copy()
 
 
+def _edge_keys(elements):
+    """Directed element edges and how their undirected keys repeat.
+
+    Edge k of element e runs from elements[e, k] to elements[e, (k + 1) % 4]
+    and has flat index 4*e + k. Its key is the (min, max) node-id pair.
+    Returns the directed edges (4 ne, 2), and per edge the flat index of the
+    first edge with the same key and the number of edges with that key.
+    """
+    directed = np.stack([elements, np.roll(elements, -1, axis=1)], axis=2)
+    directed = directed.reshape(-1, 2)
+    lo, hi = directed.min(axis=1), directed.max(axis=1)
+    keys = lo * (int(hi.max(initial=-1)) + 1) + hi
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True)
+    return directed, first[inverse], counts[inverse]
+
+
 def _extract_boundary(nodes, elements):
     # edges appearing in exactly one element, kept in that element's ccw
-    # direction, then chained into a loop starting at the smallest node id
-    count = {}
-    directed = {}
-    for quad in elements:
-        for k in range(4):
-            a, b = int(quad[k]), int(quad[(k + 1) % 4])
-            key = (min(a, b), max(a, b))
-            count[key] = count.get(key, 0) + 1
-            directed[key] = (a, b)
-    border = [directed[k] for k, c in count.items() if c == 1]
-    if not border:
+    # direction, then chained into loops; each loop starts at its smallest
+    # node id and the loops come in order of that id
+    directed, _, counts = _edge_keys(elements)
+    border = directed[counts == 1]
+    if not len(border):
         raise ValueError("mesh has no boundary edges")
-    nxt = {a: b for a, b in border}
-    if len(nxt) != len(border):
+    # every boundary node must start one edge and end one: a pinched node
+    # starts two, an open chain ends where no edge starts
+    starts = np.sort(border[:, 0])
+    if (np.any(starts[1:] == starts[:-1])
+            or not np.array_equal(starts, np.sort(border[:, 1]))):
         raise ValueError("boundary is not a collection of simple loops")
-    loops = []
-    remaining = dict(nxt)
-    while remaining:
-        start = min(remaining)
-        loop = [start]
-        cur = remaining.pop(start)
-        while cur != start:
-            loop.append(cur)
-            cur = remaining.pop(cur)
-        loops.append(loop)
-    # simply connected domains have one loop; keep deterministic order anyway
-    loops.sort(key=lambda lp: lp[0])
-    edges = []
-    for loop in loops:
-        for i, a in enumerate(loop):
-            edges.append((a, loop[(i + 1) % len(loop)]))
-    edges = np.array(edges, dtype=int)
+    nxt = np.full(len(nodes), -1)
+    nxt[border[:, 0]] = border[:, 1]
+    order = []
+    seen = np.zeros(len(nodes), dtype=bool)
+    for start in starts.tolist():
+        node = start
+        while not seen[node]:
+            seen[node] = True
+            order.append(node)
+            node = int(nxt[node])
+    edges = np.column_stack([order, nxt[order]])
     vec = nodes[edges[:, 1]] - nodes[edges[:, 0]]
     length = np.linalg.norm(vec, axis=1)
     tang = vec / length[:, None]
@@ -380,14 +380,25 @@ def _extract_boundary(nodes, elements):
 
 def _finish_mesh(nodes, elements, domain):
     elements = np.asarray(elements, dtype=int)
-    for e, quad in enumerate(elements):
-        if not element_jacobians_ok(nodes[quad]):
-            raise ValueError(f"element {e} has a nonpositive Jacobian")
-    edges, normals, tangents = _extract_boundary(nodes, elements)
     quads = nodes[elements]
+    # Jacobians at the 2x2 Gauss points of every element: (ne, 4, 2, 2)
+    dn = np.array([shape_q4(r, s)[1] for r in GAUSS2 for s in GAUSS2])
+    jac = np.einsum("gik,ekj->egij", dn, quads)
+    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+    bad = np.flatnonzero(np.any(det <= 0.0, axis=1))
+    if len(bad):
+        raise ValueError(f"element {bad[0]} has a nonpositive Jacobian")
+    edges, normals, tangents = _extract_boundary(nodes, elements)
     diffs = quads[:, :, None, :] - quads[:, None, :, :]
     diam = float(np.sqrt((diffs ** 2).sum(-1)).max())
     return Mesh(nodes, elements, edges, normals, tangents, diam, domain)
+
+
+def _grid_cells(nx, ny):
+    # ccw node quadruples of an (nx, ny) cell grid whose nodes are numbered
+    # j * (nx + 1) + i; cells in j-major, i-minor order
+    corner = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    return corner[:, None] + np.array([0, 1, nx + 2, nx + 1])
 
 
 def _is_axis_aligned_rectangle(vertices):
@@ -414,15 +425,7 @@ def _structured_mesh(domain, target_size, budget):
     ys = np.linspace(y0, y1, ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
-
-    def nid(i, j):
-        return j * (nx + 1) + i
-
-    elems = []
-    for j in range(ny):
-        for i in range(nx):
-            elems.append([nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)])
-    return _finish_mesh(nodes, np.array(elems, dtype=int), domain)
+    return _finish_mesh(nodes, _grid_cells(nx, ny), domain)
 
 
 def _overlay_mesh(domain, target_size, budget):
@@ -441,15 +444,7 @@ def _overlay_mesh(domain, target_size, budget):
     ys = np.linspace(y0, y1, ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     grid_nodes = np.column_stack([X.ravel(), Y.ravel()])
-
-    def nid(i, j):
-        return j * (nx + 1) + i
-
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            cells.append([nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)])
-    cells = np.array(cells, dtype=int)
+    cells = _grid_cells(nx, ny)
     centers = 0.5 * (grid_nodes[cells[:, 0]] + grid_nodes[cells[:, 2]])
     keep = points_in_polygon(centers, v)
     if not np.any(keep):

@@ -22,6 +22,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
+from .geometry import _edge_keys
+
 _REL = 1e-12
 
 
@@ -372,19 +374,11 @@ def validate_on_mesh(mat, mesh, rtol=1e-9):
 
 
 def _shared_edge_pairs(elements):
-    owner = {}
-    pairs = []
-    for e, quad in enumerate(elements):
-        for k in range(4):
-            a, b = int(quad[k]), int(quad[(k + 1) % 4])
-            key = (min(a, b), max(a, b))
-            if key in owner:
-                pairs.append((owner[key], e))
-            else:
-                owner[key] = e
-    if not pairs:
-        return np.zeros((0, 2), dtype=int)
-    return np.array(pairs, dtype=int)
+    # (first owner, later owner) of every edge key met again, ordered by the
+    # later edge's flat index 4*e + k
+    _, first, _ = _edge_keys(elements)
+    later = np.flatnonzero(first != np.arange(len(first)))
+    return np.column_stack([first[later] // 4, later // 4])
 
 
 # ---------------------------------------------------------------------------

@@ -402,22 +402,21 @@ class BoundaryLoad:
         return not (np.any(self.q) or np.any(self.m))
 
 
-def _nodal_from_edges(mesh, q_edge_fn, m_edge_fn):
-    # evaluate per-edge at the two endpoints and average around each node
-    loop = mesh.boundary_edges[:, 0]
-    nl = len(loop)
-    nq = np.zeros(nl)
-    nm = np.zeros((nl, 2))
-    pos = {int(n): i for i, n in enumerate(loop)}
-    counts = np.zeros(nl)
-    for e, (a, b) in enumerate(mesh.boundary_edges):
-        n = mesh.boundary_normals[e]
-        for node in (int(a), int(b)):
-            i = pos[node]
-            x = mesh.nodes[node]
-            nq[i] += q_edge_fn(x, n)
-            nm[i] += m_edge_fn(x, n)
-            counts[i] += 1.0
+def _nodal_from_edges(mesh, gen):
+    # evaluate the generator at both endpoints of every edge and average the
+    # two edge values meeting at each node, indexed by loop position
+    edges = mesh.boundary_edges
+    loop = edges[:, 0]
+    pos = np.empty(mesh.n_nodes, dtype=int)
+    pos[loop] = np.arange(len(loop))
+    ends = np.concatenate([edges[:, 0], edges[:, 1]])
+    q, m = gen(mesh.nodes[ends], np.concatenate([mesh.boundary_normals] * 2))
+    idx = pos[ends]
+    nq = np.zeros(len(loop))
+    nm = np.zeros((len(loop), 2))
+    np.add.at(nq, idx, q)
+    np.add.at(nm, idx, m)
+    counts = np.bincount(idx, minlength=len(loop))
     return nq / counts, nm / counts[:, None]
 
 
@@ -466,13 +465,7 @@ def load_from_family(mesh, family, material=None):
     pts = load.edge_points()
     for k in range(2):
         q[:, k], m[:, k, :] = gen(pts[:, k, :], mesh.boundary_normals)
-    nodal_q, nodal_m = _nodal_from_edges(
-        mesh,
-        lambda x, n: gen(x[None, :], n[None, :])[0][0],
-        lambda x, n: gen(x[None, :], n[None, :])[1][0],
-    )
-    load.nodal_q = nodal_q
-    load.nodal_m = nodal_m
+    load.nodal_q, load.nodal_m = _nodal_from_edges(mesh, gen)
     return load
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,6 +18,8 @@ from platelab.geometry import (
     rasterize_inclusion,
     read_polygons,
     write_polygons,
+    _extract_boundary,
+    _finish_mesh,
 )
 
 UNIT = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
@@ -77,6 +81,118 @@ def test_mesh_deterministic():
     assert np.array_equal(a.nodes, b.nodes)
     assert np.array_equal(a.elements, b.elements)
     assert np.array_equal(a.boundary_edges, b.boundary_edges)
+
+
+# SHA-256 of dtype, shape and bytes of each mesh array, taken from the
+# per-element loop mesher that the array code replaced
+MESH_DIGESTS = {
+    ("unit", 32): {
+        "nodes": "22b49810d485d1188a315e897cc4c2bae0e4c1471afd1fb73c1c8a87aeb4842d",
+        "elements": "09509da95f563b05b86dd0fa60dede72e781481a76585752e904b8f43cdc1f82",
+        "boundary_edges": "f24762e9b144ef65ae535aa9b11505a8291f7e7ac50525f5fd560e4035b9cb6a",
+        "boundary_normals": "41c479b668bc216a0e8b74e04c7c6a7ae23ce47422eb75e4738c8a25f9694731",
+        "boundary_tangents": "850a6dcfa6ef0abf05d9200a332941e5ef9bef376d71eeab50d640b658c351a9",
+        "mesh_size": "09206ee766954b9e7c15219a6b034b24fd8b2259021f645323a2b92b806dac77",
+    },
+    ("unit", 64): {
+        "nodes": "3aa4bb28e20484bc1d204ead139a10497e2cf43252dd0917bb33b149f987130d",
+        "elements": "59798e20b1b4ad9105533c0a47c3d640137b0a33dd927b0e6ffbe8e2dbd1f308",
+        "boundary_edges": "61d559849c4d06d765dd75e685e83b38e2b438d0aa68b78d56489a5f10c93d06",
+        "boundary_normals": "ff569e3f50ba2be55b2fb1f69d3179881a247208c5ed28700d2346233f95c54c",
+        "boundary_tangents": "3b653743091b353a40e78046fbde0851409f38e48c803684aff2ce291bf666cf",
+        "mesh_size": "174f6a5361f589b70a5f9ebe5eacb06df152a88e7b3d6cef5ba83d8f360d52bb",
+    },
+    ("lshape", 32): {
+        "nodes": "a482309e91789b808aca39d6b9cad1068766d60e160a877af9a4e8be132f3579",
+        "elements": "500f745b2d5102ed1433e121cc8143455d989a3975e1e8497e77d0a68e00fd0e",
+        "boundary_edges": "9f80fd48917ddea248bde2c8d89d720570cd3a5f0a8a90f9148473189f06758e",
+        "boundary_normals": "13f68a707f2bee91583714154846fae15a8c87da8ef2a75ed0b505baf7a9e358",
+        "boundary_tangents": "b2e380814dea77db5f400ead127b4344c9a064ee6db8e75b7b62f7915b292ea7",
+        "mesh_size": "bca05e5f55cea05386f6e51c8d0dc879fe65608847891543cbf98172a91e5817",
+    },
+    ("lshape", 64): {
+        "nodes": "cd5cda8ef7adfc5544c89c13029aadf0df810a9c6a6286507bddf20cef075c1c",
+        "elements": "b13808e27b231bdd5d40962e3a4572c4baa8f0ed9f1aa71ea13d2eda6f013080",
+        "boundary_edges": "04ce6560a50ba02b839578b8fc51ead6069485736e0273512f0a9eb3e519177d",
+        "boundary_normals": "016c39e0edbc5370b4765709ab8c878f800d7fee1baf95e4921ba376d3f0ecbe",
+        "boundary_tangents": "1425522832ceece165b6b8acd1b2644f0be854d17788ff13cf83e21cc8595f94",
+        "mesh_size": "fac1d8d91b37cf01ed1272e9b4842117b46ee31422798691fbf22e8002ffb9fd",
+    },
+}
+
+
+def _digest(value):
+    arr = np.ascontiguousarray(value)
+    h = hashlib.sha256()
+    h.update(f"{arr.dtype.str}{arr.shape}".encode())
+    h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("shape,n", sorted(MESH_DIGESTS))
+def test_mesh_golden_digests(shape, n):
+    verts = {"unit": UNIT, "lshape": LSHAPE}[shape]
+    mesh = generate_mesh(Domain(verts.copy()), 1.0 / n)
+    got = {name: _digest(getattr(mesh, name)) for name in MESH_DIGESTS[shape, n]}
+    assert got == MESH_DIGESTS[shape, n]
+
+
+def _grid(n):
+    xs = np.arange(n + 1, dtype=float)
+    X, Y = np.meshgrid(xs, xs, indexing="xy")
+    nodes = np.column_stack([X.ravel(), Y.ravel()])
+    elements = np.array([[j * (n + 1) + i, j * (n + 1) + i + 1,
+                          (j + 1) * (n + 1) + i + 1, (j + 1) * (n + 1) + i]
+                         for j in range(n) for i in range(n)])
+    return nodes, elements
+
+
+def test_inverted_element_named():
+    nodes, elements = _grid(3)
+    # the middle cell and a corner cell after it turn clockwise; the error
+    # names the lower index
+    elements[[4, 8]] = elements[[4, 8], ::-1]
+    with pytest.raises(ValueError, match=r"^element 4 has a nonpositive Jacobian$"):
+        _finish_mesh(nodes, elements, Domain.rectangle(0, 0, 3, 3))
+
+
+def test_corner_touching_quads_rejected():
+    nodes = np.array([[0, 0], [1, 0], [1, 1], [0, 1],
+                      [2, 1], [2, 2], [1, 2]], dtype=float)
+    elements = np.array([[0, 1, 2, 3], [2, 4, 5, 6]])
+    with pytest.raises(ValueError, match="boundary is not a collection of simple loops"):
+        _finish_mesh(nodes, elements, Domain.rectangle(0, 0, 2, 2))
+
+
+def test_open_boundary_chain_rejected():
+    # the boundary edges 0-6, 2-7, 7-0 start at distinct nodes, but node 6
+    # starts none, so the chain from node 0 never closes
+    nodes = np.random.default_rng(0).random((8, 2))
+    elements = np.array([[5, 2, 6, 3], [3, 5, 2, 6], [0, 6, 2, 7]])
+    with pytest.raises(ValueError, match="boundary is not a collection of simple loops"):
+        _extract_boundary(nodes, elements)
+
+
+@pytest.mark.parametrize("verts", [UNIT, LSHAPE], ids=["unit", "lshape"])
+def test_mesh_shape_calls_independent_of_size(monkeypatch, verts):
+    # the Jacobian check evaluates the shape functions once per mesh, not
+    # once per element
+    import platelab.geometry as geometry
+
+    calls = []
+    real = geometry.shape_q4
+
+    def counting(r, s):
+        calls.append((r, s))
+        return real(r, s)
+
+    monkeypatch.setattr(geometry, "shape_q4", counting)
+    counts = []
+    for n in (16, 64):
+        calls.clear()
+        generate_mesh(Domain(verts.copy()), 1.0 / n)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_lshape_area_vs_pixel_oracle():

@@ -19,6 +19,7 @@ from platelab.material import (
     validate_on_mesh,
     write_bending_table,
     write_shear_table,
+    _shared_edge_pairs,
 )
 
 STD = IsotropicMaterial(lam=1.0, mu=1.0, h=1.0)
@@ -262,6 +263,23 @@ def test_validate_on_mesh_lipschitz_surrogate():
         validate_on_mesh(mat, mesh)
     ok = IsotropicMaterial(lam=1.0, mu=mu, h=1.0, alpha1=8.0)
     validate_on_mesh(ok, mesh)
+
+
+def test_shared_edge_pairs_match_brute_force():
+    lshape = np.array([[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]], float)
+    mesh = generate_mesh(Domain(lshape), 0.1)
+    # every flat edge 4*e + k whose node set an earlier edge already has,
+    # paired with that earlier edge's element, in flat order
+    edges = [frozenset((int(q[k]), int(q[(k + 1) % 4])))
+             for q in mesh.elements for k in range(4)]
+    expected = []
+    for j, key in enumerate(edges):
+        earlier = [i for i in range(j) if edges[i] == key]
+        if earlier:
+            expected.append((earlier[0] // 4, j // 4))
+    pairs = _shared_edge_pairs(mesh.elements)
+    assert len(expected) > 0
+    assert pairs.tolist() == [list(p) for p in expected]
 
 
 def test_material_from_config():
