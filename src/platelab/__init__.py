@@ -9,11 +9,14 @@ inequalities it rests on.
 
 from .estimates import (
     EnergyLemmaReport,
+    Forward,
     LpsReport,
     SizeEstimateReport,
     SizeExperimentConfig,
     ThreeSpheresReport,
     calibrate_constants,
+    convergence_study,
+    forward,
     lps_check,
     run_size_experiment,
     size_bounds,

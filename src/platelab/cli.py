@@ -19,41 +19,24 @@ from .estimates import (
     SizeExperimentConfig,
     admissible_centers,
     calibrate_constants,
+    convergence_study,
+    forward,
     lps_check,
     run_size_experiment,
     size_bounds,
     three_spheres_check,
     verify_energy_lemma,
 )
-from .functionals import frequency, strain_energy_density, work_report
-from .geometry import (
-    AprioriData,
-    Domain,
-    generate_mesh,
-    rasterize_inclusion,
-    read_polygons,
-)
+from .functionals import strain_energy_density, work_report
+from .geometry import AprioriData, Domain, read_polygons
 from .material import (
     InclusionMaterial,
     JumpBounds,
-    bending_voigt,
-    derive_plate_tensors,
     inclusion_from_tables,
     jump_bounds,
     material_from_config,
-    shear_matrix,
 )
-from .solver import (
-    CompatibilityError,
-    SolveError,
-    assemble_load,
-    assemble_stiffness,
-    dense_oracle_solve,
-    element_operators,
-    load_from_family,
-    residual_check,
-    solve,
-)
+from .solver import CompatibilityError, SolveError, residual_check
 
 ENV_OUT = "PLATELAB_OUT"
 
@@ -168,7 +151,10 @@ def _build_material(cfg):
         raise ConfigError(str(exc))
 
 
-def _build_inclusion(cfg, n_elements):
+_INCLUSION_KEYS = ("inclusion", "kappa", "stilde_table", "ptilde_table")
+
+
+def _build_inclusion(cfg):
     """(polygons tuple, InclusionMaterial or None) from config."""
     path = cfg.get("inclusion")
     has_kappa = "kappa" in cfg
@@ -186,8 +172,7 @@ def _build_inclusion(cfg, n_elements):
         else:
             if "stilde_table" not in cfg or "ptilde_table" not in cfg:
                 raise ConfigError("tensor override needs both stilde_table and ptilde_table")
-            incl = inclusion_from_tables(cfg["stilde_table"], cfg["ptilde_table"],
-                                         n_elements)
+            incl = inclusion_from_tables(cfg["stilde_table"], cfg["ptilde_table"])
     except (ValueError, OSError) as exc:
         raise ConfigError(f"bad inclusion: {exc}")
     return polys, incl
@@ -207,90 +192,12 @@ def _emit(outdir, name, build, timestamp):
     return path
 
 
-def _solve_states(cfg, args, with_inclusion):
-    """Shared front half: mesh, load, reference state, optional override state."""
-    domain = _build_domain(cfg)
-    mat = _build_material(cfg)
-    mesh = generate_mesh(domain, _f(cfg, "target_size"),
-                         _i(cfg, "element_budget"))
-    load = load_from_family(mesh, cfg.get("load", "pure_bending a=1"), mat)
-    tol = args.tol if args.tol is not None else _f(cfg, "tol", 1e-9)
-    assumed = not args.full_integration
-    rhs = assemble_load(mesh, load, tol=tol)
-
-    def run(system):
-        system = system.with_load(rhs, load)
-        if args.dense_oracle:
-            return dense_oracle_solve(system, cap=_i(cfg, "dense_cap", 600) or 600,
-                                      tol=tol)
-        return solve(system, tol=tol)
-
-    state0 = run(assemble_stiffness(mesh, mat, assumed_shear=assumed))
-    polys, incl = _build_inclusion(cfg, mesh.n_elements) if with_inclusion \
-        else ((), None)
-    if incl is not None:
-        indicator = rasterize_inclusion(mesh, polys)
-        state = run(assemble_stiffness(mesh, mat, indicator, incl,
-                                       assumed_shear=assumed))
-    else:
-        indicator, state = None, None
-    return dict(domain=domain, material=mat, mesh=mesh, load=load, tol=tol,
-                assumed=assumed, state0=state0, state=state,
-                indicator=indicator, inclusion=incl, polygons=polys)
-
-
-def _cmd_solve(cfg, args, name, outdir, stamp):
-    ctx = _solve_states(cfg, args, with_inclusion=True)
-    state = ctx["state"] or ctx["state0"]
-    _emit(outdir, name, tables.state_rows(state), stamp)
-    res = residual_check(state, ctx["mesh"], ctx["material"], ctx["load"],
-                         ctx["indicator"], ctx["inclusion"])
-    _emit(outdir, name, tables.quantity_rows(name, {
-        "n_elements": ctx["mesh"].n_elements,
-        "mesh_size": ctx["mesh"].mesh_size,
-        "solve_residual": state.residual,
-        "equilibrium_residual": res[1],
-        "stability_ratio": state.stability_ratio,
-    }), stamp)
-    return 0
-
-
-def _cmd_work(cfg, args, name, outdir, stamp):
-    ctx = _solve_states(cfg, args, with_inclusion=True)
-    state = ctx["state"] or ctx["state0"]
-    rep = work_report(ctx["load"], state, ctx["state0"])
-    _emit(outdir, name, tables.quantity_rows(name, rep), stamp)
-    return 0
-
-
-def _cmd_energy_lemma(cfg, args, name, outdir, stamp):
-    ctx = _solve_states(cfg, args, with_inclusion=True)
-    if ctx["inclusion"] is None:
-        raise ConfigError("energy-lemma needs an inclusion")
-    jumps = jump_bounds(ctx["material"], ctx["inclusion"])
-    rep = verify_energy_lemma(ctx["state0"], ctx["state"], ctx["load"],
-                              ctx["material"], jumps, ctx["indicator"])
-    _emit(outdir, name, tables.quantity_rows(name, rep), stamp)
-    if not rep.passed:
-        for msg in rep.messages:
-            print(f"energy lemma: {msg}", file=sys.stderr)
-        return 3
-    return 0
-
-
 def _size_config(cfg, args, name):
+    """The SizeExperimentConfig of a config mapping; validates every key."""
     domain = _build_domain(cfg)
     mat = _build_material(cfg)
     target = _f(cfg, "target_size")
-    polys, incl = (), None
-    if {"inclusion", "kappa", "stilde_table", "ptilde_table"} & cfg.keys():
-        ne = None
-        if {"stilde_table", "ptilde_table"} & cfg.keys():
-            # table-driven overrides need the element count ahead of time;
-            # the mesh is regenerated identically inside the experiment
-            ne = generate_mesh(domain, target,
-                               _i(cfg, "element_budget")).n_elements
-        polys, incl = _build_inclusion(cfg, ne)
+    polys, incl = _build_inclusion(cfg)
     return SizeExperimentConfig(
         domain=domain, material=mat, target_size=target,
         load_family=cfg.get("load", "pure_bending a=1"),
@@ -305,6 +212,56 @@ def _size_config(cfg, args, name):
         name=name)
 
 
+def _reference_field(cfg, args, name):
+    """Mesh and energy field of the reference plate, for the probes.
+
+    The probes study the inclusion-free plate and ignore inclusion keys.
+    """
+    ref = {k: v for k, v in cfg.items() if k not in _INCLUSION_KEYS}
+    fw = forward(_size_config(ref, args, name))
+    return fw.mesh, strain_energy_density(
+        fw.state0, order=_i(cfg, "quad_order", 4) or 4)
+
+
+def _cmd_solve(cfg, args, name, outdir, stamp):
+    config = _size_config(cfg, args, name)
+    fw = forward(config)
+    _emit(outdir, name, tables.state_rows(fw.state), stamp)
+    res = residual_check(fw.state, fw.mesh, config.material, fw.load,
+                         fw.indicator, config.inclusion)
+    _emit(outdir, name, tables.quantity_rows(name, {
+        "n_elements": fw.mesh.n_elements,
+        "mesh_size": fw.mesh.mesh_size,
+        "solve_residual": fw.state.residual,
+        "equilibrium_residual": res[1],
+        "stability_ratio": fw.state.stability_ratio,
+    }), stamp)
+    return 0
+
+
+def _cmd_work(cfg, args, name, outdir, stamp):
+    fw = forward(_size_config(cfg, args, name))
+    rep = work_report(fw.load, fw.state, fw.state0)
+    _emit(outdir, name, tables.quantity_rows(name, rep), stamp)
+    return 0
+
+
+def _cmd_energy_lemma(cfg, args, name, outdir, stamp):
+    config = _size_config(cfg, args, name)
+    if config.inclusion is None:
+        raise ConfigError("energy-lemma needs an inclusion")
+    jumps = jump_bounds(config.material, config.inclusion)
+    fw = forward(config)
+    rep = verify_energy_lemma(fw.state0, fw.state, fw.load, config.material,
+                              jumps, fw.indicator)
+    _emit(outdir, name, tables.quantity_rows(name, rep), stamp)
+    if not rep.passed:
+        for msg in rep.messages:
+            print(f"energy lemma: {msg}", file=sys.stderr)
+        return 3
+    return 0
+
+
 def _cmd_size(cfg, args, name, outdir, stamp):
     rep = run_size_experiment(_size_config(cfg, args, name))
     _emit(outdir, name, tables.corpus_rows([rep]), stamp)
@@ -317,9 +274,7 @@ def _cmd_size(cfg, args, name, outdir, stamp):
 
 
 def _cmd_three_spheres(cfg, args, name, outdir, stamp):
-    ctx = _solve_states(cfg, args, with_inclusion=False)
-    field = strain_energy_density(ctx["state0"],
-                                  order=_i(cfg, "quad_order", 4) or 4)
+    mesh, field = _reference_field(cfg, args, name)
     rho = _floats(cfg, "rho")[0]
     theta = _f(cfg, "theta", 0.3)
     if "center" in cfg:
@@ -328,7 +283,7 @@ def _cmd_three_spheres(cfg, args, name, outdir, stamp):
             raise ConfigError("center needs two coordinates")
     else:
         pitch = _f(cfg, "pitch", rho / 2.0)
-        centers, _ = admissible_centers(ctx["mesh"], rho, theta, pitch)
+        centers, _ = admissible_centers(mesh, rho, theta, pitch)
         if not len(centers):
             raise ConfigError("no admissible centers; shrink rho or theta")
     reports = [three_spheres_check(field, c, rho, theta) for c in centers]
@@ -349,14 +304,12 @@ def _cmd_three_spheres(cfg, args, name, outdir, stamp):
 
 
 def _cmd_lps(cfg, args, name, outdir, stamp):
-    ctx = _solve_states(cfg, args, with_inclusion=False)
-    field = strain_energy_density(ctx["state0"],
-                                  order=_i(cfg, "quad_order", 4) or 4)
+    mesh, field = _reference_field(cfg, args, name)
     theta = _f(cfg, "theta", 0.3)
     code = 0
     quantities = {"theta": theta}
     for rho in _floats(cfg, "rho"):
-        rep = lps_check(field, ctx["mesh"], rho, theta)
+        rep = lps_check(field, mesh, rho, theta)
         tag = f"{name}_rho{rho:g}".replace(".", "p")
         _emit(outdir, tag, tables.lps_rows(rep), stamp)
         quantities[f"constant_rho_{rho:g}"] = rep.constant
@@ -367,76 +320,6 @@ def _cmd_lps(cfg, args, name, outdir, stamp):
             code = 3
     _emit(outdir, name, tables.quantity_rows(name, quantities), stamp)
     return code
-
-
-_EXACT_FAMILIES = ("pure_bending", "twist", "edge_moment")
-
-
-def _exact_strains(family, material):
-    """Constant exact curvature and shear for the closed-form families."""
-    from .solver import _parse_family
-
-    kind, params = _parse_family(family)
-    t = derive_plate_tensors(material)
-    b, nu = float(t.rigidity), float(t.nu)
-    if kind == "pure_bending":
-        a = params.get("a", 1.0)
-        kv = np.array([a, a, 0.0])
-        density = 2.0 * b * a ** 2 * (1.0 + nu)
-    elif kind == "edge_moment":
-        a = params.get("c", 1.0) / (b * (1.0 + nu))
-        kv = np.array([a, a, 0.0])
-        density = 2.0 * b * a ** 2 * (1.0 + nu)
-    elif kind == "twist":
-        a = params.get("a", 1.0)
-        kv = np.array([0.0, 0.0, 2.0 * a])
-        density = 2.0 * b * a ** 2 * (1.0 - nu)
-    else:
-        raise ConfigError(f"no closed form for load family '{kind}'")
-    return kv, np.zeros(2), density
-
-
-def convergence_study(domain, material, family="pure_bending a=1", target0=0.25,
-                      levels=3, assumed_shear=True, tol=1e-9, floor=1e-8):
-    """Uniform-refinement errors against the closed-form solution.
-
-    Returns (records, work_error_last) where records are rows
-    (n_elements, mesh_size, energy_error, work_error, observed_order).
-    Energy errors are relative to the exact energy norm; once an error
-    falls below `floor` the solution is exact to round-off and the
-    observed order is reported as inf.
-    """
-    kv, gv, density = _exact_strains(family, material)
-    t = derive_plate_tensors(material)
-    db = bending_voigt(t)
-    sm = shear_matrix(t)
-    records = []
-    prev = None
-    for level in range(levels):
-        mesh = generate_mesh(domain, target0 / 2 ** level)
-        load = load_from_family(mesh, family, material)
-        system = assemble_stiffness(mesh, material, assumed_shear=assumed_shear)
-        state = solve(system.with_load(assemble_load(mesh, load, tol=tol), load),
-                      tol=tol)
-        ops = element_operators(mesh, 2, assumed_shear)
-        wts = ops.point_weights()
-        dk = ops.curvatures(state.u) - kv
-        dg = ops.shears(state.u) - gv
-        err2 = float(np.sum(wts * (np.einsum("ega,ab,egb->eg", dk, db, dk)
-                                   + np.einsum("ega,ab,egb->eg", dg, sm, dg))))
-        w_exact = density * domain.area
-        from .functionals import boundary_work
-        w_err = abs(boundary_work(load, state) - w_exact) / w_exact
-        e_rel = np.sqrt(max(err2, 0.0) / w_exact)
-        if prev is None:
-            order = None
-        elif e_rel < floor:
-            order = float("inf")
-        else:
-            order = float(np.log2(prev / e_rel))
-        records.append((mesh.n_elements, mesh.mesh_size, e_rel, w_err, order))
-        prev = e_rel
-    return records, records[-1][3]
 
 
 def _cmd_convergence(cfg, args, name, outdir, stamp):

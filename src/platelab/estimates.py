@@ -1,8 +1,8 @@
-"""Work-gap comparison, area bounds, and unique-continuation probes.
+"""Forward pipeline, work-gap comparison, area bounds, continuation probes.
 
-The forward pipeline measures one number, the boundary-work gap between the
-reference plate and the plate with an override region. Everything in this
-module relates that number to the override's area:
+The forward pipeline (forward) measures one number, the boundary-work gap
+between the reference plate and the plate with an override region.
+Everything else in this module relates that number to the override's area:
 
   * verify_energy_lemma checks the two-sided comparison between the gap and
     the reference strain energy stored in the override region,
@@ -12,7 +12,8 @@ module relates that number to the override's area:
   * three_spheres_check and lps_check probe the quantitative unique
     continuation properties of inclusion-free energy fields that make the
     lower area bound work,
-  * run_size_experiment drives the whole chain for one configuration.
+  * run_size_experiment drives the whole chain for one configuration,
+  * convergence_study checks the forward solve against closed forms.
 """
 
 import warnings
@@ -28,6 +29,7 @@ from .functionals import (
     frequency,
     region_energy,
     strain_energy_density,
+    work_report,
 )
 from .geometry import (
     distance_to_boundary,
@@ -38,12 +40,19 @@ from .geometry import (
     points_segment_distance,
     rasterize_inclusion,
 )
-from .material import ellipticity_constants, jump_bounds
+from .material import (
+    bending_voigt,
+    derive_plate_tensors,
+    ellipticity_constants,
+    jump_bounds,
+    shear_matrix,
+)
 from .solver import (
     assemble_load,
     assemble_stiffness,
     dense_oracle_solve,
     element_operators,
+    exact_strains,
     load_from_family,
     solve,
 )
@@ -403,42 +412,55 @@ class SizeEstimateReport:
     messages: tuple
 
 
-def run_size_experiment(config):
-    """Solve reference and override problems and assemble the size report."""
+class Forward(NamedTuple):
+    """Mesh, load, inclusion mask and the two solved states of one config.
+
+    state is state0 when the configuration has no inclusion.
+    """
+
+    mesh: object
+    load: object
+    indicator: object
+    state0: object
+    state: object
+
+
+def forward(config):
+    """Mesh, load, reference solve, inclusion mask and inclusion solve."""
     mesh = generate_mesh(config.domain, config.target_size,
                          config.element_budget)
-    ap = config.domain.apriori
     load = load_from_family(mesh, config.load_family, config.material)
     rhs = assemble_load(mesh, load, tol=config.tol)
 
-    def run(system):
+    def run(indicator, inclusion):
+        system = assemble_stiffness(mesh, config.material, indicator, inclusion,
+                                    assumed_shear=config.assumed_shear)
         system = system.with_load(rhs, load)
         if config.dense_oracle:
             return dense_oracle_solve(system, cap=config.dense_cap,
                                       tol=config.tol)
         return solve(system, tol=config.tol)
 
-    messages = []
-    sys0 = assemble_stiffness(mesh, config.material,
-                              assumed_shear=config.assumed_shear)
-    state0 = run(sys0)
-
+    state0 = run(None, None)
     indicator = rasterize_inclusion(mesh, config.inclusion_polygons)
-    if config.inclusion is not None:
-        jumps = jump_bounds(config.material, config.inclusion)
-        sys1 = assemble_stiffness(mesh, config.material, indicator,
-                                  config.inclusion,
-                                  assumed_shear=config.assumed_shear)
-        state = run(sys1)
-        if indicator.empty:
-            messages.append("inclusion polygons flagged no elements")
-    else:
-        jumps = None
-        state = state0
+    state = state0 if config.inclusion is None else \
+        run(indicator, config.inclusion)
+    return Forward(mesh, load, indicator, state0, state)
 
-    w0 = boundary_work(load, state0)
-    w = boundary_work(load, state)
-    gap = w0 - w
+
+def run_size_experiment(config):
+    """Forward pipeline plus the size report for one configuration."""
+    ap = config.domain.apriori
+    jumps = None if config.inclusion is None else \
+        jump_bounds(config.material, config.inclusion)
+    fw = forward(config)
+    mesh, indicator = fw.mesh, fw.indicator
+    messages = []
+    if jumps is not None and indicator.empty:
+        messages.append("inclusion polygons flagged no elements")
+
+    work = work_report(fw.load, fw.state, fw.state0)
+    w0, gap = work.work_reference, work.gap
     guard = 1e-10 * abs(w0)
     if jumps is None:
         sign_ok = True
@@ -454,25 +476,66 @@ def run_size_experiment(config):
             messages.append(
                 f"work gap {gap:.3e} has the wrong sign for the "
                 f"{jumps.sign} regime; no bounds computed")
-        lemma = verify_energy_lemma(state0, state, load, config.material,
-                                    jumps, indicator)
+        lemma = verify_energy_lemma(fw.state0, fw.state, fw.load,
+                                    config.material, jumps, indicator)
         if not lemma.passed:
             messages.extend(lemma.messages)
 
     # skip the empty-indicator warning path; 1.0 is its defined value
     fat = 1.0 if indicator.empty else \
         fatness_ratio(mesh, indicator, ap.h1 * ap.rho0)
-    freq = frequency(load)
+    freq = frequency(fw.load)
     return SizeEstimateReport(
         name=config.name, n_elements=mesh.n_elements,
         mesh_size=float(mesh.mesh_size), true_area=float(indicator.area),
-        work_reference=w0, work=w, gap=gap,
-        relative_gap=gap / w0 if w0 != 0.0 else np.nan,
+        work_reference=w0, work=work.work, gap=gap,
+        relative_gap=work.relative_gap,
         regime=None if jumps is None else jumps.sign,
         eta=None if jumps is None else jumps.eta,
         delta=None if jumps is None else jumps.delta,
         c1=config.c1, c2=config.c2, sign_ok=sign_ok,
         lower=float(lower), upper=float(upper), fatness=float(fat),
         frequency_ratio=freq.ratio,
-        stability=(state0.stability_ratio, state.stability_ratio),
+        stability=(fw.state0.stability_ratio, fw.state.stability_ratio),
         lemma=lemma, messages=tuple(messages))
+
+
+def convergence_study(domain, material, family="pure_bending a=1", target0=0.25,
+                      levels=3, assumed_shear=True, tol=1e-9, floor=1e-8):
+    """Uniform-refinement errors against the closed-form solution.
+
+    Returns (records, work_error_last) where records are rows
+    (n_elements, mesh_size, energy_error, work_error, observed_order).
+    Energy errors are relative to the exact energy norm; once an error
+    falls below `floor` the solution is exact to round-off and the
+    observed order is reported as inf.
+    """
+    kv, gv, density = exact_strains(family, material)
+    t = derive_plate_tensors(material)
+    db = bending_voigt(t)
+    sm = shear_matrix(t)
+    w_exact = density * domain.area
+    records = []
+    prev = None
+    for level in range(levels):
+        fw = forward(SizeExperimentConfig(
+            domain=domain, material=material, target_size=target0 / 2 ** level,
+            load_family=family, tol=tol, assumed_shear=assumed_shear))
+        ops = element_operators(fw.mesh, 2, assumed_shear)
+        wts = ops.point_weights()
+        dk = ops.curvatures(fw.state.u) - kv
+        dg = ops.shears(fw.state.u) - gv
+        err2 = float(np.sum(wts * (np.einsum("ega,ab,egb->eg", dk, db, dk)
+                                   + np.einsum("ega,ab,egb->eg", dg, sm, dg))))
+        w_err = abs(boundary_work(fw.load, fw.state) - w_exact) / w_exact
+        e_rel = np.sqrt(max(err2, 0.0) / w_exact)
+        if prev is None:
+            order = None
+        elif e_rel < floor:
+            order = float("inf")
+        else:
+            order = float(np.log2(prev / e_rel))
+        records.append((fw.mesh.n_elements, fw.mesh.mesh_size, e_rel, w_err,
+                        order))
+        prev = e_rel
+    return records, records[-1][3]

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .solver import BoundaryLoad, _EDGE_T, element_operators
+from .solver import BoundaryLoad, _EDGE_T, _loop_positions, element_operators
 
 _TINY = 1e-300
 
@@ -130,7 +130,9 @@ def region_energy(field, region):
     return float(field.weight[inside] @ field.e2[inside])
 
 
-class KornRatio(NamedTuple):
+class Ratio(NamedTuple):
+    """A norm ratio, or NaN with degenerate set when its denominator vanishes."""
+
     value: float
     degenerate: bool
 
@@ -152,13 +154,8 @@ def korn_ratio(state, order=2):
     den = np.sqrt(bend_sq) + np.sqrt(shear_sq) / rho0
     scale = np.sqrt(np.sum(wts) * max(np.abs(state.u).max(initial=0.0), 1.0))
     if den <= 1e-14 * scale:
-        return KornRatio(float("nan"), True)
-    return KornRatio(float(np.sqrt(num_sq) / den), False)
-
-
-class PoincareRatio(NamedTuple):
-    value: float
-    degenerate: bool
+        return Ratio(float("nan"), True)
+    return Ratio(float(np.sqrt(num_sq) / den), False)
 
 
 def poincare_ratio(mesh, nodal, rho0=None, order=2):
@@ -176,8 +173,8 @@ def poincare_ratio(mesh, nodal, rho0=None, order=2):
     grad_sq = float(np.sum(wts[..., None] * grads ** 2))
     scale = max(np.abs(nodal).max(initial=0.0), 1.0)
     if grad_sq <= (1e-14 * scale) ** 2 * area:
-        return PoincareRatio(float("nan"), True)
-    return PoincareRatio(float(np.sqrt(var) / (rho0 * np.sqrt(grad_sq))), False)
+        return Ratio(float("nan"), True)
+    return Ratio(float(np.sqrt(var) / (rho0 * np.sqrt(grad_sq))), False)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +268,7 @@ def frequency(load, polyline=None, rho0=None):
         polyline = closed_boundary_polyline(mesh)
     if rho0 is None:
         rho0 = mesh.domain.apriori.rho0
-    nq, nm = _load_nodal_samples(load)
+    nq, nm = load.nodal_samples()
     m_half = boundary_fractional_norm(nm, -0.5, polyline, rho0)
     m_one = boundary_fractional_norm(nm, -1.0, polyline, rho0)
     q_half = boundary_fractional_norm(nq, -0.5, polyline, rho0)
@@ -279,31 +276,6 @@ def frequency(load, polyline=None, rho0=None):
     num = m_half + rho0 * q_half
     den = m_one + rho0 * q_one
     return FrequencyReport(num, den, num / den)
-
-
-def _load_nodal_samples(load):
-    if load.nodal_q is not None and load.nodal_m is not None:
-        return load.nodal_q, load.nodal_m
-    # extrapolate the two Gauss samples of each edge to its endpoints and
-    # average the two edges meeting at every node
-    mesh = load.mesh
-    loop = mesh.boundary_loop()
-    pos = {int(nid): i for i, nid in enumerate(loop)}
-    nq = np.zeros(len(loop))
-    nm = np.zeros((len(loop), 2))
-    count = np.zeros(len(loop))
-    span = _EDGE_T[1] - _EDGE_T[0]
-    for e, (a, b) in enumerate(mesh.boundary_edges):
-        mid_q = 0.5 * (load.q[e, 0] + load.q[e, 1])
-        slope_q = (load.q[e, 1] - load.q[e, 0]) / span
-        mid_m = 0.5 * (load.m[e, 0] + load.m[e, 1])
-        slope_m = (load.m[e, 1] - load.m[e, 0]) / span
-        for node, tt in ((int(a), -1.0), (int(b), 1.0)):
-            i = pos[node]
-            nq[i] += mid_q + slope_q * tt
-            nm[i] += mid_m + slope_m * tt
-            count[i] += 1.0
-    return nq / count, nm / count[:, None]
 
 
 def boundary_mode(mesh, k):
@@ -327,16 +299,15 @@ def mode_load(mesh, k, amplitude=1.0, compensate=True):
     if k < 1:
         raise ValueError("mode loads need k >= 1; mode 0 is not equilibrated")
     lam, v = boundary_mode(mesh, k)
-    loop = mesh.boundary_loop()
-    pos = {int(nid): i for i, nid in enumerate(loop)}
+    pos = _loop_positions(mesh)
     edges = mesh.boundary_edges
     nb = len(edges)
     q = np.zeros((nb, 2))
     m = np.zeros((nb, 2, 2))
     na = 0.5 * (1.0 - _EDGE_T)
     nb_ = 0.5 * (1.0 + _EDGE_T)
-    va = amplitude * np.array([v[pos[int(a)]] for a, _ in edges])
-    vb = amplitude * np.array([v[pos[int(b)]] for _, b in edges])
+    va = amplitude * v[pos[edges[:, 0]]]
+    vb = amplitude * v[pos[edges[:, 1]]]
     for g in range(2):
         q[:, g] = na[g] * va + nb_[g] * vb
     load = BoundaryLoad(mesh, q, m, family=f"mode k={k}")
@@ -347,6 +318,6 @@ def mode_load(mesh, k, amplitude=1.0, compensate=True):
         const_m = int_qx / float(L.sum())
         m[:] = const_m[None, None, :]
     load.nodal_q = amplitude * v
-    load.nodal_m = np.broadcast_to(m[0, 0], (len(loop), 2)).copy() if compensate \
-        else np.zeros((len(loop), 2))
+    load.nodal_m = np.broadcast_to(m[0, 0], (nb, 2)).copy() if compensate \
+        else np.zeros((nb, 2))
     return load

@@ -19,8 +19,6 @@ DEFAULT_ELEMENT_BUDGET = 40000
 
 # 2-point Gauss rule per direction on [-1, 1]
 GAUSS2 = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
-GAUSS3 = (-np.sqrt(0.6), 0.0, np.sqrt(0.6))
-GAUSS3_W = (5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0)
 
 
 # ---------------------------------------------------------------------------

@@ -152,28 +152,6 @@ class EllipticityConstants:
     xi1: float
 
 
-# orthonormal basis of symmetric 2x2 matrices, used for spectral checks
-_SYM_BASIS = np.array([
-    [[1.0, 0.0], [0.0, 0.0]],
-    [[0.0, 0.0], [0.0, 1.0]],
-    [[0.0, 1.0 / np.sqrt(2.0)], [1.0 / np.sqrt(2.0), 0.0]],
-])
-
-
-def _bending_gram(rigidity, nu):
-    # Gram matrix of the bending form on _SYM_BASIS; eigenvalues are
-    # B(1-nu) twice and B(1+nu)
-    b = np.asarray(rigidity, dtype=float)
-    nu = np.broadcast_to(np.asarray(nu, dtype=float), b.shape)
-    g = np.zeros(b.shape + (3, 3))
-    g[..., 0, 0] = b
-    g[..., 1, 1] = b
-    g[..., 0, 1] = b * nu
-    g[..., 1, 0] = b * nu
-    g[..., 2, 2] = b * (1.0 - nu)
-    return g
-
-
 def ellipticity_constants(mat):
     """Derived shear/bending spectral window, verified against the fields.
 
@@ -193,8 +171,11 @@ def ellipticity_constants(mat):
     if np.any(mat.h * mu < mat.h * ec.sigma0 - slack) or \
        np.any(mat.h * mu > mat.h * ec.sigma1 + slack):
         raise ValueError(f"shear sandwich fails at element {_worst(mu)}")
-    gram = _bending_gram(np.atleast_1d(np.asarray(t.rigidity, dtype=float)),
-                         np.asarray(t.nu, dtype=float))
+    # the bending form in an orthonormal basis of symmetric matrices is the
+    # Voigt matrix with its shear entry doubled; eigenvalues B(1-nu) twice
+    # and B(1+nu)
+    gram = bending_voigt(t, np.size(t.rigidity))
+    gram[..., 2, 2] *= 2.0
     eigs = np.linalg.eigvalsh(gram)
     lo = mat.h ** 3 / 12.0 * ec.xi0
     hi = mat.h ** 3 / 12.0 * ec.xi1
@@ -213,10 +194,11 @@ class InclusionMaterial:
     """Tensor override on the flagged region.
 
     Either a scalar contrast kappa (override = kappa * background for both
-    tensors) or explicit tables: stilde as (2, 2) or (n_elements, 2, 2)
-    shear tensors, ptilde as (3, 3) or (n_elements, 3, 3) bending matrices
-    in the (A11, A22, 2*A12) convention. Rows may be NaN for elements the
-    override never touches.
+    tensors) or explicit tables: stilde as (2, 2) or (n, 2, 2) shear
+    tensors, ptilde as (3, 3) or (n, 3, 3) bending matrices in the
+    (A11, A22, 2*A12) convention, row i for element i. Rows may be NaN for
+    elements the override never touches; the assembly NaN-pads tables
+    shorter than the mesh and rejects set rows past its last element.
     """
 
     kappa: float | None = None
@@ -422,19 +404,28 @@ def _read_table(path, cols):
             rows.append([float(v) for v in raw[1:]])
     if not ids:
         raise ValueError(f"no rows in {path}")
-    return np.array(ids, dtype=int), np.array(rows, dtype=float)
+    ids = np.array(ids, dtype=int)
+    if ids.min() < 0:
+        raise ValueError(f"{path}: negative element id {ids.min()}")
+    uniq, counts = np.unique(ids, return_counts=True)
+    if counts.max() > 1:
+        raise ValueError(f"{path}: duplicate element id {uniq[counts > 1][0]}")
+    return ids, np.array(rows, dtype=float)
 
 
-def inclusion_from_tables(shear_path, bending_path, n_elements):
+def inclusion_from_tables(shear_path, bending_path):
     """Build an explicit override from CSV tables keyed by element id.
 
-    Unlisted elements get NaN rows; the assembly refuses to use those, so
-    the tables must cover every flagged element.
+    Both tables get one row per id up to the largest listed one; unlisted
+    elements get NaN rows. The assembly refuses to use those, so the
+    tables must cover every flagged element, and it rejects ids the mesh
+    does not have.
     """
     sid, svals = _read_table(shear_path, _SHEAR_COLS)
     bid, bvals = _read_table(bending_path, _BEND_COLS)
     if svals.shape[1] != 3 or bvals.shape[1] != 6:
         raise ValueError("unexpected column count in tensor tables")
+    n_elements = int(max(sid.max(), bid.max())) + 1
     st = np.full((n_elements, 2, 2), np.nan)
     st[sid, 0, 0] = svals[:, 0]
     st[sid, 0, 1] = svals[:, 1]

@@ -264,6 +264,20 @@ class LinearSystem:
         return replace(self, rhs=np.asarray(rhs, dtype=float), load=load)
 
 
+def _element_table(table, ne):
+    # one override tensor per element: a single tensor is broadcast, a
+    # shorter table is NaN-padded, and rows past the mesh must be unused
+    t = np.asarray(table, dtype=float)
+    if t.ndim == 2:
+        return np.broadcast_to(t, (ne,) + t.shape)
+    extra = np.flatnonzero(~np.isnan(t[ne:]).all(axis=(1, 2)))
+    if len(extra):
+        raise ValueError(f"override tables name element {ne + extra[0]}, "
+                         f"the mesh has {ne} elements")
+    pad = np.full((max(ne - len(t), 0),) + t.shape[1:], np.nan)
+    return np.concatenate([t[:ne], pad])
+
+
 def _coefficient_fields(mesh, material, indicator, inclusion):
     from .material import bending_voigt, derive_plate_tensors, shear_matrix
 
@@ -271,6 +285,9 @@ def _coefficient_fields(mesh, material, indicator, inclusion):
     tens = derive_plate_tensors(material)
     bend = bending_voigt(tens, ne).copy()
     shear = shear_matrix(tens, ne).copy()
+    if inclusion is not None and not inclusion.scalar:
+        st = _element_table(inclusion.stilde, ne)
+        pt = _element_table(inclusion.ptilde, ne)
     if indicator is not None and not indicator.empty:
         if inclusion is None:
             raise ValueError("flagged elements need an inclusion override")
@@ -279,12 +296,6 @@ def _coefficient_fields(mesh, material, indicator, inclusion):
             bend[fl] *= inclusion.kappa
             shear[fl] *= inclusion.kappa
         else:
-            st = np.asarray(inclusion.stilde, dtype=float)
-            pt = np.asarray(inclusion.ptilde, dtype=float)
-            st = np.broadcast_to(st, (ne, 2, 2)) if st.ndim == 2 else st
-            pt = np.broadcast_to(pt, (ne, 3, 3)) if pt.ndim == 2 else pt
-            if len(st) != ne or len(pt) != ne:
-                raise ValueError("override tables do not match the element count")
             if np.isnan(st[fl]).any() or np.isnan(pt[fl]).any():
                 bad = np.where(fl & (np.isnan(st).any(axis=(1, 2))
                                      | np.isnan(pt).any(axis=(1, 2))))[0][0]
@@ -332,9 +343,9 @@ class BoundaryLoad:
     q has shape (n_edges, 2) and m (n_edges, 2, 2): two Gauss points per
     edge at parameters -1/sqrt(3), 1/sqrt(3). An analytic generator, when
     present, re-evaluates the load at arbitrary edge points; otherwise
-    resampling extends the two samples linearly. nodal_q / nodal_m carry
-    boundary-node samples for spectral diagnostics (corner values average
-    the two adjacent edges).
+    edge_values extends the two samples linearly. nodal_q / nodal_m may
+    carry exact boundary-node samples for spectral diagnostics; without
+    them nodal_samples averages the two edges meeting at each node.
     """
 
     mesh: object
@@ -357,25 +368,50 @@ class BoundaryLoad:
         b = self.mesh.nodes[self.mesh.boundary_edges[:, 1]]
         return np.linalg.norm(b - a, axis=1)
 
+    def edge_values(self, tpts):
+        """(q, m) at edge parameters tpts: shapes (n_edges, T), (n_edges, T, 2).
+
+        The generator, when present, is evaluated at every edge point in one
+        call; otherwise the two stored samples are extended linearly.
+        """
+        t = np.asarray(tpts, dtype=float)
+        ne, nt = len(self.mesh.boundary_edges), len(t)
+        if self.generator is not None:
+            normals = np.repeat(self.mesh.boundary_normals, nt, axis=0)
+            q, m = self.generator(self.edge_points(t).reshape(-1, 2), normals)
+            return np.reshape(q, (ne, nt)), np.reshape(m, (ne, nt, 2))
+        span = _EDGE_T[1] - _EDGE_T[0]
+        mid_q = 0.5 * (self.q[:, 0] + self.q[:, 1])
+        slope_q = (self.q[:, 1] - self.q[:, 0]) / span
+        mid_m = 0.5 * (self.m[:, 0] + self.m[:, 1])
+        slope_m = (self.m[:, 1] - self.m[:, 0]) / span
+        q = mid_q[:, None] + slope_q[:, None] * t[None, :]
+        m = mid_m[:, None, :] + slope_m[:, None, :] * t[None, :, None]
+        return q, m
+
     def resample(self, order):
         """Samples (q, m, tpts, wts) at an order-point edge Gauss rule."""
         t, w = np.polynomial.legendre.leggauss(order)
-        if self.generator is not None:
-            pts = self.edge_points(t)
-            normals = self.mesh.boundary_normals
-            q = np.zeros((len(pts), order))
-            m = np.zeros((len(pts), order, 2))
-            for k in range(order):
-                q[:, k], m[:, k, :] = self.generator(pts[:, k, :], normals)
-            return q, m, t, w
-        # linear extension through the two stored samples
-        mid_q = 0.5 * (self.q[:, 0] + self.q[:, 1])
-        slope_q = (self.q[:, 1] - self.q[:, 0]) / (_EDGE_T[1] - _EDGE_T[0])
-        mid_m = 0.5 * (self.m[:, 0] + self.m[:, 1])
-        slope_m = (self.m[:, 1] - self.m[:, 0]) / (_EDGE_T[1] - _EDGE_T[0])
-        q = mid_q[:, None] + slope_q[:, None] * t[None, :]
-        m = mid_m[:, None, :] + slope_m[:, None, :] * t[None, :, None]
+        q, m = self.edge_values(t)
         return q, m, t, w
+
+    def nodal_samples(self):
+        """(q, m) at the boundary nodes in loop order.
+
+        nodal_q / nodal_m when set; otherwise the edge values at both ends
+        of every edge, averaged over the two edges meeting at each node.
+        """
+        if self.nodal_q is not None and self.nodal_m is not None:
+            return self.nodal_q, self.nodal_m
+        edges = self.mesh.boundary_edges
+        idx = _loop_positions(self.mesh)[edges].ravel()
+        q, m = self.edge_values((-1.0, 1.0))
+        nq = np.zeros(len(edges))
+        nm = np.zeros((len(edges), 2))
+        np.add.at(nq, idx, q.ravel())
+        np.add.at(nm, idx, m.reshape(-1, 2))
+        counts = np.bincount(idx, minlength=len(edges))
+        return nq / counts, nm / counts[:, None]
 
     def compatibility_residuals(self):
         """(net force, net moment 2-vector, load scale) by edge quadrature."""
@@ -402,22 +438,12 @@ class BoundaryLoad:
         return not (np.any(self.q) or np.any(self.m))
 
 
-def _nodal_from_edges(mesh, gen):
-    # evaluate the generator at both endpoints of every edge and average the
-    # two edge values meeting at each node, indexed by loop position
-    edges = mesh.boundary_edges
-    loop = edges[:, 0]
+def _loop_positions(mesh):
+    """Position of every boundary node along the boundary loop."""
+    loop = mesh.boundary_loop()
     pos = np.empty(mesh.n_nodes, dtype=int)
     pos[loop] = np.arange(len(loop))
-    ends = np.concatenate([edges[:, 0], edges[:, 1]])
-    q, m = gen(mesh.nodes[ends], np.concatenate([mesh.boundary_normals] * 2))
-    idx = pos[ends]
-    nq = np.zeros(len(loop))
-    nm = np.zeros((len(loop), 2))
-    np.add.at(nq, idx, q)
-    np.add.at(nm, idx, m)
-    counts = np.bincount(idx, minlength=len(loop))
-    return nq / counts, nm / counts[:, None]
+    return pos
 
 
 def load_from_family(mesh, family, material=None):
@@ -457,16 +483,33 @@ def load_from_family(mesh, family, material=None):
     else:
         raise ValueError(f"unknown load family '{name}'")
 
-    pts = None
-    nb = len(mesh.boundary_edges)
-    q = np.zeros((nb, 2))
-    m = np.zeros((nb, 2, 2))
-    load = BoundaryLoad(mesh, q, m, family=family, generator=gen)
-    pts = load.edge_points()
-    for k in range(2):
-        q[:, k], m[:, k, :] = gen(pts[:, k, :], mesh.boundary_normals)
-    load.nodal_q, load.nodal_m = _nodal_from_edges(mesh, gen)
+    load = BoundaryLoad(mesh, None, None, family=family, generator=gen)
+    load.q, load.m = load.edge_values(_EDGE_T)
     return load
+
+
+def exact_strains(family, material):
+    """Constant exact curvature, shear and energy density of a load family.
+
+    The closed forms of load_from_family: returns (curvature 3-vector,
+    shear 2-vector, strain energy density).
+    """
+    from .material import derive_plate_tensors
+
+    kind, params = _parse_family(family)
+    t = derive_plate_tensors(material)
+    b, nu = float(t.rigidity), float(t.nu)
+    if kind == "twist":
+        a = params.get("a", 1.0)
+        return np.array([0.0, 0.0, 2.0 * a]), np.zeros(2), \
+            2.0 * b * a ** 2 * (1.0 - nu)
+    if kind == "pure_bending":
+        a = params.get("a", 1.0)
+    elif kind == "edge_moment":
+        a = params.get("c", 1.0) / (b * (1.0 + nu))
+    else:
+        raise ValueError(f"no closed form for load family '{kind}'")
+    return np.array([a, a, 0.0]), np.zeros(2), 2.0 * b * a ** 2 * (1.0 + nu)
 
 
 def _parse_family(spec):
@@ -531,7 +574,6 @@ class PlateState:
     mesh: object
     residual: float                 # ||K u - f|| / ||f||
     normalization: np.ndarray       # (3,) constraint values, should be ~0
-    multipliers: np.ndarray
     stability_ratio: float
     assumed_shear: bool = True
 
@@ -577,9 +619,16 @@ def _stability_ratio(mesh, u, load, rho0, assumed):
     return (np.sqrt(phi_sq) + np.sqrt(w_sq) / rho0) / denom
 
 
-def _kernel_shift(u, z, c):
-    """u minus the kernel motions (columns of z) that zero its constraints c @ u."""
-    return u - z @ np.linalg.solve(c @ z, c @ u)
+def _normalized_state(system, u, k):
+    """PlateState of a solution u of k u = rhs, shifted by the kernel
+    motions that zero its constraints."""
+    mesh, c, f = system.mesh, system.constraints, system.rhs
+    z = kernel_basis(mesh).T
+    u = u - z @ np.linalg.solve(c @ z, c @ u)
+    res = np.linalg.norm(k @ u - f) / (np.linalg.norm(f) + _TINY)
+    rho0 = mesh.domain.apriori.rho0
+    ratio = _stability_ratio(mesh, u, system.load, rho0, system.assumed_shear)
+    return PlateState(u, mesh, float(res), c @ u, ratio, system.assumed_shear)
 
 
 def _pinned_dofs(mesh):
@@ -620,14 +669,7 @@ def solve(system, tol=1e-9):
         raise SolveError("sparse factorization produced non-finite values")
     u = np.zeros(n)
     u[free] = ur
-    c = system.constraints
-    u = _kernel_shift(u, kernel_basis(mesh).T, c)
-    fn = np.linalg.norm(f)
-    res = np.linalg.norm(k @ u - f) / (fn + _TINY)
-    rho0 = mesh.domain.apriori.rho0
-    ratio = _stability_ratio(mesh, u, system.load, rho0, system.assumed_shear)
-    return PlateState(u, mesh, float(res), c @ u, np.zeros(3), ratio,
-                      system.assumed_shear)
+    return _normalized_state(system, u, k)
 
 
 def dense_oracle_solve(system, cap=600, tol=1e-9, kernel_cut=1e-10):
@@ -658,14 +700,7 @@ def dense_oracle_solve(system, cap=600, tol=1e-9, kernel_cut=1e-10):
             f"load has kernel components {comp} beyond tolerance")
     vp = v[:, ~null]
     u = vp @ ((vp.T @ f) / w[~null])
-    c = system.constraints
-    mesh = system.mesh
-    u = _kernel_shift(u, kernel_basis(mesh).T, c)
-    res = np.linalg.norm(kd @ u - f) / (fn + _TINY)
-    rho0 = mesh.domain.apriori.rho0
-    ratio = _stability_ratio(mesh, u, system.load, rho0, system.assumed_shear)
-    return PlateState(u, mesh, float(res), c @ u, np.zeros(3), ratio,
-                      system.assumed_shear)
+    return _normalized_state(system, u, kd)
 
 
 def residual_check(state, mesh, material, load, indicator=None, inclusion=None):

@@ -57,12 +57,6 @@ def state_rows(state):
     return "state", ("node_id", "x", "y", "phi1", "phi2", "w"), rows
 
 
-def energy_field_rows(field):
-    rows = [(float(x), float(y), float(w), float(e))
-            for x, y, w, e in zip(field.x, field.y, field.weight, field.e2)]
-    return "energy_field", ("x", "y", "weight", "E2"), rows
-
-
 def quantity_rows(experiment_id, report):
     """Generic (id, quantity, value) rows from scalar fields of a report
     dataclass or plain mapping."""

@@ -7,11 +7,11 @@ to see the summary table. All runs stay at desk scale.
 import numpy as np
 import pytest
 
-from platelab.cli import convergence_study
 from platelab.estimates import (
     SizeExperimentConfig,
     admissible_centers,
     calibrate_constants,
+    convergence_study,
     lps_check,
     run_size_experiment,
     size_bounds,

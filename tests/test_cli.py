@@ -3,6 +3,9 @@ import pytest
 
 from platelab.cli import ConfigError, main, parse_config
 from platelab.geometry import write_polygons
+from platelab.material import (IsotropicMaterial, bending_voigt,
+                               derive_plate_tensors, shear_matrix,
+                               write_bending_table, write_shear_table)
 from platelab.tables import csv_text
 
 BASE = """\
@@ -27,6 +30,20 @@ def _sq_poly(tmp_path, name="incl.poly", lo=0.25, hi=0.75):
     write_polygons(str(path), [np.array(
         [[lo, lo], [hi, lo], [hi, hi], [lo, hi]], dtype=float)])
     return str(path)
+
+
+def _tables(tmp_path, ids, factor=2.0):
+    """Config lines for a factor * background override at the given ids."""
+    tens = derive_plate_tensors(IsotropicMaterial(lam=1.0, mu=1.0, h=1.0))
+    spath, bpath = tmp_path / "s.csv", tmp_path / "p.csv"
+    write_shear_table(spath, ids, factor * shear_matrix(tens, len(ids)))
+    write_bending_table(bpath, ids, factor * bending_voigt(tens, len(ids)))
+    return f"stilde_table = {spath}\nptilde_table = {bpath}\n"
+
+
+def _quantities(path):
+    rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
+    return {q: v for _, q, v in rows}
 
 
 # config grammar
@@ -98,7 +115,6 @@ def test_size_command_soft(tmp_path):
 
 
 def test_size_builds_one_mesh(tmp_path, monkeypatch):
-    import platelab.cli
     import platelab.estimates
     from platelab.geometry import generate_mesh
 
@@ -108,7 +124,6 @@ def test_size_builds_one_mesh(tmp_path, monkeypatch):
         calls.append(a)
         return generate_mesh(*a, **kw)
 
-    monkeypatch.setattr(platelab.cli, "generate_mesh", counting)
     monkeypatch.setattr(platelab.estimates, "generate_mesh", counting)
     poly = _sq_poly(tmp_path)
     cfg = _cfg(tmp_path, BASE + f"inclusion = {poly}\nkappa = 2.0\n")
@@ -117,25 +132,83 @@ def test_size_builds_one_mesh(tmp_path, monkeypatch):
 
 
 def test_size_command_tensor_tables(tmp_path):
-    from platelab.material import (IsotropicMaterial, bending_voigt,
-                                   derive_plate_tensors, shear_matrix,
-                                   write_bending_table, write_shear_table)
-
     # a kappa = 2 override written out as tables over all 16 elements
-    tens = derive_plate_tensors(IsotropicMaterial(lam=1.0, mu=1.0, h=1.0))
-    ids = np.arange(16)
-    spath, bpath = tmp_path / "s.csv", tmp_path / "p.csv"
-    write_shear_table(spath, ids, 2.0 * shear_matrix(tens, 16))
-    write_bending_table(bpath, ids, 2.0 * bending_voigt(tens, 16))
     poly = _sq_poly(tmp_path)
-    tab = _cfg(tmp_path, BASE + f"inclusion = {poly}\nstilde_table = {spath}\n"
-               f"ptilde_table = {bpath}\nname = tab\n", "tab.cfg")
+    tab = _cfg(tmp_path, BASE + f"inclusion = {poly}\n"
+               + _tables(tmp_path, np.arange(16)) + "name = tab\n", "tab.cfg")
     kap = _cfg(tmp_path, BASE + f"inclusion = {poly}\nkappa = 2.0\n"
                "name = kap\n", "kap.cfg")
     for cfg in (tab, kap):
         assert main(["size", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert (tmp_path / "tab_quantities.csv").read_text().replace("tab", "kap") \
         == (tmp_path / "kap_quantities.csv").read_text()
+
+
+@pytest.mark.parametrize("override", ["kappa", "tables"])
+@pytest.mark.parametrize("command", ["solve", "work", "energy-lemma", "size"])
+def test_every_command_meshes_once(tmp_path, monkeypatch, command, override):
+    import platelab.estimates
+    import platelab.geometry
+
+    calls, built = [], []
+
+    def counting(*a, **kw):
+        calls.append(a)
+        return generate_mesh(*a, **kw)
+
+    def finishing(*a, **kw):
+        built.append(a)
+        return finish_mesh(*a, **kw)
+
+    generate_mesh = platelab.geometry.generate_mesh
+    finish_mesh = platelab.geometry._finish_mesh
+    monkeypatch.setattr(platelab.estimates, "generate_mesh", counting)
+    # every mesh, whichever module asks for it, ends in _finish_mesh
+    monkeypatch.setattr(platelab.geometry, "_finish_mesh", finishing)
+    extra = "kappa = 2.0\n" if override == "kappa" else \
+        _tables(tmp_path, np.arange(16))
+    cfg = _cfg(tmp_path, BASE + f"inclusion = {_sq_poly(tmp_path)}\n" + extra)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1 and len(built) == 1
+
+
+def test_work_strings_agree_across_commands(tmp_path):
+    cfg = _cfg(tmp_path, BASE + f"inclusion = {_sq_poly(tmp_path)}\nkappa = 0.5\n")
+    found = []
+    for command in ("work", "energy-lemma", "size"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+        q = _quantities(tmp_path / f"{command.replace('-', '_')}_quantities.csv")
+        found.append((q["work_reference"], q["work"]))
+    assert found[0] == found[1] == found[2]
+    assert found[0][0] != found[0][1]
+
+
+@pytest.mark.parametrize("command", ["solve", "size"])
+def test_table_id_past_mesh_is_config_error(tmp_path, capsys, command):
+    cfg = _cfg(tmp_path, BASE + f"inclusion = {_sq_poly(tmp_path)}\n"
+               + _tables(tmp_path, np.arange(17)))
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "element 16" in err
+
+
+def test_table_negative_id_rejected(tmp_path, capsys):
+    ids = np.arange(16)
+    ids[-1] = -1
+    cfg = _cfg(tmp_path, BASE + f"inclusion = {_sq_poly(tmp_path)}\n"
+               + _tables(tmp_path, ids))
+    assert main(["size", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "element id -1" in err
+
+
+def test_table_duplicate_id_rejected(tmp_path, capsys):
+    ids = np.append(np.arange(16), 3)
+    cfg = _cfg(tmp_path, BASE + f"inclusion = {_sq_poly(tmp_path)}\n"
+               + _tables(tmp_path, ids))
+    assert main(["size", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "duplicate element id 3" in err
 
 
 def test_three_spheres_command(tmp_path):
@@ -159,6 +232,21 @@ def test_convergence_command(tmp_path):
     assert main(["convergence", "--config", cfg, "--out", str(tmp_path)]) == 0
     text = (tmp_path / "convergence_convergence.csv").read_text()
     assert "order" in text
+
+
+def test_convergence_csv_matches_library(tmp_path):
+    from platelab.estimates import convergence_study
+    from platelab.geometry import Domain
+    from platelab.tables import convergence_rows
+
+    cfg = _cfg(tmp_path, BASE + "refinements = 3\n")
+    assert main(["convergence", "--config", cfg, "--out", str(tmp_path)]) == 0
+    square = Domain(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float))
+    records, _ = convergence_study(
+        square, IsotropicMaterial(lam=1.0, mu=1.0, h=1.0), "pure_bending a=1",
+        target0=0.25, levels=3)
+    assert (tmp_path / "convergence_convergence.csv").read_text() == \
+        csv_text(*convergence_rows(records), timestamp=False)
 
 
 def test_calibrate_command_parallel(tmp_path):

@@ -250,7 +250,7 @@ def test_three_spheres_admissibility_enforced(bending_field):
 def test_three_spheres_zero_field_degenerate(bending_field):
     mesh, field = bending_field
     zero = PlateState(u=np.zeros(3 * mesh.n_nodes), mesh=mesh, residual=0.0,
-                      normalization=None, multipliers=None,
+                      normalization=None,
                       stability_ratio=1.0, assumed_shear=True)
     zf = strain_energy_density(zero, rho0=1.0)
     rep = three_spheres_check(zf, (0.5, 0.5), 0.04, theta=0.3, rho0=1.0)
@@ -294,7 +294,7 @@ def test_lps_rho_too_large(bending_field):
 def test_lps_zero_field_degenerate(bending_field):
     mesh, field = bending_field
     zero = PlateState(u=np.zeros(3 * mesh.n_nodes), mesh=mesh, residual=0.0,
-                      normalization=None, multipliers=None,
+                      normalization=None,
                       stability_ratio=1.0, assumed_shear=True)
     zf = strain_energy_density(zero, rho0=1.0)
     rep = lps_check(zf, mesh, 0.04, theta=0.3)

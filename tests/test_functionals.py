@@ -79,8 +79,7 @@ def test_density_rho0_scaling(solved):
     u = state.u.copy()
     u[2::3] += 0.05 * mesh.nodes[:, 0] ** 2
     bent = PlateState(u=u, mesh=mesh, residual=0.0, normalization=state.normalization,
-                      multipliers=state.multipliers, stability_ratio=1.0,
-                      assumed_shear=state.assumed_shear)
+                      stability_ratio=1.0, assumed_shear=state.assumed_shear)
     f1 = strain_energy_density(bent, rho0=1.0)
     f2 = strain_energy_density(bent, rho0=2.0)
     assert f1.shear_sq.max() > 1e-6
@@ -131,7 +130,7 @@ def test_korn_degenerate_on_kernel(solved):
     mesh, load, f, state = solved
     kb = kernel_basis(mesh)
     rigid = PlateState(u=kb[0], mesh=mesh, residual=0.0, normalization=None,
-                       multipliers=None, stability_ratio=1.0, assumed_shear=True)
+                       stability_ratio=1.0, assumed_shear=True)
     r = korn_ratio(rigid)
     assert r.degenerate
 

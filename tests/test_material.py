@@ -233,7 +233,7 @@ def test_table_roundtrip(tmp_path):
     spath, bpath = tmp_path / "s.csv", tmp_path / "p.csv"
     write_shear_table(spath, ids, st)
     write_bending_table(bpath, ids, pt)
-    incl = inclusion_from_tables(spath, bpath, 10)
+    incl = inclusion_from_tables(spath, bpath)
     assert_allclose(incl.stilde[ids], st)
     assert_allclose(incl.ptilde[ids], pt)
     assert np.isnan(incl.stilde[0]).all()
@@ -287,3 +287,14 @@ def test_material_from_config():
     assert mat.h == 0.5
     with pytest.raises(ValueError):
         material_from_config({"mu": "1.0", "h": "1.0"})
+
+
+@pytest.mark.parametrize("ids, message", [([2, -1, 7], "negative element id -1"),
+                                          ([2, 5, 2], "duplicate element id 2")])
+def test_table_ids_checked(tmp_path, ids, message):
+    t = derive_plate_tensors(STD)
+    spath, bpath = tmp_path / "s.csv", tmp_path / "p.csv"
+    write_shear_table(spath, ids, np.stack([shear_matrix(t)] * 3))
+    write_bending_table(bpath, [0, 1, 2], np.stack([bending_voigt(t)] * 3))
+    with pytest.raises(ValueError, match=message):
+        inclusion_from_tables(spath, bpath)

@@ -230,3 +230,55 @@ def test_mesh_mismatch_rejected():
     load = load_from_family(mesh1, "pure_bending a=1.0", MAT)
     with pytest.raises(ValueError):
         assemble_load(mesh2, load)
+
+
+@pytest.mark.parametrize("domain", [SQUARE, LSHAPE, ROT])
+@pytest.mark.parametrize("family", ["pure_bending a=1", "twist a=0.5",
+                                    "edge_moment c=2"])
+def test_edge_values_without_generator_match_family(domain, family):
+    # the families' couples are constant along each edge, so the linear
+    # extension of the two stored samples reproduces the generator exactly
+    load = load_from_family(generate_mesh(domain, 0.25), family, MAT)
+    free = BoundaryLoad(load.mesh, load.q, load.m)
+    for got, want in zip(free.resample(3), load.resample(3)):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(free.nodal_samples(), load.nodal_samples()):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_nodal_samples_recover_piecewise_linear_field():
+    from platelab.functionals import boundary_mode, mode_load
+
+    mesh = generate_mesh(LSHAPE, 0.1)
+    load = mode_load(mesh, 3, compensate=False)
+    load.nodal_q = load.nodal_m = None
+    q, m = load.nodal_samples()
+    assert_allclose(q, boundary_mode(mesh, 3)[1], atol=1e-13)
+    assert not m.any()
+
+
+def test_override_tables_padded_and_checked_against_mesh():
+    from platelab.geometry import ElementMask
+    from platelab.material import InclusionMaterial, bending_voigt, shear_matrix
+
+    mesh = generate_mesh(SQUARE, 0.25)
+    flags = np.zeros(mesh.n_elements, dtype=bool)
+    flags[[0, 1]] = True
+    mask = ElementMask(flags, float(mesh.element_areas[flags].sum()))
+    t = derive_plate_tensors(MAT)
+
+    def tables(n, used=None):
+        # n rows, the first `used` of them set, the rest NaN
+        st = np.full((n, 2, 2), np.nan)
+        pt = np.full((n, 3, 3), np.nan)
+        st[:used] = 2.0 * shear_matrix(t)
+        pt[:used] = 2.0 * bending_voigt(t)
+        return InclusionMaterial(stilde=st, ptilde=pt)
+
+    want = assemble_stiffness(mesh, MAT, mask, InclusionMaterial(kappa=2.0))
+    short = assemble_stiffness(mesh, MAT, mask, tables(2))
+    assert abs(short.stiffness - want.stiffness).max() == 0.0
+    unused_tail = assemble_stiffness(mesh, MAT, mask, tables(20, used=16))
+    assert abs(unused_tail.stiffness - want.stiffness).max() == 0.0
+    with pytest.raises(ValueError, match="element 16"):
+        assemble_stiffness(mesh, MAT, mask, tables(17))
