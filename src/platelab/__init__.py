@@ -33,6 +33,7 @@ from .functionals import (
     mode_load,
     poincare_ratio,
     region_energy,
+    stability_ratio,
     strain_energy_density,
     work_report,
 )

@@ -27,7 +27,7 @@ from .estimates import (
     three_spheres_check,
     verify_energy_lemma,
 )
-from .functionals import strain_energy_density, work_report
+from .functionals import stability_ratio, strain_energy_density, work_report
 from .geometry import AprioriData, Domain, read_polygons
 from .material import (
     InclusionMaterial,
@@ -81,9 +81,12 @@ def _i(cfg, key, default=None):
     if key not in cfg:
         return default
     try:
-        return int(cfg[key])
+        val = int(cfg[key])
     except ValueError:
         raise ConfigError(f"config key '{key}' is not an integer: {cfg[key]!r}")
+    if val < 1:
+        raise ConfigError(f"config key '{key}' must be at least 1, got {val}")
+    return val
 
 
 def _floats(cfg, key):
@@ -133,9 +136,7 @@ def _build_domain(cfg):
             parts = spec.split()[1:]
             if len(parts) != 4:
                 raise ConfigError("domain rectangle needs 4 numbers")
-            x0, y0, x1, y1 = (float(p) for p in parts)
-            verts = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-            return Domain(np.array(verts, dtype=float), apriori)
+            return Domain.rectangle(*(float(p) for p in parts), apriori)
         polys = read_polygons(spec)
         if len(polys) != 1:
             raise ConfigError("domain file must hold exactly one polygon")
@@ -203,11 +204,10 @@ def _size_config(cfg, args, name):
         load_family=cfg.get("load", "pure_bending a=1"),
         inclusion_polygons=polys, inclusion=incl,
         c1=_f(cfg, "c1", 1.0), c2=_f(cfg, "c2", 1.0),
-        theta=_f(cfg, "theta", 0.3),
         tol=args.tol if args.tol is not None else _f(cfg, "tol", 1e-9),
         assumed_shear=not args.full_integration,
         dense_oracle=args.dense_oracle,
-        dense_cap=_i(cfg, "dense_cap", 600) or 600,
+        dense_cap=_i(cfg, "dense_cap", 600),
         element_budget=_i(cfg, "element_budget"),
         name=name)
 
@@ -218,9 +218,9 @@ def _reference_field(cfg, args, name):
     The probes study the inclusion-free plate and ignore inclusion keys.
     """
     ref = {k: v for k, v in cfg.items() if k not in _INCLUSION_KEYS}
+    order = _i(cfg, "quad_order", 4)
     fw = forward(_size_config(ref, args, name))
-    return fw.mesh, strain_energy_density(
-        fw.state0, order=_i(cfg, "quad_order", 4) or 4)
+    return fw.mesh, strain_energy_density(fw.state0, order=order)
 
 
 def _cmd_solve(cfg, args, name, outdir, stamp):
@@ -234,7 +234,7 @@ def _cmd_solve(cfg, args, name, outdir, stamp):
         "mesh_size": fw.mesh.mesh_size,
         "solve_residual": fw.state.residual,
         "equilibrium_residual": res[1],
-        "stability_ratio": fw.state.stability_ratio,
+        "stability_ratio": stability_ratio(fw.state, fw.load),
     }), stamp)
     return 0
 
@@ -328,7 +328,7 @@ def _cmd_convergence(cfg, args, name, outdir, stamp):
     records, w_err = convergence_study(
         domain, mat, cfg.get("load", "pure_bending a=1"),
         target0=_f(cfg, "target_size", 0.25),
-        levels=_i(cfg, "refinements", 3) or 3,
+        levels=_i(cfg, "refinements", 3),
         assumed_shear=not args.full_integration,
         tol=args.tol if args.tol is not None else _f(cfg, "tol", 1e-9))
     _emit(outdir, name, tables.convergence_rows(records), stamp)
@@ -357,6 +357,12 @@ def _cmd_calibrate(cfg, args, name, outdir, stamp):
         sub = parse_config(p)
         cname = sub.get("name", os.path.splitext(os.path.basename(p))[0])
         configs.append(_size_config(sub, args, cname))
+    # the size bounds scale with rho0^2, so one fit needs one rho0
+    rho0 = configs[0].domain.apriori.rho0
+    for p, c in zip(paths, configs):
+        if c.domain.apriori.rho0 != rho0:
+            raise ConfigError(f"corpus mixes rho0 = {rho0!r} ({paths[0]}) and "
+                              f"rho0 = {c.domain.apriori.rho0!r} ({p})")
 
     jobs = max(args.jobs or 1, 1)
     if jobs > 1:
@@ -368,7 +374,6 @@ def _cmd_calibrate(cfg, args, name, outdir, stamp):
     entries = [r for r in reports if r.regime is not None]
     if not entries:
         raise ConfigError("calibration corpus has no inclusion experiments")
-    rho0 = _build_apriori(parse_config(paths[0])).rho0
     corpus = [(r.true_area, r.gap,  r.work_reference,
                JumpBounds(r.eta, r.delta, r.regime)) for r in entries]
     fit = calibrate_constants(corpus, rho0=rho0)

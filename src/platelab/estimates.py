@@ -28,7 +28,6 @@ from .functionals import (
     boundary_work,
     frequency,
     region_energy,
-    strain_energy_density,
     work_report,
 )
 from .geometry import (
@@ -106,11 +105,8 @@ def verify_energy_lemma(state0, state, load, material, jumps, indicator,
     cap_int = 0.0
     if flags.any():
         ops = element_operators(mesh, 2, state0.assumed_shear)
-        curv = ops.curvatures(state0.u)[flags]
-        shear = ops.shears(state0.u)[flags]
+        bend_sq, shear_sq = (sq[flags] for sq in ops.strain_squares(state0.u))
         wts = ops.point_weights()[flags]
-        bend_sq = curv[..., 0] ** 2 + curv[..., 1] ** 2 + 0.5 * curv[..., 2] ** 2
-        shear_sq = shear[..., 0] ** 2 + shear[..., 1] ** 2
         ec = ellipticity_constants(material)
         ne = mesh.n_elements
         h = np.broadcast_to(np.asarray(material.h, dtype=float), (ne,))[flags]
@@ -259,20 +255,18 @@ def three_spheres_check(field, center, rho, theta=0.3, rho0=None):
 
     base = dict(center=center, rho=float(rho), theta=float(theta),
                 rho0=float(rho0), i_small=i1, i_mid=i3, i_large=i7)
-    if i7 <= 0.0:
+
+    def degenerate(feasible, message):
         return ThreeSpheresReport(
             **base, tau=np.nan, tau_raw=np.nan, constant=np.nan,
-            feasible=True, degenerate=True, message="zero field")
+            feasible=feasible, degenerate=True, message=message)
+
+    if i7 <= 0.0:
+        return degenerate(True, "zero field")
     if i1 <= 0.0:
         if i3 <= 0.0:
-            return ThreeSpheresReport(
-                **base, tau=np.nan, tau_raw=np.nan, constant=np.nan,
-                feasible=True, degenerate=True,
-                message="inner integrals vanish")
-        return ThreeSpheresReport(
-            **base, tau=np.nan, tau_raw=np.nan, constant=np.nan,
-            feasible=False, degenerate=True,
-            message="inner integral vanishes while middle does not")
+            return degenerate(True, "inner integrals vanish")
+        return degenerate(False, "inner integral vanishes while middle does not")
 
     # equality exponent: log(i3/i1) = 2 log(rho0/rho) + (1-tau) log(i7/i1)
     pref = 2.0 * np.log(rho0 / rho)
@@ -339,13 +333,13 @@ def lps_check(field, mesh, rho, theta=0.3):
     if not len(centers):
         raise ValueError("no admissible centers on the probe grid")
 
+    base = dict(rho=float(rho), theta=float(theta), pitch=pitch,
+                centers=centers)
     total = field.total
     if total <= 0.0:
-        return LpsReport(
-            rho=float(rho), theta=float(theta), pitch=pitch, centers=centers,
-            ratios=np.full(len(centers), np.nan), constant=np.nan,
-            worst_center=tuple(centers[0]), degenerate=True,
-            message="zero field")
+        return LpsReport(**base, ratios=np.full(len(centers), np.nan),
+                         constant=np.nan, worst_center=tuple(centers[0]),
+                         degenerate=True, message="zero field")
 
     tree = cKDTree(np.column_stack([field.x, field.y]))
     we2 = field.weight * field.e2
@@ -353,10 +347,8 @@ def lps_check(field, mesh, rho, theta=0.3):
     for i, idx in enumerate(tree.query_ball_point(centers, rho)):
         ratios[i] = we2[idx].sum() / total
     worst = int(np.argmin(ratios))
-    return LpsReport(
-        rho=float(rho), theta=float(theta), pitch=pitch, centers=centers,
-        ratios=ratios, constant=float(ratios[worst]),
-        worst_center=tuple(centers[worst]), degenerate=False)
+    return LpsReport(**base, ratios=ratios, constant=float(ratios[worst]),
+                     worst_center=tuple(centers[worst]), degenerate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +365,6 @@ class SizeExperimentConfig:
     inclusion: object | None = None
     c1: float = 1.0
     c2: float = 1.0
-    theta: float = 0.3
     tol: float = 1e-9
     assumed_shear: bool = True
     dense_oracle: bool = False
@@ -407,7 +398,6 @@ class SizeEstimateReport:
     upper: float
     fatness: float
     frequency_ratio: float
-    stability: tuple
     lemma: EnergyLemmaReport | None
     messages: tuple
 
@@ -435,7 +425,7 @@ def forward(config):
     def run(indicator, inclusion):
         system = assemble_stiffness(mesh, config.material, indicator, inclusion,
                                     assumed_shear=config.assumed_shear)
-        system = system.with_load(rhs, load)
+        system = system.with_load(rhs)
         if config.dense_oracle:
             return dense_oracle_solve(system, cap=config.dense_cap,
                                       tol=config.tol)
@@ -496,7 +486,6 @@ def run_size_experiment(config):
         c1=config.c1, c2=config.c2, sign_ok=sign_ok,
         lower=float(lower), upper=float(upper), fatness=float(fat),
         frequency_ratio=freq.ratio,
-        stability=(fw.state0.stability_ratio, fw.state.stability_ratio),
         lemma=lemma, messages=tuple(messages))
 
 

@@ -102,10 +102,7 @@ def strain_energy_density(state, rho0=None, order=2):
     if rho0 is None:
         rho0 = mesh.domain.apriori.rho0
     ops = element_operators(mesh, order, state.assumed_shear)
-    curv = ops.curvatures(state.u)
-    shear = ops.shears(state.u)
-    bend_sq = curv[..., 0] ** 2 + curv[..., 1] ** 2 + 0.5 * curv[..., 2] ** 2
-    shear_sq = shear[..., 0] ** 2 + shear[..., 1] ** 2
+    bend_sq, shear_sq = ops.strain_squares(state.u)
     e2 = bend_sq + shear_sq / rho0 ** 2
     pos = ops.point_positions()
     wts = ops.point_weights()
@@ -146,12 +143,9 @@ def korn_ratio(state, order=2):
     g1 = ops.scalar_grads(state.phi1)
     g2 = ops.scalar_grads(state.phi2)
     num_sq = float(np.sum(wts[..., None] * (g1 ** 2 + g2 ** 2)))
-    curv = ops.curvatures(state.u)
-    shear = ops.shears(state.u)
-    bend_sq = float(np.sum(wts * (curv[..., 0] ** 2 + curv[..., 1] ** 2
-                                  + 0.5 * curv[..., 2] ** 2)))
-    shear_sq = float(np.sum(wts * (shear[..., 0] ** 2 + shear[..., 1] ** 2)))
-    den = np.sqrt(bend_sq) + np.sqrt(shear_sq) / rho0
+    bend_sq, shear_sq = ops.strain_squares(state.u)
+    den = (np.sqrt(float(np.sum(wts * bend_sq)))
+           + np.sqrt(float(np.sum(wts * shear_sq))) / rho0)
     scale = np.sqrt(np.sum(wts) * max(np.abs(state.u).max(initial=0.0), 1.0))
     if den <= 1e-14 * scale:
         return Ratio(float("nan"), True)
@@ -175,6 +169,35 @@ def poincare_ratio(mesh, nodal, rho0=None, order=2):
     if grad_sq <= (1e-14 * scale) ** 2 * area:
         return Ratio(float("nan"), True)
     return Ratio(float(np.sqrt(var) / (rho0 * np.sqrt(grad_sq))), False)
+
+
+def stability_ratio(state, load):
+    """Size of the solved state over the size of its boundary load.
+
+    (|phi|_H1 + |w|_H1 / rho0) / (|m| + rho0 |q|), where the H1 norms weight
+    the squared gradient by rho0^2 and the load norms are L2 on the
+    boundary; NaN for a zero load.
+    """
+    mesh = state.mesh
+    if load.mesh is not mesh:
+        raise ValueError("load and state live on different meshes")
+    rho0 = mesh.domain.apriori.rho0
+    ops = element_operators(mesh, 2, state.assumed_shear)
+    wts = ops.point_weights()
+
+    def h1(nodal):
+        vals = ops.scalar_values(nodal)
+        grads = ops.scalar_grads(nodal)
+        return float(np.sum(wts * vals ** 2)
+                     + rho0 ** 2 * np.sum(wts[..., None] * grads ** 2))
+
+    phi_sq = h1(state.phi1) + h1(state.phi2)
+    w_sq = h1(state.w)
+    nq, nm = load.norm()
+    denom = nm + rho0 * nq
+    if denom == 0.0:
+        return float("nan")
+    return (np.sqrt(phi_sq) + np.sqrt(w_sq) / rho0) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +325,10 @@ def mode_load(mesh, k, amplitude=1.0, compensate=True):
     pos = _loop_positions(mesh)
     edges = mesh.boundary_edges
     nb = len(edges)
-    q = np.zeros((nb, 2))
     m = np.zeros((nb, 2, 2))
-    na = 0.5 * (1.0 - _EDGE_T)
-    nb_ = 0.5 * (1.0 + _EDGE_T)
     va = amplitude * v[pos[edges[:, 0]]]
     vb = amplitude * v[pos[edges[:, 1]]]
-    for g in range(2):
-        q[:, g] = na[g] * va + nb_[g] * vb
+    q = np.outer(va, 0.5 * (1.0 - _EDGE_T)) + np.outer(vb, 0.5 * (1.0 + _EDGE_T))
     load = BoundaryLoad(mesh, q, m, family=f"mode k={k}")
     if compensate:
         L = load.edge_lengths()

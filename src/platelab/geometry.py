@@ -25,22 +25,28 @@ GAUSS2 = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
 # low-level polygon predicates
 
 
-def polygon_signed_area(vertices):
-    """Shoelace signed area; positive for counterclockwise order."""
+def _shoelace(vertices):
+    # coordinates, their successors along each polygon, and the cross terms
+    # x_i y_{i+1} - x_{i+1} y_i, for polygons stacked as (..., n, 2)
     v = np.asarray(vertices, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+    x, y = v[..., 0], v[..., 1]
+    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
+    return x, y, xn, yn, x * yn - xn * y
+
+
+def polygon_signed_area(vertices):
+    """Shoelace signed area; positive for counterclockwise order. Stacked
+    polygons (..., n, 2) give one area each."""
+    return 0.5 * np.sum(_shoelace(vertices)[-1], axis=-1)
 
 
 def polygon_centroid(vertices):
-    v = np.asarray(vertices, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    a = 0.5 * np.sum(cross)
-    cx = np.sum((x + xn) * cross) / (6.0 * a)
-    cy = np.sum((y + yn) * cross) / (6.0 * a)
-    return np.array([cx, cy])
+    """Area centroid; stacked polygons (..., n, 2) give (..., 2)."""
+    x, y, xn, yn, cross = _shoelace(vertices)
+    a = 0.5 * np.sum(cross, axis=-1)
+    cx = np.sum((x + xn) * cross, axis=-1) / (6.0 * a)
+    cy = np.sum((y + yn) * cross, axis=-1) / (6.0 * a)
+    return np.stack([cx, cy], axis=-1)
 
 
 def _segments_properly_intersect(p1, p2, q1, q2):
@@ -120,25 +126,32 @@ def point_in_polygon(point, vertices):
     return bool(points_in_polygon(np.asarray(point)[None, :], vertices)[0])
 
 
-def points_segment_distance(points, vertices):
-    """Min distance from each point to the closed polygon's edges (exact)."""
+def _nearest_on_polygon(points, vertices):
+    """(distance, nearest point) from each point to the closed polygon's
+    edges, exact; on ties the earlier edge wins."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     v = np.asarray(vertices, dtype=float)
     n = len(v)
-    best = np.full(len(pts), np.inf)
+    best_d = np.full(len(pts), np.inf)
+    best_p = pts.copy()
     for i in range(n):
         a = v[i]
-        b = v[(i + 1) % n]
-        ab = b - a
+        ab = v[(i + 1) % n] - a
         denom = float(ab @ ab)
-        if denom == 0.0:
-            d = np.linalg.norm(pts - a, axis=1)
-        else:
+        t = np.zeros(len(pts))
+        if denom:
             t = np.clip(((pts - a) @ ab) / denom, 0.0, 1.0)
-            proj = a + t[:, None] * ab
-            d = np.linalg.norm(pts - proj, axis=1)
-        best = np.minimum(best, d)
-    return best
+        proj = a + t[:, None] * ab
+        d = np.linalg.norm(pts - proj, axis=1)
+        closer = d < best_d
+        best_d[closer] = d[closer]
+        best_p[closer] = proj[closer]
+    return best_d, best_p
+
+
+def points_segment_distance(points, vertices):
+    """Min distance from each point to the closed polygon's edges (exact)."""
+    return _nearest_on_polygon(points, vertices)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -298,23 +311,13 @@ class Mesh:
 
     @cached_property
     def element_areas(self):
-        quads = self.nodes[self.elements]  # (ne, 4, 2)
-        x, y = quads[:, :, 0], quads[:, :, 1]
-        xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
-        a = 0.5 * np.sum(x * yn - xn * y, axis=1)
+        a = polygon_signed_area(self.nodes[self.elements])
         a.setflags(write=False)
         return a
 
     @cached_property
     def element_centroids(self):
-        quads = self.nodes[self.elements]
-        x, y = quads[:, :, 0], quads[:, :, 1]
-        xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
-        cross = x * yn - xn * y
-        a = 0.5 * np.sum(cross, axis=1)
-        cx = np.sum((x + xn) * cross, axis=1) / (6.0 * a)
-        cy = np.sum((y + yn) * cross, axis=1) / (6.0 * a)
-        c = np.column_stack([cx, cy])
+        c = polygon_centroid(self.nodes[self.elements])
         c.setflags(write=False)
         return c
 
@@ -411,18 +414,23 @@ def _is_axis_aligned_rectangle(vertices):
     return True
 
 
-def _structured_mesh(domain, target_size, budget):
-    v = domain.vertices
-    x0, y0 = v.min(axis=0)
-    x1, y1 = v.max(axis=0)
-    nx = max(1, int(np.ceil((x1 - x0) / target_size - 1e-12)))
-    ny = max(1, int(np.ceil((y1 - y0) / target_size - 1e-12)))
+def _box_grid(vertices, cell, budget, refusal):
+    # nodes of the grid over the bounding box whose cells are at most `cell`
+    # wide, numbered as in _grid_cells, and its cell counts; more cells than
+    # budget raise refusal.format(cells, budget) before anything is built
+    lo, hi = vertices.min(axis=0), vertices.max(axis=0)
+    nx, ny = (max(1, int(np.ceil((b - a) / cell - 1e-12)))
+              for a, b in zip(lo, hi))
     if nx * ny > budget:
-        raise ValueError(f"mesh would need {nx * ny} elements, budget is {budget}")
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
+        raise ValueError(refusal.format(nx * ny, budget))
+    X, Y = np.meshgrid(np.linspace(lo[0], hi[0], nx + 1),
+                       np.linspace(lo[1], hi[1], ny + 1), indexing="xy")
+    return np.column_stack([X.ravel(), Y.ravel()]), nx, ny
+
+
+def _structured_mesh(domain, target_size, budget):
+    nodes, nx, ny = _box_grid(domain.vertices, target_size, budget,
+                              "mesh would need {} elements, budget is {}")
     return _finish_mesh(nodes, _grid_cells(nx, ny), domain)
 
 
@@ -431,17 +439,8 @@ def _overlay_mesh(domain, target_size, budget):
     # then nodes outside the polygon snapped to their nearest boundary point.
     # cell size 0.7*target keeps post-snap element diameters under 2*target.
     v = domain.vertices
-    x0, y0 = v.min(axis=0)
-    x1, y1 = v.max(axis=0)
-    g = 0.7 * target_size
-    nx = max(1, int(np.ceil((x1 - x0) / g - 1e-12)))
-    ny = max(1, int(np.ceil((y1 - y0) / g - 1e-12)))
-    if nx * ny > budget:
-        raise ValueError(f"overlay grid of {nx * ny} cells exceeds budget {budget}")
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
-    grid_nodes = np.column_stack([X.ravel(), Y.ravel()])
+    grid_nodes, nx, ny = _box_grid(v, 0.7 * target_size, budget,
+                                   "overlay grid of {} cells exceeds budget {}")
     cells = _grid_cells(nx, ny)
     centers = 0.5 * (grid_nodes[cells[:, 0]] + grid_nodes[cells[:, 2]])
     keep = points_in_polygon(centers, v)
@@ -459,26 +458,8 @@ def _overlay_mesh(domain, target_size, budget):
 
     outside = ~points_in_polygon(nodes, v)
     if np.any(outside):
-        nodes[outside] = _project_to_boundary(nodes[outside], v)
+        nodes[outside] = _nearest_on_polygon(nodes[outside], v)[1]
     return _finish_mesh(nodes, elements, domain)
-
-
-def _project_to_boundary(points, vertices):
-    pts = np.atleast_2d(points)
-    n = len(vertices)
-    best_d = np.full(len(pts), np.inf)
-    best_p = pts.copy()
-    for i in range(n):
-        a = vertices[i]
-        b = vertices[(i + 1) % n]
-        ab = b - a
-        t = np.clip(((pts - a) @ ab) / float(ab @ ab), 0.0, 1.0)
-        proj = a + t[:, None] * ab
-        d = np.linalg.norm(pts - proj, axis=1)
-        closer = d < best_d
-        best_d[closer] = d[closer]
-        best_p[closer] = proj[closer]
-    return best_p
 
 
 def generate_mesh(domain, target_size, element_budget=None):

@@ -197,8 +197,8 @@ class InclusionMaterial:
     tensors) or explicit tables: stilde as (2, 2) or (n, 2, 2) shear
     tensors, ptilde as (3, 3) or (n, 3, 3) bending matrices in the
     (A11, A22, 2*A12) convention, row i for element i. Rows may be NaN for
-    elements the override never touches; the assembly NaN-pads tables
-    shorter than the mesh and rejects set rows past its last element.
+    elements the override never touches; override_rows lines the tables up
+    with the elements.
     """
 
     kappa: float | None = None
@@ -266,27 +266,46 @@ class JumpBounds:
                 raise ValueError("soft bounds need eta <= 1 - delta")
 
 
+def _element_rows(table, ne):
+    t = np.asarray(table, dtype=float)
+    if t.ndim == 2:
+        return np.broadcast_to(t, (ne,) + t.shape)
+    extra = np.flatnonzero(~np.isnan(t[ne:]).all(axis=(1, 2)))
+    if len(extra):
+        raise ValueError(f"override tables name element {ne + extra[0]}, "
+                         f"the mesh has {ne} elements")
+    pad = np.full((max(ne - len(t), 0),) + t.shape[1:], np.nan)
+    return np.concatenate([t[:ne], pad])
+
+
+def override_rows(incl, n_elements=None):
+    """(stilde, ptilde) of a tensor override, one row per element.
+
+    A single tensor is broadcast to every element; a shorter table is
+    NaN-padded, so its missing rows count as absent; set rows past the last
+    element are rejected. n_elements None takes the longer table's length.
+    """
+    tables = (incl.stilde, incl.ptilde)
+    if n_elements is None:
+        n_elements = max(len(t) if np.ndim(t) == 3 else 1 for t in tables)
+    return tuple(_element_rows(t, n_elements) for t in tables)
+
+
 def _override_spectrum(mat, incl):
     # generalized eigenvalues of (override, background), elementwise, for
-    # both the shear pair and the bending pair
+    # both the shear pair and the bending pair; rows missing from either
+    # table are skipped
     t = derive_plate_tensors(mat)
-    st = np.asarray(incl.stilde, dtype=float)
-    pt = np.asarray(incl.ptilde, dtype=float)
-    if st.ndim == 2:
-        st = st[None]
-    if pt.ndim == 2:
-        pt = pt[None]
-    ne = max(len(st), len(pt))
+    st, pt = override_rows(incl)
+    ne = len(st)
     smat = shear_matrix(t, ne)
     bmat = bending_voigt(t, ne)
     vals, elems = [], []
     for e in range(ne):
-        se = st[min(e, len(st) - 1)]
-        pe = pt[min(e, len(pt) - 1)]
-        if np.isnan(se).any() or np.isnan(pe).any():
+        if np.isnan(st[e]).any() or np.isnan(pt[e]).any():
             continue
-        w1 = scipy.linalg.eigh(se, smat[e], eigvals_only=True)
-        w2 = scipy.linalg.eigh(pe, bmat[e], eigvals_only=True)
+        w1 = scipy.linalg.eigh(st[e], smat[e], eigvals_only=True)
+        w2 = scipy.linalg.eigh(pt[e], bmat[e], eigvals_only=True)
         vals.append(np.concatenate([w1, w2]))
         elems.append(e)
     if not vals:

@@ -145,76 +145,69 @@ class ElementOps:
         base = (3 * el)[:, :, None] + np.arange(3)[None, None, :]
         return base.reshape(self.mesh.n_elements, 12)
 
-    def element_vectors(self, u):
-        return u[self.dof_indices()]
+    def _per_group(self, tail, value):
+        # (ne,) + tail array holding value(g) on the elements of each group
+        out = np.zeros((self.mesh.n_elements,) + tail)
+        for g in self.groups:
+            out[g.idx] = value(g)
+        return out
 
     def stiffness_blocks(self, bend, shear):
         """Element matrices (ne, 12, 12) for per-element bend (ne,3,3) and
         shear (ne,2,2) coefficient matrices."""
-        out = np.zeros((self.mesh.n_elements, 12, 12))
-        for g in self.groups:
+        def block(g):
             bbw = g.bb * g.detw[:, None, None]
             bsw = g.bs * g.detw[:, None, None]
             ke = np.einsum("gai,eab,gbj->eij", bbw, bend[g.idx], g.bb,
                            optimize=True)
             ke += np.einsum("gai,eab,gbj->eij", bsw, shear[g.idx], g.bs,
                             optimize=True)
-            out[g.idx] = 0.5 * (ke + np.swapaxes(ke, 1, 2))
-        return out
+            return 0.5 * (ke + np.swapaxes(ke, 1, 2))
+        return self._per_group((12, 12), block)
 
     def curvatures(self, u):
         """(ne, G, 3) curvature vectors (k11, k22, k12_eng) of a dof vector."""
-        ue = self.element_vectors(u)
-        out = np.zeros((self.mesh.n_elements, len(self.pts), 3))
-        for g in self.groups:
-            out[g.idx] = np.einsum("gai,ei->ega", g.bb, ue[g.idx])
-        return out
+        ue = u[self.dof_indices()]
+        return self._per_group((len(self.pts), 3), lambda g: np.einsum(
+            "gai,ei->ega", g.bb, ue[g.idx]))
 
     def shears(self, u):
         """(ne, G, 2) shear strain phi + grad w (assumed field if enabled)."""
-        ue = self.element_vectors(u)
-        out = np.zeros((self.mesh.n_elements, len(self.pts), 2))
-        for g in self.groups:
-            out[g.idx] = np.einsum("gai,ei->ega", g.bs, ue[g.idx])
-        return out
+        ue = u[self.dof_indices()]
+        return self._per_group((len(self.pts), 2), lambda g: np.einsum(
+            "gai,ei->ega", g.bs, ue[g.idx]))
+
+    def strain_squares(self, u):
+        """(bend_sq, shear_sq), each (ne, G): |sym grad phi|^2, whose
+        engineering twist k12_eng carries weight 1/2, and |phi + grad w|^2."""
+        curv = self.curvatures(u)
+        shear = self.shears(u)
+        return (curv[..., 0] ** 2 + curv[..., 1] ** 2 + 0.5 * curv[..., 2] ** 2,
+                shear[..., 0] ** 2 + shear[..., 1] ** 2)
 
     def scalar_values(self, nodal):
         vals = nodal[self.mesh.elements]
-        out = np.zeros((self.mesh.n_elements, len(self.pts)))
-        for g in self.groups:
-            out[g.idx] = vals[g.idx] @ g.shape.T
-        return out
+        return self._per_group((len(self.pts),),
+                               lambda g: vals[g.idx] @ g.shape.T)
 
     def scalar_grads(self, nodal):
         # gradients need per-point Jacobians; recover them from the bending
         # rows, whose first row holds d/dx and second d/dy of the shapes
         vals = nodal[self.mesh.elements]
-        out = np.zeros((self.mesh.n_elements, len(self.pts), 2))
-        for g in self.groups:
-            dx = g.bb[:, 0, 0::3]
-            dy = g.bb[:, 1, 1::3]
-            out[g.idx, :, 0] = np.einsum("gi,ei->eg", dx, vals[g.idx])
-            out[g.idx, :, 1] = np.einsum("gi,ei->eg", dy, vals[g.idx])
-        return out
+        return self._per_group((len(self.pts), 2), lambda g: np.stack([
+            np.einsum("gi,ei->eg", g.bb[:, 0, 0::3], vals[g.idx]),
+            np.einsum("gi,ei->eg", g.bb[:, 1, 1::3], vals[g.idx])], axis=-1))
 
     def point_weights(self):
-        out = np.zeros((self.mesh.n_elements, len(self.pts)))
-        for g in self.groups:
-            out[g.idx] = g.detw
-        return out
+        return self._per_group((len(self.pts),), lambda g: g.detw)
 
     def point_positions(self):
         quads = self.mesh.nodes[self.mesh.elements]
-        out = np.zeros((self.mesh.n_elements, len(self.pts), 2))
-        for g in self.groups:
-            out[g.idx] = np.einsum("gi,eic->egc", g.shape, quads[g.idx])
-        return out
+        return self._per_group((len(self.pts), 2), lambda g: np.einsum(
+            "gi,eic->egc", g.shape, quads[g.idx]))
 
     def shape_integrals(self):
-        out = np.zeros((self.mesh.n_elements, 4))
-        for g in self.groups:
-            out[g.idx] = g.int_shape
-        return out
+        return self._per_group((4,), lambda g: g.int_shape)
 
 
 def element_operators(mesh, order=2, assumed=True):
@@ -245,7 +238,8 @@ class LinearSystem:
     The constraints fix the free kernel motion of a solve: solutions are
     normalized so that constraints @ u vanishes.
 
-    rhs stays None until a load is attached with with_load; constraints has
+    rhs stays None until with_load attaches an assembled load vector
+    (assemble_load); constraints has
     rows (integral of phi1, integral of phi2, integral of w).
     """
 
@@ -254,40 +248,25 @@ class LinearSystem:
     mesh: object
     assumed_shear: bool
     rhs: np.ndarray | None = None
-    load: object | None = None
 
     @property
     def n_dof(self):
         return self.stiffness.shape[0]
 
-    def with_load(self, rhs, load=None):
-        return replace(self, rhs=np.asarray(rhs, dtype=float), load=load)
-
-
-def _element_table(table, ne):
-    # one override tensor per element: a single tensor is broadcast, a
-    # shorter table is NaN-padded, and rows past the mesh must be unused
-    t = np.asarray(table, dtype=float)
-    if t.ndim == 2:
-        return np.broadcast_to(t, (ne,) + t.shape)
-    extra = np.flatnonzero(~np.isnan(t[ne:]).all(axis=(1, 2)))
-    if len(extra):
-        raise ValueError(f"override tables name element {ne + extra[0]}, "
-                         f"the mesh has {ne} elements")
-    pad = np.full((max(ne - len(t), 0),) + t.shape[1:], np.nan)
-    return np.concatenate([t[:ne], pad])
+    def with_load(self, rhs):
+        return replace(self, rhs=np.asarray(rhs, dtype=float))
 
 
 def _coefficient_fields(mesh, material, indicator, inclusion):
-    from .material import bending_voigt, derive_plate_tensors, shear_matrix
+    from .material import (bending_voigt, derive_plate_tensors,
+                           override_rows, shear_matrix)
 
     ne = mesh.n_elements
     tens = derive_plate_tensors(material)
     bend = bending_voigt(tens, ne).copy()
     shear = shear_matrix(tens, ne).copy()
     if inclusion is not None and not inclusion.scalar:
-        st = _element_table(inclusion.stilde, ne)
-        pt = _element_table(inclusion.ptilde, ne)
+        st, pt = override_rows(inclusion, ne)
     if indicator is not None and not indicator.empty:
         if inclusion is None:
             raise ValueError("flagged elements need an inclusion override")
@@ -574,7 +553,6 @@ class PlateState:
     mesh: object
     residual: float                 # ||K u - f|| / ||f||
     normalization: np.ndarray       # (3,) constraint values, should be ~0
-    stability_ratio: float
     assumed_shear: bool = True
 
     @property
@@ -598,27 +576,6 @@ def _check_kernel_compatibility(mesh, f, tol):
                 f"load has a component on rigid motion {i}: {f @ k:.3e}")
 
 
-def _stability_ratio(mesh, u, load, rho0, assumed):
-    if load is None:
-        return float("nan")
-    ops = element_operators(mesh, 2, assumed)
-    wts = ops.point_weights()
-
-    def h1(nodal):
-        vals = ops.scalar_values(nodal)
-        grads = ops.scalar_grads(nodal)
-        return float(np.sum(wts * vals ** 2)
-                     + rho0 ** 2 * np.sum(wts[..., None] * grads ** 2))
-
-    phi_sq = h1(u[0::3]) + h1(u[1::3])
-    w_sq = h1(u[2::3])
-    nq, nm = load.norm()
-    denom = nm + rho0 * nq
-    if denom == 0.0:
-        return float("nan")
-    return (np.sqrt(phi_sq) + np.sqrt(w_sq) / rho0) / denom
-
-
 def _normalized_state(system, u, k):
     """PlateState of a solution u of k u = rhs, shifted by the kernel
     motions that zero its constraints."""
@@ -626,9 +583,7 @@ def _normalized_state(system, u, k):
     z = kernel_basis(mesh).T
     u = u - z @ np.linalg.solve(c @ z, c @ u)
     res = np.linalg.norm(k @ u - f) / (np.linalg.norm(f) + _TINY)
-    rho0 = mesh.domain.apriori.rho0
-    ratio = _stability_ratio(mesh, u, system.load, rho0, system.assumed_shear)
-    return PlateState(u, mesh, float(res), c @ u, ratio, system.assumed_shear)
+    return PlateState(u, mesh, float(res), c @ u, system.assumed_shear)
 
 
 def _pinned_dofs(mesh):

@@ -60,7 +60,7 @@ def _solve_on(domain, target, family, mat=MAT):
     load = load_from_family(mesh, family, mat)
     sys_ = assemble_stiffness(mesh, mat)
     f = assemble_load(mesh, load)
-    return mesh, load, f, sys_, solve(sys_.with_load(f, load))
+    return mesh, load, f, sys_, solve(sys_.with_load(f))
 
 
 def _ngon(center, r, n=64):
@@ -98,7 +98,7 @@ def test_02_sparse_matches_dense_oracle():
         mesh, load, f, sys_, state = _solve_on(domain, target, family)
         ndof = 3 * mesh.n_nodes
         assert ndof <= 600
-        dense = dense_oracle_solve(sys_.with_load(f, load))
+        dense = dense_oracle_solve(sys_.with_load(f))
         dev = np.abs(state.u - dense.u).max() / np.abs(state.u).max()
         worst_dev = max(worst_dev, dev)
         evals = np.linalg.eigvalsh(sys_.stiffness.toarray())
@@ -198,7 +198,7 @@ def test_06_size_bound_calibration():
     mesh = generate_mesh(SQUARE, 1.0 / 64.0)
     load = load_from_family(mesh, "pure_bending a=1", MAT)
     f = assemble_load(mesh, load)
-    state0 = solve(assemble_stiffness(mesh, MAT).with_load(f, load))
+    state0 = solve(assemble_stiffness(mesh, MAT).with_load(f))
     w0 = boundary_work(load, state0)
     incl = InclusionMaterial(kappa=2.0)
     jumps = jump_bounds(MAT, incl)
@@ -208,7 +208,7 @@ def test_06_size_bound_calibration():
     for r in (0.05, 0.10, 0.15, 0.20, 0.25):
         region = rasterize_inclusion(mesh, [_ngon((0.5, 0.5), r)])
         state = solve(assemble_stiffness(mesh, MAT, region, incl)
-                      .with_load(f, load))
+                      .with_load(f))
         gap = w0 - boundary_work(load, state)
         corpus.append((region.area, gap, w0, jumps))
         ratios.append(region.area * w0 / gap)  # rho0 = 1
@@ -237,7 +237,7 @@ def test_07_three_spheres_feasibility():
     for family in ("pure_bending a=1", "twist a=1"):
         load = load_from_family(mesh, family, MAT)
         state = solve(assemble_stiffness(mesh, MAT)
-                      .with_load(assemble_load(mesh, load), load))
+                      .with_load(assemble_load(mesh, load)))
         field = strain_energy_density(state, rho0=rho0, order=3)
         feas = [three_spheres_check(field, c, rho, theta, rho0).feasible
                 for c in centers]
@@ -255,7 +255,7 @@ def test_08_lps_constant_matches_disk_mass():
     mesh = generate_mesh(SQUARE, 0.01)
     load = load_from_family(mesh, "pure_bending a=1", MAT)
     state = solve(assemble_stiffness(mesh, MAT)
-                  .with_load(assemble_load(mesh, load), load))
+                  .with_load(assemble_load(mesh, load)))
     field = strain_energy_density(state, rho0=1.0, order=5)
     devs = {}
     positive = True
@@ -311,7 +311,7 @@ def test_10_locking_robustness():
         for assumed in (True, False):
             load = load_from_family(mesh, "pure_bending a=1", mat)
             sys_ = assemble_stiffness(mesh, mat, assumed_shear=assumed)
-            state = solve(sys_.with_load(assemble_load(mesh, load), load))
+            state = solve(sys_.with_load(assemble_load(mesh, load)))
             err = abs(boundary_work(load, state) - exact) / exact
             (t_by_h if assumed else full_errs)[h] = err
     ok = all(err <= 0.05 for err in t_by_h.values())

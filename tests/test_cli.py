@@ -183,6 +183,27 @@ def test_work_strings_agree_across_commands(tmp_path):
     assert found[0][0] != found[0][1]
 
 
+def test_solve_stability_ratio_matches_library(tmp_path):
+    from platelab.estimates import SizeExperimentConfig, forward
+    from platelab.functionals import stability_ratio
+    from platelab.geometry import Domain, read_polygons
+    from platelab.material import InclusionMaterial
+
+    poly = _sq_poly(tmp_path)
+    cfg = _cfg(tmp_path, BASE + f"inclusion = {poly}\nkappa = 2.0\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    fw = forward(SizeExperimentConfig(
+        domain=Domain.rectangle(0, 0, 1, 1),
+        material=IsotropicMaterial(lam=1.0, mu=1.0, h=1.0), target_size=0.25,
+        load_family="pure_bending a=1",
+        inclusion_polygons=tuple(read_polygons(poly)),
+        inclusion=InclusionMaterial(kappa=2.0)))
+    ratio = stability_ratio(fw.state, fw.load)
+    assert ratio > 0.0
+    assert _quantities(tmp_path / "solve_quantities.csv")["stability_ratio"] \
+        == repr(float(ratio))
+
+
 @pytest.mark.parametrize("command", ["solve", "size"])
 def test_table_id_past_mesh_is_config_error(tmp_path, capsys, command):
     cfg = _cfg(tmp_path, BASE + f"inclusion = {_sq_poly(tmp_path)}\n"
@@ -264,7 +285,35 @@ def test_calibrate_command_parallel(tmp_path):
     assert (tmp_path / "calibrate_calibration.csv").exists()
 
 
+def test_calibrate_rejects_mixed_rho0(tmp_path, capsys):
+    # the size bounds scale with rho0^2, so one fit cannot serve two rho0
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    poly = _sq_poly(tmp_path)
+    for i, rho0 in enumerate(("1.0", "0.5")):
+        (corpus / f"case{i}.cfg").write_text(
+            BASE + f"inclusion = {poly}\nkappa = 2.0\nrho0 = {rho0}\n")
+    cfg = _cfg(tmp_path, f"corpus = {corpus}\ntimestamp = off\n")
+    assert main(["calibrate", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "rho0 = 1.0" in err and "rho0 = 0.5" in err and "case1.cfg" in err
+    assert not (tmp_path / "calibrate_calibration.csv").exists()
+
+
 # exit codes
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("key,command", [
+    ("refinements", "convergence"), ("quad_order", "lps"),
+    ("dense_cap", "size"), ("element_budget", "size")])
+def test_nonpositive_integer_key_is_config_error(tmp_path, capsys, key,
+                                                 command, value):
+    cfg = _cfg(tmp_path, BASE + f"rho = 0.04\n{key} = {value}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"'{key}'" in err
 
 
 def test_unknown_command_is_config_error(tmp_path):

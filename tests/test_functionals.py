@@ -37,7 +37,7 @@ def solved():
     load = load_from_family(mesh, "pure_bending a=1.0", MAT)
     sys_ = assemble_stiffness(mesh, MAT)
     f = assemble_load(mesh, load)
-    state = solve(sys_.with_load(f, load))
+    state = solve(sys_.with_load(f))
     return mesh, load, f, state
 
 
@@ -78,8 +78,9 @@ def test_density_rho0_scaling(solved):
     # add an artificial shear by perturbing w only
     u = state.u.copy()
     u[2::3] += 0.05 * mesh.nodes[:, 0] ** 2
-    bent = PlateState(u=u, mesh=mesh, residual=0.0, normalization=state.normalization,
-                      stability_ratio=1.0, assumed_shear=state.assumed_shear)
+    bent = PlateState(u=u, mesh=mesh, residual=0.0,
+                      normalization=state.normalization,
+                      assumed_shear=state.assumed_shear)
     f1 = strain_energy_density(bent, rho0=1.0)
     f2 = strain_energy_density(bent, rho0=2.0)
     assert f1.shear_sq.max() > 1e-6
@@ -130,7 +131,7 @@ def test_korn_degenerate_on_kernel(solved):
     mesh, load, f, state = solved
     kb = kernel_basis(mesh)
     rigid = PlateState(u=kb[0], mesh=mesh, residual=0.0, normalization=None,
-                       stability_ratio=1.0, assumed_shear=True)
+                       assumed_shear=True)
     r = korn_ratio(rigid)
     assert r.degenerate
 
@@ -242,7 +243,7 @@ def test_mode_load_compensated_is_solvable(solved):
     ml = mode_load(mesh, 2)
     sys_ = assemble_stiffness(mesh, MAT)
     fv = assemble_load(mesh, ml)  # raises CompatibilityError if unbalanced
-    st = solve(sys_.with_load(fv, ml))
+    st = solve(sys_.with_load(fv))
     assert boundary_work(ml, st) > 0.0
 
 

@@ -25,6 +25,10 @@ from platelab.geometry import (
 UNIT = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
 LSHAPE = np.array([[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]],
                   dtype=float)
+# ten-point star: the overlay mesher snaps nodes onto every edge
+STAR = np.array([[1.3, 0.0], [0.57, 0.41], [0.4, 1.23], [-0.22, 0.67],
+                 [-1.05, 0.76], [-0.7, 0.0], [-1.05, -0.76], [-0.22, -0.67],
+                 [0.4, -1.23], [0.57, -0.41]])
 
 
 def unit_square():
@@ -84,7 +88,8 @@ def test_mesh_deterministic():
 
 
 # SHA-256 of dtype, shape and bytes of each mesh array, taken from the
-# per-element loop mesher that the array code replaced
+# per-element loop mesher that the array code replaced; the star's from
+# the mesher with its own boundary-projection loop
 MESH_DIGESTS = {
     ("unit", 32): {
         "nodes": "22b49810d485d1188a315e897cc4c2bae0e4c1471afd1fb73c1c8a87aeb4842d",
@@ -118,6 +123,14 @@ MESH_DIGESTS = {
         "boundary_tangents": "1425522832ceece165b6b8acd1b2644f0be854d17788ff13cf83e21cc8595f94",
         "mesh_size": "fac1d8d91b37cf01ed1272e9b4842117b46ee31422798691fbf22e8002ffb9fd",
     },
+    ("star", 32): {
+        "nodes": "6de767fd15966eda8c7b558d70f7a015671cea286fdf20f0638192bf6a95fd27",
+        "elements": "b15e2a55a0f3fbade59ae1941abba4a5c5357db547c42ca57ee84bbf34bd62ca",
+        "boundary_edges": "d4c24d4110cf2e058aca1287ae4adb7f7fb70ac75850674b327c8e2f0ff239ba",
+        "boundary_normals": "6ce873bba2def0eaa4470557b8b759ed52ea25039d067e0f392337a57fc48ebf",
+        "boundary_tangents": "fe7d4933eb1434dd0fe3a27454e9ceaf5ca1502667e6015c138fa4c41ac8bc31",
+        "mesh_size": "d9994d020e9c0c171d07687f59264d3d742b928cc4c16f76b5fe14f018f704d5",
+    },
 }
 
 
@@ -131,7 +144,7 @@ def _digest(value):
 
 @pytest.mark.parametrize("shape,n", sorted(MESH_DIGESTS))
 def test_mesh_golden_digests(shape, n):
-    verts = {"unit": UNIT, "lshape": LSHAPE}[shape]
+    verts = {"unit": UNIT, "lshape": LSHAPE, "star": STAR}[shape]
     mesh = generate_mesh(Domain(verts.copy()), 1.0 / n)
     got = {name: _digest(getattr(mesh, name)) for name in MESH_DIGESTS[shape, n]}
     assert got == MESH_DIGESTS[shape, n]

@@ -201,6 +201,21 @@ def test_jump_explicit_soft():
     assert jb.sign == "soft"
 
 
+def test_jump_bounds_skip_rows_missing_from_either_table():
+    # the assembly NaN-pads the 3-row stilde, so rows 3 and 4 (the 5x
+    # bending rows) override nothing and must not set delta
+    t = derive_plate_tensors(STD)
+    st = 2.0 * shear_matrix(t, 3)
+    pt = np.concatenate([2.0 * bending_voigt(t, 3), 5.0 * bending_voigt(t, 2)])
+    jb = jump_bounds(STD, InclusionMaterial(stilde=st, ptilde=pt))
+    assert jb.sign == "stiff"
+    assert_allclose([jb.eta, jb.delta], [1.0, 2.0])
+    # a single tensor is broadcast, so every bending row counts
+    jb = jump_bounds(STD, InclusionMaterial(stilde=2.0 * shear_matrix(t),
+                                            ptilde=pt))
+    assert_allclose([jb.eta, jb.delta], [1.0, 5.0])
+
+
 def test_jump_straddle_rejected():
     t = derive_plate_tensors(STD)
     st = 1.5 * shear_matrix(t)
