@@ -21,6 +21,7 @@ from .estimates import (
     run_size_experiment,
     size_bounds,
     three_spheres_check,
+    three_spheres_sweep,
     verify_energy_lemma,
 )
 from .functionals import (
@@ -28,6 +29,7 @@ from .functionals import (
     EnergyField,
     boundary_fractional_norm,
     boundary_work,
+    disk_energies,
     frequency,
     korn_ratio,
     mode_load,

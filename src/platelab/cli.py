@@ -24,7 +24,7 @@ from .estimates import (
     lps_check,
     run_size_experiment,
     size_bounds,
-    three_spheres_check,
+    three_spheres_sweep,
     verify_energy_lemma,
 )
 from .functionals import stability_ratio, strain_energy_density, work_report
@@ -286,7 +286,7 @@ def _cmd_three_spheres(cfg, args, name, outdir, stamp):
         centers, _ = admissible_centers(mesh, rho, theta, pitch)
         if not len(centers):
             raise ConfigError("no admissible centers; shrink rho or theta")
-    reports = [three_spheres_check(field, c, rho, theta) for c in centers]
+    reports = three_spheres_sweep(field, centers, rho, theta)
     _emit(outdir, name, tables.three_spheres_rows(reports), stamp)
     solid = [r for r in reports if not r.degenerate]
     n_ok = sum(r.feasible for r in solid) + (len(reports) - len(solid))

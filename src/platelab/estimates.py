@@ -9,29 +9,26 @@ Everything else in this module relates that number to the override's area:
   * size_bounds turns the gap into an area interval once two constants are
     fixed, and calibrate_constants fits those constants as a min/max
     envelope over a corpus,
-  * three_spheres_check and lps_check probe the quantitative unique
+  * three_spheres_sweep and lps_check probe the quantitative unique
     continuation properties of inclusion-free energy fields that make the
     lower area bound work,
   * run_size_experiment drives the whole chain for one configuration,
   * convergence_study checks the forward solve against closed forms.
 """
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .functionals import (
-    Disk,
+    _disk_selections,
     boundary_work,
+    disk_energies,
     frequency,
-    region_energy,
     work_report,
 )
 from .geometry import (
-    distance_to_boundary,
     fatness_ratio,
     generate_mesh,
     interior_region,
@@ -233,26 +230,41 @@ class ThreeSpheresReport:
     message: str = ""
 
 
-def three_spheres_check(field, center, rho, theta=0.3, rho0=None):
-    mesh = field.mesh
+def three_spheres_sweep(field, centers, rho, theta=0.3, rho0=None):
+    """ThreeSpheresReport for each center, from one batched disk pass.
+
+    Raises ValueError naming the first center that lies outside the domain
+    or closer than (7/(2 theta)) rho to its boundary.
+    """
     if rho0 is None:
         rho0 = field.rho0
     if not rho < rho0:
         raise ValueError("rho must be smaller than rho0")
     margin = 7.0 / (2.0 * theta) * rho
-    d = distance_to_boundary(center, mesh.domain)
-    if d.outside or d.distance < margin * (1.0 - 1e-12):
+    pts = np.asarray(centers, dtype=float).reshape(-1, 2)
+    verts = field.mesh.domain.vertices
+    dist = points_segment_distance(pts, verts)
+    outside = ~points_in_polygon(pts, verts) & (dist > 0.0)
+    bad = np.flatnonzero(outside | (dist < margin * (1.0 - 1e-12)))
+    if len(bad):
+        i = bad[0]
+        # the caller's own center object, so the message shows it as given
         raise ValueError(
-            f"center {tuple(center)} inadmissible: needs distance >= {margin:.4g} "
-            f"from the boundary, has {0.0 if d.outside else d.distance:.4g}")
+            f"center {tuple(centers[i])} inadmissible: needs distance >= "
+            f"{margin:.4g} from the boundary, has "
+            f"{0.0 if outside[i] else dist[i]:.4g}")
+    energies = disk_energies(field, pts, (rho, 3.0 * rho, margin))
+    return [_three_spheres_report((float(c[0]), float(c[1])), rho, theta,
+                                  rho0, *map(float, e))
+            for c, e in zip(pts, energies)]
 
-    center = (float(center[0]), float(center[1]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        i1 = region_energy(field, Disk(center, rho))
-        i3 = region_energy(field, Disk(center, 3.0 * rho))
-        i7 = region_energy(field, Disk(center, margin))
 
+def three_spheres_check(field, center, rho, theta=0.3, rho0=None):
+    """The ThreeSpheresReport of one center; see three_spheres_sweep."""
+    return three_spheres_sweep(field, [center], rho, theta, rho0)[0]
+
+
+def _three_spheres_report(center, rho, theta, rho0, i1, i3, i7):
     base = dict(center=center, rho=float(rho), theta=float(theta),
                 rho0=float(rho0), i_small=i1, i_mid=i3, i_large=i7)
 
@@ -290,10 +302,14 @@ def admissible_centers(mesh, rho, theta=0.3, pitch=None):
     4 theta h1 rho0 / (2 sqrt(2) theta + 7) from the a priori data.
     Admissible centers keep distance > (7/(2 theta)) rho from the boundary.
     """
+    if not rho > 0.0:
+        raise ValueError("rho must be positive")
     ap = mesh.domain.apriori
     if pitch is None:
         ell = 4.0 * theta * ap.h1 * ap.rho0 / (2.0 * np.sqrt(2.0) * theta + 7.0)
         pitch = min(rho / 2.0, ell)
+    if not pitch > 0.0:
+        raise ValueError("pitch must be positive")
     margin = 7.0 / (2.0 * theta) * rho
     lo = mesh.nodes.min(axis=0)
     hi = mesh.nodes.max(axis=0)
@@ -341,11 +357,11 @@ def lps_check(field, mesh, rho, theta=0.3):
                          constant=np.nan, worst_center=tuple(centers[0]),
                          degenerate=True, message="zero field")
 
-    tree = cKDTree(np.column_stack([field.x, field.y]))
+    # summed as (w e2)[disk].sum(), not w[disk] @ e2[disk] as in
+    # disk_energies: the two differ in the last bits
     we2 = field.weight * field.e2
-    ratios = np.empty(len(centers))
-    for i, idx in enumerate(tree.query_ball_point(centers, rho)):
-        ratios[i] = we2[idx].sum() / total
+    ratios = np.array([we2[sl][m].sum() for (sl, m), in
+                       _disk_selections(field, centers, (rho,))]) / total
     worst = int(np.argmin(ratios))
     return LpsReport(**base, ratios=ratios, constant=float(ratios[worst]),
                      worst_center=tuple(centers[worst]), degenerate=False)

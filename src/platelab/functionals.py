@@ -114,17 +114,64 @@ def strain_energy_density(state, rho0=None, order=2):
         shear_sq=shear_sq.ravel(), mesh=mesh, rho0=float(rho0))
 
 
+def _disk_selections(field, centers, radii):
+    """Yield, for each center, one (slice, mask) pair per radius.
+
+    The points of the disk are those of field[slice][mask], in index order,
+    under the rule (x - cx)^2 + (y - cy)^2 <= r^2. The slice comes from
+    running extremes of y, a max from the left and a min from the right:
+    every point of the band |y - cy| <= r lies in it whatever the point
+    order, and it is short when the points run row by row, as the
+    element-by-element samples of a j-major grid do. The band is padded by
+    a relative 1e-9 so that rounding in the mask never admits a point
+    outside the slice; like the mask, it reads a negative r as |r|.
+    """
+    x, y = field.x, field.y
+    run_max = np.maximum.accumulate(y)
+    run_min = np.minimum.accumulate(y[::-1])[::-1]
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    radii = np.abs(np.asarray(radii, dtype=float))
+    half = radii[:, None] * (1.0 + 1e-9) + 1e-9 * np.abs(centers[:, 1])
+    lo = np.searchsorted(run_max, centers[:, 1] - half, side="left")
+    hi = np.maximum(np.searchsorted(run_min, centers[:, 1] + half,
+                                    side="right"), lo)
+    r2 = [r ** 2 for r in radii.tolist()]
+    for (cx, cy), a, b, los, his in zip(centers.tolist(),
+                                        lo.min(axis=0).tolist(),
+                                        hi.max(axis=0).tolist(),
+                                        lo.T.tolist(), hi.T.tolist()):
+        d2 = (x[a:b] - cx) ** 2 + (y[a:b] - cy) ** 2
+        yield [(slice(l, h), d2[l - a:h - a] <= rr)
+               for l, h, rr in zip(los, his, r2)]
+
+
+def disk_energies(field, centers, radii):
+    """Weighted sums of E^2 over disks, shape (len(centers), len(radii)).
+
+    Entry [i, k] integrates over the disk of radius radii[k] about
+    centers[i]; a disk that holds no quadrature point gives 0.0.
+    """
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    w, e2 = field.weight, field.e2
+    out = np.empty((len(centers), len(radii)))
+    for i, disks in enumerate(_disk_selections(field, centers, radii)):
+        out[i] = [w[sl][m] @ e2[sl][m] for sl, m in disks]
+    return out
+
+
 def region_energy(field, region):
     """Weighted sum of E^2 over a region (element mask or disk)."""
+    w, e2 = field.weight, field.e2
     if isinstance(region, Disk):
-        cx, cy = region.center
-        inside = (field.x - cx) ** 2 + (field.y - cy) ** 2 <= region.radius ** 2
+        (sl, inside), = next(_disk_selections(field, [region.center],
+                                              [region.radius]))
+        w, e2 = w[sl], e2[sl]
     else:
         inside = np.asarray(region.flags)[field.element_id]
     if not np.any(inside):
         warnings.warn("region contains no quadrature points")
         return 0.0
-    return float(field.weight[inside] @ field.e2[inside])
+    return float(w[inside] @ e2[inside])
 
 
 class Ratio(NamedTuple):

@@ -6,7 +6,6 @@ it). Meshes are conforming bilinear quads: rectangles get a structured grid,
 anything else a uniform overlay of the bounding box with boundary snapping.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -597,33 +596,3 @@ def read_polygons(path):
     if not polys:
         raise ValueError(f"no polygons found in {path}")
     return polys
-
-
-def write_polygons(path, polys):
-    with open(path, "w") as fh:
-        for k, p in enumerate(polys):
-            if k:
-                fh.write("\n")
-            for x, y in np.asarray(p, dtype=float):
-                fh.write(f"{float(x)!r} {float(y)!r}\n")
-
-
-def mask_to_csv(mask, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["element_id", "flag"])
-        for i, f in enumerate(mask.flags):
-            writer.writerow([i, int(f)])
-
-
-def mask_from_csv(path, mesh):
-    flags = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["element_id", "flag"]:
-            raise ValueError("expected header element_id,flag")
-        flags = np.zeros(mesh.n_elements, dtype=bool)
-        for row in reader:
-            flags[int(row[0])] = bool(int(row[1]))
-    return ElementMask(flags, float(mesh.element_areas[flags].sum()))

@@ -134,16 +134,6 @@ def shear_matrix(tensors, n_elements=None):
     return out
 
 
-def bending_apply(mat, element, a):
-    """Apply the bending tensor of one element to a 2x2 matrix."""
-    t = derive_plate_tensors(mat)
-    b = t.rigidity if np.ndim(t.rigidity) == 0 else t.rigidity[element]
-    nu = t.nu if np.ndim(t.nu) == 0 else t.nu[element]
-    a = np.asarray(a, dtype=float)
-    sym = 0.5 * (a + a.T)
-    return b * ((1.0 - nu) * sym + nu * np.trace(a) * np.eye(2))
-
-
 @dataclass(frozen=True)
 class EllipticityConstants:
     sigma0: float
@@ -387,27 +377,6 @@ def _shared_edge_pairs(elements):
 
 _SHEAR_COLS = ["element_id", "s11", "s12", "s22"]
 _BEND_COLS = ["element_id", "p1111", "p1122", "p1112", "p2222", "p2212", "p1212"]
-
-
-def write_shear_table(path, element_ids, stilde):
-    st = np.asarray(stilde, dtype=float)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_SHEAR_COLS)
-        for i, e in enumerate(element_ids):
-            w.writerow([int(e), repr(float(st[i, 0, 0])),
-                        repr(float(st[i, 0, 1])), repr(float(st[i, 1, 1]))])
-
-
-def write_bending_table(path, element_ids, ptilde):
-    pt = np.asarray(ptilde, dtype=float)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_BEND_COLS)
-        for i, e in enumerate(element_ids):
-            m = pt[i]
-            w.writerow([int(e)] + [repr(float(v)) for v in
-                                   (m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2], m[2, 2])])
 
 
 def _read_table(path, cols):

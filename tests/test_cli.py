@@ -1,12 +1,19 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import platelab
+from platelab import cli, estimates, functionals, geometry, tables
 from platelab.cli import ConfigError, main, parse_config
-from platelab.geometry import write_polygons
+from platelab.estimates import admissible_centers, three_spheres_check
 from platelab.material import (IsotropicMaterial, bending_voigt,
-                               derive_plate_tensors, shear_matrix,
-                               write_bending_table, write_shear_table)
+                               derive_plate_tensors, shear_matrix)
 from platelab.tables import csv_text
+
+from helpers import write_bending_table, write_polygons, write_shear_table
 
 BASE = """\
 domain = rectangle 0 0 1 1
@@ -238,6 +245,62 @@ def test_three_spheres_command(tmp_path):
                + "rho0 = 0.1\nrho = 0.04\npitch = 0.02\n")
     assert main(["three-spheres", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert (tmp_path / "three_spheres_three_spheres.csv").exists()
+
+
+def test_three_spheres_scans_no_disk_per_center(tmp_path, monkeypatch):
+    poly = tmp_path / "lshape.poly"
+    write_polygons(str(poly), [np.array([[0, 0], [1, 0], [1, 0.5], [0.5, 0.5],
+                                         [0.5, 1], [0, 1]], dtype=float)])
+    cfg = _cfg(tmp_path, BASE.replace("rectangle 0 0 1 1", str(poly))
+               .replace("target_size = 0.25", "target_size = 0.05")
+               + "rho0 = 0.1\nrho = 0.015\npitch = 0.03\n")
+    args = cli._parser().parse_args(["three-spheres", "--config", cfg])
+    mesh, field = cli._reference_field(parse_config(cfg), args, "ref")
+    centers, _ = admissible_centers(mesh, 0.015, 0.3, 0.03)
+    expected = tables.csv_text(*tables.three_spheres_rows(
+        [three_spheres_check(field, c, 0.015, 0.3) for c in centers]),
+        timestamp=False)
+
+    def per_center(*args, **kwargs):
+        raise AssertionError("per-center scan")
+
+    for mod in (estimates, functionals):
+        monkeypatch.setattr(mod, "region_energy", per_center, raising=False)
+    for mod in (estimates, geometry):
+        monkeypatch.setattr(mod, "distance_to_boundary", per_center,
+                            raising=False)
+    assert main(["three-spheres", "--config", cfg, "--out", str(tmp_path)]) \
+        in (0, 3)
+    got = (tmp_path / "three_spheres_three_spheres.csv").read_text()
+    assert len(centers) > 10 and got == expected
+
+
+def test_three_spheres_inadmissible_center_message(tmp_path, capsys):
+    cfg = _cfg(tmp_path, BASE.replace("target_size = 0.25",
+                                      "target_size = 0.0625")
+               + "rho0 = 0.1\nrho = 0.04\ncenter = 0.1 0.5\n")
+    assert main(["three-spheres", "--config", cfg, "--out", str(tmp_path)]) == 1
+    center = tuple(np.array([0.1, 0.5]))
+    assert capsys.readouterr().err == (
+        f"config error: center {center} inadmissible: needs distance >= "
+        "0.4667 from the boundary, has 0.1\n")
+
+
+@pytest.mark.parametrize("pitch", ["0", "-0.1"])
+def test_three_spheres_nonpositive_pitch_is_config_error(tmp_path, capsys,
+                                                         pitch):
+    cfg = _cfg(tmp_path, BASE + f"rho0 = 0.1\nrho = 0.04\npitch = {pitch}\n")
+    assert main(["three-spheres", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "config error: pitch must be positive\n"
+
+
+def test_cli_import_leaves_out_scipy_spatial():
+    src = os.path.dirname(os.path.dirname(platelab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, platelab.cli; sys.exit('scipy.spatial' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=120).returncode == 0
 
 
 def test_lps_command(tmp_path):

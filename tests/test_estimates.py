@@ -11,6 +11,7 @@ from platelab.estimates import (
     run_size_experiment,
     size_bounds,
     three_spheres_check,
+    three_spheres_sweep,
     verify_energy_lemma,
 )
 from platelab.functionals import stability_ratio, strain_energy_density
@@ -31,6 +32,8 @@ from platelab.solver import (
 
 MAT = IsotropicMaterial(lam=1.0, mu=1.0, h=1.0)
 SQUARE = Domain(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float))
+LSHAPE = Domain(np.array([[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1],
+                          [0, 1]], float))
 CENTER_SQ = np.array([[0.25, 0.25], [0.75, 0.25], [0.75, 0.75], [0.25, 0.75]])
 
 
@@ -246,6 +249,10 @@ def test_three_spheres_admissibility_enforced(bending_field):
         three_spheres_check(field, (0.05, 0.05), 0.03, theta=0.3, rho0=1.0)
     with pytest.raises(ValueError):
         three_spheres_check(field, (0.5, 0.5), 1.5, theta=0.3, rho0=1.0)
+    # a sweep names its first inadmissible center as given
+    with pytest.raises(ValueError, match=r"center \(0\.05, 0\.95\) inadmissible"):
+        three_spheres_sweep(field, [(0.5, 0.5), (0.05, 0.95), (0.05, 0.05)],
+                            0.03, theta=0.3, rho0=1.0)
 
 
 def test_three_spheres_zero_field_degenerate(bending_field):
@@ -271,6 +278,33 @@ def test_admissible_centers_clearance():
     d = np.minimum.reduce([centers[:, 0], centers[:, 1],
                            1.0 - centers[:, 0], 1.0 - centers[:, 1]])
     assert (d >= margin - 1e-12).all()
+
+
+@pytest.mark.parametrize("rho, pitch, message", [
+    (0.03, 0.0, "pitch must be positive"),
+    (0.03, -0.1, "pitch must be positive"),
+    (0.0, None, "rho must be positive"),
+    (-0.03, None, "rho must be positive"),
+])
+def test_admissible_centers_rejects_nonpositive(rho, pitch, message):
+    mesh = generate_mesh(SQUARE, 0.25)
+    with pytest.raises(ValueError, match=message):
+        admissible_centers(mesh, rho, theta=0.3, pitch=pitch)
+
+
+@pytest.mark.parametrize("domain, target, rho", [
+    (SQUARE, 1.0 / 24.0, 0.04), (LSHAPE, 1.0 / 20.0, 0.015)],
+    ids=["square", "lshape"])
+def test_lps_ratios_match_brute_force(domain, target, rho):
+    mesh = generate_mesh(domain, target)
+    u = np.random.default_rng(8).normal(size=3 * mesh.n_nodes)
+    state = PlateState(u=u, mesh=mesh, residual=0.0, normalization=None)
+    field = strain_energy_density(state, rho0=1.0, order=3)
+    rep = lps_check(field, mesh, rho, theta=0.3)
+    we2 = field.weight * field.e2
+    expect = [we2[(field.x - cx) ** 2 + (field.y - cy) ** 2 <= rho ** 2].sum()
+              / field.total for cx, cy in rep.centers]
+    assert np.array_equal(rep.ratios, expect)
 
 
 def test_lps_constant_field(bending_field):

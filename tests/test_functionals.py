@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from platelab.functionals import (
     Disk,
+    EnergyField,
     boundary_fractional_norm,
     boundary_mode,
     boundary_work,
     closed_boundary_polyline,
+    disk_energies,
     frequency,
     korn_ratio,
     mode_load,
@@ -15,6 +19,7 @@ from platelab.functionals import (
     region_energy,
     strain_energy_density,
     work_report,
+    _disk_selections,
 )
 from platelab.geometry import Domain, generate_mesh, rasterize_inclusion
 from platelab.material import IsotropicMaterial
@@ -29,6 +34,9 @@ from platelab.solver import (
 
 MAT = IsotropicMaterial(lam=1.0, mu=1.0, h=1.0)
 SQUARE = Domain(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float))
+LSHAPE = Domain(np.array([[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1],
+                          [0, 1]], float))
+SKEWED = Domain(np.array([[0, 0], [1, 0.2], [1.3, 1.1], [0.2, 0.9]], float))
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +126,83 @@ def test_region_energy_empty_warns(solved):
     field = strain_energy_density(state, rho0=1.0)
     with pytest.warns(UserWarning):
         assert region_energy(field, Disk((-5.0, -5.0), 0.01)) == 0.0
+
+
+def _random_field(domain, target, seed):
+    """Energy field of a random dof vector, so E^2 varies point to point."""
+    mesh = generate_mesh(domain, target)
+    u = np.random.default_rng(seed).normal(size=3 * mesh.n_nodes)
+    state = PlateState(u=u, mesh=mesh, residual=0.0, normalization=None)
+    return strain_energy_density(state, rho0=0.5, order=3)
+
+
+def _scan_disk_energies(field, centers, radii):
+    """Full-mask reference: every point tested against every disk."""
+    out = np.empty((len(centers), len(radii)))
+    for i, (cx, cy) in enumerate(centers):
+        for k, r in enumerate(radii):
+            m = (field.x - cx) ** 2 + (field.y - cy) ** 2 <= r ** 2
+            out[i, k] = field.weight[m] @ field.e2[m]
+    return out
+
+
+@pytest.mark.parametrize("domain, target", [
+    (SQUARE, 1.0 / 16.0),   # structured grid
+    (LSHAPE, 1.0 / 20.0),   # overlay mesher, no grid line on the notch
+    (SKEWED, 1.0 / 12.0),   # overlay mesher, no edge on the grid
+], ids=["square", "lshape", "skewed"])
+@pytest.mark.parametrize("permuted", [False, True], ids=["stored", "permuted"])
+def test_disk_energies_match_full_scan(domain, target, permuted):
+    field = _random_field(domain, target, seed=3)
+    if permuted:
+        p = np.random.default_rng(4).permutation(len(field.x))
+        field = replace(field, x=field.x[p], y=field.y[p],
+                        weight=field.weight[p], e2=field.e2[p],
+                        element_id=field.element_id[p])
+    rng = np.random.default_rng(5)
+    lo, hi = domain.vertices.min(axis=0), domain.vertices.max(axis=0)
+    verts = domain.vertices
+    mids = 0.5 * (verts + np.roll(verts, -1, axis=0))
+    centers = np.vstack([
+        rng.uniform(lo, hi, size=(12, 2)),   # interior and notch
+        verts, mids,                          # on the boundary
+        [(-50.0, -50.0), (50.0, 0.5)],        # far outside: no points
+        [(field.x[7], field.y[7])],           # on a sample point
+    ])
+    # a radius that reaches exactly to a sample point puts it on the rim
+    rim = float(np.hypot(field.x[40] - field.x[7], field.y[40] - field.y[7]))
+    radii = [0.0, 1e-6, 0.05, 0.2, rim, 5.0, -0.1]
+    got = disk_energies(field, centers, radii)
+    assert got.shape == (len(centers), len(radii))
+    assert np.array_equal(got, _scan_disk_energies(field, centers, radii))
+    assert (got[-3:-1] == 0.0).all()
+    assert got[:, 5].max() == field.weight @ field.e2   # disk covers domain
+
+
+def test_disk_energies_keep_rounded_rim_points():
+    # y lies just below the rounded cy - r, yet the mask admits it: the
+    # band must not cut it off
+    cy, r = 0.05663934229092593, 0.06301735497328241
+    y = np.array([-0.00637801268235648, 0.0, 0.05, 0.1, 0.2])
+    assert y[0] < cy - r and (y[0] - cy) ** 2 <= r ** 2
+    ones = np.ones(len(y))
+    field = EnergyField(x=np.zeros(len(y)), y=y, weight=ones, e2=ones,
+                        element_id=np.arange(len(y)), bend_sq=ones,
+                        shear_sq=ones, mesh=None, rho0=1.0)
+    assert disk_energies(field, [(0.0, cy)], [r])[0, 0] == 4.0
+
+
+def test_disk_selection_scans_a_band_only():
+    field = _random_field(SQUARE, 1.0 / 16.0, seed=3)
+    for (sl, _), in _disk_selections(field, [(0.5, 0.5), (0.2, 0.9)], [0.05]):
+        assert sl.stop - sl.start < len(field.x) / 4
+
+
+def test_region_energy_disk_is_one_center_of_disk_energies():
+    field = _random_field(LSHAPE, 1.0 / 20.0, seed=6)
+    for center, r in [((0.3, 0.2), 0.15), ((0.5, 0.5), 0.2), ((0.9, 0.1), 0.4)]:
+        assert region_energy(field, Disk(center, r)) == \
+            disk_energies(field, [center], [r])[0, 0]
 
 
 def test_korn_ratio_pure_bending(solved):

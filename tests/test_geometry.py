@@ -12,15 +12,14 @@ from platelab.geometry import (
     fatness_ratio,
     generate_mesh,
     interior_region,
-    mask_from_csv,
-    mask_to_csv,
     points_segment_distance,
     rasterize_inclusion,
     read_polygons,
-    write_polygons,
     _extract_boundary,
     _finish_mesh,
 )
+
+from helpers import mask_from_csv, mask_to_csv, write_polygons
 
 UNIT = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
 LSHAPE = np.array([[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]],

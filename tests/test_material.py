@@ -8,7 +8,6 @@ from platelab.material import (
     InclusionMaterial,
     IsotropicMaterial,
     JumpBounds,
-    bending_apply,
     bending_voigt,
     derive_plate_tensors,
     ellipticity_constants,
@@ -17,10 +16,10 @@ from platelab.material import (
     material_from_config,
     shear_matrix,
     validate_on_mesh,
-    write_bending_table,
-    write_shear_table,
     _shared_edge_pairs,
 )
+
+from helpers import bending_apply, write_bending_table, write_shear_table
 
 STD = IsotropicMaterial(lam=1.0, mu=1.0, h=1.0)
 
