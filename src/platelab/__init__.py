@@ -18,6 +18,7 @@ from .estimates import (
     convergence_study,
     forward,
     lps_check,
+    reference_plate,
     run_size_experiment,
     size_bounds,
     three_spheres_check,

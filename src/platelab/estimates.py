@@ -1,7 +1,8 @@
 """Forward pipeline, work-gap comparison, area bounds, continuation probes.
 
-The forward pipeline (forward) measures one number, the boundary-work gap
-between the reference plate and the plate with an override region.
+The forward pipeline (reference_plate, then forward) measures one number,
+the boundary-work gap between the reference plate and the plate with an
+override region; configs that share a reference plate can share its solve.
 Everything else in this module relates that number to the override's area:
 
   * verify_energy_lemma checks the two-sided comparison between the gap and
@@ -238,6 +239,7 @@ def three_spheres_sweep(field, centers, rho, theta=0.3, rho0=None):
     """
     if rho0 is None:
         rho0 = field.rho0
+    _require_positive("rho", rho)
     if not rho < rho0:
         raise ValueError("rho must be smaller than rho0")
     margin = 7.0 / (2.0 * theta) * rho
@@ -295,6 +297,11 @@ def _three_spheres_report(center, rho, theta, rho0, i1, i3, i7):
         feasible=feasible, degenerate=False)
 
 
+def _require_positive(name, value):
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive")
+
+
 def admissible_centers(mesh, rho, theta=0.3, pitch=None):
     """Deterministic center grid for the interpolation and smallness probes.
 
@@ -302,14 +309,12 @@ def admissible_centers(mesh, rho, theta=0.3, pitch=None):
     4 theta h1 rho0 / (2 sqrt(2) theta + 7) from the a priori data.
     Admissible centers keep distance > (7/(2 theta)) rho from the boundary.
     """
-    if not rho > 0.0:
-        raise ValueError("rho must be positive")
+    _require_positive("rho", rho)
     ap = mesh.domain.apriori
     if pitch is None:
         ell = 4.0 * theta * ap.h1 * ap.rho0 / (2.0 * np.sqrt(2.0) * theta + 7.0)
         pitch = min(rho / 2.0, ell)
-    if not pitch > 0.0:
-        raise ValueError("pitch must be positive")
+    _require_positive("pitch", pitch)
     margin = 7.0 / (2.0 * theta) * rho
     lo = mesh.nodes.min(axis=0)
     hi = mesh.nodes.max(axis=0)
@@ -341,6 +346,7 @@ class LpsReport:
 def lps_check(field, mesh, rho, theta=0.3):
     if field.mesh is not mesh:
         raise ValueError("field was sampled on a different mesh")
+    _require_positive("rho", rho)
     margin = 7.0 / (2.0 * theta) * rho
     if interior_region(mesh, margin).empty:
         raise ValueError(
@@ -419,47 +425,72 @@ class SizeEstimateReport:
 
 
 class Forward(NamedTuple):
-    """Mesh, load, inclusion mask and the two solved states of one config.
+    """Mesh, load, load vector, inclusion mask and the two solved states of
+    one config.
 
     state is state0 when the configuration has no inclusion.
     """
 
     mesh: object
     load: object
+    rhs: np.ndarray
     indicator: object
     state0: object
     state: object
 
 
-def forward(config):
-    """Mesh, load, reference solve, inclusion mask and inclusion solve."""
-    mesh = generate_mesh(config.domain, config.target_size,
-                         config.element_budget)
+def reference_plate(config, mesh=None):
+    """The Forward of config's plate without its inclusion.
+
+    mesh, when given, stands in for generate_mesh(config.domain,
+    config.target_size, config.element_budget); configs that agree on those
+    three can share one mesh.
+    """
+    if mesh is None:
+        mesh = generate_mesh(config.domain, config.target_size,
+                             config.element_budget)
     load = load_from_family(mesh, config.load_family, config.material)
     rhs = assemble_load(mesh, load, tol=config.tol)
+    state0 = _solve_plate(config, mesh, rhs, None, None)
+    return Forward(mesh, load, rhs, rasterize_inclusion(mesh, ()), state0,
+                   state0)
 
-    def run(indicator, inclusion):
-        system = assemble_stiffness(mesh, config.material, indicator, inclusion,
-                                    assumed_shear=config.assumed_shear)
-        system = system.with_load(rhs)
-        if config.dense_oracle:
-            return dense_oracle_solve(system, cap=config.dense_cap,
-                                      tol=config.tol)
-        return solve(system, tol=config.tol)
 
-    state0 = run(None, None)
+def _solve_plate(config, mesh, rhs, indicator, inclusion):
+    system = assemble_stiffness(mesh, config.material, indicator, inclusion,
+                                assumed_shear=config.assumed_shear)
+    system = system.with_load(rhs)
+    if config.dense_oracle:
+        return dense_oracle_solve(system, cap=config.dense_cap, tol=config.tol)
+    return solve(system, tol=config.tol)
+
+
+def forward(config, reference=None):
+    """Mesh, load, reference solve, inclusion mask and inclusion solve.
+
+    reference, when given, is the reference_plate of a config that differs
+    from this one at most in its inclusion, name and c1, c2. Its mesh, load,
+    load vector and reference state are reused as they are, so the result
+    is bit for bit that of forward(config).
+    """
+    if reference is None:
+        reference = reference_plate(config)
+    elif reference.state is not reference.state0:
+        raise ValueError("reference must be a plate without inclusion")
+    mesh = reference.mesh
     indicator = rasterize_inclusion(mesh, config.inclusion_polygons)
-    state = state0 if config.inclusion is None else \
-        run(indicator, config.inclusion)
-    return Forward(mesh, load, indicator, state0, state)
+    state = reference.state0 if config.inclusion is None else \
+        _solve_plate(config, mesh, reference.rhs, indicator, config.inclusion)
+    return reference._replace(indicator=indicator, state=state)
 
 
-def run_size_experiment(config):
-    """Forward pipeline plus the size report for one configuration."""
+def run_size_experiment(config, reference=None):
+    """Forward pipeline plus the size report for one configuration; see
+    forward for reference."""
     ap = config.domain.apriori
     jumps = None if config.inclusion is None else \
         jump_bounds(config.material, config.inclusion)
-    fw = forward(config)
+    fw = forward(config, reference)
     mesh, indicator = fw.mesh, fw.indicator
     messages = []
     if jumps is not None and indicator.empty:

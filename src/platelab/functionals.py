@@ -11,7 +11,9 @@ weights (1 + rho0^2 lambda)^s; the oscillation ratio compares the order
 -1/2 and order -1 norms.
 """
 
+import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -250,7 +252,10 @@ def stability_ratio(state, load):
 # ---------------------------------------------------------------------------
 # spectral boundary norms
 
-_spectrum_cache = {}
+# the spectra of the most recent boundary loops, keyed by polyline bytes
+_SPECTRUM_SLOTS = 4
+_spectrum_cache = OrderedDict()
+_spectrum_lock = threading.Lock()
 
 
 def closed_boundary_polyline(mesh):
@@ -262,8 +267,10 @@ def closed_boundary_polyline(mesh):
 
 def _loop_spectrum(polyline):
     key = polyline.tobytes()
-    if key in _spectrum_cache:
-        return _spectrum_cache[key]
+    with _spectrum_lock:
+        if key in _spectrum_cache:
+            _spectrum_cache.move_to_end(key)
+            return _spectrum_cache[key]
     if not np.array_equal(polyline[0], polyline[-1]):
         raise ValueError("polyline is open; spectral boundary norms need a closed loop")
     pts = polyline[:-1]
@@ -289,8 +296,11 @@ def _loop_spectrum(polyline):
         m[j, i] += li / 6.0
     lam, vec = scipy.linalg.eigh(t, m)
     lam = np.clip(lam, 0.0, None)
-    out = (lam, vec, m, ell)
-    _spectrum_cache[key] = out
+    with _spectrum_lock:
+        out = _spectrum_cache.setdefault(key, (lam, vec, m, ell))
+        _spectrum_cache.move_to_end(key)
+        while len(_spectrum_cache) > _SPECTRUM_SLOTS:
+            _spectrum_cache.popitem(last=False)
     return out
 
 

@@ -294,6 +294,25 @@ def test_three_spheres_nonpositive_pitch_is_config_error(tmp_path, capsys,
     assert capsys.readouterr().err == "config error: pitch must be positive\n"
 
 
+@pytest.mark.parametrize("rho", ["0", "-0.04"])
+@pytest.mark.parametrize("command,extra", [
+    ("lps", ""), ("three-spheres", "center = 0.5 0.5\n")])
+def test_probe_nonpositive_rho_is_config_error(tmp_path, capsys, command,
+                                               extra, rho):
+    cfg = _cfg(tmp_path, BASE + f"rho = {rho}\n" + extra)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "config error: rho must be positive\n"
+
+
+def test_lps_checks_every_radius_before_writing(tmp_path, capsys):
+    cfg = _cfg(tmp_path, BASE.replace("target_size = 0.25",
+                                      "target_size = 0.1")
+               + "rho = 0.02 -0.02\n")
+    assert main(["lps", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "config error: rho must be positive\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cli_import_leaves_out_scipy_spatial():
     src = os.path.dirname(os.path.dirname(platelab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -362,6 +381,124 @@ def test_calibrate_rejects_mixed_rho0(tmp_path, capsys):
     assert err.startswith("config error:")
     assert "rho0 = 1.0" in err and "rho0 = 0.5" in err and "case1.cfg" in err
     assert not (tmp_path / "calibrate_calibration.csv").exists()
+
+
+def _corpus(tmp_path, entries):
+    """Config of a calibrate run over entries, a list of (name, text)."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name, text in entries:
+        (corpus / f"{name}.cfg").write_text(text + f"name = {name}\n")
+    return _cfg(tmp_path, f"corpus = {corpus}\ntimestamp = off\n")
+
+
+def test_calibrate_shares_one_mesh_and_one_reference(tmp_path, monkeypatch):
+    entries = []
+    for i, (hi, kappa) in enumerate(((0.55, 2.0), (0.65, 3.0), (0.75, 2.0))):
+        poly = _sq_poly(tmp_path, f"incl{i}.poly", 0.25, hi)
+        entries.append((f"case{i}", BASE + f"inclusion = {poly}\n"
+                                           f"kappa = {kappa}\n"))
+    cfg = _corpus(tmp_path, entries)
+    calls = {"generate_mesh": 0, "solve": 0}
+
+    def counted(name):
+        fn = getattr(estimates, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(estimates, name, counted(name))
+    assert main(["calibrate", "--config", cfg, "--out", str(tmp_path),
+                 "--jobs", "2"]) == 0
+    assert calls == {"generate_mesh": 1, "solve": 4}
+
+
+def test_calibrate_csvs_do_not_depend_on_jobs(tmp_path):
+    lshape = tmp_path / "lshape.poly"
+    write_polygons(str(lshape), [np.array(
+        [[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]], dtype=float)])
+    small = _sq_poly(tmp_path, "small.poly", 0.2, 0.45)
+    big = _sq_poly(tmp_path, "big.poly", 0.25, 0.75)
+    fine = BASE.replace("target_size = 0.25", "target_size = 0.125")
+    # two meshes; on the square, two loads, a second material and a
+    # reference-only entry
+    cfg = _corpus(tmp_path, [
+        ("a", fine + f"inclusion = {big}\nkappa = 2.0\n"),
+        ("b", fine.replace("rectangle 0 0 1 1", str(lshape))
+         + f"inclusion = {small}\nkappa = 3.0\n"),
+        ("c", fine.replace("pure_bending", "twist")
+         + f"inclusion = {small}\nkappa = 2.5\n"),
+        ("d", fine + f"inclusion = {small}\nkappa = 4.0\n"),
+        ("e", fine.replace("mu = 1.0", "mu = 1.2")
+         + f"inclusion = {big}\nkappa = 2.0\n"),
+        ("f", fine),
+        ("g", fine.replace("rectangle 0 0 1 1", str(lshape))
+         + f"inclusion = {small}\nkappa = 2.0\n")])
+    alone = []
+    for path in sorted((tmp_path / "corpus").glob("*.cfg")):
+        assert main(["size", "--config", str(path), "--out",
+                     str(tmp_path / "alone")]) == 0
+        alone += (tmp_path / "alone" / f"{path.stem}_corpus.csv") \
+            .read_text().splitlines()[2:]
+    texts = []
+    for jobs in ("1", "2", "3"):
+        out = tmp_path / f"out{jobs}"
+        assert main(["calibrate", "--config", cfg, "--out", str(out),
+                     "--jobs", jobs]) == 0
+        texts.append([(out / f"calibrate_{kind}.csv").read_text()
+                      for kind in ("corpus", "calibration", "quantities")])
+    assert texts[0] == texts[1] == texts[2]
+    assert texts[0][0].splitlines()[2:] == alone
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("bad,flags,code,line", [
+    ("load", [], 1, "config error: unknown load family 'bogus'"),
+    ("budget", [], 1,
+     "config error: mesh would need 16 elements, budget is 3"),
+    ("dense_cap", ["--dense-oracle"], 2,
+     "numerical failure: dense oracle capped at 10 dof, system has 75"),
+    ("tables", [], 1, "config error: override tables miss flagged element 5"),
+    # alone, the contrast check comes before the reference plate
+    ("contrast_and_load", [], 1, "config error: indefinite contrast: spectrum "
+     "straddles 1 (min at element 0, max at element 0)"),
+])
+def test_calibrate_bad_entry_keeps_its_error(tmp_path, capsys, jobs, bad,
+                                             flags, code, line):
+    good = BASE + f"inclusion = {_sq_poly(tmp_path)}\nkappa = 2.0\n"
+    if bad == "tables":
+        bad = good.replace("kappa = 2.0\n", _tables(tmp_path, [0, 1]))
+    elif bad == "contrast_and_load":
+        bad = good.replace("pure_bending", "bogus").replace(
+            "kappa = 2.0\n", _tables(tmp_path, [0, 1], factor=1.0))
+    else:
+        bad = {"load": good.replace("pure_bending", "bogus"),
+               "budget": good + "element_budget = 3\n",
+               "dense_cap": good + "dense_cap = 10\n"}[bad]
+    third = good.replace("kappa = 2.0", "kappa = 3.0")
+    cfg = _corpus(tmp_path, [("a", good), ("b", bad), ("c", third)])
+    assert main(["calibrate", "--config", cfg, "--out", str(tmp_path),
+                 "--jobs", jobs] + flags) == code
+    assert capsys.readouterr().err == line + "\n"
+    assert not (tmp_path / "calibrate_corpus.csv").exists()
+
+
+def test_calibrate_reports_the_first_failing_entry(tmp_path, capsys):
+    # c shares a's reference, which is solved before b's fails, yet b is
+    # the first to fail in corpus order
+    poly = _sq_poly(tmp_path)
+    good = BASE + f"inclusion = {poly}\nkappa = 2.0\n"
+    cfg = _corpus(tmp_path, [
+        ("a", good), ("b", good.replace("pure_bending", "bogus")),
+        ("c", good.replace("kappa = 2.0\n", _tables(tmp_path, [0, 1])))])
+    for jobs in ("1", "2"):
+        assert main(["calibrate", "--config", cfg, "--out", str(tmp_path),
+                     "--jobs", jobs]) == 1
+        assert capsys.readouterr().err == \
+            "config error: unknown load family 'bogus'\n"
 
 
 # exit codes

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,6 +10,7 @@ from platelab.estimates import (
     calibrate_constants,
     forward,
     lps_check,
+    reference_plate,
     run_size_experiment,
     size_bounds,
     three_spheres_check,
@@ -16,11 +19,15 @@ from platelab.estimates import (
 )
 from platelab.functionals import stability_ratio, strain_energy_density
 from platelab.geometry import Domain, generate_mesh, rasterize_inclusion
+from platelab.functionals import boundary_work
 from platelab.material import (
     InclusionMaterial,
     IsotropicMaterial,
     JumpBounds,
+    bending_voigt,
+    derive_plate_tensors,
     jump_bounds,
+    shear_matrix,
 )
 from platelab.solver import (
     PlateState,
@@ -292,6 +299,19 @@ def test_admissible_centers_rejects_nonpositive(rho, pitch, message):
         admissible_centers(mesh, rho, theta=0.3, pitch=pitch)
 
 
+@pytest.mark.parametrize("rho", [0.0, -0.04, np.nan])
+def test_probes_reject_nonpositive_rho(rho):
+    mesh = generate_mesh(SQUARE, 0.25)
+    load = load_from_family(mesh, "pure_bending a=1.0", MAT)
+    state = solve(assemble_stiffness(mesh, MAT).with_load(
+        assemble_load(mesh, load)))
+    field = strain_energy_density(state)
+    with pytest.raises(ValueError, match="rho must be positive"):
+        lps_check(field, mesh, rho)
+    with pytest.raises(ValueError, match="rho must be positive"):
+        three_spheres_sweep(field, [(0.5, 0.5)], rho)
+
+
 @pytest.mark.parametrize("domain, target, rho", [
     (SQUARE, 1.0 / 24.0, 0.04), (LSHAPE, 1.0 / 20.0, 0.015)],
     ids=["square", "lshape"])
@@ -374,6 +394,45 @@ def test_experiment_end_to_end(kappa, regime):
     fw = forward(cfg)
     assert stability_ratio(fw.state0, fw.load) > 0.0
     assert stability_ratio(fw.state, fw.load) > 0.0
+
+
+def _table_inclusion(n, factor):
+    t = derive_plate_tensors(MAT)
+    return InclusionMaterial(stilde=factor * shear_matrix(t, n),
+                             ptilde=factor * bending_voigt(t, n))
+
+
+@pytest.mark.parametrize("inclusion", [InclusionMaterial(kappa=2.5),
+                                       _table_inclusion(64, 3.0)],
+                         ids=["kappa", "tables"])
+def test_forward_with_reference_is_bit_identical(inclusion):
+    cfg = SizeExperimentConfig(domain=SQUARE, material=MAT, target_size=0.125,
+                               load_family="twist a=1",
+                               inclusion_polygons=[CENTER_SQ],
+                               inclusion=inclusion)
+    alone = forward(cfg)
+    # the reference of another config that differs only in its inclusion
+    other = replace(cfg, inclusion_polygons=(), inclusion=None, name="other")
+    reference = reference_plate(other)
+    shared = forward(cfg, reference)
+    assert shared.mesh is reference.mesh and shared.load is reference.load
+    assert shared.state0 is reference.state0
+    assert np.array_equal(shared.state0.u, alone.state0.u)
+    assert np.array_equal(shared.state.u, alone.state.u)
+    assert np.array_equal(shared.indicator.flags, alone.indicator.flags)
+    for state in ("state0", "state"):
+        assert boundary_work(shared.load, getattr(shared, state)) == \
+            boundary_work(alone.load, getattr(alone, state))
+    rep = run_size_experiment(cfg, reference)
+    assert rep == run_size_experiment(cfg)
+
+
+def test_forward_rejects_a_reference_with_inclusion():
+    cfg = SizeExperimentConfig(domain=SQUARE, material=MAT, target_size=0.25,
+                               inclusion_polygons=[CENTER_SQ],
+                               inclusion=InclusionMaterial(kappa=2.0))
+    with pytest.raises(ValueError, match="without inclusion"):
+        forward(cfg, forward(cfg))
 
 
 def test_experiment_dense_oracle_path():

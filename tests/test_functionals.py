@@ -366,3 +366,21 @@ def test_spectrum_cached(solved):
     poly = closed_boundary_polyline(mesh)
     a = _loop_spectrum(poly)
     assert _loop_spectrum(poly.copy()) is a
+
+
+def test_spectrum_cache_keeps_the_most_recent_loops():
+    from platelab.functionals import (_SPECTRUM_SLOTS, _loop_spectrum,
+                                      _spectrum_cache)
+    loops = []
+    for k in range(3 * _SPECTRUM_SLOTS):
+        square = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]], float)
+        loops.append(square * (1.0 + k))
+    first = _loop_spectrum(loops[0])
+    for loop in loops[1:]:
+        _loop_spectrum(loop)
+        _loop_spectrum(loops[0])  # read again: stays among the most recent
+        assert len(_spectrum_cache) <= _SPECTRUM_SLOTS
+    assert len(_spectrum_cache) == _SPECTRUM_SLOTS
+    assert _loop_spectrum(loops[0]) is first
+    assert _loop_spectrum(loops[-1]) is _loop_spectrum(loops[-1].copy())
+    assert loops[1].tobytes() not in _spectrum_cache

@@ -1,3 +1,5 @@
+import concurrent.futures
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +15,7 @@ from platelab.solver import (
     SolveError,
     assemble_load,
     assemble_stiffness,
+    ElementOps,
     dense_oracle_solve,
     element_operators,
     kernel_basis,
@@ -236,6 +239,24 @@ def test_element_grouping_collapses_structured():
     ops = element_operators(mesh)
     assert len(ops.groups) == 1
     assert element_operators(mesh) is ops  # cached
+
+
+def test_element_operators_built_once_under_threads(monkeypatch):
+    mesh = generate_mesh(SQUARE, 0.125)
+    builds = []
+    init = ElementOps.__init__
+
+    def slow_init(self, *args):
+        builds.append(args)
+        time.sleep(0.05)  # hold the build open while the other threads ask
+        init(self, *args)
+
+    monkeypatch.setattr(ElementOps, "__init__", slow_init)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+        got = list(pool.map(lambda _: element_operators(mesh), range(8),
+                            timeout=60))
+    assert len(builds) == 1
+    assert all(ops is got[0] for ops in got)
 
 
 def test_mesh_mismatch_rejected():
