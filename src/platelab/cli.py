@@ -28,7 +28,12 @@ from .estimates import (
     three_spheres_sweep,
     verify_energy_lemma,
 )
-from .functionals import stability_ratio, strain_energy_density, work_report
+from .functionals import (
+    frequency,
+    stability_ratio,
+    strain_energy_density,
+    work_report,
+)
 from .geometry import AprioriData, Domain, read_polygons
 from .material import (
     InclusionMaterial,
@@ -220,8 +225,23 @@ def _reference_field(cfg, args, name):
     """
     ref = {k: v for k, v in cfg.items() if k not in _INCLUSION_KEYS}
     order = _i(cfg, "quad_order", 4)
-    fw = reference_plate(_size_config(ref, args, name))
+    # forward, unlike reference_plate, lets the factor go before the probes
+    fw = forward(_size_config(ref, args, name))
     return fw.mesh, strain_energy_density(fw.state0, order=order)
+
+
+def _positive(key, value):
+    if not value > 0.0:
+        raise ConfigError(f"{key} must be positive")
+    return value
+
+
+def _radii(cfg):
+    """The probe radii of the rho key, a list of at least one."""
+    rhos = _floats(cfg, "rho")
+    if not rhos:
+        raise ConfigError("config key 'rho' holds no radius")
+    return rhos
 
 
 def _cmd_solve(cfg, args, name, outdir, stamp):
@@ -275,15 +295,18 @@ def _cmd_size(cfg, args, name, outdir, stamp):
 
 
 def _cmd_three_spheres(cfg, args, name, outdir, stamp):
-    mesh, field = _reference_field(cfg, args, name)
-    rho = _floats(cfg, "rho")[0]
-    theta = _f(cfg, "theta", 0.3)
+    # the probe keys are checked before the solve
+    rho = _positive("rho", _radii(cfg)[0])
+    theta = _positive("theta", _f(cfg, "theta", 0.3))
+    centers = None
     if "center" in cfg:
         centers = np.array([_floats(cfg, "center")])
         if centers.shape != (1, 2):
             raise ConfigError("center needs two coordinates")
     else:
-        pitch = _f(cfg, "pitch", rho / 2.0)
+        pitch = _positive("pitch", _f(cfg, "pitch", rho / 2.0))
+    mesh, field = _reference_field(cfg, args, name)
+    if centers is None:
         centers, _ = admissible_centers(mesh, rho, theta, pitch)
         if not len(centers):
             raise ConfigError("no admissible centers; shrink rho or theta")
@@ -305,11 +328,11 @@ def _cmd_three_spheres(cfg, args, name, outdir, stamp):
 
 
 def _cmd_lps(cfg, args, name, outdir, stamp):
+    theta = _positive("theta", _f(cfg, "theta", 0.3))
+    rhos = [_positive("rho", rho) for rho in _radii(cfg)]
     mesh, field = _reference_field(cfg, args, name)
-    theta = _f(cfg, "theta", 0.3)
     code = 0
     quantities = {"theta": theta}
-    rhos = _floats(cfg, "rho")
     # every radius is checked before the first CSV is written
     reports = [lps_check(field, mesh, rho, theta) for rho in rhos]
     for rho, rep in zip(rhos, reports):
@@ -362,6 +385,13 @@ def _reference_key(config):
         config.assumed_shear, config.dense_oracle, config.dense_cap)
 
 
+def _shared_reference(config, mesh):
+    """reference_plate with the frequency report of its load, which every
+    config of its group shares."""
+    reference = reference_plate(config, mesh)
+    return reference._replace(frequency=frequency(reference.load))
+
+
 def _experiment(config, reference):
     """run_size_experiment, or the exception it raises."""
     try:
@@ -373,8 +403,9 @@ def _experiment(config, reference):
 def _run_corpus(configs, jobs):
     """run_size_experiment of every config, in order, on jobs threads.
 
-    Configs with equal reference keys share one reference_plate, and
-    references with equal mesh keys share one mesh. The groups run one
+    Configs with equal reference keys share one reference_plate, with its
+    factor and its load's frequency report, and references with equal mesh
+    keys share one mesh. The groups run one
     after the other, so one reference is alive at a time. After the whole
     corpus ran, the failure of the first failing config is raised, the
     same one that config raises alone.
@@ -392,8 +423,8 @@ def _run_corpus(configs, jobs):
             mesh = None
             for idx in plates.values():
                 try:
-                    reference = pool.submit(reference_plate, configs[idx[0]],
-                                            mesh).result()
+                    reference = pool.submit(_shared_reference,
+                                            configs[idx[0]], mesh).result()
                 except Exception as exc:
                     # alone, the group's first config may fail earlier, on
                     # its own inclusion

@@ -45,11 +45,14 @@ from .material import (
     shear_matrix,
 )
 from .solver import (
+    SolveError,
     assemble_load,
     assemble_stiffness,
+    assemble_update,
     dense_oracle_solve,
     element_operators,
     exact_strains,
+    factorize,
     load_from_family,
     solve,
 )
@@ -428,7 +431,10 @@ class Forward(NamedTuple):
     """Mesh, load, load vector, inclusion mask and the two solved states of
     one config.
 
-    state is state0 when the configuration has no inclusion.
+    state is state0 when the configuration has no inclusion. factor, on a
+    reference_plate of a sparse solve only, is the kept factor of the
+    reference stiffness. frequency, when set, is the load's FrequencyReport,
+    computed once for every config that shares this reference.
     """
 
     mesh: object
@@ -437,6 +443,8 @@ class Forward(NamedTuple):
     indicator: object
     state0: object
     state: object
+    factor: object = None
+    frequency: object = None
 
 
 def reference_plate(config, mesh=None):
@@ -444,16 +452,26 @@ def reference_plate(config, mesh=None):
 
     mesh, when given, stands in for generate_mesh(config.domain,
     config.target_size, config.element_budget); configs that agree on those
-    three can share one mesh.
+    three can share one mesh. The sparse solve keeps its factor, which
+    preconditions the inclusion solves of forward.
     """
     if mesh is None:
         mesh = generate_mesh(config.domain, config.target_size,
                              config.element_budget)
     load = load_from_family(mesh, config.load_family, config.material)
     rhs = assemble_load(mesh, load, tol=config.tol)
-    state0 = _solve_plate(config, mesh, rhs, None, None)
+    system = assemble_stiffness(mesh, config.material,
+                                assumed_shear=config.assumed_shear)
+    system = system.with_load(rhs)
+    factor = None
+    if config.dense_oracle:
+        state0 = dense_oracle_solve(system, cap=config.dense_cap,
+                                    tol=config.tol)
+    else:
+        factor = factorize(system)
+        state0 = solve(system, tol=config.tol, factor=factor)
     return Forward(mesh, load, rhs, rasterize_inclusion(mesh, ()), state0,
-                   state0)
+                   state0, factor)
 
 
 def _solve_plate(config, mesh, rhs, indicator, inclusion):
@@ -465,23 +483,44 @@ def _solve_plate(config, mesh, rhs, indicator, inclusion):
     return solve(system, tol=config.tol)
 
 
+def _inclusion_state(config, reference, indicator):
+    """The inclusion plate's state: conjugate gradients preconditioned with
+    the reference factor, or, without one or when they miss their budget,
+    a solve of its own."""
+    factor = reference.factor
+    if factor is not None:
+        # assembling the update also checks the inclusion against the mesh
+        update = assemble_update(reference.mesh, config.material, indicator,
+                                 config.inclusion, config.assumed_shear)
+        if indicator.empty:
+            # the plate is the reference plate, whose state is state0
+            return reference.state0
+        try:
+            return solve(factor.system, tol=config.tol, factor=factor,
+                         update=update, start=reference.state0.u)
+        except SolveError:
+            pass
+    return _solve_plate(config, reference.mesh, reference.rhs, indicator,
+                        config.inclusion)
+
+
 def forward(config, reference=None):
     """Mesh, load, reference solve, inclusion mask and inclusion solve.
 
     reference, when given, is the reference_plate of a config that differs
     from this one at most in its inclusion, name and c1, c2. Its mesh, load,
-    load vector and reference state are reused as they are, so the result
-    is bit for bit that of forward(config).
+    load vector, reference state and factor are reused as they are, so the
+    result is bit for bit that of forward(config). The result holds no
+    factor.
     """
     if reference is None:
         reference = reference_plate(config)
     elif reference.state is not reference.state0:
         raise ValueError("reference must be a plate without inclusion")
-    mesh = reference.mesh
-    indicator = rasterize_inclusion(mesh, config.inclusion_polygons)
+    indicator = rasterize_inclusion(reference.mesh, config.inclusion_polygons)
     state = reference.state0 if config.inclusion is None else \
-        _solve_plate(config, mesh, reference.rhs, indicator, config.inclusion)
-    return reference._replace(indicator=indicator, state=state)
+        _inclusion_state(config, reference, indicator)
+    return reference._replace(indicator=indicator, state=state, factor=None)
 
 
 def run_size_experiment(config, reference=None):
@@ -521,7 +560,7 @@ def run_size_experiment(config, reference=None):
     # skip the empty-indicator warning path; 1.0 is its defined value
     fat = 1.0 if indicator.empty else \
         fatness_ratio(mesh, indicator, ap.h1 * ap.rho0)
-    freq = frequency(fw.load)
+    freq = frequency(fw.load) if fw.frequency is None else fw.frequency
     return SizeEstimateReport(
         name=config.name, n_elements=mesh.n_elements,
         mesh_size=float(mesh.mesh_size), true_area=float(indicator.area),

@@ -153,18 +153,26 @@ class ElementOps:
             out[g.idx] = value(g)
         return out
 
-    def stiffness_blocks(self, bend, shear):
+    def stiffness_blocks(self, bend, shear, elements=None):
         """Element matrices (ne, 12, 12) for per-element bend (ne,3,3) and
-        shear (ne,2,2) coefficient matrices."""
-        def block(g):
+        shear (ne,2,2) coefficient matrices; with an index array elements,
+        the matrices of those elements only, in that order."""
+        def block(g, idx):
             bbw = g.bb * g.detw[:, None, None]
             bsw = g.bs * g.detw[:, None, None]
-            ke = np.einsum("gai,eab,gbj->eij", bbw, bend[g.idx], g.bb,
+            ke = np.einsum("gai,eab,gbj->eij", bbw, bend[idx], g.bb,
                            optimize=True)
-            ke += np.einsum("gai,eab,gbj->eij", bsw, shear[g.idx], g.bs,
+            ke += np.einsum("gai,eab,gbj->eij", bsw, shear[idx], g.bs,
                             optimize=True)
             return 0.5 * (ke + np.swapaxes(ke, 1, 2))
-        return self._per_group((12, 12), block)
+        if elements is None:
+            return self._per_group((12, 12), lambda g: block(g, g.idx))
+        out = np.empty((len(elements), 12, 12))
+        group = self.group_of[elements]
+        for gi in np.unique(group):
+            at = np.flatnonzero(group == gi)
+            out[at] = block(self.groups[gi], elements[at])
+        return out
 
     def curvatures(self, u):
         """(ne, G, 3) curvature vectors (k11, k22, k12_eng) of a dof vector."""
@@ -299,21 +307,40 @@ def assemble_stiffness(mesh, material, indicator=None, inclusion=None,
     validate_on_mesh(material, mesh)
     bend, shear = _coefficient_fields(mesh, material, indicator, inclusion)
     ops = element_operators(mesh, order, assumed_shear)
-    ke = ops.stiffness_blocks(bend, shear)
-    dofs = ops.dof_indices()
-    rows = np.repeat(dofs, 12, axis=1).ravel()
-    cols = np.tile(dofs, (1, 12)).ravel()
-    n = 3 * mesh.n_nodes
-    k = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    k = _assemble(ops, bend, shear)
 
     intn = ops.shape_integrals()
     nodal = np.zeros(mesh.n_nodes)
     np.add.at(nodal, mesh.elements.ravel(), intn.ravel())
-    c = np.zeros((3, n))
+    c = np.zeros((3, 3 * mesh.n_nodes))
     c[0, 0::3] = nodal
     c[1, 1::3] = nodal
     c[2, 2::3] = nodal
     return LinearSystem(k, c, mesh, assumed_shear)
+
+
+def assemble_update(mesh, material, indicator, inclusion, assumed_shear=True,
+                    order=2):
+    """The stiffness an inclusion adds to the reference plate's: the
+    element matrices of the coefficient difference, assembled over the
+    flagged elements only."""
+    bend, shear = _coefficient_fields(mesh, material, indicator, inclusion)
+    bend0, shear0 = _coefficient_fields(mesh, material, None, None)
+    ops = element_operators(mesh, order, assumed_shear)
+    return _assemble(ops, bend - bend0, shear - shear0,
+                     np.flatnonzero(indicator.flags))
+
+
+def _assemble(ops, bend, shear, elements=None):
+    # sparse sum of the element matrices of all elements, or of elements
+    ke = ops.stiffness_blocks(bend, shear, elements)
+    dofs = ops.dof_indices()
+    if elements is not None:
+        dofs = dofs[elements]
+    rows = np.repeat(dofs, 12, axis=1).ravel()
+    cols = np.tile(dofs, (1, 12)).ravel()
+    n = 3 * ops.mesh.n_nodes
+    return sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -601,37 +628,111 @@ def _pinned_dofs(mesh):
     return 3 * node + np.arange(3)
 
 
-def solve(system, tol=1e-9):
+# conjugate gradients on a stiffness near a factored one stop at a relative
+# residual of CG_TARGET; CG_BUDGET back-solves cost about one factorization
+# at 128^2, and a solve that needs more falls back to a factorization
+CG_TARGET = 1e-13
+CG_BUDGET = 30
+
+
+@dataclass(frozen=True)
+class Factor:
+    """SuperLU factor of a system's stiffness with the dofs of one node
+    pinned: free masks the other dofs, reduced is the stiffness on them."""
+
+    system: LinearSystem
+    free: np.ndarray
+    reduced: sp.csc_matrix
+    lu: object
+
+
+def factorize(system):
+    """The Factor of a system's stiffness."""
+    free = np.ones(system.n_dof, dtype=bool)
+    free[_pinned_dofs(system.mesh)] = False
+    kr = system.stiffness[free][:, free].tocsc()
+    try:
+        lu = spla.splu(kr, permc_spec="MMD_AT_PLUS_A",
+                       options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise SolveError(f"sparse factorization failed: {exc}") from exc
+    return Factor(system, free, kr, lu)
+
+
+def solve(system, tol=1e-9, factor=None, update=None, start=None):
     """Sparse solve normalized to zero-mean rotations and deflection.
 
     Fixing the dofs of one node removes the rigid-motion kernel; the reduced
-    stiffness is factored once, the solve gets one step of iterative
-    refinement, and kernel motions then shift the result onto the
-    zero-mean constraints.
+    stiffness is factored once (factor, when given, is factorize(system)),
+    the solve gets one step of iterative refinement, and kernel motions then
+    shift the result onto the zero-mean constraints.
+
+    With a stiffness change update, the matrix solved is stiffness + update.
+    Conjugate gradients, preconditioned with the factor of stiffness and
+    started from the dof vector start (zero when None), solve it on the
+    reduced dofs; SolveError when CG_BUDGET back-solves do not reach
+    CG_TARGET.
     """
     if system.rhs is None:
         raise ValueError("system has no load attached; use with_load first")
     f = system.rhs
     mesh = system.mesh
     _check_kernel_compatibility(mesh, f, tol)
-    k = system.stiffness
-    n = system.n_dof
-    free = np.ones(n, dtype=bool)
-    free[_pinned_dofs(mesh)] = False
-    kr = k[free][:, free].tocsc()
-    try:
-        lu = spla.splu(kr, permc_spec="MMD_AT_PLUS_A",
-                       options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise SolveError(f"sparse factorization failed: {exc}") from exc
+    if factor is None:
+        factor = factorize(system)
+    elif factor.system is not system:
+        raise ValueError("factor belongs to another system")
+    free, kr, lu = factor.free, factor.reduced, factor.lu
     fr = f[free]
-    ur = lu.solve(fr)
-    ur += lu.solve(fr - kr @ ur)
+    k = system.stiffness
+    if update is None:
+        ur = lu.solve(fr)
+        ur += lu.solve(fr - kr @ ur)
+    else:
+        x = np.zeros(len(fr))
+        if start is not None:
+            # the pinned solution is start shifted by the kernel motion
+            # that zeroes it on the pinned dofs
+            z = kernel_basis(mesh).T
+            x = (start - z @ np.linalg.solve(z[~free], start[~free]))[free]
+        ur = _conjugate_gradients(factor, update[free][:, free], fr, x)
+        k = spla.aslinearoperator(k) + spla.aslinearoperator(update)
     if not np.all(np.isfinite(ur)):
         raise SolveError("sparse factorization produced non-finite values")
-    u = np.zeros(n)
+    u = np.zeros(system.n_dof)
     u[free] = ur
     return _normalized_state(system, u, k)
+
+
+def _conjugate_gradients(factor, update, fr, x):
+    # reduced (K + update) x = fr by conjugate gradients preconditioned with
+    # the factor of K, from x
+    lu, kr = factor.lu, factor.reduced
+
+    def apply(v):
+        return kr @ v + update @ v
+
+    r = fr - apply(x)
+    goal = CG_TARGET * np.linalg.norm(fr)
+    p = rz = None
+    for _ in range(CG_BUDGET):
+        if np.linalg.norm(r) <= goal:
+            return x
+        z = lu.solve(r)
+        rz, rz_old = r @ z, rz
+        p = z if p is None else z + (rz / rz_old) * p
+        q = apply(p)
+        pq = p @ q
+        if not pq > 0.0:
+            raise SolveError("conjugate gradients broke down: the stiffness "
+                             "is not positive definite")
+        alpha = rz / pq
+        x += alpha * p
+        r -= alpha * q
+    if np.linalg.norm(r) <= goal:
+        return x
+    raise SolveError(f"conjugate gradients missed a relative residual of "
+                     f"{CG_TARGET:g} in {CG_BUDGET} back-solves")
 
 
 def dense_oracle_solve(system, cap=600, tol=1e-9, kernel_cut=1e-10):

@@ -304,6 +304,34 @@ def test_probe_nonpositive_rho_is_config_error(tmp_path, capsys, command,
     assert capsys.readouterr().err == "config error: rho must be positive\n"
 
 
+@pytest.mark.parametrize("command,lines,message", [
+    ("three-spheres", "", "missing config key 'rho'"),
+    ("three-spheres", "rho =\n", "config key 'rho' holds no radius"),
+    ("three-spheres", "rho = -0.04\n", "rho must be positive"),
+    ("three-spheres", "rho = 0.04\ntheta = 0\n", "theta must be positive"),
+    ("three-spheres", "rho = 0.04\ntheta = x\n",
+     "config key 'theta' is not a number: 'x'"),
+    ("three-spheres", "rho = 0.04\ncenter = 0.5\n",
+     "center needs two coordinates"),
+    ("three-spheres", "rho = 0.04\npitch = -0.1\n", "pitch must be positive"),
+    ("lps", "rho =\n", "config key 'rho' holds no radius"),
+    ("lps", "rho = 0.04 nan\n", "rho must be positive"),
+    ("lps", "rho = 0.04\ntheta = -0.3\n", "theta must be positive"),
+])
+def test_probe_keys_checked_before_the_solve(tmp_path, capsys, monkeypatch,
+                                             command, lines, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the probe keys were checked")
+
+    monkeypatch.setattr(cli, "reference_plate", no_solve)
+    monkeypatch.setattr(estimates, "reference_plate", no_solve)
+    cfg = _cfg(tmp_path, BASE + lines)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(out.glob("*.csv"))
+
+
 def test_lps_checks_every_radius_before_writing(tmp_path, capsys):
     cfg = _cfg(tmp_path, BASE.replace("target_size = 0.25",
                                       "target_size = 0.1")
@@ -414,6 +442,28 @@ def test_calibrate_shares_one_mesh_and_one_reference(tmp_path, monkeypatch):
     assert main(["calibrate", "--config", cfg, "--out", str(tmp_path),
                  "--jobs", "2"]) == 0
     assert calls == {"generate_mesh": 1, "solve": 4}
+
+
+def test_calibrate_computes_one_frequency_per_reference(tmp_path,
+                                                       monkeypatch):
+    poly = _sq_poly(tmp_path)
+    cfg = _corpus(tmp_path, [
+        (f"case{i}", BASE.replace("pure_bending", load)
+         + f"inclusion = {poly}\nkappa = {kappa}\n")
+        for i, (load, kappa) in enumerate((
+            ("pure_bending", 2.0), ("pure_bending", 3.0), ("twist", 2.0),
+            ("twist", 2.5), ("pure_bending", 4.0)))])
+    loads = []
+
+    def counted(load, *args, **kwargs):
+        loads.append(load.family)
+        return functionals.frequency(load, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "frequency", counted)
+    monkeypatch.setattr(estimates, "frequency", counted)
+    assert main(["calibrate", "--config", cfg, "--out", str(tmp_path),
+                 "--jobs", "2"]) == 0
+    assert sorted(loads) == ["pure_bending a=1", "twist a=1"]
 
 
 def test_calibrate_csvs_do_not_depend_on_jobs(tmp_path):

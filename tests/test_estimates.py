@@ -1,9 +1,12 @@
+import concurrent.futures
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from platelab import estimates, solver
 from platelab.estimates import (
     SizeExperimentConfig,
     admissible_centers,
@@ -33,6 +36,7 @@ from platelab.solver import (
     PlateState,
     assemble_load,
     assemble_stiffness,
+    assemble_update,
     load_from_family,
     solve,
 )
@@ -452,3 +456,90 @@ def test_config_pairing_validated():
     with pytest.raises(ValueError):
         SizeExperimentConfig(domain=SQUARE, material=MAT, target_size=0.125,
                              inclusion=InclusionMaterial(kappa=2.0), name="other")
+
+
+# the kept reference factor
+
+ROT = Domain(np.array([[0.2, 0.0], [1.2, 0.4], [0.8, 1.4], [-0.2, 1.0]], float))
+LOWER_LEFT = np.array([[0.1, 0.1], [0.4, 0.1], [0.4, 0.4], [0.1, 0.4]])
+
+
+@pytest.mark.parametrize("domain, polygon, inclusion", [
+    (SQUARE, CENTER_SQ, InclusionMaterial(kappa=3.0)),
+    (SQUARE, CENTER_SQ, InclusionMaterial(kappa=0.25)),
+    (SQUARE, CENTER_SQ, _table_inclusion(64, 2.5)),
+    (LSHAPE, LOWER_LEFT, InclusionMaterial(kappa=4.0)),
+    (ROT, CENTER_SQ + [0.2, 0.2], InclusionMaterial(kappa=0.5)),
+], ids=["stiff", "soft", "tables", "lshape", "skewed"])
+def test_kept_factor_matches_dense_oracle(monkeypatch, domain, polygon,
+                                          inclusion):
+    cfg = SizeExperimentConfig(domain=domain, material=MAT, target_size=0.125,
+                               load_family="twist a=1",
+                               inclusion_polygons=[polygon],
+                               inclusion=inclusion)
+    dense = forward(replace(cfg, dense_oracle=True))
+
+    def direct(*args):
+        raise AssertionError("the inclusion plate was factored")
+
+    monkeypatch.setattr(estimates, "_solve_plate", direct)
+    fw = forward(cfg)
+    assert not fw.indicator.empty
+    scale = np.abs(dense.state.u).max()
+    assert np.abs(fw.state.u - dense.state.u).max() < 1e-10 * scale
+    assert np.abs(fw.state.u - fw.state0.u).max() > 1e-3 * scale
+    assert fw.state.residual < 1e-12
+
+
+def test_cg_budget_miss_is_todays_direct_solve(monkeypatch):
+    cfg = SizeExperimentConfig(domain=SQUARE, material=MAT, target_size=0.125,
+                               inclusion_polygons=[CENTER_SQ],
+                               inclusion=InclusionMaterial(kappa=3.0))
+    monkeypatch.setattr(solver, "CG_BUDGET", 2)
+    fw = forward(cfg)
+    system = assemble_stiffness(fw.mesh, MAT, fw.indicator, cfg.inclusion)
+    direct = solve(system.with_load(fw.rhs))
+    assert np.array_equal(fw.state.u, direct.u)
+    assert fw.state.residual == direct.residual
+
+
+def test_only_the_reference_holds_the_factor():
+    cfg = SizeExperimentConfig(domain=SQUARE, material=MAT, target_size=0.25,
+                               inclusion_polygons=[CENTER_SQ],
+                               inclusion=InclusionMaterial(kappa=2.0))
+    reference = reference_plate(cfg)
+    assert reference.factor.system.rhs is reference.rhs
+    assert forward(cfg, reference).factor is None
+    assert forward(cfg).factor is None
+    assert reference_plate(replace(cfg, dense_oracle=True)).factor is None
+
+
+def test_threads_share_one_reference_factor():
+    base = SizeExperimentConfig(domain=SQUARE, material=MAT,
+                                target_size=1.0 / 24.0)
+    configs = [replace(base, inclusion_polygons=[CENTER_SQ * s + 0.1],
+                       inclusion=InclusionMaterial(kappa=k))
+               for s, k in ((0.6, 2.0), (0.8, 3.0), (1.0, 0.5), (0.7, 1.5))]
+    reference = reference_plate(base)
+    serial = [forward(c, reference).state.u for c in configs]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(3):
+                got = list(pool.map(lambda c: forward(c, reference).state.u,
+                                    configs, timeout=120))
+                assert all(np.array_equal(a, b) for a, b in zip(serial, got))
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_update_is_the_stiffness_change():
+    mesh, load, region, incl, s0, s1 = _pair(3.0)
+    k0 = assemble_stiffness(mesh, MAT).stiffness
+    k1 = assemble_stiffness(mesh, MAT, region, incl).stiffness
+    update = assemble_update(mesh, MAT, region, incl)
+    flagged = np.unique(mesh.elements[region.flags])
+    rows = np.unique(update.nonzero()[0]) // 3
+    assert set(rows) <= set(flagged)
+    assert abs(k0 + update - k1).max() < 1e-14 * abs(k1).max()

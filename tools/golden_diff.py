@@ -1,0 +1,233 @@
+"""Compare the CSV outputs of platelab at two git revisions.
+
+    python3 tools/golden_diff.py OLD NEW [--workdir DIR] [--seed N]
+
+OLD and NEW are git revisions. To compare uncommitted changes, stage them
+and pass `$(git stash create)` as NEW. Each revision is checked out in its
+own temporary `git worktree` and runs the same fixed set of `timestamp = off`
+configs: the small variants of the benchmark workloads (perfbench/, drawn
+with --seed) and one run of every command, with and without an inclusion,
+under --dense-oracle and with calibrate at --jobs 1, 2 and 3. Every run is
+a fresh process.
+
+For each CSV the report prints "identical" or, for each column that
+changed, the largest relative change |new - old| / max(|new|, |old|); a
+quantities CSV reports each quantity as a column. Exit codes and stderr
+are compared too. The exit status is 1 when an exit code, a stderr text or
+the set of CSV files differs, else 0.
+"""
+
+import argparse
+import csv
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import workloads  # noqa: E402
+
+RUNNER = "import sys; from platelab.cli import main; sys.exit(main(sys.argv[1:]))"
+
+BASE = (f"domain = rectangle 0 0 1 1\n{workloads.MATERIAL}"
+        "target_size = 0.125\nload = pure_bending a=1\ntimestamp = off\n")
+INCLUSION = [(0.3, 0.3), (0.7, 0.3), (0.7, 0.6), (0.3, 0.7)]
+
+
+def _write(path, text):
+    with open(path, "w") as fh:
+        fh.write(text)
+    return path
+
+
+def command_runs(inputs):
+    """(label, argv) of one run of every command, written under inputs."""
+    poly = _write(os.path.join(inputs, "inclusion.poly"),
+                  workloads._polygon_text(INCLUSION))
+    incl = BASE + f"inclusion = {poly}\nkappa = 2.5\n"
+    soft = BASE + f"inclusion = {poly}\nkappa = 0.4\n"
+    cfgs = {
+        "plain": BASE,
+        "stiff": incl,
+        "soft": soft,
+        "three_spheres": BASE.replace("target_size = 0.125",
+                                      "target_size = 0.0625")
+        + "rho0 = 0.1\nrho = 0.04\npitch = 0.05\n",
+        "lps": BASE.replace("target_size = 0.125", "target_size = 0.05")
+        + "rho = 0.04 0.03\n",
+        "convergence": BASE.replace("target_size = 0.125",
+                                    "target_size = 0.25")
+        + "refinements = 3\n",
+    }
+    corpus = os.path.join(inputs, "corpus")
+    os.makedirs(corpus, exist_ok=True)
+    for i, (load, kappa) in enumerate((("pure_bending", 2.0), ("twist", 3.0),
+                                       ("pure_bending", 1.5))):
+        _write(os.path.join(corpus, f"case{i}.cfg"),
+               BASE.replace("pure_bending", load)
+               + f"inclusion = {poly}\nkappa = {kappa}\nname = case{i}\n")
+    path = {k: _write(os.path.join(inputs, f"{k}.cfg"), v)
+            for k, v in cfgs.items()}
+    path["calibrate"] = _write(os.path.join(inputs, "calibrate.cfg"),
+                               f"corpus = {corpus}\ntimestamp = off\n")
+    runs = [("solve-plain", ["solve", "--config", path["plain"]]),
+            ("solve-stiff", ["solve", "--config", path["stiff"]]),
+            ("solve-dense", ["solve", "--config", path["soft"],
+                             "--dense-oracle"]),
+            ("work-plain", ["work", "--config", path["plain"]]),
+            ("work-soft", ["work", "--config", path["soft"]]),
+            ("energy-lemma", ["energy-lemma", "--config", path["stiff"]]),
+            ("size-plain", ["size", "--config", path["plain"]]),
+            ("size-soft", ["size", "--config", path["soft"]]),
+            ("three-spheres", ["three-spheres", "--config",
+                               path["three_spheres"]]),
+            ("lps", ["lps", "--config", path["lps"]]),
+            ("convergence", ["convergence", "--config", path["convergence"]])]
+    runs += [(f"calibrate-jobs{j}", ["calibrate", "--config", path["calibrate"],
+                                     "--jobs", str(j)]) for j in (1, 2, 3)]
+    return runs
+
+
+def workload_runs(inputs, seed):
+    """(label, argv) of the small benchmark workloads."""
+    runs = []
+    for name in workloads.WORKLOADS:
+        for op in workloads.build(name, seed, os.path.join(inputs, name),
+                                  small=True):
+            argv = op.argv[:op.argv.index("--out")]
+            runs.append((f"{name}-{op.label}", argv))
+    return runs
+
+
+def run_all(checkout, runs, outroot):
+    """{label: (exit code, stderr)} of every run against checkout's src/."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    results = {}
+    for label, argv in runs:
+        out = os.path.join(outroot, label)
+        os.makedirs(out)
+        proc = subprocess.run([sys.executable, "-c", RUNNER] + argv
+                              + ["--out", out], env=env, cwd=out,
+                              capture_output=True, text=True, timeout=600)
+        results[label] = (proc.returncode, proc.stderr)
+    return results
+
+
+def _table(path):
+    """{column: [cells]} of a platelab CSV; quantities by quantity name."""
+    with open(path) as fh:
+        lines = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
+    rows = list(csv.reader(lines))
+    header, body = rows[0], rows[1:]
+    if header == ["id", "quantity", "value"]:
+        cols = {}
+        for r in body:
+            cols.setdefault(r[1], []).append(r[2])
+        return cols
+    return {h: [r[i] for r in body] for i, h in enumerate(header)}
+
+
+def _change(old, new):
+    """Largest relative change between two cell lists, or a text note."""
+    if len(old) != len(new):
+        return f"{len(old)} -> {len(new)} rows"
+    worst = 0.0
+    for a, b in zip(old, new):
+        if a == b:
+            continue
+        try:
+            x, y = float(a), float(b)
+        except ValueError:
+            return "text differs"
+        scale = max(abs(x), abs(y))
+        worst = max(worst, abs(y - x) / scale if scale else 0.0)
+    return worst
+
+
+def compare_csv(old_path, new_path):
+    """"identical", or "column change, ..." for the columns that changed."""
+    with open(old_path, "rb") as fa, open(new_path, "rb") as fb:
+        if fa.read() == fb.read():
+            return "identical"
+    old, new = _table(old_path), _table(new_path)
+    notes = []
+    for col in list(old) + [c for c in new if c not in old]:
+        if col not in old or col not in new:
+            notes.append(f"{col} only in {'new' if col in new else 'old'}")
+            continue
+        change = _change(old[col], new[col])
+        if change:
+            notes.append(f"{col} {change:.1e}" if isinstance(change, float)
+                         else f"{col} {change}")
+    return ", ".join(notes) or "identical values, bytes differ"
+
+
+def _csvs(outroot, label):
+    base = os.path.join(outroot, label)
+    return sorted(f for f in os.listdir(base) if f.endswith(".csv"))
+
+
+def report(runs, outs, results):
+    """Print the comparison; True when behaviour (codes, stderr, file sets)
+    is unchanged."""
+    same = True
+    for label, _ in runs:
+        (code_a, err_a), (code_b, err_b) = (r[label] for r in results)
+        files_a, files_b = (_csvs(o, label) for o in outs)
+        print(f"{label} (exit {code_a}" + ("" if code_a == code_b else
+                                          f" -> {code_b}") + ")")
+        if code_a != code_b or err_a != err_b:
+            same = False
+            for side, err in (("old", err_a), ("new", err_b)):
+                for line in err.splitlines():
+                    print(f"  {side} stderr: {line}")
+        if files_a != files_b:
+            same = False
+            print(f"  CSV files {files_a} -> {files_b}")
+        for name in sorted(set(files_a) & set(files_b)):
+            verdict = compare_csv(os.path.join(outs[0], label, name),
+                                  os.path.join(outs[1], label, name))
+            print(f"  {name}: {verdict}")
+    return same
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("old")
+    p.add_argument("new")
+    p.add_argument("--workdir", default=None,
+                   help="where the worktrees and outputs go (default: a "
+                        "temporary directory, removed afterwards)")
+    p.add_argument("--seed", type=int, default=11)
+    args = p.parse_args(argv)
+
+    work = tempfile.mkdtemp(prefix="golden_diff-", dir=args.workdir)
+    trees = []
+    try:
+        inputs = os.path.join(work, "inputs")
+        os.makedirs(inputs)
+        runs = command_runs(inputs) + workload_runs(inputs, args.seed)
+        outs, results = [], []
+        for side, rev in (("old", args.old), ("new", args.new)):
+            tree = os.path.join(work, f"tree-{side}")
+            subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach",
+                            "--quiet", tree, rev], check=True)
+            trees.append(tree)
+            outs.append(os.path.join(work, f"out-{side}"))
+            results.append(run_all(tree, runs, outs[-1]))
+        print(f"old {args.old}, new {args.new}, seed {args.seed}")
+        same = report(runs, outs, results)
+    finally:
+        for tree in trees:
+            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force",
+                            tree], check=False)
+        subprocess.run(["git", "-C", ROOT, "worktree", "prune"], check=False)
+        shutil.rmtree(work, ignore_errors=True)
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
