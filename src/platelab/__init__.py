@@ -26,7 +26,6 @@ from .estimates import (
     verify_energy_lemma,
 )
 from .functionals import (
-    Disk,
     EnergyField,
     boundary_fractional_norm,
     boundary_work,
@@ -35,7 +34,6 @@ from .functionals import (
     korn_ratio,
     mode_load,
     poincare_ratio,
-    region_energy,
     stability_ratio,
     strain_energy_density,
     work_report,
@@ -45,7 +43,6 @@ from .geometry import (
     Domain,
     ElementMask,
     Mesh,
-    distance_to_boundary,
     fatness_ratio,
     generate_mesh,
     interior_region,

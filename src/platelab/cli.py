@@ -392,14 +392,6 @@ def _shared_reference(config, mesh):
     return reference._replace(frequency=frequency(reference.load))
 
 
-def _experiment(config, reference):
-    """run_size_experiment, or the exception it raises."""
-    try:
-        return run_size_experiment(config, reference)
-    except Exception as exc:
-        return exc
-
-
 def _run_corpus(configs, jobs):
     """run_size_experiment of every config, in order, on jobs threads.
 
@@ -425,24 +417,22 @@ def _run_corpus(configs, jobs):
                 try:
                     reference = pool.submit(_shared_reference,
                                             configs[idx[0]], mesh).result()
-                except Exception as exc:
-                    # alone, the group's first config may fail earlier, on
-                    # its own inclusion
-                    outcomes[idx[0]] = pool.submit(
-                        _experiment, configs[idx[0]], None).result()
-                    for i in idx[1:]:
-                        outcomes[i] = exc
+                except Exception:
+                    # alone, the group's first config fails as well, maybe
+                    # earlier, on its own inclusion; it is read before the
+                    # rest of its group
+                    first = pool.submit(run_size_experiment, configs[idx[0]])
+                    concurrent.futures.wait([first])
+                    for i in idx:
+                        outcomes[i] = first
                     continue
                 mesh = reference.mesh
-                reports = pool.map(_experiment, [configs[i] for i in idx],
-                                   [reference] * len(idx))
-                for i, out in zip(idx, reports):
-                    outcomes[i] = out
-                del reference, reports  # before the next one is built
-    for out in outcomes:
-        if isinstance(out, Exception):
-            raise out
-    return outcomes
+                for i in idx:
+                    outcomes[i] = pool.submit(run_size_experiment, configs[i],
+                                              reference)
+                concurrent.futures.wait([outcomes[i] for i in idx])
+                del reference  # before the next one is built
+    return [f.result() for f in outcomes]
 
 
 def _cmd_calibrate(cfg, args, name, outdir, stamp):

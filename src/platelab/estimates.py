@@ -85,8 +85,7 @@ class EnergyLemmaReport:
     messages: tuple
 
 
-def verify_energy_lemma(state0, state, load, material, jumps, indicator,
-                        rho0=None):
+def verify_energy_lemma(state0, state, load, material, jumps, indicator):
     mesh = state0.mesh
     if state.mesh is not mesh or load.mesh is not mesh:
         raise ValueError("states and load must share one mesh")

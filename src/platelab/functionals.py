@@ -1,4 +1,4 @@
-"""Boundary work, strain energy fields, region integrals, spectral norms.
+"""Boundary work, strain energy fields, disk integrals, spectral norms.
 
 The scalar strain energy measure used throughout is
     E^2 = |sym grad phi|^2 + rho0^-2 |phi + grad w|^2,
@@ -12,7 +12,6 @@ weights (1 + rho0^2 lambda)^s; the oscillation ratio compares the order
 """
 
 import threading
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -33,11 +32,6 @@ class WorkReport:
     relative_gap: float
 
 
-class Disk(NamedTuple):
-    center: tuple
-    radius: float
-
-
 @dataclass(frozen=True)
 class EnergyField:
     """Quadrature-point samples of the strain energy measure."""
@@ -46,9 +40,6 @@ class EnergyField:
     y: np.ndarray
     weight: np.ndarray
     e2: np.ndarray
-    element_id: np.ndarray
-    bend_sq: np.ndarray    # |sym grad phi|^2
-    shear_sq: np.ndarray   # |phi + grad w|^2
     mesh: object
     rho0: float
 
@@ -107,13 +98,10 @@ def strain_energy_density(state, rho0=None, order=2):
     bend_sq, shear_sq = ops.strain_squares(state.u)
     e2 = bend_sq + shear_sq / rho0 ** 2
     pos = ops.point_positions()
-    wts = ops.point_weights()
-    ne, g = wts.shape
-    eid = np.repeat(np.arange(ne), g)
     return EnergyField(
-        x=pos[..., 0].ravel(), y=pos[..., 1].ravel(), weight=wts.ravel(),
-        e2=e2.ravel(), element_id=eid, bend_sq=bend_sq.ravel(),
-        shear_sq=shear_sq.ravel(), mesh=mesh, rho0=float(rho0))
+        x=pos[..., 0].ravel(), y=pos[..., 1].ravel(),
+        weight=ops.point_weights().ravel(), e2=e2.ravel(), mesh=mesh,
+        rho0=float(rho0))
 
 
 def _disk_selections(field, centers, radii):
@@ -159,21 +147,6 @@ def disk_energies(field, centers, radii):
     for i, disks in enumerate(_disk_selections(field, centers, radii)):
         out[i] = [w[sl][m] @ e2[sl][m] for sl, m in disks]
     return out
-
-
-def region_energy(field, region):
-    """Weighted sum of E^2 over a region (element mask or disk)."""
-    w, e2 = field.weight, field.e2
-    if isinstance(region, Disk):
-        (sl, inside), = next(_disk_selections(field, [region.center],
-                                              [region.radius]))
-        w, e2 = w[sl], e2[sl]
-    else:
-        inside = np.asarray(region.flags)[field.element_id]
-    if not np.any(inside):
-        warnings.warn("region contains no quadrature points")
-        return 0.0
-    return float(w[inside] @ e2[inside])
 
 
 class Ratio(NamedTuple):
@@ -281,19 +254,18 @@ def _loop_spectrum(polyline):
     ell = np.linalg.norm(seg, axis=1)
     if np.any(ell == 0.0):
         raise ValueError("polyline has a zero-length segment")
+    # P1 stiffness and mass of the loop: segment i joins nodes i and i + 1,
+    # and each diagonal entry sums the two segments at its node
+    i = np.arange(n)
+    j = (i + 1) % n
     t = np.zeros((n, n))
     m = np.zeros((n, n))
-    for i in range(n):
-        j = (i + 1) % n
-        li = ell[i]
-        t[i, i] += 1.0 / li
-        t[j, j] += 1.0 / li
-        t[i, j] -= 1.0 / li
-        t[j, i] -= 1.0 / li
-        m[i, i] += li / 3.0
-        m[j, j] += li / 3.0
-        m[i, j] += li / 6.0
-        m[j, i] += li / 6.0
+    inv = 1.0 / ell
+    t[i, i] = inv + np.roll(inv, 1)
+    t[i, j] = t[j, i] = -inv
+    third = ell / 3.0
+    m[i, i] = third + np.roll(third, 1)
+    m[i, j] = m[j, i] = ell / 6.0
     lam, vec = scipy.linalg.eigh(t, m)
     lam = np.clip(lam, 0.0, None)
     with _spectrum_lock:

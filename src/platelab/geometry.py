@@ -9,7 +9,6 @@ anything else a uniform overlay of the bounding box with boundary snapping.
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -235,22 +234,6 @@ class Domain:
         return point_in_polygon(point, self.vertices)
 
 
-class BoundaryDistance(NamedTuple):
-    distance: float
-    outside: bool
-
-
-def distance_to_boundary(point, domain):
-    """Exact min distance from a point to the domain boundary.
-
-    No signed convention: the distance is always >= 0 and the `outside`
-    flag says whether the point lies outside the polygon.
-    """
-    p = np.asarray(point, dtype=float)
-    d = float(points_segment_distance(p[None, :], domain.vertices)[0])
-    return BoundaryDistance(d, not domain.contains(p) and d > 0.0)
-
-
 # ---------------------------------------------------------------------------
 # isoparametric bilinear quads (shared with the solver)
 
@@ -264,12 +247,6 @@ def shape_q4(r, s):
     dn = np.vstack([0.25 * ri * (1.0 + s * si),
                     0.25 * si * (1.0 + r * ri)])
     return n, dn
-
-
-def quad_jacobian(xy, r, s):
-    """Jacobian [[x_r, y_r], [x_s, y_s]] of the bilinear map at (r, s)."""
-    _, dn = shape_q4(r, s)
-    return dn @ xy
 
 
 # ---------------------------------------------------------------------------

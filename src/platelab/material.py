@@ -434,7 +434,11 @@ def material_from_config(cfg):
     """IsotropicMaterial from a flat key-value mapping (strings or numbers)."""
     def get(key, default=None):
         if key in cfg:
-            return float(cfg[key])
+            try:
+                return float(cfg[key])
+            except ValueError:
+                raise ValueError(f"config key '{key}' is not a number: "
+                                 f"{cfg[key]!r}") from None
         if default is None:
             raise ValueError(f"material config is missing '{key}'")
         return default

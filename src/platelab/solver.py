@@ -154,24 +154,23 @@ class ElementOps:
         return out
 
     def stiffness_blocks(self, bend, shear, elements=None):
-        """Element matrices (ne, 12, 12) for per-element bend (ne,3,3) and
-        shear (ne,2,2) coefficient matrices; with an index array elements,
-        the matrices of those elements only, in that order."""
-        def block(g, idx):
+        """Element matrices (n, 12, 12) of the elements in the index array
+        elements, in that order (all elements when None), for per-element
+        bend (ne,3,3) and shear (ne,2,2) coefficient matrices."""
+        if elements is None:
+            elements = np.arange(self.mesh.n_elements)
+        out = np.empty((len(elements), 12, 12))
+        group = self.group_of[elements]
+        for gi in np.unique(group):
+            at = np.flatnonzero(group == gi)
+            g, idx = self.groups[gi], elements[at]
             bbw = g.bb * g.detw[:, None, None]
             bsw = g.bs * g.detw[:, None, None]
             ke = np.einsum("gai,eab,gbj->eij", bbw, bend[idx], g.bb,
                            optimize=True)
             ke += np.einsum("gai,eab,gbj->eij", bsw, shear[idx], g.bs,
                             optimize=True)
-            return 0.5 * (ke + np.swapaxes(ke, 1, 2))
-        if elements is None:
-            return self._per_group((12, 12), lambda g: block(g, g.idx))
-        out = np.empty((len(elements), 12, 12))
-        group = self.group_of[elements]
-        for gi in np.unique(group):
-            at = np.flatnonzero(group == gi)
-            out[at] = block(self.groups[gi], elements[at])
+            out[at] = 0.5 * (ke + np.swapaxes(ke, 1, 2))
         return out
 
     def curvatures(self, u):
@@ -354,18 +353,16 @@ class BoundaryLoad:
     """Per-edge Gauss samples of the transverse force q and couple m.
 
     q has shape (n_edges, 2) and m (n_edges, 2, 2): two Gauss points per
-    edge at parameters -1/sqrt(3), 1/sqrt(3). An analytic generator, when
-    present, re-evaluates the load at arbitrary edge points; otherwise
-    edge_values extends the two samples linearly. nodal_q / nodal_m may
-    carry exact boundary-node samples for spectral diagnostics; without
-    them nodal_samples averages the two edges meeting at each node.
+    edge at parameters -1/sqrt(3), 1/sqrt(3); edge_values extends the two
+    samples linearly. nodal_q / nodal_m may carry exact boundary-node
+    samples for spectral diagnostics; without them nodal_samples averages
+    the two edges meeting at each node.
     """
 
     mesh: object
     q: np.ndarray
     m: np.ndarray
     family: str | None = None
-    generator: object = None
     nodal_q: np.ndarray | None = None
     nodal_m: np.ndarray | None = None
 
@@ -382,17 +379,9 @@ class BoundaryLoad:
         return np.linalg.norm(b - a, axis=1)
 
     def edge_values(self, tpts):
-        """(q, m) at edge parameters tpts: shapes (n_edges, T), (n_edges, T, 2).
-
-        The generator, when present, is evaluated at every edge point in one
-        call; otherwise the two stored samples are extended linearly.
-        """
+        """(q, m) at edge parameters tpts: shapes (n_edges, T), (n_edges, T, 2),
+        the linear extension of the two stored samples."""
         t = np.asarray(tpts, dtype=float)
-        ne, nt = len(self.mesh.boundary_edges), len(t)
-        if self.generator is not None:
-            normals = np.repeat(self.mesh.boundary_normals, nt, axis=0)
-            q, m = self.generator(self.edge_points(t).reshape(-1, 2), normals)
-            return np.reshape(q, (ne, nt)), np.reshape(m, (ne, nt, 2))
         span = _EDGE_T[1] - _EDGE_T[0]
         mid_q = 0.5 * (self.q[:, 0] + self.q[:, 1])
         slope_q = (self.q[:, 1] - self.q[:, 0]) / span
@@ -469,36 +458,27 @@ def load_from_family(mesh, family, material=None):
         phi = a (x2, x1), w = -a x1 x2.
     """
     name, params = _parse_family(family)
-    if name in ("pure_bending", "twist"):
+    if name == "edge_moment":
+        c = params.get("c", 1.0)
+    elif name in ("pure_bending", "twist"):
         if material is None:
             raise ValueError(f"family '{name}' needs the background material")
         from .material import derive_plate_tensors
         if not material.uniform:
             raise ValueError("analytic load families need a uniform material")
         t = derive_plate_tensors(material)
-    if name == "pure_bending":
         a = params.get("a", 1.0)
-        c = t.rigidity * a * (1.0 + t.nu)
-
-        def gen(points, normals):
-            return np.zeros(len(points)), c * normals
-    elif name == "edge_moment":
-        c = params.get("c", 1.0)
-
-        def gen(points, normals):
-            return np.zeros(len(points)), c * normals
-    elif name == "twist":
-        a = params.get("a", 1.0)
-        c = t.rigidity * a * (1.0 - t.nu)
-
-        def gen(points, normals):
-            return np.zeros(len(points)), c * normals[:, ::-1]
+        c = t.rigidity * a * (1.0 + t.nu if name == "pure_bending"
+                              else 1.0 - t.nu)
     else:
         raise ValueError(f"unknown load family '{name}'")
-
-    load = BoundaryLoad(mesh, None, None, family=family, generator=gen)
-    load.q, load.m = load.edge_values(_EDGE_T)
-    return load
+    # every couple is constant along a straight edge, so both Gauss samples
+    # hold it
+    normals = mesh.boundary_normals
+    if name == "twist":
+        normals = normals[:, ::-1]
+    m = np.repeat((c * normals)[:, None, :], len(_EDGE_T), axis=1)
+    return BoundaryLoad(mesh, np.zeros(m.shape[:2]), m, family=family)
 
 
 def exact_strains(family, material):
@@ -534,7 +514,10 @@ def _parse_family(spec):
         if "=" not in tok:
             raise ValueError(f"bad family parameter '{tok}'")
         key, val = tok.split("=", 1)
-        params[key] = float(val)
+        try:
+            params[key] = float(val)
+        except ValueError:
+            raise ValueError(f"bad family parameter '{tok}'") from None
     return parts[0], params
 
 

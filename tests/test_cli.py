@@ -566,6 +566,19 @@ def test_nonpositive_integer_key_is_config_error(tmp_path, capsys, key,
     assert err.startswith("config error:") and f"'{key}'" in err
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("lambda = 1.0", "lambda = abc",
+     "config key 'lambda' is not a number: 'abc'"),
+    ("h = 1.0", "h = 1,0", "config key 'h' is not a number: '1,0'"),
+    ("pure_bending a=1", "pure_bending a=x", "bad family parameter 'a=x'"),
+    ("pure_bending a=1", "edge_moment c=", "bad family parameter 'c='")],
+    ids=["material", "decimal-comma", "family", "family-empty"])
+def test_non_numeric_value_names_its_key(tmp_path, capsys, old, new, message):
+    cfg = _cfg(tmp_path, BASE.replace(old, new))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_unknown_command_is_config_error(tmp_path):
     cfg = _cfg(tmp_path, BASE)
     assert main(["frobnicate", "--config", cfg]) == 1

@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from platelab.functionals import (
-    Disk,
     EnergyField,
     boundary_fractional_norm,
     boundary_mode,
@@ -16,17 +15,17 @@ from platelab.functionals import (
     korn_ratio,
     mode_load,
     poincare_ratio,
-    region_energy,
     strain_energy_density,
     work_report,
     _disk_selections,
 )
-from platelab.geometry import Domain, generate_mesh, rasterize_inclusion
+from platelab.geometry import Domain, generate_mesh
 from platelab.material import IsotropicMaterial
 from platelab.solver import (
     PlateState,
     assemble_load,
     assemble_stiffness,
+    element_operators,
     kernel_basis,
     load_from_family,
     solve,
@@ -77,8 +76,9 @@ def test_density_constant_for_pure_bending(solved):
     field = strain_energy_density(state, rho0=1.0)
     assert_allclose(field.e2, 2.0, atol=1e-11)
     assert_allclose(field.total, 2.0, rtol=1e-12)  # unit area
-    assert_allclose(field.bend_sq, field.e2, atol=1e-12)
-    assert np.abs(field.shear_sq).max() < 1e-22
+    bend_sq, shear_sq = element_operators(mesh).strain_squares(state.u)
+    assert_allclose(bend_sq.ravel(), field.e2, atol=1e-12)
+    assert np.abs(shear_sq).max() < 1e-22
 
 
 def test_density_rho0_scaling(solved):
@@ -91,9 +91,11 @@ def test_density_rho0_scaling(solved):
                       assumed_shear=state.assumed_shear)
     f1 = strain_energy_density(bent, rho0=1.0)
     f2 = strain_energy_density(bent, rho0=2.0)
-    assert f1.shear_sq.max() > 1e-6
-    assert_allclose(f2.e2, f2.bend_sq + f2.shear_sq / 4.0, rtol=1e-13)
-    assert_allclose(f1.bend_sq, f2.bend_sq, rtol=1e-13)
+    bend_sq, shear_sq = (sq.ravel() for sq in
+                         element_operators(mesh).strain_squares(bent.u))
+    assert shear_sq.max() > 1e-6
+    assert_allclose(f1.e2, bend_sq + shear_sq, rtol=1e-13)
+    assert_allclose(f2.e2, bend_sq + shear_sq / 4.0, rtol=1e-13)
 
 
 def test_density_order_agreement(solved):
@@ -106,26 +108,9 @@ def test_density_order_agreement(solved):
 def test_region_energy_disk_vs_area(solved):
     mesh, load, f, state = solved
     field = strain_energy_density(state, rho0=1.0)
-    disk = Disk((0.5, 0.5), 0.3)
-    got = region_energy(field, disk)
+    got = disk_energies(field, [(0.5, 0.5)], [0.3])[0, 0]
     # constant density 2 -> energy = 2 * quadrature area of the disk
     assert abs(got - 2.0 * np.pi * 0.09) / (2.0 * np.pi * 0.09) < 0.05
-
-
-def test_region_energy_mask(solved):
-    mesh, load, f, state = solved
-    field = strain_energy_density(state, rho0=1.0)
-    region = rasterize_inclusion(
-        mesh, [np.array([[0.25, 0.25], [0.75, 0.25], [0.75, 0.75], [0.25, 0.75]])])
-    got = region_energy(field, region)
-    assert_allclose(got, 2.0 * region.area, rtol=1e-12)
-
-
-def test_region_energy_empty_warns(solved):
-    mesh, load, f, state = solved
-    field = strain_energy_density(state, rho0=1.0)
-    with pytest.warns(UserWarning):
-        assert region_energy(field, Disk((-5.0, -5.0), 0.01)) == 0.0
 
 
 def _random_field(domain, target, seed):
@@ -157,8 +142,7 @@ def test_disk_energies_match_full_scan(domain, target, permuted):
     if permuted:
         p = np.random.default_rng(4).permutation(len(field.x))
         field = replace(field, x=field.x[p], y=field.y[p],
-                        weight=field.weight[p], e2=field.e2[p],
-                        element_id=field.element_id[p])
+                        weight=field.weight[p], e2=field.e2[p])
     rng = np.random.default_rng(5)
     lo, hi = domain.vertices.min(axis=0), domain.vertices.max(axis=0)
     verts = domain.vertices
@@ -187,8 +171,7 @@ def test_disk_energies_keep_rounded_rim_points():
     assert y[0] < cy - r and (y[0] - cy) ** 2 <= r ** 2
     ones = np.ones(len(y))
     field = EnergyField(x=np.zeros(len(y)), y=y, weight=ones, e2=ones,
-                        element_id=np.arange(len(y)), bend_sq=ones,
-                        shear_sq=ones, mesh=None, rho0=1.0)
+                        mesh=None, rho0=1.0)
     assert disk_energies(field, [(0.0, cy)], [r])[0, 0] == 4.0
 
 
@@ -196,13 +179,6 @@ def test_disk_selection_scans_a_band_only():
     field = _random_field(SQUARE, 1.0 / 16.0, seed=3)
     for (sl, _), in _disk_selections(field, [(0.5, 0.5), (0.2, 0.9)], [0.05]):
         assert sl.stop - sl.start < len(field.x) / 4
-
-
-def test_region_energy_disk_is_one_center_of_disk_energies():
-    field = _random_field(LSHAPE, 1.0 / 20.0, seed=6)
-    for center, r in [((0.3, 0.2), 0.15), ((0.5, 0.5), 0.2), ((0.9, 0.1), 0.4)]:
-        assert region_energy(field, Disk(center, r)) == \
-            disk_energies(field, [center], [r])[0, 0]
 
 
 def test_korn_ratio_pure_bending(solved):

@@ -8,7 +8,6 @@ from platelab.geometry import (
     AprioriData,
     Domain,
     ElementMask,
-    distance_to_boundary,
     fatness_ratio,
     generate_mesh,
     interior_region,
@@ -54,13 +53,13 @@ def test_mesh_size_bound():
 
 
 def test_element_jacobians_positive():
-    from platelab.geometry import GAUSS2, quad_jacobian
+    from platelab.geometry import GAUSS2, shape_q4
 
     mesh = generate_mesh(Domain(LSHAPE.copy()), 0.2)
     for quad in mesh.nodes[mesh.elements]:
         for r in GAUSS2:
             for s in GAUSS2:
-                assert np.linalg.det(quad_jacobian(quad, r, s)) > 0
+                assert np.linalg.det(shape_q4(r, s)[1] @ quad) > 0
 
 
 def test_boundary_loop_closed_and_outward():
@@ -240,14 +239,13 @@ def test_clockwise_domain_rejected():
 
 
 def test_distance_center():
-    d = distance_to_boundary((0.5, 0.5), unit_square())
-    assert_allclose(d.distance, 0.5)
-    assert not d.outside
+    assert_allclose(points_segment_distance([(0.5, 0.5)], UNIT), [0.5])
+    assert unit_square().contains((0.5, 0.5))
 
 
 def test_distance_vertex():
-    d = distance_to_boundary((0.0, 0.0), unit_square())
-    assert_allclose(d.distance, 0.0, atol=1e-15)
+    assert_allclose(points_segment_distance([(0.0, 0.0)], UNIT), [0.0],
+                    atol=1e-15)
 
 
 def test_distance_against_dense_sampling():
@@ -261,15 +259,15 @@ def test_distance_against_dense_sampling():
     ])
     p = np.array([0.3, 0.2])
     brute = np.linalg.norm(ring - p, axis=1).min()
-    d = distance_to_boundary(p, dom)
-    assert_allclose(d.distance, 0.2)
-    assert abs(d.distance - brute) < 1e-4
+    d = points_segment_distance(p[None, :], dom.vertices)[0]
+    assert_allclose(d, 0.2)
+    assert abs(d - brute) < 1e-4
 
 
 def test_distance_outside_flagged():
-    d = distance_to_boundary((2.0, 0.5), unit_square())
-    assert d.outside
-    assert_allclose(d.distance, 1.0)
+    # the distance carries no sign: outside is told by containment
+    assert_allclose(points_segment_distance([(2.0, 0.5)], UNIT), [1.0])
+    assert not unit_square().contains((2.0, 0.5))
 
 
 # interior region

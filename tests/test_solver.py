@@ -271,14 +271,24 @@ def test_mesh_mismatch_rejected():
 @pytest.mark.parametrize("family", ["pure_bending a=1", "twist a=0.5",
                                     "edge_moment c=2"])
 def test_edge_values_without_generator_match_family(domain, family):
-    # the families' couples are constant along each edge, so the linear
-    # extension of the two stored samples reproduces the generator exactly
+    # each family's couple is c n along a straight edge, the twist's with
+    # the normal's components swapped: the stored samples hold it, their
+    # linear extension reproduces it anywhere on the edge, and a boundary
+    # node averages it over its two edges
     load = load_from_family(generate_mesh(domain, 0.25), family, MAT)
-    free = BoundaryLoad(load.mesh, load.q, load.m)
-    for got, want in zip(free.resample(3), load.resample(3)):
-        np.testing.assert_array_equal(got, want)
-    for got, want in zip(free.nodal_samples(), load.nodal_samples()):
-        np.testing.assert_array_equal(got, want)
+    t = derive_plate_tensors(MAT)
+    n = load.mesh.boundary_normals
+    want = {"pure_bending a=1": t.rigidity * 1.0 * (1.0 + t.nu) * n,
+            "twist a=0.5": t.rigidity * 0.5 * (1.0 - t.nu) * n[:, ::-1],
+            "edge_moment c=2": 2.0 * n}[family]
+    q, m, _, _ = load.resample(3)
+    for got_q, got_m in ((load.q, load.m), (q, m)):
+        assert not got_q.any()
+        for g in range(got_m.shape[1]):
+            np.testing.assert_array_equal(got_m[:, g], want)
+    nq, nm = load.nodal_samples()
+    assert not nq.any()
+    assert_allclose(nm, 0.5 * (want + np.roll(want, 1, axis=0)), rtol=1e-15)
 
 
 def test_nodal_samples_recover_piecewise_linear_field():

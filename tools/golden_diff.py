@@ -7,8 +7,9 @@ and pass `$(git stash create)` as NEW. Each revision is checked out in its
 own temporary `git worktree` and runs the same fixed set of `timestamp = off`
 configs: the small variants of the benchmark workloads (perfbench/, drawn
 with --seed) and one run of every command, with and without an inclusion,
-under --dense-oracle and with calibrate at --jobs 1, 2 and 3. Every run is
-a fresh process.
+under --dense-oracle and with calibrate at --jobs 1, 2 and 3, plus solve and
+size on an L-shape (edge_moment) and a skewed quad (twist), whose normals
+leave the axes. Every run is a fresh process.
 
 For each CSV the report prints "identical" or, for each column that
 changed, the largest relative change |new - old| / max(|new|, |old|); a
@@ -35,6 +36,7 @@ RUNNER = "import sys; from platelab.cli import main; sys.exit(main(sys.argv[1:])
 BASE = (f"domain = rectangle 0 0 1 1\n{workloads.MATERIAL}"
         "target_size = 0.125\nload = pure_bending a=1\ntimestamp = off\n")
 INCLUSION = [(0.3, 0.3), (0.7, 0.3), (0.7, 0.6), (0.3, 0.7)]
+SKEWED = [(0.0, 0.0), (1.0, 0.2), (1.3, 1.1), (0.2, 0.9)]
 
 
 def _write(path, text):
@@ -62,6 +64,12 @@ def command_runs(inputs):
                                     "target_size = 0.25")
         + "refinements = 3\n",
     }
+    for key, verts, load in (("lshape", workloads.LSHAPE, "edge_moment c=1"),
+                             ("skewed", SKEWED, "twist a=1")):
+        domain = _write(os.path.join(inputs, f"{key}.poly"),
+                        workloads._polygon_text(verts))
+        cfgs[key] = BASE.replace("rectangle 0 0 1 1", domain).replace(
+            "pure_bending a=1", load)
     corpus = os.path.join(inputs, "corpus")
     os.makedirs(corpus, exist_ok=True)
     for i, (load, kappa) in enumerate((("pure_bending", 2.0), ("twist", 3.0),
@@ -86,6 +94,8 @@ def command_runs(inputs):
                                path["three_spheres"]]),
             ("lps", ["lps", "--config", path["lps"]]),
             ("convergence", ["convergence", "--config", path["convergence"]])]
+    runs += [(f"{command}-{key}", [command, "--config", path[key]])
+             for key in ("lshape", "skewed") for command in ("solve", "size")]
     runs += [(f"calibrate-jobs{j}", ["calibrate", "--config", path["calibrate"],
                                      "--jobs", str(j)]) for j in (1, 2, 3)]
     return runs
