@@ -18,10 +18,9 @@ from .estimates import (
     convergence_study,
     forward,
     lps_check,
-    reference_plate,
+    run_corpus,
     run_size_experiment,
     size_bounds,
-    three_spheres_check,
     three_spheres_sweep,
     verify_energy_lemma,
 )

@@ -7,7 +7,6 @@ exit-code contract: 0 success, 1 config error, 2 numerical failure,
 """
 
 import argparse
-import concurrent.futures
 import glob
 import os
 import sys
@@ -22,18 +21,13 @@ from .estimates import (
     convergence_study,
     forward,
     lps_check,
-    reference_plate,
+    run_corpus,
     run_size_experiment,
     size_bounds,
     three_spheres_sweep,
     verify_energy_lemma,
 )
-from .functionals import (
-    frequency,
-    stability_ratio,
-    strain_energy_density,
-    work_report,
-)
+from .functionals import stability_ratio, strain_energy_density, work_report
 from .geometry import AprioriData, Domain, read_polygons
 from .material import (
     InclusionMaterial,
@@ -138,8 +132,9 @@ def _build_domain(cfg):
         raise ConfigError("missing config key 'domain'")
     apriori = _build_apriori(cfg)
     try:
-        if spec.startswith("rectangle"):
-            parts = spec.split()[1:]
+        tokens = spec.split()
+        if tokens[:1] == ["rectangle"]:
+            parts = tokens[1:]
             if len(parts) != 4:
                 raise ConfigError("domain rectangle needs 4 numbers")
             return Domain.rectangle(*(float(p) for p in parts), apriori)
@@ -225,7 +220,6 @@ def _reference_field(cfg, args, name):
     """
     ref = {k: v for k, v in cfg.items() if k not in _INCLUSION_KEYS}
     order = _i(cfg, "quad_order", 4)
-    # forward, unlike reference_plate, lets the factor go before the probes
     fw = forward(_size_config(ref, args, name))
     return fw.mesh, strain_energy_density(fw.state0, order=order)
 
@@ -296,7 +290,11 @@ def _cmd_size(cfg, args, name, outdir, stamp):
 
 def _cmd_three_spheres(cfg, args, name, outdir, stamp):
     # the probe keys are checked before the solve
-    rho = _positive("rho", _radii(cfg)[0])
+    rhos = _radii(cfg)
+    if len(rhos) != 1:
+        raise ConfigError(f"rho holds {len(rhos)} radii; three-spheres "
+                          "takes one")
+    rho = _positive("rho", rhos[0])
     theta = _positive("theta", _f(cfg, "theta", 0.3))
     centers = None
     if "center" in cfg:
@@ -330,18 +328,23 @@ def _cmd_three_spheres(cfg, args, name, outdir, stamp):
 def _cmd_lps(cfg, args, name, outdir, stamp):
     theta = _positive("theta", _f(cfg, "theta", 0.3))
     rhos = [_positive("rho", rho) for rho in _radii(cfg)]
+    # a radius names its CSV and its quantities at 6 significant digits
+    tags = [f"{rho:g}" for rho in rhos]
+    twin = next((t for i, t in enumerate(tags) if t in tags[:i]), None)
+    if twin is not None:
+        raise ConfigError(f"rho holds two radii that print as {twin}")
     mesh, field = _reference_field(cfg, args, name)
     code = 0
     quantities = {"theta": theta}
     # every radius is checked before the first CSV is written
     reports = [lps_check(field, mesh, rho, theta) for rho in rhos]
-    for rho, rep in zip(rhos, reports):
-        tag = f"{name}_rho{rho:g}".replace(".", "p")
-        _emit(outdir, tag, tables.lps_rows(rep), stamp)
-        quantities[f"constant_rho_{rho:g}"] = rep.constant
-        quantities[f"n_centers_rho_{rho:g}"] = len(rep.centers)
+    for tag, rep in zip(tags, reports):
+        _emit(outdir, f"{name}_rho{tag}".replace(".", "p"),
+              tables.lps_rows(rep), stamp)
+        quantities[f"constant_rho_{tag}"] = rep.constant
+        quantities[f"n_centers_rho_{tag}"] = len(rep.centers)
         if rep.degenerate or not rep.constant > 0.0:
-            print(f"lps: no positive smallness constant at rho {rho:g}",
+            print(f"lps: no positive smallness constant at rho {tag}",
                   file=sys.stderr)
             code = 3
     _emit(outdir, name, tables.quantity_rows(name, quantities), stamp)
@@ -371,70 +374,6 @@ def _cmd_convergence(cfg, args, name, outdir, stamp):
     return 0
 
 
-def _mesh_key(config):
-    """What generate_mesh reads of a config, compared by value."""
-    d = config.domain
-    return (d.vertices.tobytes(), d.apriori, config.target_size,
-            config.element_budget)
-
-
-def _reference_key(config):
-    """What reference_plate reads of a config, compared by value."""
-    return _mesh_key(config) + (
-        config.material, config.load_family, config.tol,
-        config.assumed_shear, config.dense_oracle, config.dense_cap)
-
-
-def _shared_reference(config, mesh):
-    """reference_plate with the frequency report of its load, which every
-    config of its group shares."""
-    reference = reference_plate(config, mesh)
-    return reference._replace(frequency=frequency(reference.load))
-
-
-def _run_corpus(configs, jobs):
-    """run_size_experiment of every config, in order, on jobs threads.
-
-    Configs with equal reference keys share one reference_plate, with its
-    factor and its load's frequency report, and references with equal mesh
-    keys share one mesh. The groups run one
-    after the other, so one reference is alive at a time. After the whole
-    corpus ran, the failure of the first failing config is raised, the
-    same one that config raises alone.
-    """
-    groups = {}
-    for i, c in enumerate(configs):
-        groups.setdefault(_mesh_key(c), {}).setdefault(
-            _reference_key(c), []).append(i)
-    outcomes = [None] * len(configs)
-    # every solve runs on the pool: a main thread that solves as well adds
-    # per-thread memory of its own, 8 MB of peak RSS on a 40-entry 32^2
-    # corpus
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        for plates in groups.values():
-            mesh = None
-            for idx in plates.values():
-                try:
-                    reference = pool.submit(_shared_reference,
-                                            configs[idx[0]], mesh).result()
-                except Exception:
-                    # alone, the group's first config fails as well, maybe
-                    # earlier, on its own inclusion; it is read before the
-                    # rest of its group
-                    first = pool.submit(run_size_experiment, configs[idx[0]])
-                    concurrent.futures.wait([first])
-                    for i in idx:
-                        outcomes[i] = first
-                    continue
-                mesh = reference.mesh
-                for i in idx:
-                    outcomes[i] = pool.submit(run_size_experiment, configs[i],
-                                              reference)
-                concurrent.futures.wait([outcomes[i] for i in idx])
-                del reference  # before the next one is built
-    return [f.result() for f in outcomes]
-
-
 def _cmd_calibrate(cfg, args, name, outdir, stamp):
     corpus_dir = cfg.get("corpus")
     if corpus_dir is None:
@@ -454,7 +393,7 @@ def _cmd_calibrate(cfg, args, name, outdir, stamp):
             raise ConfigError(f"corpus mixes rho0 = {rho0!r} ({paths[0]}) and "
                               f"rho0 = {c.domain.apriori.rho0!r} ({p})")
 
-    reports = _run_corpus(configs, max(args.jobs or 1, 1))
+    reports = run_corpus(configs, max(args.jobs or 1, 1))
 
     entries = [r for r in reports if r.regime is not None]
     if not entries:

@@ -1,9 +1,8 @@
 """Forward pipeline, work-gap comparison, area bounds, continuation probes.
 
-The forward pipeline (reference_plate, then forward) measures one number,
-the boundary-work gap between the reference plate and the plate with an
-override region; configs that share a reference plate can share its solve.
-Everything else in this module relates that number to the override's area:
+The forward pipeline measures one number, the boundary-work gap between the
+reference plate and the plate with an override region. Everything else in
+this module relates that number to the override's area:
 
   * verify_energy_lemma checks the two-sided comparison between the gap and
     the reference strain energy stored in the override region,
@@ -13,11 +12,13 @@ Everything else in this module relates that number to the override's area:
   * three_spheres_sweep and lps_check probe the quantitative unique
     continuation properties of inclusion-free energy fields that make the
     lower area bound work,
-  * run_size_experiment drives the whole chain for one configuration,
+  * run_size_experiment drives the whole chain for one configuration, and
+    run_corpus for a corpus, whose configs share reference plates,
   * convergence_study checks the forward solve against closed forms.
 """
 
-from dataclasses import dataclass, replace
+import concurrent.futures
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -263,11 +264,6 @@ def three_spheres_sweep(field, centers, rho, theta=0.3, rho0=None):
             for c, e in zip(pts, energies)]
 
 
-def three_spheres_check(field, center, rho, theta=0.3, rho0=None):
-    """The ThreeSpheresReport of one center; see three_spheres_sweep."""
-    return three_spheres_sweep(field, [center], rho, theta, rho0)[0]
-
-
 def _three_spheres_report(center, rho, theta, rho0, i1, i3, i7):
     base = dict(center=center, rho=float(rho), theta=float(theta),
                 rho0=float(rho0), i_small=i1, i_mid=i3, i_large=i7)
@@ -376,7 +372,7 @@ def lps_check(field, mesh, rho, theta=0.3):
 
 
 # ---------------------------------------------------------------------------
-# the full pipeline for one configuration
+# the full pipeline, for one configuration and for a corpus
 
 
 @dataclass(frozen=True)
@@ -428,13 +424,7 @@ class SizeEstimateReport:
 
 class Forward(NamedTuple):
     """Mesh, load, load vector, inclusion mask and the two solved states of
-    one config.
-
-    state is state0 when the configuration has no inclusion. factor, on a
-    reference_plate of a sparse solve only, is the kept factor of the
-    reference stiffness. frequency, when set, is the load's FrequencyReport,
-    computed once for every config that shares this reference.
-    """
+    one config; state is state0 when the configuration has no inclusion."""
 
     mesh: object
     load: object
@@ -442,21 +432,21 @@ class Forward(NamedTuple):
     indicator: object
     state0: object
     state: object
-    factor: object = None
-    frequency: object = None
 
 
-def reference_plate(config, mesh=None):
-    """The Forward of config's plate without its inclusion.
+# what generate_mesh reads of a config, in its argument order
+_MESH_FIELDS = ("domain", "target_size", "element_budget")
+# the fields that only the inclusion plate and the size report read; configs
+# that agree on every other field share one reference plate
+_INCLUSION_ONLY = ("inclusion_polygons", "inclusion", "c1", "c2", "name")
 
-    mesh, when given, stands in for generate_mesh(config.domain,
-    config.target_size, config.element_budget); configs that agree on those
-    three can share one mesh. The sparse solve keeps its factor, which
-    preconditions the inclusion solves of forward.
-    """
+
+def _reference_plate(config, mesh=None):
+    """(Forward, factor) of config's plate without its inclusion; factor is
+    the kept factor of the sparse solve, None under the dense oracle. mesh,
+    when given, stands in for config's own generate_mesh."""
     if mesh is None:
-        mesh = generate_mesh(config.domain, config.target_size,
-                             config.element_budget)
+        mesh = generate_mesh(*(getattr(config, f) for f in _MESH_FIELDS))
     load = load_from_family(mesh, config.load_family, config.material)
     rhs = assemble_load(mesh, load, tol=config.tol)
     system = assemble_stiffness(mesh, config.material,
@@ -470,7 +460,7 @@ def reference_plate(config, mesh=None):
         factor = factorize(system)
         state0 = solve(system, tol=config.tol, factor=factor)
     return Forward(mesh, load, rhs, rasterize_inclusion(mesh, ()), state0,
-                   state0, factor)
+                   state0), factor
 
 
 def _solve_plate(config, mesh, rhs, indicator, inclusion):
@@ -482,53 +472,52 @@ def _solve_plate(config, mesh, rhs, indicator, inclusion):
     return solve(system, tol=config.tol)
 
 
-def _inclusion_state(config, reference, indicator):
+def _inclusion_state(config, plate, factor, indicator):
     """The inclusion plate's state: conjugate gradients preconditioned with
     the reference factor, or, without one or when they miss their budget,
     a solve of its own."""
-    factor = reference.factor
     if factor is not None:
         # assembling the update also checks the inclusion against the mesh
-        update = assemble_update(reference.mesh, config.material, indicator,
+        update = assemble_update(plate.mesh, config.material, indicator,
                                  config.inclusion, config.assumed_shear)
         if indicator.empty:
             # the plate is the reference plate, whose state is state0
-            return reference.state0
+            return plate.state0
         try:
             return solve(factor.system, tol=config.tol, factor=factor,
-                         update=update, start=reference.state0.u)
+                         update=update, start=plate.state0.u)
         except SolveError:
             pass
-    return _solve_plate(config, reference.mesh, reference.rhs, indicator,
+    return _solve_plate(config, plate.mesh, plate.rhs, indicator,
                         config.inclusion)
 
 
-def forward(config, reference=None):
-    """Mesh, load, reference solve, inclusion mask and inclusion solve.
-
-    reference, when given, is the reference_plate of a config that differs
-    from this one at most in its inclusion, name and c1, c2. Its mesh, load,
-    load vector, reference state and factor are reused as they are, so the
-    result is bit for bit that of forward(config). The result holds no
-    factor.
-    """
-    if reference is None:
-        reference = reference_plate(config)
-    elif reference.state is not reference.state0:
-        raise ValueError("reference must be a plate without inclusion")
-    indicator = rasterize_inclusion(reference.mesh, config.inclusion_polygons)
-    state = reference.state0 if config.inclusion is None else \
-        _inclusion_state(config, reference, indicator)
-    return reference._replace(indicator=indicator, state=state, factor=None)
+def _forward(config, plate, factor):
+    """forward(config), bit for bit, on the reference plate and factor of a
+    config with the same reference key, reused as they are."""
+    indicator = rasterize_inclusion(plate.mesh, config.inclusion_polygons)
+    state = plate.state0 if config.inclusion is None else \
+        _inclusion_state(config, plate, factor, indicator)
+    return plate._replace(indicator=indicator, state=state)
 
 
-def run_size_experiment(config, reference=None):
-    """Forward pipeline plus the size report for one configuration; see
-    forward for reference."""
+def forward(config):
+    """Mesh, load, reference solve, inclusion mask and inclusion solve."""
+    return _forward(config, *_reference_plate(config))
+
+
+def run_size_experiment(config):
+    """Forward pipeline plus the size report for one configuration."""
+    return _size_experiment(config)
+
+
+def _size_experiment(config, shared=None):
+    """run_size_experiment; shared, when given, is the _shared_reference of
+    a config with the same reference key."""
     ap = config.domain.apriori
     jumps = None if config.inclusion is None else \
         jump_bounds(config.material, config.inclusion)
-    fw = forward(config, reference)
+    fw = forward(config) if shared is None else _forward(config, *shared[:2])
     mesh, indicator = fw.mesh, fw.indicator
     messages = []
     if jumps is not None and indicator.empty:
@@ -559,7 +548,7 @@ def run_size_experiment(config, reference=None):
     # skip the empty-indicator warning path; 1.0 is its defined value
     fat = 1.0 if indicator.empty else \
         fatness_ratio(mesh, indicator, ap.h1 * ap.rho0)
-    freq = frequency(fw.load) if fw.frequency is None else fw.frequency
+    freq = frequency(fw.load) if shared is None else shared[2]
     return SizeEstimateReport(
         name=config.name, n_elements=mesh.n_elements,
         mesh_size=float(mesh.mesh_size), true_area=float(indicator.area),
@@ -574,14 +563,84 @@ def run_size_experiment(config, reference=None):
         lemma=lemma, messages=tuple(messages))
 
 
+def _by_value(value):
+    """A hashable stand-in for value that compares by value: arrays by
+    dtype, shape and bytes, dataclasses field by field."""
+    if isinstance(value, np.ndarray):
+        return (np.ndarray, value.dtype.str, value.shape, value.tobytes())
+    if is_dataclass(value):
+        return (type(value),) + tuple(_by_value(getattr(value, f.name))
+                                      for f in fields(value))
+    if isinstance(value, (tuple, list)):
+        return (tuple,) + tuple(map(_by_value, value))
+    return value
+
+
+def _shared_reference(config, mesh):
+    """Reference plate, factor and frequency report of config."""
+    plate, factor = _reference_plate(config, mesh)
+    return plate, factor, frequency(plate.load)
+
+
+def run_corpus(configs, jobs=1):
+    """run_size_experiment of every config, in order, on jobs threads.
+
+    Configs that differ only in inclusion-only fields (_INCLUSION_ONLY)
+    share one reference plate, with its mesh, load, solve, kept factor and
+    frequency report; references that agree on what generate_mesh reads
+    share one mesh. Fields compare by value. The groups run one after the
+    other, so one reference is alive at a time. After the whole corpus
+    ran, the failure of the first failing config is raised, the same one
+    that config raises alone.
+    """
+    configs = list(configs)
+    names = [f.name for f in fields(SizeExperimentConfig)
+             if f.name not in _INCLUSION_ONLY]
+    groups = {}
+    for i, c in enumerate(configs):
+        mesh_key, key = (_by_value([getattr(c, n) for n in ns])
+                         for ns in (_MESH_FIELDS, names))
+        groups.setdefault(mesh_key, {}).setdefault(key, []).append(i)
+    outcomes = [None] * len(configs)
+    # every solve runs on the pool: a main thread that solves as well adds
+    # per-thread memory of its own, 8 MB of peak RSS on a 40-entry 32^2
+    # corpus
+    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+        for plates in groups.values():
+            mesh = None
+            for idx in plates.values():
+                try:
+                    shared = pool.submit(_shared_reference, configs[idx[0]],
+                                         mesh).result()
+                except Exception:
+                    # alone, the group's first config fails as well, maybe
+                    # earlier, on its own inclusion; it is read before the
+                    # rest of its group
+                    first = pool.submit(run_size_experiment, configs[idx[0]])
+                    concurrent.futures.wait([first])
+                    for i in idx:
+                        outcomes[i] = first
+                    continue
+                mesh = shared[0].mesh
+                for i in idx:
+                    outcomes[i] = pool.submit(_size_experiment, configs[i],
+                                              shared)
+                concurrent.futures.wait([outcomes[i] for i in idx])
+                del shared  # before the next reference is built
+    return [f.result() for f in outcomes]
+
+
+_EXACT_FLOOR = 1e-8
+
+
 def convergence_study(domain, material, family="pure_bending a=1", target0=0.25,
-                      levels=3, assumed_shear=True, tol=1e-9, floor=1e-8):
+                      levels=3, assumed_shear=True, tol=1e-9):
     """Uniform-refinement errors against the closed-form solution.
 
     Returns (records, work_error_last) where records are rows
     (n_elements, mesh_size, energy_error, work_error, observed_order).
     Energy errors are relative to the exact energy norm; once an error
-    falls below `floor` the solution is exact to round-off and the
+    falls below _EXACT_FLOOR the solution is exact to round-off and the
     observed order is reported as inf.
     """
     kv, gv, density = exact_strains(family, material)
@@ -605,7 +664,7 @@ def convergence_study(domain, material, family="pure_bending a=1", target0=0.25,
         e_rel = np.sqrt(max(err2, 0.0) / w_exact)
         if prev is None:
             order = None
-        elif e_rel < floor:
+        elif e_rel < _EXACT_FLOOR:
             order = float("inf")
         else:
             order = float(np.log2(prev / e_rel))

@@ -19,9 +19,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .solver import BoundaryLoad, _EDGE_T, _loop_positions, element_operators
-
-_TINY = 1e-300
+from .geometry import GAUSS2
+from .solver import BoundaryLoad, _loop_positions, element_operators
 
 
 @dataclass(frozen=True)
@@ -66,8 +65,8 @@ def boundary_work(load, state):
         raise ValueError("load and state live on different meshes")
     edges = mesh.boundary_edges
     L = load.edge_lengths()
-    na = 0.5 * (1.0 - _EDGE_T)
-    nb = 0.5 * (1.0 + _EDGE_T)
+    na = 0.5 * (1.0 - GAUSS2)
+    nb = 0.5 * (1.0 + GAUSS2)
     w_nodal = state.w
     phi1, phi2 = state.phi1, state.phi2
     total = 0.0
@@ -306,7 +305,7 @@ def boundary_fractional_norm(g, s, polyline, rho0):
     return float(np.sqrt(np.sum(weights * coef ** 2)))
 
 
-def frequency(load, polyline=None, rho0=None):
+def frequency(load, rho0=None):
     """Oscillation measure of a boundary load.
 
     Combines couple and force norms as (|m|_{-1/2} + rho0 |q|_{-1/2}) over
@@ -316,8 +315,7 @@ def frequency(load, polyline=None, rho0=None):
     if load.is_zero:
         raise ValueError("frequency of the zero load is undefined")
     mesh = load.mesh
-    if polyline is None:
-        polyline = closed_boundary_polyline(mesh)
+    polyline = closed_boundary_polyline(mesh)
     if rho0 is None:
         rho0 = mesh.domain.apriori.rho0
     nq, nm = load.nodal_samples()
@@ -357,8 +355,8 @@ def mode_load(mesh, k, amplitude=1.0, compensate=True):
     m = np.zeros((nb, 2, 2))
     va = amplitude * v[pos[edges[:, 0]]]
     vb = amplitude * v[pos[edges[:, 1]]]
-    q = np.outer(va, 0.5 * (1.0 - _EDGE_T)) + np.outer(vb, 0.5 * (1.0 + _EDGE_T))
-    load = BoundaryLoad(mesh, q, m, family=f"mode k={k}")
+    q = np.outer(va, 0.5 * (1.0 - GAUSS2)) + np.outer(vb, 0.5 * (1.0 + GAUSS2))
+    load = BoundaryLoad(mesh, q, m)
     if compensate:
         L = load.edge_lengths()
         pts = load.edge_points()

@@ -16,7 +16,7 @@ import numpy as np
 DEFAULT_ELEMENT_BUDGET = 40000
 
 # 2-point Gauss rule per direction on [-1, 1]
-GAUSS2 = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
+GAUSS2 = np.array([-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +229,6 @@ class Domain:
     @property
     def x0(self):
         return self._x0
-
-    def contains(self, point):
-        return point_in_polygon(point, self.vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -388,8 +388,16 @@ def _read_table(path, cols):
                 continue
             if raw == cols:
                 continue
-            ids.append(int(raw[0]))
-            rows.append([float(v) for v in raw[1:]])
+            where = f"{path}:{reader.line_num}"
+            if len(raw) != len(cols):
+                raise ValueError(f"{where}: expected {len(cols)} values, "
+                                 f"got {len(raw)}")
+            try:
+                ids.append(int(raw[0]))
+                rows.append([float(v) for v in raw[1:]])
+            except ValueError:
+                raise ValueError(f"{where}: expected an integer element id "
+                                 f"and {len(cols) - 1} numbers") from None
     if not ids:
         raise ValueError(f"no rows in {path}")
     ids = np.array(ids, dtype=int)
@@ -411,8 +419,6 @@ def inclusion_from_tables(shear_path, bending_path):
     """
     sid, svals = _read_table(shear_path, _SHEAR_COLS)
     bid, bvals = _read_table(bending_path, _BEND_COLS)
-    if svals.shape[1] != 3 or bvals.shape[1] != 6:
-        raise ValueError("unexpected column count in tensor tables")
     n_elements = int(max(sid.max(), bid.max())) + 1
     st = np.full((n_elements, 2, 2), np.nan)
     st[sid, 0, 0] = svals[:, 0]

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import shape_q4
+from .geometry import GAUSS2, shape_q4
 
 _TINY = 1e-300
 
@@ -345,9 +345,6 @@ def _assemble(ops, bend, shear, elements=None):
 # ---------------------------------------------------------------------------
 # boundary loads
 
-_EDGE_T = np.array([-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0)])
-
-
 @dataclass
 class BoundaryLoad:
     """Per-edge Gauss samples of the transverse force q and couple m.
@@ -362,11 +359,10 @@ class BoundaryLoad:
     mesh: object
     q: np.ndarray
     m: np.ndarray
-    family: str | None = None
     nodal_q: np.ndarray | None = None
     nodal_m: np.ndarray | None = None
 
-    def edge_points(self, tpts=_EDGE_T):
+    def edge_points(self, tpts=GAUSS2):
         a = self.mesh.nodes[self.mesh.boundary_edges[:, 0]]
         b = self.mesh.nodes[self.mesh.boundary_edges[:, 1]]
         t = np.asarray(tpts)
@@ -382,7 +378,7 @@ class BoundaryLoad:
         """(q, m) at edge parameters tpts: shapes (n_edges, T), (n_edges, T, 2),
         the linear extension of the two stored samples."""
         t = np.asarray(tpts, dtype=float)
-        span = _EDGE_T[1] - _EDGE_T[0]
+        span = GAUSS2[1] - GAUSS2[0]
         mid_q = 0.5 * (self.q[:, 0] + self.q[:, 1])
         slope_q = (self.q[:, 1] - self.q[:, 0]) / span
         mid_m = 0.5 * (self.m[:, 0] + self.m[:, 1])
@@ -477,8 +473,8 @@ def load_from_family(mesh, family, material=None):
     normals = mesh.boundary_normals
     if name == "twist":
         normals = normals[:, ::-1]
-    m = np.repeat((c * normals)[:, None, :], len(_EDGE_T), axis=1)
-    return BoundaryLoad(mesh, np.zeros(m.shape[:2]), m, family=family)
+    m = np.repeat((c * normals)[:, None, :], len(GAUSS2), axis=1)
+    return BoundaryLoad(mesh, np.zeros(m.shape[:2]), m)
 
 
 def exact_strains(family, material):
@@ -541,7 +537,7 @@ def assemble_load(mesh, load, tol=1e-9, order=2, check=True):
                 force_residual=int_q, moment_residual=int_mx)
     if order == 2:
         q, m = load.q, load.m
-        t, w = _EDGE_T, np.array([1.0, 1.0])
+        t, w = GAUSS2, np.array([1.0, 1.0])
     else:
         q, m, t, w = load.resample(order)
     L = load.edge_lengths()
@@ -718,10 +714,13 @@ def _conjugate_gradients(factor, update, fr, x):
                      f"{CG_TARGET:g} in {CG_BUDGET} back-solves")
 
 
-def dense_oracle_solve(system, cap=600, tol=1e-9, kernel_cut=1e-10):
+_KERNEL_CUT = 1e-10
+
+
+def dense_oracle_solve(system, cap=600, tol=1e-9):
     """Dense eigendecomposition solve, independent of the sparse path.
 
-    Verifies that exactly three eigenvalues fall below kernel_cut times the
+    Verifies that exactly three eigenvalues fall below _KERNEL_CUT times the
     largest one, inverts on the complement, then shifts by kernel motions to
     meet the zero-mean constraints exactly.
     """
@@ -735,7 +734,7 @@ def dense_oracle_solve(system, cap=600, tol=1e-9, kernel_cut=1e-10):
     kd = 0.5 * (kd + kd.T)
     w, v = np.linalg.eigh(kd)
     wmax = w[-1]
-    null = w < kernel_cut * wmax
+    null = w < _KERNEL_CUT * wmax
     if int(null.sum()) != 3:
         raise SolveError(f"stiffness kernel has dimension {int(null.sum())}, expected 3")
     vk = v[:, null]

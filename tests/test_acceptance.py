@@ -15,7 +15,7 @@ from platelab.estimates import (
     lps_check,
     run_size_experiment,
     size_bounds,
-    three_spheres_check,
+    three_spheres_sweep,
 )
 from platelab.functionals import (
     boundary_mode,
@@ -239,7 +239,7 @@ def test_07_three_spheres_feasibility():
         state = solve(assemble_stiffness(mesh, MAT)
                       .with_load(assemble_load(mesh, load)))
         field = strain_energy_density(state, rho0=rho0, order=3)
-        feas = [three_spheres_check(field, c, rho, theta, rho0).feasible
+        feas = [three_spheres_sweep(field, [c], rho, theta, rho0)[0].feasible
                 for c in centers]
         fractions[family.split()[0]] = float(np.mean(feas))
     ok = all(v >= 0.95 for v in fractions.values()) and len(centers) > 20

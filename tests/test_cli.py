@@ -8,9 +8,10 @@ import pytest
 import platelab
 from platelab import cli, estimates, functionals, geometry, tables
 from platelab.cli import ConfigError, main, parse_config
-from platelab.estimates import admissible_centers, three_spheres_check
+from platelab.estimates import admissible_centers, three_spheres_sweep
 from platelab.material import (IsotropicMaterial, bending_voigt,
                                derive_plate_tensors, shear_matrix)
+from platelab.solver import load_from_family
 from platelab.tables import csv_text
 
 from helpers import write_bending_table, write_polygons, write_shear_table
@@ -239,6 +240,35 @@ def test_table_duplicate_id_rejected(tmp_path, capsys):
     assert err.startswith("config error:") and "duplicate element id 3" in err
 
 
+@pytest.mark.parametrize("row,message", [
+    ("x,2.0,0.0,2.0", "expected an integer element id and 3 numbers"),
+    ("1,2.0,0.0", "expected 4 values, got 3")], ids=["id", "count"])
+def test_table_bad_row_names_file_and_line(tmp_path, capsys, row, message):
+    tables_text = _tables(tmp_path, np.arange(16))
+    shear = tmp_path / "s.csv"
+    lines = shear.read_text().splitlines()
+    lines[2] = row
+    shear.write_text("\n".join(lines) + "\n")
+    cfg = _cfg(tmp_path, BASE + f"inclusion = {_sq_poly(tmp_path)}\n"
+               + tables_text)
+    assert main(["size", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == \
+        f"config error: bad inclusion: {shear}:3: {message}\n"
+
+
+def test_domain_path_starting_with_rectangle(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_polygons("rectangle.poly", [np.array(
+        [[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)])
+    for name, domain in (("file", "rectangle.poly"),
+                         ("spec", "rectangle 0 0 1 1")):
+        cfg = _cfg(tmp_path, BASE.replace("rectangle 0 0 1 1", domain)
+                   + f"name = {name}\n", f"{name}.cfg")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "file_state.csv").read_text() == \
+        (tmp_path / "spec_state.csv").read_text()
+
+
 def test_three_spheres_command(tmp_path):
     cfg = _cfg(tmp_path, BASE.replace("target_size = 0.25",
                                       "target_size = 0.0625")
@@ -258,7 +288,7 @@ def test_three_spheres_scans_no_disk_per_center(tmp_path, monkeypatch):
     mesh, field = cli._reference_field(parse_config(cfg), args, "ref")
     centers, _ = admissible_centers(mesh, 0.015, 0.3, 0.03)
     expected = tables.csv_text(*tables.three_spheres_rows(
-        [three_spheres_check(field, c, 0.015, 0.3) for c in centers]),
+        [three_spheres_sweep(field, [c], 0.015, 0.3)[0] for c in centers]),
         timestamp=False)
 
     def per_center(*args, **kwargs):
@@ -314,17 +344,21 @@ def test_probe_nonpositive_rho_is_config_error(tmp_path, capsys, command,
     ("three-spheres", "rho = 0.04\ncenter = 0.5\n",
      "center needs two coordinates"),
     ("three-spheres", "rho = 0.04\npitch = -0.1\n", "pitch must be positive"),
+    ("three-spheres", "rho = 0.03 0.02\n",
+     "rho holds 2 radii; three-spheres takes one"),
     ("lps", "rho =\n", "config key 'rho' holds no radius"),
     ("lps", "rho = 0.04 nan\n", "rho must be positive"),
     ("lps", "rho = 0.04\ntheta = -0.3\n", "theta must be positive"),
+    ("lps", "rho = 0.04 0.04000001\n",
+     "rho holds two radii that print as 0.04"),
+    ("lps", "rho = 0.03 0.02 0.03\n", "rho holds two radii that print as 0.03"),
 ])
 def test_probe_keys_checked_before_the_solve(tmp_path, capsys, monkeypatch,
                                              command, lines, message):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the probe keys were checked")
 
-    monkeypatch.setattr(cli, "reference_plate", no_solve)
-    monkeypatch.setattr(estimates, "reference_plate", no_solve)
+    monkeypatch.setattr(estimates, "_reference_plate", no_solve)
     cfg = _cfg(tmp_path, BASE + lines)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
@@ -456,14 +490,18 @@ def test_calibrate_computes_one_frequency_per_reference(tmp_path,
     loads = []
 
     def counted(load, *args, **kwargs):
-        loads.append(load.family)
+        loads.append(load)
         return functionals.frequency(load, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "frequency", counted)
     monkeypatch.setattr(estimates, "frequency", counted)
     assert main(["calibrate", "--config", cfg, "--out", str(tmp_path),
                  "--jobs", "2"]) == 0
-    assert sorted(loads) == ["pure_bending a=1", "twist a=1"]
+    mat = IsotropicMaterial(lam=1.0, mu=1.0, h=1.0)
+    families = [f for load in loads
+                for f in ("pure_bending a=1", "twist a=1")
+                if np.array_equal(load.m,
+                                  load_from_family(load.mesh, f, mat).m)]
+    assert sorted(families) == ["pure_bending a=1", "twist a=1"]
 
 
 def test_calibrate_csvs_do_not_depend_on_jobs(tmp_path):

@@ -1,6 +1,5 @@
-import concurrent.futures
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,20 +7,21 @@ from numpy.testing import assert_allclose
 
 from platelab import estimates, solver
 from platelab.estimates import (
+    Forward,
     SizeExperimentConfig,
     admissible_centers,
     calibrate_constants,
     forward,
     lps_check,
-    reference_plate,
+    run_corpus,
     run_size_experiment,
     size_bounds,
-    three_spheres_check,
     three_spheres_sweep,
     verify_energy_lemma,
 )
 from platelab.functionals import stability_ratio, strain_energy_density
-from platelab.geometry import Domain, generate_mesh, rasterize_inclusion
+from platelab.geometry import (AprioriData, Domain, generate_mesh,
+                               rasterize_inclusion)
 from platelab.functionals import boundary_work
 from platelab.material import (
     InclusionMaterial,
@@ -225,7 +225,7 @@ def bending_field():
 
 def test_three_spheres_constant_density(bending_field):
     mesh, field = bending_field
-    rep = three_spheres_check(field, (0.5, 0.5), 0.04, theta=0.3, rho0=0.1)
+    rep = three_spheres_sweep(field, [(0.5, 0.5)], 0.04, theta=0.3, rho0=0.1)[0]
     assert rep.feasible and not rep.degenerate
     assert rep.i_small <= rep.i_mid <= rep.i_large
     # constant density: the fitted exponent has a closed form in the radii
@@ -239,7 +239,7 @@ def test_three_spheres_wide_scale_infeasible(bending_field):
     # rho0/rho far above the mid radius pushes the fitted exponent past 1;
     # the report must say so instead of clamping silently into range
     mesh, field = bending_field
-    rep = three_spheres_check(field, (0.5, 0.5), 0.04, theta=0.3, rho0=1.0)
+    rep = three_spheres_sweep(field, [(0.5, 0.5)], 0.04, theta=0.3, rho0=1.0)[0]
     assert not rep.feasible
     assert rep.tau_raw > 1.0
     assert rep.tau == 0.99
@@ -247,7 +247,8 @@ def test_three_spheres_wide_scale_infeasible(bending_field):
 
 def test_three_spheres_invariant_and_message(bending_field):
     mesh, field = bending_field
-    rep = three_spheres_check(field, (0.52, 0.47), 0.03, theta=0.3, rho0=1.0)
+    rep = three_spheres_sweep(field, [(0.52, 0.47)], 0.03, theta=0.3,
+                              rho0=1.0)[0]
     assert rep.i_small <= rep.i_mid <= rep.i_large
     assert 0.01 <= rep.tau <= 0.99
 
@@ -255,11 +256,11 @@ def test_three_spheres_invariant_and_message(bending_field):
 def test_three_spheres_admissibility_enforced(bending_field):
     mesh, field = bending_field
     with pytest.raises(ValueError):
-        three_spheres_check(field, (0.5, 0.5), 0.05, theta=0.3, rho0=1.0)
+        three_spheres_sweep(field, [(0.5, 0.5)], 0.05, theta=0.3, rho0=1.0)
     with pytest.raises(ValueError):
-        three_spheres_check(field, (0.05, 0.05), 0.03, theta=0.3, rho0=1.0)
+        three_spheres_sweep(field, [(0.05, 0.05)], 0.03, theta=0.3, rho0=1.0)
     with pytest.raises(ValueError):
-        three_spheres_check(field, (0.5, 0.5), 1.5, theta=0.3, rho0=1.0)
+        three_spheres_sweep(field, [(0.5, 0.5)], 1.5, theta=0.3, rho0=1.0)
     # a sweep names its first inadmissible center as given
     with pytest.raises(ValueError, match=r"center \(0\.05, 0\.95\) inadmissible"):
         three_spheres_sweep(field, [(0.5, 0.5), (0.05, 0.95), (0.05, 0.05)],
@@ -271,7 +272,7 @@ def test_three_spheres_zero_field_degenerate(bending_field):
     zero = PlateState(u=np.zeros(3 * mesh.n_nodes), mesh=mesh, residual=0.0,
                       normalization=None, assumed_shear=True)
     zf = strain_energy_density(zero, rho0=1.0)
-    rep = three_spheres_check(zf, (0.5, 0.5), 0.04, theta=0.3, rho0=1.0)
+    rep = three_spheres_sweep(zf, [(0.5, 0.5)], 0.04, theta=0.3, rho0=1.0)[0]
     assert rep.degenerate
     assert "zero" in rep.message
     assert np.isnan(rep.constant)
@@ -417,26 +418,17 @@ def test_forward_with_reference_is_bit_identical(inclusion):
     alone = forward(cfg)
     # the reference of another config that differs only in its inclusion
     other = replace(cfg, inclusion_polygons=(), inclusion=None, name="other")
-    reference = reference_plate(other)
-    shared = forward(cfg, reference)
-    assert shared.mesh is reference.mesh and shared.load is reference.load
-    assert shared.state0 is reference.state0
+    plate, factor = estimates._reference_plate(other)
+    shared = estimates._forward(cfg, plate, factor)
+    assert shared.mesh is plate.mesh and shared.load is plate.load
+    assert shared.state0 is plate.state0
     assert np.array_equal(shared.state0.u, alone.state0.u)
     assert np.array_equal(shared.state.u, alone.state.u)
     assert np.array_equal(shared.indicator.flags, alone.indicator.flags)
     for state in ("state0", "state"):
         assert boundary_work(shared.load, getattr(shared, state)) == \
             boundary_work(alone.load, getattr(alone, state))
-    rep = run_size_experiment(cfg, reference)
-    assert rep == run_size_experiment(cfg)
-
-
-def test_forward_rejects_a_reference_with_inclusion():
-    cfg = SizeExperimentConfig(domain=SQUARE, material=MAT, target_size=0.25,
-                               inclusion_polygons=[CENTER_SQ],
-                               inclusion=InclusionMaterial(kappa=2.0))
-    with pytest.raises(ValueError, match="without inclusion"):
-        forward(cfg, forward(cfg))
+    assert run_corpus([other, cfg])[1] == run_size_experiment(cfg)
 
 
 def test_experiment_dense_oracle_path():
@@ -507,31 +499,146 @@ def test_only_the_reference_holds_the_factor():
     cfg = SizeExperimentConfig(domain=SQUARE, material=MAT, target_size=0.25,
                                inclusion_polygons=[CENTER_SQ],
                                inclusion=InclusionMaterial(kappa=2.0))
-    reference = reference_plate(cfg)
-    assert reference.factor.system.rhs is reference.rhs
-    assert forward(cfg, reference).factor is None
-    assert forward(cfg).factor is None
-    assert reference_plate(replace(cfg, dense_oracle=True)).factor is None
+    plate, factor = estimates._reference_plate(cfg)
+    assert factor.system.rhs is plate.rhs
+    assert "factor" not in Forward._fields
+    assert type(forward(cfg)) is Forward
+    assert estimates._reference_plate(replace(cfg, dense_oracle=True))[1] \
+        is None
 
 
-def test_threads_share_one_reference_factor():
+def _count_calls(monkeypatch, name):
+    """Count the calls of estimates.<name>; the count is calls[0]."""
+    calls = [0]
+    inner = getattr(estimates, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(estimates, name, counted)
+    return calls
+
+
+def test_threads_share_one_reference_factor(monkeypatch):
     base = SizeExperimentConfig(domain=SQUARE, material=MAT,
                                 target_size=1.0 / 24.0)
     configs = [replace(base, inclusion_polygons=[CENTER_SQ * s + 0.1],
-                       inclusion=InclusionMaterial(kappa=k))
-               for s, k in ((0.6, 2.0), (0.8, 3.0), (1.0, 0.5), (0.7, 1.5))]
-    reference = reference_plate(base)
-    serial = [forward(c, reference).state.u for c in configs]
+                       inclusion=InclusionMaterial(kappa=k), name=f"c{i}")
+               for i, (s, k) in enumerate(((0.6, 2.0), (0.8, 3.0),
+                                           (1.0, 0.5), (0.7, 1.5)))]
+    serial = [forward(c).state.u for c in configs]
+    expected = [run_size_experiment(c) for c in configs]
+    states = {}
+    inner = estimates._forward
+
+    def recorded(config, plate, factor):
+        fw = inner(config, plate, factor)
+        states[config.name] = fw.state.u
+        return fw
+
+    monkeypatch.setattr(estimates, "_forward", recorded)
+    references = _count_calls(monkeypatch, "_reference_plate")
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-            for _ in range(3):
-                got = list(pool.map(lambda c: forward(c, reference).state.u,
-                                    configs, timeout=120))
-                assert all(np.array_equal(a, b) for a, b in zip(serial, got))
+        for run in range(1, 4):
+            states.clear()
+            assert run_corpus(configs, jobs=4) == expected
+            assert references[0] == run
+            assert all(np.array_equal(states[c.name], u)
+                       for c, u in zip(configs, serial))
     finally:
         sys.setswitchinterval(switch)
+
+
+def _per_element(n, mu):
+    return IsotropicMaterial(lam=np.full(n, 1.0), mu=np.full(n, mu), h=1.0)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+def test_run_corpus_is_run_size_experiment(jobs):
+    def entry(name, domain=SQUARE, material=MAT, load="pure_bending a=1",
+              polygon=CENTER_SQ, kappa=2.0):
+        incl = {} if polygon is None else dict(
+            inclusion_polygons=(polygon,),
+            inclusion=InclusionMaterial(kappa=kappa))
+        return SizeExperimentConfig(domain=domain, material=material,
+                                    target_size=0.125, load_family=load,
+                                    name=name, **incl)
+
+    # two meshes; two loads, a second material, a per-element material and
+    # a reference-only entry on the square
+    corpus = [
+        entry("a"),
+        entry("b", domain=LSHAPE, polygon=LOWER_LEFT, kappa=3.0),
+        entry("c", load="twist a=1", kappa=2.5),
+        entry("d", kappa=4.0),
+        entry("e", material=IsotropicMaterial(lam=1.0, mu=1.2, h=1.0)),
+        entry("f", polygon=None),
+        entry("g", material=_per_element(64, 1.1), load="edge_moment c=1"),
+        entry("h", material=_per_element(64, 1.1), load="edge_moment c=1",
+              kappa=0.5),
+        entry("i", domain=LSHAPE, polygon=LOWER_LEFT, kappa=2.0)]
+    got = run_corpus(corpus, jobs)
+    alone = [run_size_experiment(c) for c in corpus]
+    for a, b in zip(got, alone):
+        for f in fields(a):
+            assert getattr(a, f.name) == getattr(b, f.name), (a.name, f.name)
+    assert [r.regime for r in got].count(None) == 1
+
+
+_INCLUSION_ONLY = {"inclusion_polygons", "inclusion", "c1", "c2", "name"}
+# another value of every SizeExperimentConfig field
+_OTHER = dict(
+    domain=Domain(SQUARE.vertices, AprioriData(h1=0.2)),
+    material=IsotropicMaterial(lam=1.0, mu=1.2, h=1.0),
+    target_size=0.2,
+    load_family="twist a=1",
+    inclusion_polygons=(CENTER_SQ + 0.05,),
+    inclusion=InclusionMaterial(kappa=3.0),
+    c1=2.0,
+    c2=3.0,
+    tol=1e-10,
+    assumed_shear=False,
+    dense_oracle=True,
+    dense_cap=500,
+    element_budget=1000,
+    name="other")
+
+
+@pytest.mark.parametrize("field", sorted(_OTHER))
+def test_only_inclusion_fields_share_a_reference(monkeypatch, field):
+    assert set(_OTHER) == {f.name for f in fields(SizeExperimentConfig)}
+    base = SizeExperimentConfig(domain=SQUARE, material=MAT, target_size=0.25,
+                                inclusion_polygons=(CENTER_SQ,),
+                                inclusion=InclusionMaterial(kappa=2.0))
+    other = replace(base, **{field: _OTHER[field]})
+    references = _count_calls(monkeypatch, "_reference_plate")
+    got = run_corpus([base, other])
+    assert references[0] == (1 if field in _INCLUSION_ONLY else 2)
+    assert got == [run_size_experiment(base), run_size_experiment(other)]
+
+
+def test_reference_key_compares_by_value(monkeypatch):
+    def config(kappa):
+        # a fresh domain and a fresh per-element material for each config
+        return SizeExperimentConfig(
+            domain=Domain(SQUARE.vertices.copy(), AprioriData(x0=(0.5, 0.5))),
+            material=_per_element(16, 1.1), target_size=0.25,
+            load_family="edge_moment c=1", inclusion_polygons=(CENTER_SQ,),
+            inclusion=InclusionMaterial(kappa=kappa))
+
+    configs = [config(2.0), config(3.0)]
+    for c in configs:
+        for value in (c.domain, c.material):
+            with pytest.raises(TypeError):
+                hash(value)
+    meshes = _count_calls(monkeypatch, "generate_mesh")
+    references = _count_calls(monkeypatch, "_reference_plate")
+    got = run_corpus(configs, jobs=2)
+    assert references[0] == 1 and meshes[0] == 1
+    assert got == [run_size_experiment(c) for c in configs]
 
 
 def test_update_is_the_stiffness_change():

@@ -9,7 +9,9 @@ configs: the small variants of the benchmark workloads (perfbench/, drawn
 with --seed) and one run of every command, with and without an inclusion,
 under --dense-oracle and with calibrate at --jobs 1, 2 and 3, plus solve and
 size on an L-shape (edge_moment) and a skewed quad (twist), whose normals
-leave the axes. Every run is a fresh process.
+leave the axes. Two more calibrate corpora run at --jobs 1 and 2: one spans
+two meshes and holds a reference-only entry, and in the other the second
+entry has an unknown load. Every run is a fresh process.
 
 For each CSV the report prints "identical" or, for each column that
 changed, the largest relative change |new - old| / max(|new|, |old|); a
@@ -70,17 +72,32 @@ def command_runs(inputs):
                         workloads._polygon_text(verts))
         cfgs[key] = BASE.replace("rectangle 0 0 1 1", domain).replace(
             "pure_bending a=1", load)
-    corpus = os.path.join(inputs, "corpus")
-    os.makedirs(corpus, exist_ok=True)
-    for i, (load, kappa) in enumerate((("pure_bending", 2.0), ("twist", 3.0),
-                                       ("pure_bending", 1.5))):
-        _write(os.path.join(corpus, f"case{i}.cfg"),
-               BASE.replace("pure_bending", load)
-               + f"inclusion = {poly}\nkappa = {kappa}\nname = case{i}\n")
+    coarse = BASE.replace("target_size = 0.125", "target_size = 0.25")
+    corpora = {
+        "calibrate": [BASE.replace("pure_bending", load)
+                      + f"inclusion = {poly}\nkappa = {kappa}\n"
+                      for load, kappa in (("pure_bending", 2.0),
+                                          ("twist", 3.0),
+                                          ("pure_bending", 1.5))],
+        # two meshes, a reference-only entry, two entries that share a
+        # reference and a second load on the coarse mesh
+        "calibrate_meshes": [
+            incl, coarse + f"inclusion = {poly}\nkappa = 3.0\n", BASE,
+            incl.replace("kappa = 2.5", "kappa = 1.5"),
+            coarse.replace("pure_bending", "twist")
+            + f"inclusion = {poly}\nkappa = 2.0\n"],
+        "calibrate_bad_load": [incl, incl.replace("pure_bending", "bogus"),
+                               incl.replace("kappa = 2.5", "kappa = 3.0")]}
     path = {k: _write(os.path.join(inputs, f"{k}.cfg"), v)
             for k, v in cfgs.items()}
-    path["calibrate"] = _write(os.path.join(inputs, "calibrate.cfg"),
-                               f"corpus = {corpus}\ntimestamp = off\n")
+    for key, entries in corpora.items():
+        corpus = os.path.join(inputs, key)
+        os.makedirs(corpus, exist_ok=True)
+        for i, text in enumerate(entries):
+            _write(os.path.join(corpus, f"case{i}.cfg"),
+                   text + f"name = case{i}\n")
+        path[key] = _write(os.path.join(inputs, f"{key}.cfg"),
+                           f"corpus = {corpus}\ntimestamp = off\n")
     runs = [("solve-plain", ["solve", "--config", path["plain"]]),
             ("solve-stiff", ["solve", "--config", path["stiff"]]),
             ("solve-dense", ["solve", "--config", path["soft"],
@@ -98,6 +115,10 @@ def command_runs(inputs):
              for key in ("lshape", "skewed") for command in ("solve", "size")]
     runs += [(f"calibrate-jobs{j}", ["calibrate", "--config", path["calibrate"],
                                      "--jobs", str(j)]) for j in (1, 2, 3)]
+    runs += [(f"{key.replace('_', '-')}-jobs{j}",
+              ["calibrate", "--config", path[key], "--jobs", str(j)])
+             for key in ("calibrate_meshes", "calibrate_bad_load")
+             for j in (1, 2)]
     return runs
 
 
