@@ -46,7 +46,6 @@ from .material import (
     shear_matrix,
 )
 from .solver import (
-    SolveError,
     assemble_load,
     assemble_stiffness,
     assemble_update,
@@ -463,33 +462,23 @@ def _reference_plate(config, mesh=None):
                    state0), factor
 
 
-def _solve_plate(config, mesh, rhs, indicator, inclusion):
-    system = assemble_stiffness(mesh, config.material, indicator, inclusion,
-                                assumed_shear=config.assumed_shear)
-    system = system.with_load(rhs)
-    if config.dense_oracle:
-        return dense_oracle_solve(system, cap=config.dense_cap, tol=config.tol)
-    return solve(system, tol=config.tol)
-
-
 def _inclusion_state(config, plate, factor, indicator):
-    """The inclusion plate's state: conjugate gradients preconditioned with
-    the reference factor, or, without one or when they miss their budget,
-    a solve of its own."""
-    if factor is not None:
-        # assembling the update also checks the inclusion against the mesh
-        update = assemble_update(plate.mesh, config.material, indicator,
-                                 config.inclusion, config.assumed_shear)
-        if indicator.empty:
-            # the plate is the reference plate, whose state is state0
-            return plate.state0
-        try:
-            return solve(factor.system, tol=config.tol, factor=factor,
-                         update=update, start=plate.state0.u)
-        except SolveError:
-            pass
-    return _solve_plate(config, plate.mesh, plate.rhs, indicator,
-                        config.inclusion)
+    """The inclusion plate's state: a dense solve under the dense oracle,
+    else conjugate gradients preconditioned with the reference factor."""
+    # assembling the update also checks the inclusion against the mesh
+    update = assemble_update(plate.mesh, config.material, indicator,
+                             config.inclusion, config.assumed_shear)
+    if indicator.empty:
+        # the plate is the reference plate, whose state is state0
+        return plate.state0
+    if config.dense_oracle:
+        system = assemble_stiffness(plate.mesh, config.material, indicator,
+                                    config.inclusion,
+                                    assumed_shear=config.assumed_shear)
+        return dense_oracle_solve(system.with_load(plate.rhs),
+                                  cap=config.dense_cap, tol=config.tol)
+    return solve(factor.system, tol=config.tol, factor=factor, update=update,
+                 start=plate.state0.u)
 
 
 def _forward(config, plate, factor):

@@ -201,6 +201,8 @@ class InclusionMaterial:
                 raise ValueError("give either kappa or explicit tensor tables, not both")
             if not self.kappa > 0:
                 raise ValueError("kappa must be positive")
+            if not np.isfinite(self.kappa):
+                raise ValueError("kappa must be finite")
             if self.kappa == 1.0:
                 raise ValueError("kappa = 1 gives no contrast")
             return

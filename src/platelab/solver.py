@@ -608,10 +608,12 @@ def _pinned_dofs(mesh):
 
 
 # conjugate gradients on a stiffness near a factored one stop at a relative
-# residual of CG_TARGET; CG_BUDGET back-solves cost about one factorization
-# at 128^2, and a solve that needs more falls back to a factorization
+# residual of CG_TARGET. The back-solves needed grow by about 7-14 per decade
+# of contrast (73 at kappa 1e4 on 64^2), so CG_BUDGET leaves room for kappa
+# from 1e-3 to 1e4; a miss, or a breakdown on a stiffness that is not
+# positive definite, is a SolveError, not a reason to factor it again
 CG_TARGET = 1e-13
-CG_BUDGET = 30
+CG_BUDGET = 200
 
 
 @dataclass(frozen=True)

@@ -636,6 +636,15 @@ def test_kappa_one_rejected(tmp_path):
     assert main(["size", "--config", cfg, "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("value", ["inf", "1e400"])
+def test_infinite_kappa_is_config_error(tmp_path, capsys, value):
+    poly = _sq_poly(tmp_path)
+    cfg = _cfg(tmp_path, BASE + f"inclusion = {poly}\nkappa = {value}\n")
+    assert main(["size", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == \
+        "config error: bad inclusion: kappa must be finite\n"
+
+
 def test_inclusion_without_polygons_rejected(tmp_path):
     cfg = _cfg(tmp_path, BASE + "kappa = 2.0\n")
     assert main(["size", "--config", cfg, "--out", str(tmp_path)]) == 1

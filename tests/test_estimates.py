@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from platelab import estimates, solver
+from platelab.cli import main
 from platelab.estimates import (
     Forward,
     SizeExperimentConfig,
@@ -40,6 +41,8 @@ from platelab.solver import (
     load_from_family,
     solve,
 )
+
+from helpers import write_polygons
 
 MAT = IsotropicMaterial(lam=1.0, mu=1.0, h=1.0)
 SQUARE = Domain(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float))
@@ -454,6 +457,8 @@ def test_config_pairing_validated():
 
 ROT = Domain(np.array([[0.2, 0.0], [1.2, 0.4], [0.8, 1.4], [-0.2, 1.0]], float))
 LOWER_LEFT = np.array([[0.1, 0.1], [0.4, 0.1], [0.4, 0.4], [0.1, 0.4]])
+# no symmetry of the 8^2 square: conjugate gradients need many back-solves
+QUAD = np.array([[0.3, 0.3], [0.7, 0.3], [0.7, 0.6], [0.3, 0.7]])
 
 
 @pytest.mark.parametrize("domain, polygon, inclusion", [
@@ -462,20 +467,35 @@ LOWER_LEFT = np.array([[0.1, 0.1], [0.4, 0.1], [0.4, 0.4], [0.1, 0.4]])
     (SQUARE, CENTER_SQ, _table_inclusion(64, 2.5)),
     (LSHAPE, LOWER_LEFT, InclusionMaterial(kappa=4.0)),
     (ROT, CENTER_SQ + [0.2, 0.2], InclusionMaterial(kappa=0.5)),
-], ids=["stiff", "soft", "tables", "lshape", "skewed"])
+    # 31, 27, 28 and 36 back-solves: the two extremes need more than the
+    # 30 that once made the inclusion plate be factored on its own
+    (SQUARE, QUAD, InclusionMaterial(kappa=1e-3)),
+    (SQUARE, QUAD, InclusionMaterial(kappa=0.1)),
+    (SQUARE, QUAD, InclusionMaterial(kappa=10.0)),
+    (SQUARE, QUAD, InclusionMaterial(kappa=1e3)),
+], ids=["stiff", "soft", "tables", "lshape", "skewed", "kappa1e-3",
+        "kappa0.1", "kappa10", "kappa1e3"])
 def test_kept_factor_matches_dense_oracle(monkeypatch, domain, polygon,
                                           inclusion):
     cfg = SizeExperimentConfig(domain=domain, material=MAT, target_size=0.125,
                                load_family="twist a=1",
                                inclusion_polygons=[polygon],
                                inclusion=inclusion)
+    # estimates factors the reference; solve factors a system it is given
+    # without a factor
+    factorizations = [0]
+    inner = solver.factorize
+
+    def counted(system):
+        factorizations[0] += 1
+        return inner(system)
+
+    monkeypatch.setattr(solver, "factorize", counted)
+    monkeypatch.setattr(estimates, "factorize", counted)
     dense = forward(replace(cfg, dense_oracle=True))
-
-    def direct(*args):
-        raise AssertionError("the inclusion plate was factored")
-
-    monkeypatch.setattr(estimates, "_solve_plate", direct)
+    assert factorizations[0] == 0
     fw = forward(cfg)
+    assert factorizations[0] == 1
     assert not fw.indicator.empty
     scale = np.abs(dense.state.u).max()
     assert np.abs(fw.state.u - dense.state.u).max() < 1e-10 * scale
@@ -483,16 +503,48 @@ def test_kept_factor_matches_dense_oracle(monkeypatch, domain, polygon,
     assert fw.state.residual < 1e-12
 
 
-def test_cg_budget_miss_is_todays_direct_solve(monkeypatch):
+def test_cg_budget_miss_is_a_solve_error(monkeypatch, tmp_path, capsys):
     cfg = SizeExperimentConfig(domain=SQUARE, material=MAT, target_size=0.125,
                                inclusion_polygons=[CENTER_SQ],
                                inclusion=InclusionMaterial(kappa=3.0))
     monkeypatch.setattr(solver, "CG_BUDGET", 2)
+    with pytest.raises(solver.SolveError, match="in 2 back-solves"):
+        forward(cfg)
+    poly = tmp_path / "incl.poly"
+    write_polygons(str(poly), [CENTER_SQ])
+    path = tmp_path / "run.cfg"
+    path.write_text("domain = rectangle 0 0 1 1\nlambda = 1.0\nmu = 1.0\n"
+                    "h = 1.0\ntarget_size = 0.125\n"
+                    f"inclusion = {poly}\nkappa = 3.0\n")
+    assert main(["size", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: conjugate gradients missed")
+
+
+def test_dense_oracle_reuses_state0_when_nothing_is_flagged(monkeypatch):
+    # a polygon between element centroids of the 4^2 mesh flags no element
+    corner = np.array([[0.3, 0.3], [0.32, 0.3], [0.32, 0.32], [0.3, 0.32]])
+    cfg = SizeExperimentConfig(domain=SQUARE, material=MAT, target_size=0.25,
+                               load_family="twist a=1.0",
+                               inclusion_polygons=[corner],
+                               inclusion=InclusionMaterial(kappa=2.0),
+                               dense_oracle=True)
     fw = forward(cfg)
-    system = assemble_stiffness(fw.mesh, MAT, fw.indicator, cfg.inclusion)
-    direct = solve(system.with_load(fw.rhs))
-    assert np.array_equal(fw.state.u, direct.u)
-    assert fw.state.residual == direct.residual
+    assert fw.indicator.empty and fw.state is fw.state0
+    report = run_size_experiment(cfg)
+
+    def resolved(config, plate, factor, indicator):
+        # the inclusion plate solved densely on its own, as it once was
+        system = assemble_stiffness(plate.mesh, MAT, indicator,
+                                    config.inclusion)
+        return solver.dense_oracle_solve(system.with_load(plate.rhs))
+
+    monkeypatch.setattr(estimates, "_inclusion_state", resolved)
+    again = forward(cfg)
+    assert again.state is not again.state0
+    assert np.array_equal(again.state.u, fw.state0.u)
+    assert again.state.residual == fw.state0.residual
+    assert run_size_experiment(cfg) == report
 
 
 def test_only_the_reference_holds_the_factor():

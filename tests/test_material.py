@@ -155,6 +155,13 @@ def test_inclusion_kappa_validation():
         InclusionMaterial()
 
 
+@pytest.mark.parametrize("kappa", [np.inf, 1e400, np.nan],
+                         ids=["inf", "1e400", "nan"])
+def test_inclusion_kappa_must_be_finite(kappa):
+    with pytest.raises(ValueError, match="kappa must be"):
+        InclusionMaterial(kappa=kappa)
+
+
 def test_jump_scalar_stiff():
     jb = jump_bounds(STD, InclusionMaterial(kappa=2.0))
     assert jb == JumpBounds(1.0, 2.0, "stiff")

@@ -9,9 +9,10 @@ configs: the small variants of the benchmark workloads (perfbench/, drawn
 with --seed) and one run of every command, with and without an inclusion,
 under --dense-oracle and with calibrate at --jobs 1, 2 and 3, plus solve and
 size on an L-shape (edge_moment) and a skewed quad (twist), whose normals
-leave the axes. Two more calibrate corpora run at --jobs 1 and 2: one spans
-two meshes and holds a reference-only entry, and in the other the second
-entry has an unknown load. Every run is a fresh process.
+leave the axes, and size at the contrasts 64 and 1e-3 and, under
+--dense-oracle, 1e3. Two more calibrate corpora run at --jobs 1 and 2: one
+spans two meshes and holds a reference-only entry, and in the other the
+second entry has an unknown load. Every run is a fresh process.
 
 For each CSV the report prints "identical" or, for each column that
 changed, the largest relative change |new - old| / max(|new|, |old|); a
@@ -57,6 +58,10 @@ def command_runs(inputs):
         "plain": BASE,
         "stiff": incl,
         "soft": soft,
+        # high and low contrast: conjugate gradients need more back-solves
+        "kappa64": incl.replace("kappa = 2.5", "kappa = 64"),
+        "kappa1e-3": incl.replace("kappa = 2.5", "kappa = 1e-3"),
+        "kappa1e3": incl.replace("kappa = 2.5", "kappa = 1e3"),
         "three_spheres": BASE.replace("target_size = 0.125",
                                       "target_size = 0.0625")
         + "rho0 = 0.1\nrho = 0.04\npitch = 0.05\n",
@@ -107,6 +112,10 @@ def command_runs(inputs):
             ("energy-lemma", ["energy-lemma", "--config", path["stiff"]]),
             ("size-plain", ["size", "--config", path["plain"]]),
             ("size-soft", ["size", "--config", path["soft"]]),
+            ("size-kappa64", ["size", "--config", path["kappa64"]]),
+            ("size-kappa1e-3", ["size", "--config", path["kappa1e-3"]]),
+            ("size-dense-kappa1e3", ["size", "--config", path["kappa1e3"],
+                                     "--dense-oracle"]),
             ("three-spheres", ["three-spheres", "--config",
                                path["three_spheres"]]),
             ("lps", ["lps", "--config", path["lps"]]),
