@@ -205,7 +205,6 @@ def _size_config(cfg, args, name):
         load_family=cfg.get("load", "pure_bending a=1"),
         inclusion_polygons=polys, inclusion=incl,
         c1=_f(cfg, "c1", 1.0), c2=_f(cfg, "c2", 1.0),
-        tol=args.tol if args.tol is not None else _f(cfg, "tol", 1e-9),
         assumed_shear=not args.full_integration,
         dense_oracle=args.dense_oracle,
         dense_cap=_i(cfg, "dense_cap", 600),
@@ -214,14 +213,14 @@ def _size_config(cfg, args, name):
 
 
 def _reference_field(cfg, args, name):
-    """Mesh and energy field of the reference plate, for the probes.
+    """Energy field of the reference plate, for the probes.
 
     The probes study the inclusion-free plate and ignore inclusion keys.
     """
     ref = {k: v for k, v in cfg.items() if k not in _INCLUSION_KEYS}
     order = _i(cfg, "quad_order", 4)
     fw = forward(_size_config(ref, args, name))
-    return fw.mesh, strain_energy_density(fw.state0, order=order)
+    return strain_energy_density(fw.state0, order=order)
 
 
 def _positive(key, value):
@@ -242,8 +241,8 @@ def _cmd_solve(cfg, args, name, outdir, stamp):
     config = _size_config(cfg, args, name)
     fw = forward(config)
     _emit(outdir, name, tables.state_rows(fw.state), stamp)
-    res = residual_check(fw.state, fw.mesh, config.material, fw.load,
-                         fw.indicator, config.inclusion)
+    res = residual_check(fw.state, config.material, fw.load, fw.indicator,
+                         config.inclusion)
     _emit(outdir, name, tables.quantity_rows(name, {
         "n_elements": fw.mesh.n_elements,
         "mesh_size": fw.mesh.mesh_size,
@@ -303,9 +302,9 @@ def _cmd_three_spheres(cfg, args, name, outdir, stamp):
             raise ConfigError("center needs two coordinates")
     else:
         pitch = _positive("pitch", _f(cfg, "pitch", rho / 2.0))
-    mesh, field = _reference_field(cfg, args, name)
+    field = _reference_field(cfg, args, name)
     if centers is None:
-        centers, _ = admissible_centers(mesh, rho, theta, pitch)
+        centers, _ = admissible_centers(field.mesh, rho, theta, pitch)
         if not len(centers):
             raise ConfigError("no admissible centers; shrink rho or theta")
     reports = three_spheres_sweep(field, centers, rho, theta)
@@ -333,11 +332,11 @@ def _cmd_lps(cfg, args, name, outdir, stamp):
     twin = next((t for i, t in enumerate(tags) if t in tags[:i]), None)
     if twin is not None:
         raise ConfigError(f"rho holds two radii that print as {twin}")
-    mesh, field = _reference_field(cfg, args, name)
+    field = _reference_field(cfg, args, name)
     code = 0
     quantities = {"theta": theta}
     # every radius is checked before the first CSV is written
-    reports = [lps_check(field, mesh, rho, theta) for rho in rhos]
+    reports = [lps_check(field, rho, theta) for rho in rhos]
     for tag, rep in zip(tags, reports):
         _emit(outdir, f"{name}_rho{tag}".replace(".", "p"),
               tables.lps_rows(rep), stamp)
@@ -358,8 +357,7 @@ def _cmd_convergence(cfg, args, name, outdir, stamp):
         domain, mat, cfg.get("load", "pure_bending a=1"),
         target0=_f(cfg, "target_size", 0.25),
         levels=_i(cfg, "refinements", 3),
-        assumed_shear=not args.full_integration,
-        tol=args.tol if args.tol is not None else _f(cfg, "tol", 1e-9))
+        assumed_shear=not args.full_integration)
     _emit(outdir, name, tables.convergence_rows(records), stamp)
     last_order = records[-1][4]
     min_order = _f(cfg, "min_order", 1.9)
@@ -452,7 +450,6 @@ def _parser():
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--dense-oracle", action="store_true")
     p.add_argument("--full-integration", action="store_true")
     return p

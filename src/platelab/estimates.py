@@ -340,9 +340,8 @@ class LpsReport:
     message: str = ""
 
 
-def lps_check(field, mesh, rho, theta=0.3):
-    if field.mesh is not mesh:
-        raise ValueError("field was sampled on a different mesh")
+def lps_check(field, rho, theta=0.3):
+    mesh = field.mesh
     _require_positive("rho", rho)
     margin = 7.0 / (2.0 * theta) * rho
     if interior_region(mesh, margin).empty:
@@ -384,7 +383,6 @@ class SizeExperimentConfig:
     inclusion: object | None = None
     c1: float = 1.0
     c2: float = 1.0
-    tol: float = 1e-9
     assumed_shear: bool = True
     dense_oracle: bool = False
     dense_cap: int = 600
@@ -447,17 +445,16 @@ def _reference_plate(config, mesh=None):
     if mesh is None:
         mesh = generate_mesh(*(getattr(config, f) for f in _MESH_FIELDS))
     load = load_from_family(mesh, config.load_family, config.material)
-    rhs = assemble_load(mesh, load, tol=config.tol)
+    rhs = assemble_load(load)
     system = assemble_stiffness(mesh, config.material,
                                 assumed_shear=config.assumed_shear)
     system = system.with_load(rhs)
     factor = None
     if config.dense_oracle:
-        state0 = dense_oracle_solve(system, cap=config.dense_cap,
-                                    tol=config.tol)
+        state0 = dense_oracle_solve(system, cap=config.dense_cap)
     else:
         factor = factorize(system)
-        state0 = solve(system, tol=config.tol, factor=factor)
+        state0 = solve(system, factor=factor)
     return Forward(mesh, load, rhs, rasterize_inclusion(mesh, ()), state0,
                    state0), factor
 
@@ -476,8 +473,8 @@ def _inclusion_state(config, plate, factor, indicator):
                                     config.inclusion,
                                     assumed_shear=config.assumed_shear)
         return dense_oracle_solve(system.with_load(plate.rhs),
-                                  cap=config.dense_cap, tol=config.tol)
-    return solve(factor.system, tol=config.tol, factor=factor, update=update,
+                                  cap=config.dense_cap)
+    return solve(factor.system, factor=factor, update=update,
                  start=plate.state0.u)
 
 
@@ -623,7 +620,7 @@ _EXACT_FLOOR = 1e-8
 
 
 def convergence_study(domain, material, family="pure_bending a=1", target0=0.25,
-                      levels=3, assumed_shear=True, tol=1e-9):
+                      levels=3, assumed_shear=True):
     """Uniform-refinement errors against the closed-form solution.
 
     Returns (records, work_error_last) where records are rows
@@ -642,7 +639,7 @@ def convergence_study(domain, material, family="pure_bending a=1", target0=0.25,
     for level in range(levels):
         fw = forward(SizeExperimentConfig(
             domain=domain, material=material, target_size=target0 / 2 ** level,
-            load_family=family, tol=tol, assumed_shear=assumed_shear))
+            load_family=family, assumed_shear=assumed_shear))
         ops = element_operators(fw.mesh, 2, assumed_shear)
         wts = ops.point_weights()
         dk = ops.curvatures(fw.state.u) - kv

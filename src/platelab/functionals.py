@@ -11,8 +11,6 @@ weights (1 + rho0^2 lambda)^s; the oscillation ratio compares the order
 -1/2 and order -1 norms.
 """
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -155,11 +153,11 @@ class Ratio(NamedTuple):
     degenerate: bool
 
 
-def korn_ratio(state, order=2):
+def korn_ratio(state):
     """Full-gradient to symmetric-gradient-plus-shear ratio of a state."""
     mesh = state.mesh
     rho0 = mesh.domain.apriori.rho0
-    ops = element_operators(mesh, order, state.assumed_shear)
+    ops = element_operators(mesh, 2, state.assumed_shear)
     wts = ops.point_weights()
     g1 = ops.scalar_grads(state.phi1)
     g2 = ops.scalar_grads(state.phi2)
@@ -173,12 +171,12 @@ def korn_ratio(state, order=2):
     return Ratio(float(np.sqrt(num_sq) / den), False)
 
 
-def poincare_ratio(mesh, nodal, rho0=None, order=2):
+def poincare_ratio(mesh, nodal, rho0=None):
     """Mean-free L2 norm over rho0 times the gradient norm, for a nodal field."""
     if rho0 is None:
         rho0 = mesh.domain.apriori.rho0
     nodal = np.asarray(nodal, dtype=float)
-    ops = element_operators(mesh, order, True)
+    ops = element_operators(mesh, 2, True)
     wts = ops.point_weights()
     vals = ops.scalar_values(nodal)
     grads = ops.scalar_grads(nodal)
@@ -224,11 +222,6 @@ def stability_ratio(state, load):
 # ---------------------------------------------------------------------------
 # spectral boundary norms
 
-# the spectra of the most recent boundary loops, keyed by polyline bytes
-_SPECTRUM_SLOTS = 4
-_spectrum_cache = OrderedDict()
-_spectrum_lock = threading.Lock()
-
 
 def closed_boundary_polyline(mesh):
     """Boundary node coordinates in loop order, first point repeated last."""
@@ -238,11 +231,9 @@ def closed_boundary_polyline(mesh):
 
 
 def _loop_spectrum(polyline):
-    key = polyline.tobytes()
-    with _spectrum_lock:
-        if key in _spectrum_cache:
-            _spectrum_cache.move_to_end(key)
-            return _spectrum_cache[key]
+    # (eigenvalues, eigenvectors, mass matrix) of the P1 Laplace-Beltrami
+    # operator on a closed polyline: one dense eigh per call, so frequency
+    # computes it once for its four norms
     if not np.array_equal(polyline[0], polyline[-1]):
         raise ValueError("polyline is open; spectral boundary norms need a closed loop")
     pts = polyline[:-1]
@@ -266,13 +257,7 @@ def _loop_spectrum(polyline):
     m[i, i] = third + np.roll(third, 1)
     m[i, j] = m[j, i] = ell / 6.0
     lam, vec = scipy.linalg.eigh(t, m)
-    lam = np.clip(lam, 0.0, None)
-    with _spectrum_lock:
-        out = _spectrum_cache.setdefault(key, (lam, vec, m, ell))
-        _spectrum_cache.move_to_end(key)
-        while len(_spectrum_cache) > _SPECTRUM_SLOTS:
-            _spectrum_cache.popitem(last=False)
-    return out
+    return np.clip(lam, 0.0, None), vec, m
 
 
 def _nodal_samples(g, n):
@@ -292,11 +277,17 @@ def boundary_fractional_norm(g, s, polyline, rho0):
     norm^2 = sum_k (1 + rho0^2 lambda_k)^s <g, v_k>^2 over the closed-loop
     eigenpairs; vector-valued samples combine components root-sum-square.
     """
-    lam, vec, m, _ = _loop_spectrum(np.asarray(polyline, dtype=float))
+    spectrum = _loop_spectrum(np.asarray(polyline, dtype=float))
+    return _fractional_norm(g, s, spectrum, rho0)
+
+
+def _fractional_norm(g, s, spectrum, rho0):
+    # boundary_fractional_norm on the _loop_spectrum of the polyline
+    lam, vec, m = spectrum
     n = len(lam)
     g = np.asarray(g, dtype=float)
     if g.ndim == 2:
-        comps = [boundary_fractional_norm(g[:, c], s, polyline, rho0)
+        comps = [_fractional_norm(g[:, c], s, spectrum, rho0)
                  for c in range(g.shape[1])]
         return float(np.sqrt(sum(v ** 2 for v in comps)))
     g = _nodal_samples(g, n)
@@ -305,24 +296,23 @@ def boundary_fractional_norm(g, s, polyline, rho0):
     return float(np.sqrt(np.sum(weights * coef ** 2)))
 
 
-def frequency(load, rho0=None):
+def frequency(load):
     """Oscillation measure of a boundary load.
 
     Combines couple and force norms as (|m|_{-1/2} + rho0 |q|_{-1/2}) over
-    the same combination at order -1; modal weight monotonicity makes the
-    ratio at least 1.
+    the same combination at order -1, with the rho0 of the load's domain;
+    modal weight monotonicity makes the ratio at least 1.
     """
     if load.is_zero:
         raise ValueError("frequency of the zero load is undefined")
     mesh = load.mesh
-    polyline = closed_boundary_polyline(mesh)
-    if rho0 is None:
-        rho0 = mesh.domain.apriori.rho0
+    spectrum = _loop_spectrum(closed_boundary_polyline(mesh))
+    rho0 = mesh.domain.apriori.rho0
     nq, nm = load.nodal_samples()
-    m_half = boundary_fractional_norm(nm, -0.5, polyline, rho0)
-    m_one = boundary_fractional_norm(nm, -1.0, polyline, rho0)
-    q_half = boundary_fractional_norm(nq, -0.5, polyline, rho0)
-    q_one = boundary_fractional_norm(nq, -1.0, polyline, rho0)
+    m_half = _fractional_norm(nm, -0.5, spectrum, rho0)
+    m_one = _fractional_norm(nm, -1.0, spectrum, rho0)
+    q_half = _fractional_norm(nq, -0.5, spectrum, rho0)
+    q_one = _fractional_norm(nq, -1.0, spectrum, rho0)
     num = m_half + rho0 * q_half
     den = m_one + rho0 * q_one
     return FrequencyReport(num, den, num / den)
@@ -333,13 +323,13 @@ def boundary_mode(mesh, k):
 
     Returns (eigenvalue, nodal values in loop order). Mode 0 is constant.
     """
-    lam, vec, _, _ = _loop_spectrum(closed_boundary_polyline(mesh))
+    lam, vec, _ = _loop_spectrum(closed_boundary_polyline(mesh))
     if not 0 <= k < len(lam):
         raise ValueError(f"mode index {k} out of range")
     return float(lam[k]), vec[:, k].copy()
 
 
-def mode_load(mesh, k, amplitude=1.0, compensate=True):
+def mode_load(mesh, k, compensate=True):
     """Transverse force given by a boundary eigenmode.
 
     The mode is interpolated linearly along each edge; with compensate, a
@@ -353,8 +343,8 @@ def mode_load(mesh, k, amplitude=1.0, compensate=True):
     edges = mesh.boundary_edges
     nb = len(edges)
     m = np.zeros((nb, 2, 2))
-    va = amplitude * v[pos[edges[:, 0]]]
-    vb = amplitude * v[pos[edges[:, 1]]]
+    va = v[pos[edges[:, 0]]]
+    vb = v[pos[edges[:, 1]]]
     q = np.outer(va, 0.5 * (1.0 - GAUSS2)) + np.outer(vb, 0.5 * (1.0 + GAUSS2))
     load = BoundaryLoad(mesh, q, m)
     if compensate:
@@ -363,7 +353,7 @@ def mode_load(mesh, k, amplitude=1.0, compensate=True):
         int_qx = np.einsum("eg,egc->c", 0.5 * L[:, None] * q, pts)
         const_m = int_qx / float(L.sum())
         m[:] = const_m[None, None, :]
-    load.nodal_q = amplitude * v
+    load.nodal_q = v
     load.nodal_m = np.broadcast_to(m[0, 0], (nb, 2)).copy() if compensate \
         else np.zeros((nb, 2))
     return load

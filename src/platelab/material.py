@@ -335,7 +335,7 @@ def jump_bounds(mat, incl):
         f"(min at element {e_lo}, max at element {e_hi})")
 
 
-def validate_on_mesh(mat, mesh, rtol=1e-9):
+def validate_on_mesh(mat, mesh):
     """Check per-element fields against the mesh.
 
     Field lengths must match the element count, and values on elements that
@@ -353,7 +353,7 @@ def validate_on_mesh(mat, mesh, rtol=1e-9):
     pairs = _shared_edge_pairs(mesh.elements)
     cent = mesh.element_centroids
     gap = np.linalg.norm(cent[pairs[:, 0]] - cent[pairs[:, 1]], axis=1)
-    budget = mat.alpha1 * gap / rho0 * (1.0 + rtol) + _REL * mat.alpha1
+    budget = mat.alpha1 * gap / rho0 * (1.0 + 1e-9) + _REL * mat.alpha1
     for name in ("lam", "mu"):
         field = np.broadcast_to(np.asarray(getattr(mat, name), dtype=float), (ne,))
         diff = np.abs(field[pairs[:, 0]] - field[pairs[:, 1]])

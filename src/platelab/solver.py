@@ -23,6 +23,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import GAUSS2, shape_q4
+from .material import (bending_voigt, derive_plate_tensors, override_rows,
+                       shear_matrix, validate_on_mesh)
 
 _TINY = 1e-300
 
@@ -123,8 +125,6 @@ class ElementOps:
 
     def __init__(self, mesh, order=2, assumed=True):
         self.mesh = mesh
-        self.order = order
-        self.assumed = assumed
         self.pts, wts = gauss_rule(order)
         quads = mesh.nodes[mesh.elements]
         local = quads - quads[:, :1, :]
@@ -272,9 +272,6 @@ class LinearSystem:
 
 
 def _coefficient_fields(mesh, material, indicator, inclusion):
-    from .material import (bending_voigt, derive_plate_tensors,
-                           override_rows, shear_matrix)
-
     ne = mesh.n_elements
     tens = derive_plate_tensors(material)
     bend = bending_voigt(tens, ne).copy()
@@ -299,13 +296,11 @@ def _coefficient_fields(mesh, material, indicator, inclusion):
 
 
 def assemble_stiffness(mesh, material, indicator=None, inclusion=None,
-                       assumed_shear=True, order=2):
+                       assumed_shear=True):
     """Stiffness and constraint rows for the composite plate."""
-    from .material import validate_on_mesh
-
     validate_on_mesh(material, mesh)
     bend, shear = _coefficient_fields(mesh, material, indicator, inclusion)
-    ops = element_operators(mesh, order, assumed_shear)
+    ops = element_operators(mesh, 2, assumed_shear)
     k = _assemble(ops, bend, shear)
 
     intn = ops.shape_integrals()
@@ -318,14 +313,13 @@ def assemble_stiffness(mesh, material, indicator=None, inclusion=None,
     return LinearSystem(k, c, mesh, assumed_shear)
 
 
-def assemble_update(mesh, material, indicator, inclusion, assumed_shear=True,
-                    order=2):
+def assemble_update(mesh, material, indicator, inclusion, assumed_shear=True):
     """The stiffness an inclusion adds to the reference plate's: the
     element matrices of the coefficient difference, assembled over the
     flagged elements only."""
     bend, shear = _coefficient_fields(mesh, material, indicator, inclusion)
     bend0, shear0 = _coefficient_fields(mesh, material, None, None)
-    ops = element_operators(mesh, order, assumed_shear)
+    ops = element_operators(mesh, 2, assumed_shear)
     return _assemble(ops, bend - bend0, shear - shear0,
                      np.flatnonzero(indicator.flags))
 
@@ -362,12 +356,11 @@ class BoundaryLoad:
     nodal_q: np.ndarray | None = None
     nodal_m: np.ndarray | None = None
 
-    def edge_points(self, tpts=GAUSS2):
+    def edge_points(self):
         a = self.mesh.nodes[self.mesh.boundary_edges[:, 0]]
         b = self.mesh.nodes[self.mesh.boundary_edges[:, 1]]
-        t = np.asarray(tpts)
-        return (0.5 * (1.0 - t)[None, :, None] * a[:, None, :]
-                + 0.5 * (1.0 + t)[None, :, None] * b[:, None, :])
+        return (0.5 * (1.0 - GAUSS2)[None, :, None] * a[:, None, :]
+                + 0.5 * (1.0 + GAUSS2)[None, :, None] * b[:, None, :])
 
     def edge_lengths(self):
         a = self.mesh.nodes[self.mesh.boundary_edges[:, 0]]
@@ -459,7 +452,6 @@ def load_from_family(mesh, family, material=None):
     elif name in ("pure_bending", "twist"):
         if material is None:
             raise ValueError(f"family '{name}' needs the background material")
-        from .material import derive_plate_tensors
         if not material.uniform:
             raise ValueError("analytic load families need a uniform material")
         t = derive_plate_tensors(material)
@@ -483,8 +475,6 @@ def exact_strains(family, material):
     The closed forms of load_from_family: returns (curvature 3-vector,
     shear 2-vector, strain energy density).
     """
-    from .material import derive_plate_tensors
-
     kind, params = _parse_family(family)
     t = derive_plate_tensors(material)
     b, nu = float(t.rigidity), float(t.nu)
@@ -517,18 +507,17 @@ def _parse_family(spec):
     return parts[0], params
 
 
-def assemble_load(mesh, load, tol=1e-9, order=2, check=True):
-    """Consistent load vector by edge-wise Gauss quadrature.
+def assemble_load(load, order=2, check=True):
+    """Consistent load vector on load.mesh by edge-wise Gauss quadrature.
 
     check=True enforces the closed-boundary equilibrium identities (zero
-    net transverse force, zero net moment) within tol relative to the load
-    magnitude.
+    net transverse force, zero net moment) within COMPAT_TOL relative to
+    the load magnitude.
     """
-    if load.mesh is not mesh:
-        raise ValueError("load was sampled on a different mesh")
+    mesh = load.mesh
     if check:
         int_q, int_mx, scale = load.compatibility_residuals()
-        bound = tol * scale + _TINY
+        bound = COMPAT_TOL * scale + _TINY
         diam = mesh.domain.diameter
         if abs(int_q) * diam > bound or np.linalg.norm(int_mx) > bound:
             raise CompatibilityError(
@@ -581,10 +570,10 @@ class PlateState:
         return self.u[2::3]
 
 
-def _check_kernel_compatibility(mesh, f, tol):
+def _check_kernel_compatibility(mesh, f):
     fn = np.linalg.norm(f)
     for i, k in enumerate(kernel_basis(mesh)):
-        if abs(f @ k) > tol * fn * np.linalg.norm(k) + _TINY:
+        if abs(f @ k) > COMPAT_TOL * fn * np.linalg.norm(k) + _TINY:
             raise CompatibilityError(
                 f"load has a component on rigid motion {i}: {f @ k:.3e}")
 
@@ -606,6 +595,11 @@ def _pinned_dofs(mesh):
     node = int(np.argmin(np.einsum("ij,ij->i", d, d)))
     return 3 * node + np.arange(3)
 
+
+# the load checks (net force and moment, rigid-motion components, dense
+# kernel components) are relative to the load's size; the closed-form and
+# mode loads pass them below 1e-11, a hundred times inside COMPAT_TOL
+COMPAT_TOL = 1e-9
 
 # conjugate gradients on a stiffness near a factored one stop at a relative
 # residual of CG_TARGET. The back-solves needed grow by about 7-14 per decade
@@ -640,7 +634,7 @@ def factorize(system):
     return Factor(system, free, kr, lu)
 
 
-def solve(system, tol=1e-9, factor=None, update=None, start=None):
+def solve(system, factor=None, update=None, start=None):
     """Sparse solve normalized to zero-mean rotations and deflection.
 
     Fixing the dofs of one node removes the rigid-motion kernel; the reduced
@@ -658,7 +652,7 @@ def solve(system, tol=1e-9, factor=None, update=None, start=None):
         raise ValueError("system has no load attached; use with_load first")
     f = system.rhs
     mesh = system.mesh
-    _check_kernel_compatibility(mesh, f, tol)
+    _check_kernel_compatibility(mesh, f)
     if factor is None:
         factor = factorize(system)
     elif factor.system is not system:
@@ -685,6 +679,10 @@ def solve(system, tol=1e-9, factor=None, update=None, start=None):
     return _normalized_state(system, u, k)
 
 
+_CG_OVERFLOW = ("conjugate gradients overflowed: the residual or an inner "
+                "product is not a finite double")
+
+
 def _conjugate_gradients(factor, update, fr, x):
     # reduced (K + update) x = fr by conjugate gradients preconditioned with
     # the factor of K, from x
@@ -693,25 +691,35 @@ def _conjugate_gradients(factor, update, fr, x):
     def apply(v):
         return kr @ v + update @ v
 
+    def converged():
+        norm = np.linalg.norm(r)
+        if not np.isfinite(norm):
+            raise SolveError(_CG_OVERFLOW)
+        return norm <= goal
+
     r = fr - apply(x)
     goal = CG_TARGET * np.linalg.norm(fr)
     p = rz = None
-    for _ in range(CG_BUDGET):
-        if np.linalg.norm(r) <= goal:
+    # an overflow is a SolveError of its own, not a string of numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(CG_BUDGET):
+            if converged():
+                return x
+            z = lu.solve(r)
+            rz, rz_old = r @ z, rz
+            p = z if p is None else z + (rz / rz_old) * p
+            q = apply(p)
+            pq = p @ q
+            if not (np.isfinite(rz) and np.isfinite(pq)):
+                raise SolveError(_CG_OVERFLOW)
+            if not pq > 0.0:
+                raise SolveError("conjugate gradients broke down: the "
+                                 "stiffness is not positive definite")
+            alpha = rz / pq
+            x += alpha * p
+            r -= alpha * q
+        if converged():
             return x
-        z = lu.solve(r)
-        rz, rz_old = r @ z, rz
-        p = z if p is None else z + (rz / rz_old) * p
-        q = apply(p)
-        pq = p @ q
-        if not pq > 0.0:
-            raise SolveError("conjugate gradients broke down: the stiffness "
-                             "is not positive definite")
-        alpha = rz / pq
-        x += alpha * p
-        r -= alpha * q
-    if np.linalg.norm(r) <= goal:
-        return x
     raise SolveError(f"conjugate gradients missed a relative residual of "
                      f"{CG_TARGET:g} in {CG_BUDGET} back-solves")
 
@@ -719,7 +727,7 @@ def _conjugate_gradients(factor, update, fr, x):
 _KERNEL_CUT = 1e-10
 
 
-def dense_oracle_solve(system, cap=600, tol=1e-9):
+def dense_oracle_solve(system, cap=600):
     """Dense eigendecomposition solve, independent of the sparse path.
 
     Verifies that exactly three eigenvalues fall below _KERNEL_CUT times the
@@ -742,7 +750,7 @@ def dense_oracle_solve(system, cap=600, tol=1e-9):
     vk = v[:, null]
     fn = np.linalg.norm(f)
     comp = vk.T @ f
-    if np.any(np.abs(comp) > tol * fn + _TINY):
+    if np.any(np.abs(comp) > COMPAT_TOL * fn + _TINY):
         raise CompatibilityError(
             f"load has kernel components {comp} beyond tolerance")
     vp = v[:, ~null]
@@ -750,11 +758,14 @@ def dense_oracle_solve(system, cap=600, tol=1e-9):
     return _normalized_state(system, u, kd)
 
 
-def residual_check(state, mesh, material, load, indicator=None, inclusion=None):
+def residual_check(state, material, load, indicator=None, inclusion=None):
     """Weak residual of a state against an enriched (3x3, 3-point) quadrature.
 
     Returns (max_element_residual, relative_norm, worst_element).
     """
+    mesh = state.mesh
+    if load.mesh is not mesh:
+        raise ValueError("load and state live on different meshes")
     bend, shear = _coefficient_fields(mesh, material, indicator, inclusion)
     ops = element_operators(mesh, 3, state.assumed_shear)
     ke = ops.stiffness_blocks(bend, shear)
@@ -763,7 +774,7 @@ def residual_check(state, mesh, material, load, indicator=None, inclusion=None):
     re = np.einsum("eij,ej->ei", ke, ue)
     r = np.zeros(3 * mesh.n_nodes)
     np.add.at(r, dofs.ravel(), re.ravel())
-    f = assemble_load(mesh, load, order=3, check=False)
+    f = assemble_load(load, order=3, check=False)
     r -= f
     per_elem = np.linalg.norm(r[dofs], axis=1)
     worst = int(np.argmax(per_elem))

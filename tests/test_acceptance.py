@@ -59,7 +59,7 @@ def _solve_on(domain, target, family, mat=MAT):
     mesh = generate_mesh(domain, target)
     load = load_from_family(mesh, family, mat)
     sys_ = assemble_stiffness(mesh, mat)
-    f = assemble_load(mesh, load)
+    f = assemble_load(load)
     return mesh, load, f, sys_, solve(sys_.with_load(f))
 
 
@@ -197,7 +197,7 @@ def test_05_energy_lemma_chain(inclusion_corpus):
 def test_06_size_bound_calibration():
     mesh = generate_mesh(SQUARE, 1.0 / 64.0)
     load = load_from_family(mesh, "pure_bending a=1", MAT)
-    f = assemble_load(mesh, load)
+    f = assemble_load(load)
     state0 = solve(assemble_stiffness(mesh, MAT).with_load(f))
     w0 = boundary_work(load, state0)
     incl = InclusionMaterial(kappa=2.0)
@@ -237,7 +237,7 @@ def test_07_three_spheres_feasibility():
     for family in ("pure_bending a=1", "twist a=1"):
         load = load_from_family(mesh, family, MAT)
         state = solve(assemble_stiffness(mesh, MAT)
-                      .with_load(assemble_load(mesh, load)))
+                      .with_load(assemble_load(load)))
         field = strain_energy_density(state, rho0=rho0, order=3)
         feas = [three_spheres_sweep(field, [c], rho, theta, rho0)[0].feasible
                 for c in centers]
@@ -255,12 +255,12 @@ def test_08_lps_constant_matches_disk_mass():
     mesh = generate_mesh(SQUARE, 0.01)
     load = load_from_family(mesh, "pure_bending a=1", MAT)
     state = solve(assemble_stiffness(mesh, MAT)
-                  .with_load(assemble_load(mesh, load)))
+                  .with_load(assemble_load(load)))
     field = strain_energy_density(state, rho0=1.0, order=5)
     devs = {}
     positive = True
     for rho in (0.04, 0.03, 0.02):
-        rep = lps_check(field, mesh, rho, theta=0.3)
+        rep = lps_check(field, rho, theta=0.3)
         positive &= (not rep.degenerate) and rep.constant > 0.0
         expect = np.pi * rho ** 2  # unit area, constant density
         devs[rho] = abs(rep.constant - expect) / expect
@@ -284,13 +284,13 @@ def test_09_frequency_ratio():
                  load_from_family(mesh, "edge_moment c=1", MAT)]
         loads += [mode_load(mesh, k) for k in (1, 2, 3, 5, 8)]
         for ld in loads:
-            worst = min(worst, frequency(ld, rho0=1.0).ratio)
+            worst = min(worst, frequency(ld).ratio)
             n_loads += 1
     mesh = generate_mesh(SQUARE, 0.125)
     mode_dev = 0.0
     for k in (3, 7):
         lam, _ = boundary_mode(mesh, k)
-        rep = frequency(mode_load(mesh, k, compensate=False), rho0=1.0)
+        rep = frequency(mode_load(mesh, k, compensate=False))
         mode_dev = max(mode_dev, abs(rep.ratio - (1.0 + lam) ** 0.25))
     ok = worst >= 1.0 - 1e-12 and mode_dev <= 1e-10
     _line(9, ok, f"min ratio {worst:.6f} over {n_loads} loads (>= 1), "
@@ -311,7 +311,7 @@ def test_10_locking_robustness():
         for assumed in (True, False):
             load = load_from_family(mesh, "pure_bending a=1", mat)
             sys_ = assemble_stiffness(mesh, mat, assumed_shear=assumed)
-            state = solve(sys_.with_load(assemble_load(mesh, load)))
+            state = solve(sys_.with_load(assemble_load(load)))
             err = abs(boundary_work(load, state) - exact) / exact
             (t_by_h if assumed else full_errs)[h] = err
     ok = all(err <= 0.05 for err in t_by_h.values())

@@ -285,8 +285,8 @@ def test_three_spheres_scans_no_disk_per_center(tmp_path, monkeypatch):
                .replace("target_size = 0.25", "target_size = 0.05")
                + "rho0 = 0.1\nrho = 0.015\npitch = 0.03\n")
     args = cli._parser().parse_args(["three-spheres", "--config", cfg])
-    mesh, field = cli._reference_field(parse_config(cfg), args, "ref")
-    centers, _ = admissible_centers(mesh, 0.015, 0.3, 0.03)
+    field = cli._reference_field(parse_config(cfg), args, "ref")
+    centers, _ = admissible_centers(field.mesh, 0.015, 0.3, 0.03)
     expected = tables.csv_text(*tables.three_spheres_rows(
         [three_spheres_sweep(field, [c], 0.015, 0.3)[0] for c in centers]),
         timestamp=False)
@@ -620,6 +620,8 @@ def test_non_numeric_value_names_its_key(tmp_path, capsys, old, new, message):
 def test_unknown_command_is_config_error(tmp_path):
     cfg = _cfg(tmp_path, BASE)
     assert main(["frobnicate", "--config", cfg]) == 1
+    # the load checks have one fixed tolerance, solver.COMPAT_TOL
+    assert main(["size", "--config", cfg, "--tol", "1e-9"]) == 1
 
 
 def test_missing_config_file(tmp_path):
@@ -648,6 +650,25 @@ def test_infinite_kappa_is_config_error(tmp_path, capsys, value):
 def test_inclusion_without_polygons_rejected(tmp_path):
     cfg = _cfg(tmp_path, BASE + "kappa = 2.0\n")
     assert main(["size", "--config", cfg, "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "size"])
+def test_cg_overflow_is_one_numerical_failure_line(tmp_path, command):
+    # kappa 1e300 is finite, but conjugate gradients overflow on it: one
+    # stderr line that names the overflow, and no numpy warnings
+    poly = _sq_poly(tmp_path)
+    cfg = _cfg(tmp_path, BASE + f"inclusion = {poly}\nkappa = 1e300\n")
+    src = os.path.dirname(os.path.dirname(platelab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "platelab.cli", command, "--config", cfg,
+         "--out", str(tmp_path)], env=env, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "numerical failure: conjugate gradients overflowed: the residual or "
+        "an inner product is not a finite double"]
 
 
 def test_dense_oracle_cap_is_numerical_failure(tmp_path):

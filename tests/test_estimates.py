@@ -54,7 +54,7 @@ CENTER_SQ = np.array([[0.25, 0.25], [0.75, 0.25], [0.75, 0.75], [0.25, 0.75]])
 def _pair(kappa, target=0.125, family="pure_bending a=1.0"):
     mesh = generate_mesh(SQUARE, target)
     load = load_from_family(mesh, family, MAT)
-    f = assemble_load(mesh, load)
+    f = assemble_load(load)
     region = rasterize_inclusion(mesh, [CENTER_SQ])
     incl = InclusionMaterial(kappa=kappa)
     s0 = solve(assemble_stiffness(mesh, MAT).with_load(f))
@@ -105,7 +105,7 @@ def test_lemma_mesh_mismatch_rejected():
     other = generate_mesh(SQUARE, 0.125)
     oload = load_from_family(other, "pure_bending a=1.0", MAT)
     alien = solve(assemble_stiffness(other, MAT).with_load(
-        assemble_load(other, oload)))
+        assemble_load(oload)))
     with pytest.raises(ValueError):
         verify_energy_lemma(s0, alien, load, MAT, jump_bounds(MAT, incl), region)
 
@@ -222,7 +222,7 @@ def bending_field():
     mesh = generate_mesh(SQUARE, 1.0 / 24.0)
     load = load_from_family(mesh, "pure_bending a=1.0", MAT)
     state = solve(assemble_stiffness(mesh, MAT).with_load(
-        assemble_load(mesh, load)))
+        assemble_load(load)))
     return mesh, strain_energy_density(state, rho0=1.0, order=3)
 
 
@@ -312,10 +312,10 @@ def test_probes_reject_nonpositive_rho(rho):
     mesh = generate_mesh(SQUARE, 0.25)
     load = load_from_family(mesh, "pure_bending a=1.0", MAT)
     state = solve(assemble_stiffness(mesh, MAT).with_load(
-        assemble_load(mesh, load)))
+        assemble_load(load)))
     field = strain_energy_density(state)
     with pytest.raises(ValueError, match="rho must be positive"):
-        lps_check(field, mesh, rho)
+        lps_check(field, rho)
     with pytest.raises(ValueError, match="rho must be positive"):
         three_spheres_sweep(field, [(0.5, 0.5)], rho)
 
@@ -328,7 +328,7 @@ def test_lps_ratios_match_brute_force(domain, target, rho):
     u = np.random.default_rng(8).normal(size=3 * mesh.n_nodes)
     state = PlateState(u=u, mesh=mesh, residual=0.0, normalization=None)
     field = strain_energy_density(state, rho0=1.0, order=3)
-    rep = lps_check(field, mesh, rho, theta=0.3)
+    rep = lps_check(field, rho, theta=0.3)
     we2 = field.weight * field.e2
     expect = [we2[(field.x - cx) ** 2 + (field.y - cy) ** 2 <= rho ** 2].sum()
               / field.total for cx, cy in rep.centers]
@@ -337,20 +337,20 @@ def test_lps_ratios_match_brute_force(domain, target, rho):
 
 def test_lps_constant_field(bending_field):
     mesh, field = bending_field
-    rep = lps_check(field, mesh, 0.04, theta=0.3)
+    rep = lps_check(field, 0.04, theta=0.3)
     assert not rep.degenerate
     assert ((rep.ratios >= 0.0) & (rep.ratios <= 1.0)).all()
     assert rep.constant == rep.ratios.min()
     expect = np.pi * 0.04 ** 2  # unit area, constant density
     assert abs(rep.constant - expect) / expect < 0.15
-    smaller = lps_check(field, mesh, 0.03, theta=0.3)
+    smaller = lps_check(field, 0.03, theta=0.3)
     assert smaller.constant < rep.constant
 
 
 def test_lps_rho_too_large(bending_field):
     mesh, field = bending_field
     with pytest.raises(ValueError):
-        lps_check(field, mesh, 0.2, theta=0.3)
+        lps_check(field, 0.2, theta=0.3)
 
 
 def test_lps_zero_field_degenerate(bending_field):
@@ -358,16 +358,9 @@ def test_lps_zero_field_degenerate(bending_field):
     zero = PlateState(u=np.zeros(3 * mesh.n_nodes), mesh=mesh, residual=0.0,
                       normalization=None, assumed_shear=True)
     zf = strain_energy_density(zero, rho0=1.0)
-    rep = lps_check(zf, mesh, 0.04, theta=0.3)
+    rep = lps_check(zf, 0.04, theta=0.3)
     assert rep.degenerate
     assert np.isnan(rep.constant)
-
-
-def test_lps_field_mesh_mismatch(bending_field):
-    mesh, field = bending_field
-    other = generate_mesh(SQUARE, 0.125)
-    with pytest.raises(ValueError):
-        lps_check(field, other, 0.04)
 
 
 # the assembled experiment
@@ -651,7 +644,6 @@ _OTHER = dict(
     inclusion=InclusionMaterial(kappa=3.0),
     c1=2.0,
     c2=3.0,
-    tol=1e-10,
     assumed_shear=False,
     dense_oracle=True,
     dense_cap=500,

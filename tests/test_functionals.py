@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from platelab import functionals
 from platelab.functionals import (
     EnergyField,
     boundary_fractional_norm,
@@ -43,7 +44,7 @@ def solved():
     mesh = generate_mesh(SQUARE, 0.125)
     load = load_from_family(mesh, "pure_bending a=1.0", MAT)
     sys_ = assemble_stiffness(mesh, MAT)
-    f = assemble_load(mesh, load)
+    f = assemble_load(load)
     state = solve(sys_.with_load(f))
     return mesh, load, f, state
 
@@ -289,7 +290,7 @@ def test_single_mode_ratio_closed_form(solved):
     mesh, load, f, state = solved
     lam, v = boundary_mode(mesh, 3)
     bare = mode_load(mesh, 3, compensate=False)
-    rep = frequency(bare, rho0=1.0)
+    rep = frequency(bare)
     assert_allclose(rep.ratio, (1.0 + lam) ** 0.25, rtol=1e-10)
 
 
@@ -303,7 +304,7 @@ def test_mode_load_compensated_is_solvable(solved):
     mesh, load, f, state = solved
     ml = mode_load(mesh, 2)
     sys_ = assemble_stiffness(mesh, MAT)
-    fv = assemble_load(mesh, ml)  # raises CompatibilityError if unbalanced
+    fv = assemble_load(ml)  # raises CompatibilityError if unbalanced
     st = solve(sys_.with_load(fv))
     assert boundary_work(ml, st) > 0.0
 
@@ -312,7 +313,7 @@ def test_frequency_at_least_one(solved):
     mesh, load, f, state = solved
     for ld in (load, load_from_family(mesh, "twist a=1.0", MAT),
                mode_load(mesh, 1), mode_load(mesh, 5)):
-        rep = frequency(ld, rho0=1.0)
+        rep = frequency(ld)
         assert rep.ratio >= 1.0 - 1e-12
         assert rep.norm_half >= rep.norm_one - 1e-12
 
@@ -323,7 +324,7 @@ def test_frequency_zero_load_rejected(solved):
     nb = len(mesh.boundary_edges)
     zero = BoundaryLoad(mesh, np.zeros((nb, 2)), np.zeros((nb, 2, 2)))
     with pytest.raises(ValueError):
-        frequency(zero, rho0=1.0)
+        frequency(zero)
 
 
 def test_frequency_without_nodal_samples(solved):
@@ -331,32 +332,21 @@ def test_frequency_without_nodal_samples(solved):
     mesh, load, f, state = solved
     from platelab.solver import BoundaryLoad
     stripped = BoundaryLoad(mesh, load.q.copy(), load.m.copy())
-    direct = frequency(load, rho0=1.0)
-    extrap = frequency(stripped, rho0=1.0)
+    direct = frequency(load)
+    extrap = frequency(stripped)
     assert_allclose(extrap.ratio, direct.ratio, rtol=1e-8)
 
 
-def test_spectrum_cached(solved):
+def test_frequency_computes_one_spectrum(solved, monkeypatch):
+    # its four norms, two of them on two-component couples, share one eigh
     mesh, load, f, state = solved
-    from platelab.functionals import _loop_spectrum, _spectrum_cache
-    poly = closed_boundary_polyline(mesh)
-    a = _loop_spectrum(poly)
-    assert _loop_spectrum(poly.copy()) is a
+    loop_spectrum = functionals._loop_spectrum
+    spectra = []
 
+    def counted(polyline):
+        spectra.append(polyline)
+        return loop_spectrum(polyline)
 
-def test_spectrum_cache_keeps_the_most_recent_loops():
-    from platelab.functionals import (_SPECTRUM_SLOTS, _loop_spectrum,
-                                      _spectrum_cache)
-    loops = []
-    for k in range(3 * _SPECTRUM_SLOTS):
-        square = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]], float)
-        loops.append(square * (1.0 + k))
-    first = _loop_spectrum(loops[0])
-    for loop in loops[1:]:
-        _loop_spectrum(loop)
-        _loop_spectrum(loops[0])  # read again: stays among the most recent
-        assert len(_spectrum_cache) <= _SPECTRUM_SLOTS
-    assert len(_spectrum_cache) == _SPECTRUM_SLOTS
-    assert _loop_spectrum(loops[0]) is first
-    assert _loop_spectrum(loops[-1]) is _loop_spectrum(loops[-1].copy())
-    assert loops[1].tobytes() not in _spectrum_cache
+    monkeypatch.setattr(functionals, "_loop_spectrum", counted)
+    frequency(load)
+    assert len(spectra) == 1

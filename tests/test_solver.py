@@ -36,7 +36,7 @@ def _solved(domain, family, target=0.25, assumed=True, mat=MAT):
     mesh = generate_mesh(domain, target)
     load = load_from_family(mesh, family, mat)
     sys_ = assemble_stiffness(mesh, mat, assumed_shear=assumed)
-    f = assemble_load(mesh, load)
+    f = assemble_load(load)
     state = solve(sys_.with_load(f))
     return mesh, load, f, state
 
@@ -129,7 +129,7 @@ def test_reciprocity():
     sys_ = assemble_stiffness(mesh, MAT)
     l1 = load_from_family(mesh, "pure_bending a=1.0", MAT)
     l2 = load_from_family(mesh, "twist a=1.0", MAT)
-    f1, f2 = assemble_load(mesh, l1), assemble_load(mesh, l2)
+    f1, f2 = assemble_load(l1), assemble_load(l2)
     u1 = solve(sys_.with_load(f1)).u
     u2 = solve(sys_.with_load(f2)).u
     scale = max(abs(f1 @ u1), abs(f2 @ u2))
@@ -141,10 +141,10 @@ def test_incompatible_load_rejected():
     nb = len(mesh.boundary_edges)
     load = BoundaryLoad(mesh, np.ones((nb, 2)), np.zeros((nb, 2, 2)))
     with pytest.raises(CompatibilityError) as err:
-        assemble_load(mesh, load)
+        assemble_load(load)
     assert abs(err.value.force_residual - 4.0) < 1e-12
     # unchecked assembly still produces a vector
-    f = assemble_load(mesh, load, check=False)
+    f = assemble_load(load, check=False)
     assert f.shape == (3 * mesh.n_nodes,)
 
 
@@ -155,12 +155,12 @@ def test_net_moment_rejected():
     m[:, :, 0] = 1.0  # constant couple, nonzero integral
     load = BoundaryLoad(mesh, np.zeros((nb, 2)), m)
     with pytest.raises(CompatibilityError):
-        assemble_load(mesh, load)
+        assemble_load(load)
 
 
 def test_residual_check_small():
     mesh, load, f, state = _solved(SQUARE, "pure_bending a=1.0")
-    max_res, rel, worst = residual_check(state, mesh, MAT, load)
+    max_res, rel, worst = residual_check(state, MAT, load)
     assert rel < 1e-10
     assert 0 <= worst < mesh.n_elements
 
@@ -180,7 +180,7 @@ def test_dense_matches_sparse():
         mesh = generate_mesh(domain, 0.25)
         load = load_from_family(mesh, family, mat)
         sys_ = assemble_stiffness(mesh, mat)
-        f = assemble_load(mesh, load)
+        f = assemble_load(load)
         sys_ = sys_.with_load(f)
         us = solve(sys_).u
         ud = dense_oracle_solve(sys_).u
@@ -192,7 +192,7 @@ def test_dense_cap_enforced():
     mesh = generate_mesh(SQUARE, 0.05)  # 21x21 nodes -> 1323 dof
     load = load_from_family(mesh, "pure_bending a=1.0", MAT)
     sys_ = assemble_stiffness(mesh, MAT)
-    sys_ = sys_.with_load(assemble_load(mesh, load))
+    sys_ = sys_.with_load(assemble_load(load))
     with pytest.raises(SolveError):
         dense_oracle_solve(sys_)
 
@@ -207,8 +207,8 @@ def test_full_integration_locks_thin():
     for assumed, bound in ((True, 1e-10), (False, None)):
         load = load_from_family(mesh, "pure_bending a=1.0", thin)
         sys_ = assemble_stiffness(mesh, thin, assumed_shear=assumed)
-        state = solve(sys_.with_load(assemble_load(mesh, load)))
-        err = abs(assemble_load(mesh, load) @ state.u - exact) / exact
+        state = solve(sys_.with_load(assemble_load(load)))
+        err = abs(assemble_load(load) @ state.u - exact) / exact
         if assumed:
             assert err < bound
         else:
@@ -227,7 +227,7 @@ def test_thin_plate_residual_small():
 def test_singular_stiffness_is_solve_error():
     mesh = generate_mesh(SQUARE, 0.25)
     load = load_from_family(mesh, "pure_bending a=1.0", MAT)
-    sys_ = assemble_stiffness(mesh, MAT).with_load(assemble_load(mesh, load))
+    sys_ = assemble_stiffness(mesh, MAT).with_load(assemble_load(load))
     zero = sys_.stiffness * 0.0
     zero.eliminate_zeros()
     with pytest.raises(SolveError):
@@ -257,14 +257,6 @@ def test_element_operators_built_once_under_threads(monkeypatch):
                             timeout=60))
     assert len(builds) == 1
     assert all(ops is got[0] for ops in got)
-
-
-def test_mesh_mismatch_rejected():
-    mesh1 = generate_mesh(SQUARE, 0.25)
-    mesh2 = generate_mesh(SQUARE, 0.25)
-    load = load_from_family(mesh1, "pure_bending a=1.0", MAT)
-    with pytest.raises(ValueError):
-        assemble_load(mesh2, load)
 
 
 @pytest.mark.parametrize("domain", [SQUARE, LSHAPE, ROT])

@@ -9,10 +9,11 @@ configs: the small variants of the benchmark workloads (perfbench/, drawn
 with --seed) and one run of every command, with and without an inclusion,
 under --dense-oracle and with calibrate at --jobs 1, 2 and 3, plus solve and
 size on an L-shape (edge_moment) and a skewed quad (twist), whose normals
-leave the axes, and size at the contrasts 64 and 1e-3 and, under
---dense-oracle, 1e3. Two more calibrate corpora run at --jobs 1 and 2: one
-spans two meshes and holds a reference-only entry, and in the other the
-second entry has an unknown load. Every run is a fresh process.
+leave the axes, and size at the contrasts 64, 1e-3 and 1e300 (where
+conjugate gradients overflow, exit 2) and, under --dense-oracle, 1e3. Two
+more calibrate corpora run at --jobs 1 and 2: one spans two meshes and
+holds a reference-only entry, and in the other the second entry has an
+unknown load. Every run is a fresh process.
 
 For each CSV the report prints "identical" or, for each column that
 changed, the largest relative change |new - old| / max(|new|, |old|); a
@@ -62,6 +63,7 @@ def command_runs(inputs):
         "kappa64": incl.replace("kappa = 2.5", "kappa = 64"),
         "kappa1e-3": incl.replace("kappa = 2.5", "kappa = 1e-3"),
         "kappa1e3": incl.replace("kappa = 2.5", "kappa = 1e3"),
+        "kappa1e300": incl.replace("kappa = 2.5", "kappa = 1e300"),
         "three_spheres": BASE.replace("target_size = 0.125",
                                       "target_size = 0.0625")
         + "rho0 = 0.1\nrho = 0.04\npitch = 0.05\n",
@@ -116,6 +118,7 @@ def command_runs(inputs):
             ("size-kappa1e-3", ["size", "--config", path["kappa1e-3"]]),
             ("size-dense-kappa1e3", ["size", "--config", path["kappa1e3"],
                                      "--dense-oracle"]),
+            ("size-kappa1e300", ["size", "--config", path["kappa1e300"]]),
             ("three-spheres", ["three-spheres", "--config",
                                path["three_spheres"]]),
             ("lps", ["lps", "--config", path["lps"]]),
