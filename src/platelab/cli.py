@@ -31,10 +31,10 @@ from .functionals import stability_ratio, strain_energy_density, work_report
 from .geometry import AprioriData, Domain, read_polygons
 from .material import (
     InclusionMaterial,
+    IsotropicMaterial,
     JumpBounds,
     inclusion_from_tables,
     jump_bounds,
-    material_from_config,
 )
 from .solver import CompatibilityError, SolveError, residual_check
 
@@ -120,10 +120,7 @@ def _build_apriori(cfg):
         if len(parts) != 2:
             raise ConfigError("x0 needs two coordinates")
         kw["x0"] = tuple(parts)
-    try:
-        return AprioriData(**kw)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return AprioriData(**kw)
 
 
 def _build_domain(cfg):
@@ -147,10 +144,10 @@ def _build_domain(cfg):
 
 
 def _build_material(cfg):
-    try:
-        return material_from_config(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return IsotropicMaterial(
+        lam=_f(cfg, "lambda"), mu=_f(cfg, "mu"), h=_f(cfg, "h"),
+        alpha0=_f(cfg, "alpha0", 1.0), gamma0=_f(cfg, "gamma0", 5.0),
+        alpha1=_f(cfg, "alpha1", 2.0))
 
 
 _INCLUSION_KEYS = ("inclusion", "kappa", "stilde_table", "ptilde_table")
@@ -396,15 +393,14 @@ def _cmd_calibrate(cfg, args, name, outdir, stamp):
     entries = [r for r in reports if r.regime is not None]
     if not entries:
         raise ConfigError("calibration corpus has no inclusion experiments")
-    corpus = [(r.true_area, r.gap,  r.work_reference,
-               JumpBounds(r.eta, r.delta, r.regime)) for r in entries]
-    fit = calibrate_constants(corpus, rho0=rho0)
+    jumps = [JumpBounds(r.eta, r.delta, r.regime) for r in entries]
+    fit = calibrate_constants([(r.true_area, r.gap, r.work_reference, jb)
+                               for r, jb in zip(entries, jumps)], rho0=rho0)
 
     code = 0
     rows = []
     worst_spread = 0.0
-    for r in entries:
-        jb = JumpBounds(r.eta, r.delta, r.regime)
+    for r, jb in zip(entries, jumps):
         lo, hi = size_bounds(r.gap, r.work_reference, jb, fit.c1, fit.c2, rho0)
         bracketed = lo <= r.true_area * (1 + 1e-12) and \
             r.true_area <= hi * (1 + 1e-12)

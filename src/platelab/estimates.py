@@ -18,6 +18,8 @@ this module relates that number to the override's area:
 """
 
 import concurrent.futures
+import functools
+import threading
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import NamedTuple
 
@@ -493,17 +495,20 @@ def forward(config):
 
 
 def run_size_experiment(config):
-    """Forward pipeline plus the size report for one configuration."""
-    return _size_experiment(config)
+    """The size report of one configuration: a run_corpus group of one."""
+    return _size_experiment(config, lambda: _shared_reference(config))
 
 
-def _size_experiment(config, shared=None):
-    """run_size_experiment; shared, when given, is the _shared_reference of
-    a config with the same reference key."""
+def _size_experiment(config, reference):
+    """run_size_experiment on reference(), the _shared_reference of a
+    config with the same reference key."""
     ap = config.domain.apriori
+    # the config's own contrast error comes before its reference's errors
     jumps = None if config.inclusion is None else \
         jump_bounds(config.material, config.inclusion)
-    fw = forward(config) if shared is None else _forward(config, *shared[:2])
+    plate, factor, freq = reference()
+    fw = _forward(config, plate, factor)
+    del plate, factor  # size frees the factor once the inclusion is solved
     mesh, indicator = fw.mesh, fw.indicator
     messages = []
     if jumps is not None and indicator.empty:
@@ -534,7 +539,6 @@ def _size_experiment(config, shared=None):
     # skip the empty-indicator warning path; 1.0 is its defined value
     fat = 1.0 if indicator.empty else \
         fatness_ratio(mesh, indicator, ap.h1 * ap.rho0)
-    freq = frequency(fw.load) if shared is None else shared[2]
     return SizeEstimateReport(
         name=config.name, n_elements=mesh.n_elements,
         mesh_size=float(mesh.mesh_size), true_area=float(indicator.area),
@@ -545,7 +549,7 @@ def _size_experiment(config, shared=None):
         delta=None if jumps is None else jumps.delta,
         c1=config.c1, c2=config.c2, sign_ok=sign_ok,
         lower=float(lower), upper=float(upper), fatness=float(fat),
-        frequency_ratio=freq.ratio,
+        frequency_ratio=freq().ratio,
         lemma=lemma, messages=tuple(messages))
 
 
@@ -562,10 +566,18 @@ def _by_value(value):
     return value
 
 
-def _shared_reference(config, mesh):
-    """Reference plate, factor and frequency report of config."""
+def _shared_reference(config, mesh=None):
+    """_reference_plate(config, mesh) and a callable that computes the
+    plate's frequency report once, on first call: after an inclusion solve,
+    when size has freed the factor."""
     plate, factor = _reference_plate(config, mesh)
-    return plate, factor, frequency(plate.load)
+    report = functools.cache(functools.partial(frequency, plate.load))
+    lock = threading.Lock()
+
+    def freq():
+        with lock:  # the experiments of a group call it from their threads
+            return report()
+    return plate, factor, freq
 
 
 def run_corpus(configs, jobs=1):
@@ -595,23 +607,14 @@ def run_corpus(configs, jobs=1):
         for plates in groups.values():
             mesh = None
             for idx in plates.values():
-                try:
-                    shared = pool.submit(_shared_reference, configs[idx[0]],
-                                         mesh).result()
-                except Exception:
-                    # alone, the group's first config fails as well, maybe
-                    # earlier, on its own inclusion; it is read before the
-                    # rest of its group
-                    first = pool.submit(run_size_experiment, configs[idx[0]])
-                    concurrent.futures.wait([first])
-                    for i in idx:
-                        outcomes[i] = first
-                    continue
-                mesh = shared[0].mesh
+                # queued first, so no experiment waits on an untaken reference
+                shared = pool.submit(_shared_reference, configs[idx[0]], mesh)
                 for i in idx:
                     outcomes[i] = pool.submit(_size_experiment, configs[i],
-                                              shared)
+                                              shared.result)
                 concurrent.futures.wait([outcomes[i] for i in idx])
+                if shared.exception() is None:
+                    mesh = shared.result()[0].mesh
                 del shared  # before the next reference is built
     return [f.result() for f in outcomes]
 

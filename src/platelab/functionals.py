@@ -341,8 +341,7 @@ def mode_load(mesh, k, compensate=True):
     lam, v = boundary_mode(mesh, k)
     pos = _loop_positions(mesh)
     edges = mesh.boundary_edges
-    nb = len(edges)
-    m = np.zeros((nb, 2, 2))
+    m = np.zeros((len(edges), 2, 2))
     va = v[pos[edges[:, 0]]]
     vb = v[pos[edges[:, 1]]]
     q = np.outer(va, 0.5 * (1.0 - GAUSS2)) + np.outer(vb, 0.5 * (1.0 + GAUSS2))
@@ -353,7 +352,4 @@ def mode_load(mesh, k, compensate=True):
         int_qx = np.einsum("eg,egc->c", 0.5 * L[:, None] * q, pts)
         const_m = int_qx / float(L.sum())
         m[:] = const_m[None, None, :]
-    load.nodal_q = v
-    load.nodal_m = np.broadcast_to(m[0, 0], (nb, 2)).copy() if compensate \
-        else np.zeros((nb, 2))
     return load

@@ -436,26 +436,3 @@ def inclusion_from_tables(shear_path, bending_path):
     pt[bid, 1, 2] = pt[bid, 2, 1] = p2212
     pt[bid, 2, 2] = p1212
     return InclusionMaterial(stilde=st, ptilde=pt)
-
-
-def material_from_config(cfg):
-    """IsotropicMaterial from a flat key-value mapping (strings or numbers)."""
-    def get(key, default=None):
-        if key in cfg:
-            try:
-                return float(cfg[key])
-            except ValueError:
-                raise ValueError(f"config key '{key}' is not a number: "
-                                 f"{cfg[key]!r}") from None
-        if default is None:
-            raise ValueError(f"material config is missing '{key}'")
-        return default
-
-    return IsotropicMaterial(
-        lam=get("lambda"),
-        mu=get("mu"),
-        h=get("h"),
-        alpha0=get("alpha0", 1.0),
-        gamma0=get("gamma0", 5.0),
-        alpha1=get("alpha1", 2.0),
-    )

@@ -345,16 +345,12 @@ class BoundaryLoad:
 
     q has shape (n_edges, 2) and m (n_edges, 2, 2): two Gauss points per
     edge at parameters -1/sqrt(3), 1/sqrt(3); edge_values extends the two
-    samples linearly. nodal_q / nodal_m may carry exact boundary-node
-    samples for spectral diagnostics; without them nodal_samples averages
-    the two edges meeting at each node.
+    samples linearly.
     """
 
     mesh: object
     q: np.ndarray
     m: np.ndarray
-    nodal_q: np.ndarray | None = None
-    nodal_m: np.ndarray | None = None
 
     def edge_points(self):
         a = self.mesh.nodes[self.mesh.boundary_edges[:, 0]]
@@ -387,13 +383,9 @@ class BoundaryLoad:
         return q, m, t, w
 
     def nodal_samples(self):
-        """(q, m) at the boundary nodes in loop order.
-
-        nodal_q / nodal_m when set; otherwise the edge values at both ends
-        of every edge, averaged over the two edges meeting at each node.
-        """
-        if self.nodal_q is not None and self.nodal_m is not None:
-            return self.nodal_q, self.nodal_m
+        """(q, m) at the boundary nodes in loop order: the edge values at
+        both ends of every edge, averaged over the two edges meeting at
+        each node."""
         edges = self.mesh.boundary_edges
         idx = _loop_positions(self.mesh)[edges].ravel()
         q, m = self.edge_values((-1.0, 1.0))

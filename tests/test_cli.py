@@ -78,6 +78,13 @@ def test_parse_config_bad_line(tmp_path):
         parse_config(str(path))
 
 
+def test_material_from_config():
+    assert cli._build_material({"lambda": "1.0", "mu": "1.0", "h": "0.5"}) \
+        == IsotropicMaterial(lam=1.0, mu=1.0, h=0.5)
+    with pytest.raises(ConfigError):
+        cli._build_material({"mu": "1.0", "h": "1.0"})
+
+
 def test_csv_text_schema_and_no_timestamp():
     text = csv_text("demo", ["a", "b"], [(1.0, 2.0)], timestamp=False)
     lines = text.splitlines()
@@ -589,6 +596,23 @@ def test_calibrate_reports_the_first_failing_entry(tmp_path, capsys):
             "config error: unknown load family 'bogus'\n"
 
 
+def test_zero_load_size_and_calibrate_agree(tmp_path, capsys):
+    # the zero load has no frequency report, but the report comes last:
+    # alone and in a corpus, the size bounds fail first
+    text = BASE.replace("a=1", "a=0") + \
+        f"inclusion = {_sq_poly(tmp_path)}\nkappa = 2.0\n"
+    assert main(["size", "--config", _cfg(tmp_path, text),
+                 "--out", str(tmp_path)]) == 1
+    line = "config error: reference work must be positive\n"
+    assert capsys.readouterr().err == line
+    cfg = _corpus(tmp_path, [
+        ("a", text), ("b", text.replace("kappa = 2.0", "kappa = 3.0"))])
+    for jobs in ("1", "2"):
+        assert main(["calibrate", "--config", cfg, "--out", str(tmp_path),
+                     "--jobs", jobs]) == 1
+        assert capsys.readouterr().err == line
+
+
 # exit codes
 
 
@@ -615,6 +639,14 @@ def test_non_numeric_value_names_its_key(tmp_path, capsys, old, new, message):
     cfg = _cfg(tmp_path, BASE.replace(old, new))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("key", ["lambda", "mu", "h"])
+def test_missing_material_key_is_config_error(tmp_path, capsys, key):
+    cfg = _cfg(tmp_path, BASE.replace(f"\n{key} = 1.0\n", "\n"))
+    assert main(["size", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == \
+        f"config error: missing config key '{key}'\n"
 
 
 def test_unknown_command_is_config_error(tmp_path):

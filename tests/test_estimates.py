@@ -1,4 +1,5 @@
 import sys
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -595,6 +596,29 @@ def test_threads_share_one_reference_factor(monkeypatch):
                        for c, u in zip(configs, serial))
     finally:
         sys.setswitchinterval(switch)
+
+
+def test_one_frequency_report_per_reference_under_threads(monkeypatch):
+    # the experiments of a group reach the shared report at about the same
+    # time; a slow report widens the window in which two could compute it
+    base = SizeExperimentConfig(domain=SQUARE, material=MAT, target_size=0.25)
+    configs = [replace(base, load_family=load, inclusion_polygons=(CENTER_SQ,),
+                       inclusion=InclusionMaterial(kappa=k), name=f"{load}{k}")
+               for load in ("pure_bending a=1", "twist a=1")
+               for k in (1.5, 2.0, 3.0, 4.0)]
+    expected = [run_size_experiment(c) for c in configs]
+    calls = []
+    inner = estimates.frequency
+
+    def slow(load):
+        calls.append(load)
+        time.sleep(0.02)
+        return inner(load)
+
+    monkeypatch.setattr(estimates, "frequency", slow)
+    for run in range(1, 4):
+        assert run_corpus(configs, jobs=2) == expected
+        assert len(calls) == 2 * run
 
 
 def _per_element(n, mu):

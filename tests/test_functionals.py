@@ -327,16 +327,6 @@ def test_frequency_zero_load_rejected(solved):
         frequency(zero)
 
 
-def test_frequency_without_nodal_samples(solved):
-    # edge-sample extrapolation path must agree with the direct nodal path
-    mesh, load, f, state = solved
-    from platelab.solver import BoundaryLoad
-    stripped = BoundaryLoad(mesh, load.q.copy(), load.m.copy())
-    direct = frequency(load)
-    extrap = frequency(stripped)
-    assert_allclose(extrap.ratio, direct.ratio, rtol=1e-8)
-
-
 def test_frequency_computes_one_spectrum(solved, monkeypatch):
     # its four norms, two of them on two-component couples, share one eigh
     mesh, load, f, state = solved

@@ -13,7 +13,6 @@ from platelab.material import (
     ellipticity_constants,
     inclusion_from_tables,
     jump_bounds,
-    material_from_config,
     shear_matrix,
     validate_on_mesh,
     _shared_edge_pairs,
@@ -301,13 +300,6 @@ def test_shared_edge_pairs_match_brute_force():
     pairs = _shared_edge_pairs(mesh.elements)
     assert len(expected) > 0
     assert pairs.tolist() == [list(p) for p in expected]
-
-
-def test_material_from_config():
-    mat = material_from_config({"lambda": "1.0", "mu": "1.0", "h": "0.5"})
-    assert mat.h == 0.5
-    with pytest.raises(ValueError):
-        material_from_config({"mu": "1.0", "h": "1.0"})
 
 
 @pytest.mark.parametrize("ids, message", [([2, -1, 7], "negative element id -1"),

@@ -288,7 +288,6 @@ def test_nodal_samples_recover_piecewise_linear_field():
 
     mesh = generate_mesh(LSHAPE, 0.1)
     load = mode_load(mesh, 3, compensate=False)
-    load.nodal_q = load.nodal_m = None
     q, m = load.nodal_samples()
     assert_allclose(q, boundary_mode(mesh, 3)[1], atol=1e-13)
     assert not m.any()

@@ -10,10 +10,13 @@ with --seed) and one run of every command, with and without an inclusion,
 under --dense-oracle and with calibrate at --jobs 1, 2 and 3, plus solve and
 size on an L-shape (edge_moment) and a skewed quad (twist), whose normals
 leave the axes, and size at the contrasts 64, 1e-3 and 1e300 (where
-conjugate gradients overflow, exit 2) and, under --dense-oracle, 1e3. Two
-more calibrate corpora run at --jobs 1 and 2: one spans two meshes and
-holds a reference-only entry, and in the other the second entry has an
-unknown load. Every run is a fresh process.
+conjugate gradients overflow, exit 2) and, under --dense-oracle, 1e3. size
+also runs with tensor tables in place of kappa, without the lambda key
+(exit 1) and with the zero load `pure_bending a=0` (exit 1). Three more
+calibrate corpora run at --jobs 1 and 2: one spans two meshes and holds a
+reference-only entry, in another the second entry has an unknown load, and
+the third holds two zero-load entries (exit 1). Every run is a fresh
+process.
 
 For each CSV the report prints "identical" or, for each column that
 changed, the largest relative change |new - old| / max(|new|, |old|); a
@@ -49,11 +52,26 @@ def _write(path, text):
     return path
 
 
+def _tensor_tables(inputs, n_elements=64):
+    """Config lines for an anisotropic stiff override of the background
+    material lambda = mu = h = 1 on elements 0 .. n_elements-1."""
+    b, nu = 2.0 / 9.0, 0.25  # bending rigidity and Poisson ratio
+    shear = "3.0,0.5,2.0"
+    bend = ",".join(repr(v) for v in (2.0 * b, 2.0 * b * nu, 0.02, 2.0 * b,
+                                      0.0, b * (1.0 - nu)))
+    spath = _write(os.path.join(inputs, "stilde.csv"), "".join(
+        f"{e},{shear}\n" for e in range(n_elements)))
+    ppath = _write(os.path.join(inputs, "ptilde.csv"), "".join(
+        f"{e},{bend}\n" for e in range(n_elements)))
+    return f"stilde_table = {spath}\nptilde_table = {ppath}\n"
+
+
 def command_runs(inputs):
     """(label, argv) of one run of every command, written under inputs."""
     poly = _write(os.path.join(inputs, "inclusion.poly"),
                   workloads._polygon_text(INCLUSION))
     incl = BASE + f"inclusion = {poly}\nkappa = 2.5\n"
+    zero = incl.replace("pure_bending a=1", "pure_bending a=0")
     soft = BASE + f"inclusion = {poly}\nkappa = 0.4\n"
     cfgs = {
         "plain": BASE,
@@ -64,6 +82,10 @@ def command_runs(inputs):
         "kappa1e-3": incl.replace("kappa = 2.5", "kappa = 1e-3"),
         "kappa1e3": incl.replace("kappa = 2.5", "kappa = 1e3"),
         "kappa1e300": incl.replace("kappa = 2.5", "kappa = 1e300"),
+        "tables": incl.replace("kappa = 2.5\n", _tensor_tables(inputs)),
+        "no_lambda": incl.replace("lambda = 1.0\n", ""),
+        # the zero load has no frequency report; the size bounds fail first
+        "zero_load": zero,
         "three_spheres": BASE.replace("target_size = 0.125",
                                       "target_size = 0.0625")
         + "rho0 = 0.1\nrho = 0.04\npitch = 0.05\n",
@@ -94,7 +116,9 @@ def command_runs(inputs):
             coarse.replace("pure_bending", "twist")
             + f"inclusion = {poly}\nkappa = 2.0\n"],
         "calibrate_bad_load": [incl, incl.replace("pure_bending", "bogus"),
-                               incl.replace("kappa = 2.5", "kappa = 3.0")]}
+                               incl.replace("kappa = 2.5", "kappa = 3.0")],
+        "calibrate_zero_load": [zero, zero.replace("kappa = 2.5",
+                                                   "kappa = 3.0")]}
     path = {k: _write(os.path.join(inputs, f"{k}.cfg"), v)
             for k, v in cfgs.items()}
     for key, entries in corpora.items():
@@ -119,6 +143,9 @@ def command_runs(inputs):
             ("size-dense-kappa1e3", ["size", "--config", path["kappa1e3"],
                                      "--dense-oracle"]),
             ("size-kappa1e300", ["size", "--config", path["kappa1e300"]]),
+            ("size-tables", ["size", "--config", path["tables"]]),
+            ("size-no-lambda", ["size", "--config", path["no_lambda"]]),
+            ("size-zero-load", ["size", "--config", path["zero_load"]]),
             ("three-spheres", ["three-spheres", "--config",
                                path["three_spheres"]]),
             ("lps", ["lps", "--config", path["lps"]]),
@@ -129,7 +156,8 @@ def command_runs(inputs):
                                      "--jobs", str(j)]) for j in (1, 2, 3)]
     runs += [(f"{key.replace('_', '-')}-jobs{j}",
               ["calibrate", "--config", path[key], "--jobs", str(j)])
-             for key in ("calibrate_meshes", "calibrate_bad_load")
+             for key in ("calibrate_meshes", "calibrate_bad_load",
+                         "calibrate_zero_load")
              for j in (1, 2)]
     return runs
 
