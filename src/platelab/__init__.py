@@ -26,13 +26,9 @@ from .estimates import (
 )
 from .functionals import (
     EnergyField,
-    boundary_fractional_norm,
     boundary_work,
     disk_energies,
     frequency,
-    korn_ratio,
-    mode_load,
-    poincare_ratio,
     stability_ratio,
     strain_energy_density,
     work_report,

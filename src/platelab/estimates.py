@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .functionals import (
-    _disk_selections,
+    _disk_points,
     boundary_work,
     disk_energies,
     frequency,
@@ -363,9 +363,11 @@ def lps_check(field, rho, theta=0.3):
 
     # summed as (w e2)[disk].sum(), not w[disk] @ e2[disk] as in
     # disk_energies: the two differ in the last bits
-    we2 = field.weight * field.e2
-    ratios = np.array([we2[sl][m].sum() for (sl, m), in
-                       _disk_selections(field, centers, (rho,))]) / total
+    ratios = np.empty(len(centers))
+    for _, rows, we2 in _disk_points(field, centers, (rho,),
+                                     field.weight * field.e2):
+        ratios[rows] = we2.sum(axis=1)
+    ratios /= total
     worst = int(np.argmin(ratios))
     return LpsReport(**base, ratios=ratios, constant=float(ratios[worst]),
                      worst_center=tuple(centers[worst]), degenerate=False)

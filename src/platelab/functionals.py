@@ -12,13 +12,12 @@ weights (1 + rho0^2 lambda)^s; the oscillation ratio compares the order
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from .geometry import GAUSS2
-from .solver import BoundaryLoad, _loop_positions, element_operators
+from .solver import element_operators
 
 
 @dataclass(frozen=True)
@@ -101,93 +100,140 @@ def strain_energy_density(state, rho0=None, order=2):
         rho0=float(rho0))
 
 
-def _disk_selections(field, centers, radii):
-    """Yield, for each center, one (slice, mask) pair per radius.
+# candidates tested per batch of windowed disks: about 6 MB of transient
+# arrays
+_BATCH = 1 << 16
 
-    The points of the disk are those of field[slice][mask], in index order,
-    under the rule (x - cx)^2 + (y - cy)^2 <= r^2. The slice comes from
-    running extremes of y, a max from the left and a min from the right:
-    every point of the band |y - cy| <= r lies in it whatever the point
+
+def _disk_points(field, centers, radii, *values):
+    """Yield (k, rows, *gathered) batches that cover every disk once.
+
+    The disk of radius radii[k] about centers[i] holds the points with
+    (x - cx)^2 + (y - cy)^2 <= r^2; a negative radius reads as |r|. rows
+    indexes centers, and gathered[j][n] holds values[j] at the points of
+    the disk about centers[rows][n], in ascending point index. Every disk
+    of a batch holds the same number of points, so a row-wise reduction of
+    gathered reduces each disk as one call on that disk alone would.
+
+    Only the points of a disk's band |y - cy| <= r are tested. The band is
+    one slice [lo, hi) found from running extremes of y, a max from the
+    left and a min from the right: it holds the band whatever the point
     order, and it is short when the points run row by row, as the
-    element-by-element samples of a j-major grid do. The band is padded by
-    a relative 1e-9 so that rounding in the mask never admits a point
-    outside the slice; like the mask, it reads a negative r as |r|.
+    element-by-element samples of a j-major grid do. When every x-window
+    spans less than a sixteenth of the points' x-extent, a disk tests only
+    the band points of its window, which one sort of the band finds for
+    every center of that band at once, as on a lattice row. Otherwise each
+    center scans the band of its largest disk once, and its smaller disks
+    share those distances. Band and window are padded by a relative 1e-9
+    so that rounding in the rule never admits a point outside them.
     """
     x, y = field.x, field.y
-    run_max = np.maximum.accumulate(y)
-    run_min = np.minimum.accumulate(y[::-1])[::-1]
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
     radii = np.abs(np.asarray(radii, dtype=float))
+    if not len(centers) or not len(radii):
+        return
+    run_max = np.maximum.accumulate(y)
+    run_min = np.minimum.accumulate(y[::-1])[::-1]
     half = radii[:, None] * (1.0 + 1e-9) + 1e-9 * np.abs(centers[:, 1])
     lo = np.searchsorted(run_max, centers[:, 1] - half, side="left")
     hi = np.maximum(np.searchsorted(run_min, centers[:, 1] + half,
                                     side="right"), lo)
     r2 = [r ** 2 for r in radii.tolist()]
-    for (cx, cy), a, b, los, his in zip(centers.tolist(),
-                                        lo.min(axis=0).tolist(),
-                                        hi.max(axis=0).tolist(),
-                                        lo.T.tolist(), hi.T.tolist()):
-        d2 = (x[a:b] - cx) ** 2 + (y[a:b] - cy) ** 2
-        yield [(slice(l, h), d2[l - a:h - a] <= rr)
-               for l, h, rr in zip(los, his, r2)]
+    # the centers of one height share their bands, as a lattice row does
+    order = np.argsort(centers[:, 1], kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(centers[order, 1])) + 1)
+    if len(x) and 32.0 * radii.max() < x.max() - x.min():
+        for k in range(len(radii)):
+            for batch in _windowed(x, y, centers, groups, radii[k], r2[k],
+                                   lo[k], hi[k], values):
+                yield (k, *batch)
+        return
+    for g in groups:
+        a, b = int(lo[:, g[0]].min()), int(hi[:, g[0]].max())
+        dy2 = y[a:b] - centers[g[0], 1]
+        dy2 *= dy2
+        for i, cx in zip(g.tolist(), centers[g, 0].tolist()):
+            d2 = x[a:b] - cx
+            d2 *= d2
+            d2 += dy2
+            for k, (l, h, rr) in enumerate(zip(lo[:, i].tolist(),
+                                               hi[:, i].tolist(), r2)):
+                m = d2[l - a:h - a] <= rr
+                yield (k, slice(i, i + 1), *(v[l:h][m][None, :]
+                                             for v in values))
+
+
+def _windowed(x, y, centers, groups, r, r2, lo, hi, values):
+    # _disk_points for one narrow radius: each group of centers, which
+    # shares one band, sorts the band by x once, and each center tests the
+    # band points of its padded x-window; members collect as sorted
+    # (slot, point) keys, slot numbering the centers of the pending batch
+    n = len(x)
+    cx, cy = centers[:, 0], centers[:, 1]
+    halfx = r * (1.0 + 1e-9) + 1e-9 * np.abs(cx)
+    rows, counts, keys = [], [], []
+    slots = pending = 0  # centers and candidates since the last batch
+    for g in groups:
+        a, b = int(lo[g[0]]), int(hi[g[0]])
+        by_x = np.argsort(x[a:b], kind="stable")
+        xs, ys = x[a:b][by_x], y[a:b][by_x]
+        p = np.searchsorted(xs, cx[g] - halfx[g], side="left")
+        q = np.maximum(np.searchsorted(xs, cx[g] + halfx[g], side="right"),
+                       p)
+        ends = np.cumsum(q - p)
+        i = 0
+        while i < len(g):
+            # the centers g[i:j] test at most _BATCH candidates, or one
+            # center does alone
+            base = int(ends[i - 1]) if i else 0
+            j = max(i + 1, int(np.searchsorted(ends, base + _BATCH,
+                                               side="right")))
+            c = q[i:j] - p[i:j]
+            pos = np.arange(int(ends[j - 1]) - base) \
+                + np.repeat(p[i:j] - (ends[i:j] - c - base), c)
+            keep = (xs[pos] - np.repeat(cx[g[i:j]], c)) ** 2 \
+                + (ys[pos] - np.repeat(cy[g[i:j]], c)) ** 2 <= r2
+            slot = np.repeat(np.arange(j - i), c)[keep]
+            keys.append((slot + slots) * n + (by_x[pos[keep]] + a))
+            counts.append(np.bincount(slot, minlength=j - i))
+            rows.append(g[i:j])
+            slots += j - i
+            pending += len(pos)
+            i = j
+            if pending >= _BATCH:
+                yield from _batches(rows, counts, keys, n, values)
+                rows, counts, keys = [], [], []
+                slots = pending = 0
+    yield from _batches(rows, counts, keys, n, values)
+
+
+def _batches(rows, counts, keys, n, values):
+    # (rows, *gathered) per member count of the pending disks of _windowed
+    if not rows:
+        return
+    rows, counts = np.concatenate(rows), np.concatenate(counts)
+    keys = np.sort(np.concatenate(keys))
+    points = keys - np.repeat(np.arange(len(rows)) * n, counts)
+    starts = np.cumsum(counts) - counts
+    for c in np.unique(counts).tolist():
+        sel = counts == c
+        idx = points[starts[sel, None] + np.arange(c)]
+        yield (rows[sel], *(v[idx] for v in values))
 
 
 def disk_energies(field, centers, radii):
     """Weighted sums of E^2 over disks, shape (len(centers), len(radii)).
 
     Entry [i, k] integrates over the disk of radius radii[k] about
-    centers[i]; a disk that holds no quadrature point gives 0.0.
+    centers[i]; a disk that holds no quadrature point gives 0.0. Each
+    entry is w[m] @ e2[m] over the disk's points m in index order.
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
-    w, e2 = field.weight, field.e2
     out = np.empty((len(centers), len(radii)))
-    for i, disks in enumerate(_disk_selections(field, centers, radii)):
-        out[i] = [w[sl][m] @ e2[sl][m] for sl, m in disks]
+    for k, rows, w, e2 in _disk_points(field, centers, radii,
+                                       field.weight, field.e2):
+        out[rows, k] = np.matmul(w[:, None, :], e2[:, :, None])[:, 0, 0]
     return out
-
-
-class Ratio(NamedTuple):
-    """A norm ratio, or NaN with degenerate set when its denominator vanishes."""
-
-    value: float
-    degenerate: bool
-
-
-def korn_ratio(state):
-    """Full-gradient to symmetric-gradient-plus-shear ratio of a state."""
-    mesh = state.mesh
-    rho0 = mesh.domain.apriori.rho0
-    ops = element_operators(mesh, 2, state.assumed_shear)
-    wts = ops.point_weights()
-    g1 = ops.scalar_grads(state.phi1)
-    g2 = ops.scalar_grads(state.phi2)
-    num_sq = float(np.sum(wts[..., None] * (g1 ** 2 + g2 ** 2)))
-    bend_sq, shear_sq = ops.strain_squares(state.u)
-    den = (np.sqrt(float(np.sum(wts * bend_sq)))
-           + np.sqrt(float(np.sum(wts * shear_sq))) / rho0)
-    scale = np.sqrt(np.sum(wts) * max(np.abs(state.u).max(initial=0.0), 1.0))
-    if den <= 1e-14 * scale:
-        return Ratio(float("nan"), True)
-    return Ratio(float(np.sqrt(num_sq) / den), False)
-
-
-def poincare_ratio(mesh, nodal, rho0=None):
-    """Mean-free L2 norm over rho0 times the gradient norm, for a nodal field."""
-    if rho0 is None:
-        rho0 = mesh.domain.apriori.rho0
-    nodal = np.asarray(nodal, dtype=float)
-    ops = element_operators(mesh, 2, True)
-    wts = ops.point_weights()
-    vals = ops.scalar_values(nodal)
-    grads = ops.scalar_grads(nodal)
-    area = float(np.sum(wts))
-    mean = float(np.sum(wts * vals)) / area
-    var = float(np.sum(wts * (vals - mean) ** 2))
-    grad_sq = float(np.sum(wts[..., None] * grads ** 2))
-    scale = max(np.abs(nodal).max(initial=0.0), 1.0)
-    if grad_sq <= (1e-14 * scale) ** 2 * area:
-        return Ratio(float("nan"), True)
-    return Ratio(float(np.sqrt(var) / (rho0 * np.sqrt(grad_sq))), False)
 
 
 def stability_ratio(state, load):
@@ -260,29 +306,11 @@ def _loop_spectrum(polyline):
     return np.clip(lam, 0.0, None), vec, m
 
 
-def _nodal_samples(g, n):
-    g = np.asarray(g, dtype=float)
-    if len(g) == n + 1:
-        if not np.allclose(g[0], g[-1]):
-            raise ValueError("wrapped samples must repeat the first value last")
-        g = g[:-1]
-    if len(g) != n:
-        raise ValueError(f"expected {n} boundary samples, got {len(g)}")
-    return g
-
-
-def boundary_fractional_norm(g, s, polyline, rho0):
-    """Spectral norm of boundary samples at order s (s = -1/2 or -1).
-
-    norm^2 = sum_k (1 + rho0^2 lambda_k)^s <g, v_k>^2 over the closed-loop
-    eigenpairs; vector-valued samples combine components root-sum-square.
-    """
-    spectrum = _loop_spectrum(np.asarray(polyline, dtype=float))
-    return _fractional_norm(g, s, spectrum, rho0)
-
-
 def _fractional_norm(g, s, spectrum, rho0):
-    # boundary_fractional_norm on the _loop_spectrum of the polyline
+    # spectral norm of boundary samples g at order s (s = -1/2 or -1):
+    # norm^2 = sum_k (1 + rho0^2 lambda_k)^s <g, v_k>^2 over the
+    # closed-loop eigenpairs of spectrum, a _loop_spectrum;
+    # vector-valued samples combine components root-sum-square
     lam, vec, m = spectrum
     n = len(lam)
     g = np.asarray(g, dtype=float)
@@ -290,7 +318,8 @@ def _fractional_norm(g, s, spectrum, rho0):
         comps = [_fractional_norm(g[:, c], s, spectrum, rho0)
                  for c in range(g.shape[1])]
         return float(np.sqrt(sum(v ** 2 for v in comps)))
-    g = _nodal_samples(g, n)
+    if len(g) != n:
+        raise ValueError(f"expected {n} boundary samples, got {len(g)}")
     coef = vec.T @ (m @ g)
     weights = (1.0 + rho0 ** 2 * lam) ** s
     return float(np.sqrt(np.sum(weights * coef ** 2)))
@@ -316,40 +345,3 @@ def frequency(load):
     num = m_half + rho0 * q_half
     den = m_one + rho0 * q_one
     return FrequencyReport(num, den, num / den)
-
-
-def boundary_mode(mesh, k):
-    """k-th Laplace-Beltrami eigenpair of the boundary loop.
-
-    Returns (eigenvalue, nodal values in loop order). Mode 0 is constant.
-    """
-    lam, vec, _ = _loop_spectrum(closed_boundary_polyline(mesh))
-    if not 0 <= k < len(lam):
-        raise ValueError(f"mode index {k} out of range")
-    return float(lam[k]), vec[:, k].copy()
-
-
-def mode_load(mesh, k, compensate=True):
-    """Transverse force given by a boundary eigenmode.
-
-    The mode is interpolated linearly along each edge; with compensate, a
-    constant couple is added so the net-moment identity holds exactly and
-    the load is solvable.
-    """
-    if k < 1:
-        raise ValueError("mode loads need k >= 1; mode 0 is not equilibrated")
-    lam, v = boundary_mode(mesh, k)
-    pos = _loop_positions(mesh)
-    edges = mesh.boundary_edges
-    m = np.zeros((len(edges), 2, 2))
-    va = v[pos[edges[:, 0]]]
-    vb = v[pos[edges[:, 1]]]
-    q = np.outer(va, 0.5 * (1.0 - GAUSS2)) + np.outer(vb, 0.5 * (1.0 + GAUSS2))
-    load = BoundaryLoad(mesh, q, m)
-    if compensate:
-        L = load.edge_lengths()
-        pts = load.edge_points()
-        int_qx = np.einsum("eg,egc->c", 0.5 * L[:, None] * q, pts)
-        const_m = int_qx / float(L.sum())
-        m[:] = const_m[None, None, :]
-    return load

@@ -28,14 +28,25 @@ def _fmt(value):
         return str(value)
 
 
+# the text of a cell of these exact types, as _fmt writes it
+_PLAIN = {float: repr, int: str}
+
+
+def _column(cells):
+    """The text of each cell of a column: formatted at once when every cell
+    has one type of _PLAIN, else cell by cell."""
+    kinds = set(map(type, cells))
+    fmt = _PLAIN.get(kinds.pop(), _fmt) if len(kinds) == 1 else _fmt
+    return map(fmt, cells)
+
+
 def csv_text(kind, header, rows, timestamp=True):
     lines = [f"# schema=platelab.{kind}.v1"]
     if timestamp:
         now = datetime.datetime.now(datetime.timezone.utc)
         lines.append(f"# written={now.isoformat(timespec='seconds')}")
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(map(",".join, zip(*map(_column, zip(*rows)))))
     return "\n".join(lines) + "\n"
 
 
@@ -50,10 +61,10 @@ def write_csv(path, kind, header, rows, timestamp=True):
 
 
 def state_rows(state):
-    mesh = state.mesh
-    rows = [(i, float(x), float(y), float(p1), float(p2), float(w))
-            for i, ((x, y), p1, p2, w)
-            in enumerate(zip(mesh.nodes, state.phi1, state.phi2, state.w))]
+    nodes = state.mesh.nodes
+    rows = list(zip(range(len(nodes)), nodes[:, 0].tolist(),
+                    nodes[:, 1].tolist(), state.phi1.tolist(),
+                    state.phi2.tolist(), state.w.tolist()))
     return "state", ("node_id", "x", "y", "phi1", "phi2", "w"), rows
 
 
@@ -108,6 +119,7 @@ def three_spheres_rows(reports):
 
 
 def lps_rows(report):
-    rows = [(float(c[0]), float(c[1]), float(r))
-            for c, r in zip(report.centers, report.ratios)]
+    centers = report.centers
+    rows = list(zip(centers[:, 0].tolist(), centers[:, 1].tolist(),
+                    report.ratios.tolist()))
     return "lps", ("center_x", "center_y", "ratio"), rows

@@ -1,11 +1,19 @@
-"""Input writers and reference formulas that only the tests use."""
+"""Input writers, reference formulas and boundary modes that only the tests
+use."""
 
 import csv
+from typing import NamedTuple
 
 import numpy as np
 
-from platelab.geometry import ElementMask
+from platelab.functionals import (
+    _fractional_norm,
+    _loop_spectrum,
+    closed_boundary_polyline,
+)
+from platelab.geometry import GAUSS2, ElementMask
 from platelab.material import _BEND_COLS, _SHEAR_COLS, derive_plate_tensors
+from platelab.solver import BoundaryLoad, _loop_positions, element_operators
 
 
 def write_polygons(path, polys):
@@ -67,3 +75,97 @@ def write_bending_table(path, element_ids, ptilde):
             m = pt[i]
             w.writerow([int(e)] + [repr(float(v)) for v in
                                    (m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2], m[2, 2])])
+
+
+# norm ratios and boundary modes
+
+
+class Ratio(NamedTuple):
+    """A norm ratio, or NaN with degenerate set when its denominator vanishes."""
+
+    value: float
+    degenerate: bool
+
+
+def korn_ratio(state):
+    """Full-gradient to symmetric-gradient-plus-shear ratio of a state."""
+    mesh = state.mesh
+    rho0 = mesh.domain.apriori.rho0
+    ops = element_operators(mesh, 2, state.assumed_shear)
+    wts = ops.point_weights()
+    g1 = ops.scalar_grads(state.phi1)
+    g2 = ops.scalar_grads(state.phi2)
+    num_sq = float(np.sum(wts[..., None] * (g1 ** 2 + g2 ** 2)))
+    bend_sq, shear_sq = ops.strain_squares(state.u)
+    den = (np.sqrt(float(np.sum(wts * bend_sq)))
+           + np.sqrt(float(np.sum(wts * shear_sq))) / rho0)
+    scale = np.sqrt(np.sum(wts) * max(np.abs(state.u).max(initial=0.0), 1.0))
+    if den <= 1e-14 * scale:
+        return Ratio(float("nan"), True)
+    return Ratio(float(np.sqrt(num_sq) / den), False)
+
+
+def poincare_ratio(mesh, nodal, rho0=None):
+    """Mean-free L2 norm over rho0 times the gradient norm, for a nodal field."""
+    if rho0 is None:
+        rho0 = mesh.domain.apriori.rho0
+    nodal = np.asarray(nodal, dtype=float)
+    ops = element_operators(mesh, 2, True)
+    wts = ops.point_weights()
+    vals = ops.scalar_values(nodal)
+    grads = ops.scalar_grads(nodal)
+    area = float(np.sum(wts))
+    mean = float(np.sum(wts * vals)) / area
+    var = float(np.sum(wts * (vals - mean) ** 2))
+    grad_sq = float(np.sum(wts[..., None] * grads ** 2))
+    scale = max(np.abs(nodal).max(initial=0.0), 1.0)
+    if grad_sq <= (1e-14 * scale) ** 2 * area:
+        return Ratio(float("nan"), True)
+    return Ratio(float(np.sqrt(var) / (rho0 * np.sqrt(grad_sq))), False)
+
+
+def boundary_fractional_norm(g, s, polyline, rho0):
+    """Spectral norm of boundary samples at order s (s = -1/2 or -1).
+
+    norm^2 = sum_k (1 + rho0^2 lambda_k)^s <g, v_k>^2 over the closed-loop
+    eigenpairs; vector-valued samples combine components root-sum-square.
+    """
+    spectrum = _loop_spectrum(np.asarray(polyline, dtype=float))
+    return _fractional_norm(g, s, spectrum, rho0)
+
+
+def boundary_mode(mesh, k):
+    """k-th Laplace-Beltrami eigenpair of the boundary loop.
+
+    Returns (eigenvalue, nodal values in loop order). Mode 0 is constant.
+    """
+    lam, vec, _ = _loop_spectrum(closed_boundary_polyline(mesh))
+    if not 0 <= k < len(lam):
+        raise ValueError(f"mode index {k} out of range")
+    return float(lam[k]), vec[:, k].copy()
+
+
+def mode_load(mesh, k, compensate=True):
+    """Transverse force given by a boundary eigenmode.
+
+    The mode is interpolated linearly along each edge; with compensate, a
+    constant couple is added so the net-moment identity holds exactly and
+    the load is solvable.
+    """
+    if k < 1:
+        raise ValueError("mode loads need k >= 1; mode 0 is not equilibrated")
+    lam, v = boundary_mode(mesh, k)
+    pos = _loop_positions(mesh)
+    edges = mesh.boundary_edges
+    m = np.zeros((len(edges), 2, 2))
+    va = v[pos[edges[:, 0]]]
+    vb = v[pos[edges[:, 1]]]
+    q = np.outer(va, 0.5 * (1.0 - GAUSS2)) + np.outer(vb, 0.5 * (1.0 + GAUSS2))
+    load = BoundaryLoad(mesh, q, m)
+    if compensate:
+        L = load.edge_lengths()
+        pts = load.edge_points()
+        int_qx = np.einsum("eg,egc->c", 0.5 * L[:, None] * q, pts)
+        const_m = int_qx / float(L.sum())
+        m[:] = const_m[None, None, :]
+    return load

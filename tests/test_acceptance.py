@@ -18,10 +18,8 @@ from platelab.estimates import (
     three_spheres_sweep,
 )
 from platelab.functionals import (
-    boundary_mode,
     boundary_work,
     frequency,
-    mode_load,
     strain_energy_density,
 )
 from platelab.geometry import Domain, generate_mesh
@@ -38,6 +36,8 @@ from platelab.solver import (
     load_from_family,
     solve,
 )
+
+from helpers import boundary_mode, mode_load
 
 MAT = IsotropicMaterial(lam=1.0, mu=1.0, h=1.0)
 LIGHT = IsotropicMaterial(lam=0.0, mu=1.0, h=0.5, gamma0=2.0)

@@ -93,6 +93,34 @@ def test_csv_text_schema_and_no_timestamp():
     assert "written=" not in text
 
 
+def test_csv_text_columns_match_cell_by_cell_text():
+    # one column of each plain type, mixed columns, and every special value
+    specials = [True, False, np.bool_(True), np.int64(-3), np.int32(7), None,
+                "text", float("nan"), float("inf"), -float("inf"), -0.0,
+                np.float64(-0.0), np.float64(0.1), np.float32(0.1), 1e300,
+                5e-324, 2, 0, -1.5]
+    n = len(specials)
+    columns = [
+        [0.1 * i - 0.7 for i in range(n)],                  # floats
+        list(range(-5, n - 5)),                             # ints
+        specials,                                           # mixed
+        specials[::-1],
+        [float("nan"), -0.0, float("inf")] + [1.25] * (n - 3),
+        [np.float64(i) / 3.0 for i in range(n)],            # numpy floats
+        [True] * n,                                         # bools
+        ["a"] * n,                                          # strings
+        [None] * n,
+    ]
+    rows = list(zip(*columns))
+    header = [f"c{j}" for j in range(len(columns))]
+    text = csv_text("demo", header, rows, timestamp=False)
+    cells = "\n".join(",".join(tables._fmt(v) for v in row) for row in rows)
+    assert text == f"# schema=platelab.demo.v1\n{','.join(header)}\n{cells}\n"
+    assert text.splitlines()[2].split(",")[2:4] == ["1", "-1.5"]
+    assert csv_text("demo", header, [], timestamp=False) == \
+        f"# schema=platelab.demo.v1\n{','.join(header)}\n"
+
+
 # happy paths per subcommand
 
 

@@ -336,6 +336,37 @@ def test_lps_ratios_match_brute_force(domain, target, rho):
     assert np.array_equal(rep.ratios, expect)
 
 
+def _counting_x(x):
+    """x as an array that counts, in tested, the points each subtraction
+    from it takes: one per point tested against a disk."""
+    tested = []
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.subtract and method == "__call__":
+                tested.append(max(np.size(v) for v in inputs))
+            inputs = [v.view(np.ndarray) if isinstance(v, Counted) else v
+                      for v in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    return x.view(Counted), tested
+
+
+def test_lps_tests_about_a_square_per_disk():
+    # each disk tests the band points of its x-window, not its whole band
+    # of about 1,300 points
+    mesh = generate_mesh(SQUARE, 1.0 / 48.0)
+    u = np.random.default_rng(8).normal(size=3 * mesh.n_nodes)
+    state = PlateState(u=u, mesh=mesh, residual=0.0, normalization=None)
+    field = strain_energy_density(state, rho0=1.0, order=3)
+    x, tested = _counting_x(field.x)
+    rho = 0.02
+    rep = lps_check(replace(field, x=x), rho, theta=0.3)
+    assert np.array_equal(rep.ratios, lps_check(field, rho, theta=0.3).ratios)
+    square = (2.0 * rho) ** 2 * len(field.x)  # points in the disk's square
+    assert sum(tested) <= 2.0 * square * len(rep.centers)
+
+
 def test_lps_constant_field(bending_field):
     mesh, field = bending_field
     rep = lps_check(field, 0.04, theta=0.3)

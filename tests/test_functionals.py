@@ -1,24 +1,21 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from platelab import functionals
 from platelab.functionals import (
     EnergyField,
-    boundary_fractional_norm,
-    boundary_mode,
     boundary_work,
     closed_boundary_polyline,
     disk_energies,
     frequency,
-    korn_ratio,
-    mode_load,
-    poincare_ratio,
     strain_energy_density,
     work_report,
-    _disk_selections,
 )
 from platelab.geometry import Domain, generate_mesh
 from platelab.material import IsotropicMaterial
@@ -30,6 +27,14 @@ from platelab.solver import (
     kernel_basis,
     load_from_family,
     solve,
+)
+
+from helpers import (
+    boundary_fractional_norm,
+    boundary_mode,
+    korn_ratio,
+    mode_load,
+    poincare_ratio,
 )
 
 MAT = IsotropicMaterial(lam=1.0, mu=1.0, h=1.0)
@@ -176,10 +181,130 @@ def test_disk_energies_keep_rounded_rim_points():
     assert disk_energies(field, [(0.0, cy)], [r])[0, 0] == 4.0
 
 
-def test_disk_selection_scans_a_band_only():
-    field = _random_field(SQUARE, 1.0 / 16.0, seed=3)
-    for (sl, _), in _disk_selections(field, [(0.5, 0.5), (0.2, 0.9)], [0.05]):
-        assert sl.stop - sl.start < len(field.x) / 4
+def test_disk_energies_keep_rounded_x_rim_points():
+    # x lies just left of the rounded cx - r, yet the mask admits it: the
+    # x-window must not cut it off. The far point widens the x-extent, so
+    # the disk tests its window, not its whole band
+    cx, r = 0.05663934229092593, 0.06301735497328241
+    x = np.array([-0.00637801268235648, 0.0, 0.05, 0.1, 0.2, 64.0])
+    assert x[0] < cx - r and (x[0] - cx) ** 2 <= r ** 2
+    assert 32.0 * r < np.ptp(x)
+    ones = np.ones(len(x))
+    field = EnergyField(x=x, y=np.zeros(len(x)), weight=ones, e2=ones,
+                        mesh=None, rho0=1.0)
+    assert disk_energies(field, [(cx, 0.0)], [r])[0, 0] == 4.0
+
+
+def _scan_lps_sums(field, centers, rho):
+    """Full-mask reference of the lps rule, (w e2)[disk].sum()."""
+    we2 = field.weight * field.e2
+    return np.array([we2[(field.x - cx) ** 2 + (field.y - cy) ** 2
+                         <= rho ** 2].sum() for cx, cy in centers])
+
+
+DOMAINS = {"square": SQUARE, "lshape": LSHAPE, "skewed": SKEWED}
+# pairwise summation changes its blocking at 8 and 128 terms
+EDGE_COUNTS = (0, 1, 7, 8, 9, 127, 128, 129, 1000, 1500)
+
+
+@functools.cache
+def _probe_field(name, target):
+    return _random_field(DOMAINS[name], target, seed=11)
+
+
+def _widened(field):
+    """field and one far point, which widens the x-extent so that every
+    disk tests its x-window."""
+    return replace(field, x=np.append(field.x, 500.0),
+                   y=np.append(field.y, 0.5),
+                   weight=np.append(field.weight, 1.0),
+                   e2=np.append(field.e2, 1.0))
+
+
+@pytest.mark.parametrize("batch", [1, 7, 50, 400])
+def test_disk_points_split_rows_into_bounded_batches(monkeypatch, batch):
+    # lattice rows of 25 centers split into batches of about `batch`
+    # candidates; every disk still comes back whole, once
+    field = _widened(_probe_field("square", 1.0 / 16.0))
+    g = np.linspace(0.1, 0.9, 25)
+    centers = np.column_stack([np.tile(g, 5), np.repeat(g[::6], 25)])
+    radii = [0.04, 0.1]
+    expect = _scan_disk_energies(field, centers, radii)
+    monkeypatch.setattr(functionals, "_BATCH", batch)
+    assert np.array_equal(disk_energies(field, centers, radii), expect)
+    sums = np.full(len(centers), np.nan)
+    for _, rows, we2 in functionals._disk_points(field, centers, [0.1],
+                                                 field.weight * field.e2):
+        sums[rows] = we2.sum(axis=1)
+    assert np.array_equal(sums, _scan_lps_sums(field, centers, 0.1))
+
+
+@st.composite
+def disk_problems(draw):
+    """(field, centers, radii): a probe field in stored or permuted order,
+    lattice rows mixed with scattered centers, and radii that give chosen
+    member counts about the first center."""
+    name = draw(st.sampled_from(sorted(DOMAINS)))
+    field = _probe_field(name, {"square": 1.0 / 16.0, "lshape": 1.0 / 20.0,
+                                "skewed": 1.0 / 16.0}[name])
+    n = len(field.x)
+    if draw(st.booleans()):
+        p = np.random.default_rng(draw(st.integers(0, 99))).permutation(n)
+        field = replace(field, x=field.x[p], y=field.y[p],
+                        weight=field.weight[p], e2=field.e2[p])
+    if draw(st.booleans()):
+        field = _widened(field)
+    verts = DOMAINS[name].vertices
+    coord = st.floats(-0.2, 1.4, allow_nan=False)
+    rows = draw(st.lists(st.tuples(st.lists(coord, min_size=1, max_size=6),
+                                   coord), max_size=3))
+    centers = [(cx, cy) for xs, cy in rows for cx in xs]
+    centers += draw(st.lists(st.tuples(coord, coord), max_size=5))
+    k = draw(st.integers(0, n - 1))
+    centers += draw(st.sampled_from([[], [(-50.0, -50.0)],
+                                     [(field.x[k], field.y[k])]]))
+    if not centers:
+        centers = [tuple(verts.mean(axis=0))]
+    cx, cy = centers[0]
+    d2 = np.sort((field.x - cx) ** 2 + (field.y - cy) ** 2)
+    radii = []
+    for count in draw(st.lists(st.sampled_from(EDGE_COUNTS), min_size=1,
+                               max_size=3)):
+        if count == 0:
+            r = 0.5 * np.sqrt(d2[0])
+        else:
+            r = np.sqrt(d2[min(count, len(d2)) - 1])
+            while r ** 2 < d2[min(count, len(d2)) - 1]:
+                r = np.nextafter(r, np.inf)
+        radii.append(float(r))
+    radii += draw(st.lists(st.sampled_from([0.0, -0.05, 0.03, 0.3]),
+                           max_size=2))
+    return field, np.array(centers), radii
+
+
+@settings(settings.get_profile("derandomized"), max_examples=120)
+@given(disk_problems())
+def test_disk_points_match_full_scan(problem):
+    field, centers, radii = problem
+    index = np.arange(len(field.x))
+    seen = np.zeros((len(centers), len(radii)), dtype=int)
+    for k, rows, members in functionals._disk_points(field, centers, radii,
+                                                     index):
+        r = abs(radii[k])
+        for i, m in zip(np.arange(len(centers))[rows], members):
+            cx, cy = centers[i]
+            full = (field.x - cx) ** 2 + (field.y - cy) ** 2 <= r ** 2
+            assert np.array_equal(m, np.flatnonzero(full))
+            seen[i, k] += 1
+    assert (seen == 1).all()
+    assert np.array_equal(disk_energies(field, centers, radii),
+                          _scan_disk_energies(field, centers, radii))
+    for r in radii:
+        sums = np.full(len(centers), np.nan)
+        for _, rows, we2 in functionals._disk_points(
+                field, centers, [r], field.weight * field.e2):
+            sums[rows] = we2.sum(axis=1)
+        assert np.array_equal(sums, _scan_lps_sums(field, centers, r))
 
 
 def test_korn_ratio_pure_bending(solved):

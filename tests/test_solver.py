@@ -284,7 +284,7 @@ def test_edge_values_without_generator_match_family(domain, family):
 
 
 def test_nodal_samples_recover_piecewise_linear_field():
-    from platelab.functionals import boundary_mode, mode_load
+    from helpers import boundary_mode, mode_load
 
     mesh = generate_mesh(LSHAPE, 0.1)
     load = mode_load(mesh, 3, compensate=False)

@@ -10,7 +10,11 @@ with --seed) and one run of every command, with and without an inclusion,
 under --dense-oracle and with calibrate at --jobs 1, 2 and 3, plus solve and
 size on an L-shape (edge_moment) and a skewed quad (twist), whose normals
 leave the axes, and size at the contrasts 64, 1e-3 and 1e300 (where
-conjugate gradients overflow, exit 2) and, under --dense-oracle, 1e3. size
+conjugate gradients overflow, exit 2) and, under --dense-oracle, 1e3.
+three-spheres and lps (three radii) run on the L-shape and the skewed quad
+at target size 0.05 too, whose overlay meshes give point orders that do
+not follow the probe lattice. solve and size (kappa 2.5) run on thin plates,
+h = 0.1 and 0.01, with and without --full-integration. size
 also runs with tensor tables in place of kappa, without the lambda key
 (exit 1) and with the zero load `pure_bending a=0` (exit 1). Three more
 calibrate corpora run at --jobs 1 and 2: one spans two meshes and holds a
@@ -101,6 +105,18 @@ def command_runs(inputs):
                         workloads._polygon_text(verts))
         cfgs[key] = BASE.replace("rectangle 0 0 1 1", domain).replace(
             "pure_bending a=1", load)
+    # the probes on overlay meshes, whose point rows do not follow the
+    # probe lattice; rho0 = 2.5 rho keeps the three-spheres fits feasible
+    for key, rho, rho0, radii in (("lshape", "0.02", "0.05", "0.02 0.015 0.01"),
+                                  ("skewed", "0.03", "0.075", "0.03 0.02 0.01")):
+        probe = cfgs[key].replace("target_size = 0.125", "target_size = 0.05")
+        cfgs[f"three_spheres_{key}"] = probe + (f"rho0 = {rho0}\nrho = {rho}\n"
+                                                "pitch = 0.03\n")
+        cfgs[f"lps_{key}"] = probe + f"rho = {radii}\n"
+    # thin plates, where the shear terms dominate the stiffness
+    for h in ("0.1", "0.01"):
+        cfgs[f"plain_h{h}"] = BASE.replace("h = 1.0", f"h = {h}")
+        cfgs[f"stiff_h{h}"] = incl.replace("h = 1.0", f"h = {h}")
     coarse = BASE.replace("target_size = 0.125", "target_size = 0.25")
     corpora = {
         "calibrate": [BASE.replace("pure_bending", load)
@@ -152,6 +168,16 @@ def command_runs(inputs):
             ("convergence", ["convergence", "--config", path["convergence"]])]
     runs += [(f"{command}-{key}", [command, "--config", path[key]])
              for key in ("lshape", "skewed") for command in ("solve", "size")]
+    runs += [(f"{command}-{key}",
+              [command, "--config",
+               path[f"{command.replace('-', '_')}_{key}"]])
+             for key in ("lshape", "skewed")
+             for command in ("three-spheres", "lps")]
+    runs += [(f"{command}-h{h}" + ("-full" if full else ""),
+              [command, "--config", path[f"{cfg}_h{h}"]] + full)
+             for h in ("0.1", "0.01")
+             for command, cfg in (("solve", "plain"), ("size", "stiff"))
+             for full in ([], ["--full-integration"])]
     runs += [(f"calibrate-jobs{j}", ["calibrate", "--config", path["calibrate"],
                                      "--jobs", str(j)]) for j in (1, 2, 3)]
     runs += [(f"{key.replace('_', '-')}-jobs{j}",
