@@ -435,19 +435,16 @@ class Forward(NamedTuple):
     state: object
 
 
-# what generate_mesh reads of a config, in its argument order
-_MESH_FIELDS = ("domain", "target_size", "element_budget")
 # the fields that only the inclusion plate and the size report read; configs
 # that agree on every other field share one reference plate
 _INCLUSION_ONLY = ("inclusion_polygons", "inclusion", "c1", "c2", "name")
 
 
-def _reference_plate(config, mesh=None):
+def _reference_plate(config):
     """(Forward, factor) of config's plate without its inclusion; factor is
-    the kept factor of the sparse solve, None under the dense oracle. mesh,
-    when given, stands in for config's own generate_mesh."""
-    if mesh is None:
-        mesh = generate_mesh(*(getattr(config, f) for f in _MESH_FIELDS))
+    the kept factor of the sparse solve, None under the dense oracle."""
+    mesh = generate_mesh(config.domain, config.target_size,
+                         config.element_budget)
     load = load_from_family(mesh, config.load_family, config.material)
     rhs = assemble_load(load)
     system = assemble_stiffness(mesh, config.material,
@@ -568,11 +565,11 @@ def _by_value(value):
     return value
 
 
-def _shared_reference(config, mesh=None):
-    """_reference_plate(config, mesh) and a callable that computes the
-    plate's frequency report once, on first call: after an inclusion solve,
-    when size has freed the factor."""
-    plate, factor = _reference_plate(config, mesh)
+def _shared_reference(config):
+    """_reference_plate(config) and a callable that computes the plate's
+    frequency report once, on first call: after an inclusion solve, when
+    size has freed the factor."""
+    plate, factor = _reference_plate(config)
     report = functools.cache(functools.partial(frequency, plate.load))
     lock = threading.Lock()
 
@@ -587,9 +584,8 @@ def run_corpus(configs, jobs=1):
 
     Configs that differ only in inclusion-only fields (_INCLUSION_ONLY)
     share one reference plate, with its mesh, load, solve, kept factor and
-    frequency report; references that agree on what generate_mesh reads
-    share one mesh. Fields compare by value. The groups run one after the
-    other, so one reference is alive at a time. After the whole corpus
+    frequency report; fields compare by value. The groups run one after
+    the other, so one reference is alive at a time. After the whole corpus
     ran, the failure of the first failing config is raised, the same one
     that config raises alone.
     """
@@ -598,26 +594,21 @@ def run_corpus(configs, jobs=1):
              if f.name not in _INCLUSION_ONLY]
     groups = {}
     for i, c in enumerate(configs):
-        mesh_key, key = (_by_value([getattr(c, n) for n in ns])
-                         for ns in (_MESH_FIELDS, names))
-        groups.setdefault(mesh_key, {}).setdefault(key, []).append(i)
+        key = _by_value([getattr(c, n) for n in names])
+        groups.setdefault(key, []).append(i)
     outcomes = [None] * len(configs)
     # every solve runs on the pool: a main thread that solves as well adds
     # per-thread memory of its own, 8 MB of peak RSS on a 40-entry 32^2
     # corpus
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        for plates in groups.values():
-            mesh = None
-            for idx in plates.values():
-                # queued first, so no experiment waits on an untaken reference
-                shared = pool.submit(_shared_reference, configs[idx[0]], mesh)
-                for i in idx:
-                    outcomes[i] = pool.submit(_size_experiment, configs[i],
-                                              shared.result)
-                concurrent.futures.wait([outcomes[i] for i in idx])
-                if shared.exception() is None:
-                    mesh = shared.result()[0].mesh
-                del shared  # before the next reference is built
+        for idx in groups.values():
+            # queued first, so no experiment waits on an untaken reference
+            shared = pool.submit(_shared_reference, configs[idx[0]])
+            for i in idx:
+                outcomes[i] = pool.submit(_size_experiment, configs[i],
+                                          shared.result)
+            concurrent.futures.wait([outcomes[i] for i in idx])
+            del shared  # before the next reference is built
     return [f.result() for f in outcomes]
 
 

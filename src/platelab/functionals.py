@@ -6,7 +6,7 @@ evaluated at element quadrature points with the same strain operators the
 stiffness assembly uses, so discrete work identities hold to round-off.
 
 Boundary load norms of negative order are defined spectrally through the
-P1 Laplace-Beltrami eigenpairs of the closed boundary polyline, with modal
+P1 Laplace-Beltrami eigenpairs of the closed boundary loop, with modal
 weights (1 + rho0^2 lambda)^s; the oscillation ratio compares the order
 -1/2 and order -1 norms.
 """
@@ -269,27 +269,17 @@ def stability_ratio(state, load):
 # spectral boundary norms
 
 
-def closed_boundary_polyline(mesh):
-    """Boundary node coordinates in loop order, first point repeated last."""
-    loop = mesh.boundary_loop()
-    pts = mesh.nodes[loop]
-    return np.vstack([pts, pts[:1]])
-
-
-def _loop_spectrum(polyline):
+def _loop_spectrum(points):
     # (eigenvalues, eigenvectors, mass matrix) of the P1 Laplace-Beltrami
-    # operator on a closed polyline: one dense eigh per call, so frequency
+    # operator on the closed loop through points, whose last segment runs
+    # back to the first point: one dense eigh per call, so frequency
     # computes it once for its four norms
-    if not np.array_equal(polyline[0], polyline[-1]):
-        raise ValueError("polyline is open; spectral boundary norms need a closed loop")
-    pts = polyline[:-1]
-    n = len(pts)
+    n = len(points)
     if n < 3:
-        raise ValueError("closed polyline needs at least 3 distinct nodes")
-    seg = polyline[1:] - polyline[:-1]
-    ell = np.linalg.norm(seg, axis=1)
+        raise ValueError("closed loop needs at least 3 distinct nodes")
+    ell = np.linalg.norm(np.roll(points, -1, axis=0) - points, axis=1)
     if np.any(ell == 0.0):
-        raise ValueError("polyline has a zero-length segment")
+        raise ValueError("loop has a zero-length segment")
     # P1 stiffness and mass of the loop: segment i joins nodes i and i + 1,
     # and each diagonal entry sums the two segments at its node
     i = np.arange(n)
@@ -335,7 +325,7 @@ def frequency(load):
     if load.is_zero:
         raise ValueError("frequency of the zero load is undefined")
     mesh = load.mesh
-    spectrum = _loop_spectrum(closed_boundary_polyline(mesh))
+    spectrum = _loop_spectrum(mesh.nodes[mesh.boundary_loop()])
     rho0 = mesh.domain.apriori.rho0
     nq, nm = load.nodal_samples()
     m_half = _fractional_norm(nm, -0.5, spectrum, rho0)

@@ -322,8 +322,8 @@ def _edge_keys(elements):
 
 def _extract_boundary(nodes, elements):
     # edges appearing in exactly one element, kept in that element's ccw
-    # direction, then chained into loops; each loop starts at its smallest
-    # node id and the loops come in order of that id
+    # direction, then chained into the one boundary loop, which starts at
+    # its smallest node id
     directed, _, counts = _edge_keys(elements)
     border = directed[counts == 1]
     if not len(border):
@@ -331,19 +331,24 @@ def _extract_boundary(nodes, elements):
     # every boundary node must start one edge and end one: a pinched node
     # starts two, an open chain ends where no edge starts
     starts = np.sort(border[:, 0])
-    if (np.any(starts[1:] == starts[:-1])
-            or not np.array_equal(starts, np.sort(border[:, 1]))):
+    pinched = starts[1:][starts[1:] == starts[:-1]]
+    if len(pinched):
+        raise ValueError(
+            f"boundary is not a collection of simple loops: node "
+            f"{pinched[0]} starts two boundary edges; use a smaller "
+            "target_size")
+    if not np.array_equal(starts, np.sort(border[:, 1])):
         raise ValueError("boundary is not a collection of simple loops")
     nxt = np.full(len(nodes), -1)
     nxt[border[:, 0]] = border[:, 1]
-    order = []
-    seen = np.zeros(len(nodes), dtype=bool)
-    for start in starts.tolist():
-        node = start
-        while not seen[node]:
-            seen[node] = True
-            order.append(node)
-            node = int(nxt[node])
+    order = [int(starts[0])]
+    node = int(nxt[order[0]])
+    while node != order[0]:
+        order.append(node)
+        node = int(nxt[node])
+    if len(order) < len(border):
+        raise ValueError("mesh boundary splits into several loops; use a "
+                         "smaller target_size")
     edges = np.column_stack([order, nxt[order]])
     vec = nodes[edges[:, 1]] - nodes[edges[:, 0]]
     length = np.linalg.norm(vec, axis=1)

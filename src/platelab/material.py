@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .geometry import _edge_keys
 
@@ -283,26 +282,35 @@ def override_rows(incl, n_elements=None):
     return tuple(_element_rows(t, n_elements) for t in tables)
 
 
+def _lower_solve(low, rhs):
+    # low^-1 rhs for stacked lower-triangular low, by forward substitution;
+    # np.linalg.solve rounds otherwise, and a table of twice the background
+    # bending matrix no longer gives the eigenvalue 2 exactly
+    out = np.empty_like(rhs)
+    for i in range(low.shape[-1]):
+        out[:, i] = (rhs[:, i] - np.einsum("ej,ejk->ek", low[:, i, :i],
+                                           out[:, :i])) / low[:, i, i, None]
+    return out
+
+
 def _override_spectrum(mat, incl):
     # generalized eigenvalues of (override, background), elementwise, for
-    # both the shear pair and the bending pair; rows missing from either
-    # table are skipped
+    # both the shear pair and the bending pair: the eigenvalues of the
+    # override whitened by the background's Cholesky factor L, L^-1 A L^-T;
+    # rows missing from either table are skipped
     t = derive_plate_tensors(mat)
     st, pt = override_rows(incl)
     ne = len(st)
-    smat = shear_matrix(t, ne)
-    bmat = bending_voigt(t, ne)
-    vals, elems = [], []
-    for e in range(ne):
-        if np.isnan(st[e]).any() or np.isnan(pt[e]).any():
-            continue
-        w1 = scipy.linalg.eigh(st[e], smat[e], eigvals_only=True)
-        w2 = scipy.linalg.eigh(pt[e], bmat[e], eigvals_only=True)
-        vals.append(np.concatenate([w1, w2]))
-        elems.append(e)
-    if not vals:
+    elems = np.flatnonzero(~(np.isnan(st).any(axis=(1, 2))
+                             | np.isnan(pt).any(axis=(1, 2))))
+    if not len(elems):
         raise ValueError("override tables contain no usable rows")
-    return np.array(vals), np.array(elems)
+    vals = []
+    for a, b in ((st, shear_matrix(t, ne)), (pt, bending_voigt(t, ne))):
+        low = np.linalg.cholesky(b[elems])
+        half = _lower_solve(low, a[elems])
+        vals.append(np.linalg.eigvalsh(_lower_solve(low, half.swapaxes(1, 2))))
+    return np.concatenate(vals, axis=1), elems
 
 
 def jump_bounds(mat, incl):

@@ -385,16 +385,10 @@ class BoundaryLoad:
     def nodal_samples(self):
         """(q, m) at the boundary nodes in loop order: the edge values at
         both ends of every edge, averaged over the two edges meeting at
-        each node."""
-        edges = self.mesh.boundary_edges
-        idx = _loop_positions(self.mesh)[edges].ravel()
+        each node; edge i ends where edge i + 1 starts."""
         q, m = self.edge_values((-1.0, 1.0))
-        nq = np.zeros(len(edges))
-        nm = np.zeros((len(edges), 2))
-        np.add.at(nq, idx, q.ravel())
-        np.add.at(nm, idx, m.reshape(-1, 2))
-        counts = np.bincount(idx, minlength=len(edges))
-        return nq / counts, nm / counts[:, None]
+        return (0.5 * (q[:, 0] + np.roll(q[:, 1], 1)),
+                0.5 * (m[:, 0] + np.roll(m[:, 1], 1, axis=0)))
 
     def compatibility_residuals(self):
         """(net force, net moment 2-vector, load scale) by edge quadrature."""
@@ -419,14 +413,6 @@ class BoundaryLoad:
     @property
     def is_zero(self):
         return not (np.any(self.q) or np.any(self.m))
-
-
-def _loop_positions(mesh):
-    """Position of every boundary node along the boundary loop."""
-    loop = mesh.boundary_loop()
-    pos = np.empty(mesh.n_nodes, dtype=int)
-    pos[loop] = np.arange(len(loop))
-    return pos
 
 
 def load_from_family(mesh, family, material=None):

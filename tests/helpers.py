@@ -6,14 +6,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from platelab.functionals import (
-    _fractional_norm,
-    _loop_spectrum,
-    closed_boundary_polyline,
-)
+from platelab.functionals import _fractional_norm, _loop_spectrum
 from platelab.geometry import GAUSS2, ElementMask
 from platelab.material import _BEND_COLS, _SHEAR_COLS, derive_plate_tensors
-from platelab.solver import BoundaryLoad, _loop_positions, element_operators
+from platelab.solver import BoundaryLoad, element_operators
 
 
 def write_polygons(path, polys):
@@ -23,6 +19,15 @@ def write_polygons(path, polys):
                 fh.write("\n")
             for x, y in np.asarray(p, dtype=float):
                 fh.write(f"{float(x)!r} {float(y)!r}\n")
+
+
+def dumbbell(neck, length=1.0, center=0.5):
+    """Unit squares at x = 0 and x = 1 + length, joined by a neck of the
+    given width centered at y = center."""
+    lo, hi, b = center - 0.5 * neck, center + 0.5 * neck, 1.0 + length
+    return np.array([[0, 0], [1, 0], [1, lo], [b, lo], [b, 0], [b + 1, 0],
+                     [b + 1, 1], [b, 1], [b, hi], [1, hi], [1, 1], [0, 1]],
+                    dtype=float)
 
 
 def mask_to_csv(mask, path):
@@ -124,13 +129,14 @@ def poincare_ratio(mesh, nodal, rho0=None):
     return Ratio(float(np.sqrt(var) / (rho0 * np.sqrt(grad_sq))), False)
 
 
-def boundary_fractional_norm(g, s, polyline, rho0):
-    """Spectral norm of boundary samples at order s (s = -1/2 or -1).
+def boundary_fractional_norm(g, s, points, rho0):
+    """Spectral norm of samples g at the points of a closed loop, at order s
+    (s = -1/2 or -1).
 
     norm^2 = sum_k (1 + rho0^2 lambda_k)^s <g, v_k>^2 over the closed-loop
     eigenpairs; vector-valued samples combine components root-sum-square.
     """
-    spectrum = _loop_spectrum(np.asarray(polyline, dtype=float))
+    spectrum = _loop_spectrum(np.asarray(points, dtype=float))
     return _fractional_norm(g, s, spectrum, rho0)
 
 
@@ -139,7 +145,7 @@ def boundary_mode(mesh, k):
 
     Returns (eigenvalue, nodal values in loop order). Mode 0 is constant.
     """
-    lam, vec, _ = _loop_spectrum(closed_boundary_polyline(mesh))
+    lam, vec, _ = _loop_spectrum(mesh.nodes[mesh.boundary_loop()])
     if not 0 <= k < len(lam):
         raise ValueError(f"mode index {k} out of range")
     return float(lam[k]), vec[:, k].copy()
@@ -155,12 +161,10 @@ def mode_load(mesh, k, compensate=True):
     if k < 1:
         raise ValueError("mode loads need k >= 1; mode 0 is not equilibrated")
     lam, v = boundary_mode(mesh, k)
-    pos = _loop_positions(mesh)
-    edges = mesh.boundary_edges
-    m = np.zeros((len(edges), 2, 2))
-    va = v[pos[edges[:, 0]]]
-    vb = v[pos[edges[:, 1]]]
-    q = np.outer(va, 0.5 * (1.0 - GAUSS2)) + np.outer(vb, 0.5 * (1.0 + GAUSS2))
+    # edge i runs from loop node i to loop node i + 1
+    m = np.zeros((len(v), 2, 2))
+    q = (np.outer(v, 0.5 * (1.0 - GAUSS2))
+         + np.outer(np.roll(v, -1), 0.5 * (1.0 + GAUSS2)))
     load = BoundaryLoad(mesh, q, m)
     if compensate:
         L = load.edge_lengths()

@@ -14,7 +14,8 @@ from platelab.material import (IsotropicMaterial, bending_voigt,
 from platelab.solver import load_from_family
 from platelab.tables import csv_text
 
-from helpers import write_bending_table, write_polygons, write_shear_table
+from helpers import (dumbbell, write_bending_table, write_polygons,
+                     write_shear_table)
 
 BASE = """\
 domain = rectangle 0 0 1 1
@@ -399,6 +400,19 @@ def test_probe_keys_checked_before_the_solve(tmp_path, capsys, monkeypatch,
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not list(out.glob("*.csv"))
+
+
+def test_split_mesh_is_config_error(tmp_path, capsys):
+    # the 1/4 overlay of two unit squares joined by a 0.02-wide neck holds
+    # two separate plates
+    poly = tmp_path / "dumbbell.poly"
+    write_polygons(str(poly), [dumbbell(0.02)])
+    cfg = _cfg(tmp_path, BASE.replace("rectangle 0 0 1 1", str(poly)))
+    assert main(["size", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: mesh boundary splits into several loops; use a "
+        "smaller target_size\n")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_lps_checks_every_radius_before_writing(tmp_path, capsys):

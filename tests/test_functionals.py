@@ -11,7 +11,6 @@ from platelab import functionals
 from platelab.functionals import (
     EnergyField,
     boundary_work,
-    closed_boundary_polyline,
     disk_energies,
     frequency,
     strain_energy_density,
@@ -340,75 +339,79 @@ def test_poincare_constant_degenerate(solved):
 # boundary spectrum
 
 
-def test_polyline_closed(solved):
-    mesh, load, f, state = solved
-    poly = closed_boundary_polyline(mesh)
-    assert np.array_equal(poly[0], poly[-1])
-    assert len(poly) == len(mesh.boundary_edges) + 1
+def test_loop_spectrum_segments_follow_loop_order():
+    # segments of five lengths: segment k runs from point k to point k + 1,
+    # and the last one back to point 0
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.5], [2.5, 2.0],
+                    [0.5, 1.5]])
+    n = len(pts)
+    ell = np.array([np.hypot(*(pts[(k + 1) % n] - pts[k])) for k in range(n)])
+    lam, vec, m = functionals._loop_spectrum(pts)
+    k = np.arange(n)
+    assert_allclose(m[k, (k + 1) % n], ell / 6.0, rtol=1e-14)
+    # the P1 energy of the x coordinate, sum of dx^2 / length per segment
+    stiff = m @ vec @ np.diag(lam) @ vec.T @ m
+    x = pts[:, 0]
+    dx = np.array([x[(j + 1) % n] - x[j] for j in range(n)])
+    assert_allclose(x @ stiff @ x, np.sum(dx ** 2 / ell), rtol=1e-10)
 
 
 def test_fractional_norm_constant_any_order(solved):
     mesh, load, f, state = solved
-    poly = closed_boundary_polyline(mesh)
-    g = 3.0 * np.ones(len(poly) - 1)
+    pts = mesh.nodes[mesh.boundary_loop()]
+    g = 3.0 * np.ones(len(pts))
     # mode 0 has eigenvalue 0, so every order gives |c| sqrt(perimeter)
     for s in (-0.5, -1.0, 0.5):
-        assert_allclose(boundary_fractional_norm(g, s, poly, 1.0), 6.0, rtol=1e-10)
+        assert_allclose(boundary_fractional_norm(g, s, pts, 1.0), 6.0, rtol=1e-10)
 
 
 def test_fractional_norm_homogeneous(solved):
     mesh, load, f, state = solved
-    poly = closed_boundary_polyline(mesh)
+    pts = mesh.nodes[mesh.boundary_loop()]
     rng = np.random.default_rng(2)
-    g = rng.normal(size=len(poly) - 1)
-    n1 = boundary_fractional_norm(g, -0.5, poly, 1.0)
-    n3 = boundary_fractional_norm(3.0 * g, -0.5, poly, 1.0)
+    g = rng.normal(size=len(pts))
+    n1 = boundary_fractional_norm(g, -0.5, pts, 1.0)
+    n3 = boundary_fractional_norm(3.0 * g, -0.5, pts, 1.0)
     assert_allclose(n3, 3.0 * n1, rtol=1e-12)
 
 
 def test_fractional_norm_triangle_inequality(solved):
     mesh, load, f, state = solved
-    poly = closed_boundary_polyline(mesh)
+    pts = mesh.nodes[mesh.boundary_loop()]
     rng = np.random.default_rng(4)
-    g1 = rng.normal(size=len(poly) - 1)
-    g2 = rng.normal(size=len(poly) - 1)
-    a = boundary_fractional_norm(g1 + g2, -0.5, poly, 1.0)
-    b = boundary_fractional_norm(g1, -0.5, poly, 1.0)
-    c = boundary_fractional_norm(g2, -0.5, poly, 1.0)
+    g1 = rng.normal(size=len(pts))
+    g2 = rng.normal(size=len(pts))
+    a = boundary_fractional_norm(g1 + g2, -0.5, pts, 1.0)
+    b = boundary_fractional_norm(g1, -0.5, pts, 1.0)
+    c = boundary_fractional_norm(g2, -0.5, pts, 1.0)
     assert a <= b + c + 1e-12
 
 
 def test_fractional_norm_order_monotone(solved):
     mesh, load, f, state = solved
-    poly = closed_boundary_polyline(mesh)
+    pts = mesh.nodes[mesh.boundary_loop()]
     rng = np.random.default_rng(6)
-    g = rng.normal(size=len(poly) - 1)
-    n_half = boundary_fractional_norm(g, -0.5, poly, 1.0)
-    n_one = boundary_fractional_norm(g, -1.0, poly, 1.0)
+    g = rng.normal(size=len(pts))
+    n_half = boundary_fractional_norm(g, -0.5, pts, 1.0)
+    n_one = boundary_fractional_norm(g, -1.0, pts, 1.0)
     assert n_one <= n_half + 1e-12
 
 
 def test_fractional_norm_vector_rss(solved):
     mesh, load, f, state = solved
-    poly = closed_boundary_polyline(mesh)
+    pts = mesh.nodes[mesh.boundary_loop()]
     rng = np.random.default_rng(8)
-    g = rng.normal(size=(len(poly) - 1, 2))
-    full = boundary_fractional_norm(g, -0.5, poly, 1.0)
-    c0 = boundary_fractional_norm(g[:, 0], -0.5, poly, 1.0)
-    c1 = boundary_fractional_norm(g[:, 1], -0.5, poly, 1.0)
+    g = rng.normal(size=(len(pts), 2))
+    full = boundary_fractional_norm(g, -0.5, pts, 1.0)
+    c0 = boundary_fractional_norm(g[:, 0], -0.5, pts, 1.0)
+    c1 = boundary_fractional_norm(g[:, 1], -0.5, pts, 1.0)
     assert_allclose(full, np.hypot(c0, c1), rtol=1e-12)
 
 
-def test_fractional_norm_open_polyline_rejected():
-    poly = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-    with pytest.raises(ValueError, match="open"):
-        boundary_fractional_norm(np.ones(3), -0.5, poly, 1.0)
-
-
 def test_fractional_norm_short_loop_rejected():
-    poly = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+    pts = np.array([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
-        boundary_fractional_norm(np.ones(2), -0.5, poly, 1.0)
+        boundary_fractional_norm(np.ones(2), -0.5, pts, 1.0)
 
 
 def test_single_mode_ratio_closed_form(solved):
@@ -458,9 +461,9 @@ def test_frequency_computes_one_spectrum(solved, monkeypatch):
     loop_spectrum = functionals._loop_spectrum
     spectra = []
 
-    def counted(polyline):
-        spectra.append(polyline)
-        return loop_spectrum(polyline)
+    def counted(points):
+        spectra.append(points)
+        return loop_spectrum(points)
 
     monkeypatch.setattr(functionals, "_loop_spectrum", counted)
     frequency(load)

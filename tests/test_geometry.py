@@ -1,7 +1,10 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from platelab.geometry import (
@@ -13,13 +16,16 @@ from platelab.geometry import (
     interior_region,
     point_in_polygon,
     points_segment_distance,
+    polygon_signed_area,
     rasterize_inclusion,
     read_polygons,
     _extract_boundary,
     _finish_mesh,
 )
+from platelab.material import IsotropicMaterial
+from platelab.solver import load_from_family
 
-from helpers import mask_from_csv, mask_to_csv, write_polygons
+from helpers import dumbbell, mask_from_csv, mask_to_csv, write_polygons
 
 UNIT = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
 LSHAPE = np.array([[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]],
@@ -183,6 +189,104 @@ def test_open_boundary_chain_rejected():
     elements = np.array([[5, 2, 6, 3], [3, 5, 2, 6], [0, 6, 2, 7]])
     with pytest.raises(ValueError, match="boundary is not a collection of simple loops"):
         _extract_boundary(nodes, elements)
+
+
+def test_pinched_node_named():
+    nodes = np.array([[0, 0], [1, 0], [1, 1], [0, 1],
+                      [2, 1], [2, 2], [1, 2]], dtype=float)
+    elements = np.array([[0, 1, 2, 3], [2, 4, 5, 6]])
+    with pytest.raises(ValueError, match="node 2 starts two boundary edges; "
+                                         "use a smaller target_size$"):
+        _extract_boundary(nodes, elements)
+
+
+def test_split_mesh_refused():
+    # no overlay cell centroid falls into the 0.02-wide neck at 1/4, so the
+    # overlay holds two separate plates
+    with pytest.raises(ValueError, match="^mesh boundary splits into several "
+                                         "loops; use a smaller target_size$"):
+        generate_mesh(Domain(dumbbell(0.02)), 0.25)
+
+
+# the refusals of generate_mesh on a valid domain
+MESH_REFUSAL = re.compile(
+    r"boundary is not a collection of simple loops|"
+    r"mesh boundary splits into several loops|"
+    r"element \d+ has a nonpositive Jacobian|"
+    r"no overlay cell centroid falls inside the polygon")
+
+
+@st.composite
+def overlay_domains(draw):
+    """Star, L, U and dumbbell domains, none an axis-aligned rectangle."""
+    kind = draw(st.sampled_from(["star", "l", "u", "dumbbell"]))
+    if kind == "star":
+        # sorted angles at most 1.8 (2 pi / k) apart keep the origin inside
+        k = draw(st.integers(5, 11))
+        shifts = draw(st.lists(st.floats(0.0, 0.8), min_size=k, max_size=k))
+        radii = draw(st.lists(st.floats(0.3, 1.0), min_size=k, max_size=k))
+        turns = 2.0 * np.pi * (np.arange(k) + np.array(shifts)) / k
+        verts = np.array(radii)[:, None] * np.column_stack(
+            [np.cos(turns), np.sin(turns)])
+        return Domain(verts, AprioriData(x0=(0.0, 0.0)))
+    if kind == "dumbbell":
+        neck, length, center = (draw(st.floats(lo, hi)) for lo, hi in
+                                ((0.005, 0.3), (0.2, 1.0), (0.2, 0.8)))
+        return Domain(dumbbell(neck, length, center),
+                      AprioriData(x0=(0.5, 0.5)))
+    # a by b outer box; the L cuts its top right corner at (c, d), the U
+    # has arms of width w over a slot floor at height d
+    a, b = (draw(st.floats(0.6, 1.4)) for _ in range(2))
+    c, d = (t * draw(st.floats(0.2, 0.8)) for t in (a, b))
+    if kind == "l":
+        verts = [(0, 0), (a, 0), (a, d), (c, d), (c, b), (0, b)]
+        return Domain(np.array(verts), AprioriData(x0=(0.5 * c, 0.5 * d)))
+    w = 0.4 * c
+    verts = [(0, 0), (a, 0), (a, b), (a - w, b), (a - w, d), (w, d), (w, b),
+             (0, b)]
+    return Domain(np.array(verts), AprioriData(x0=(0.5 * a, 0.5 * d)))
+
+
+def _scatter_nodal_samples(load):
+    # the two-edge average as an unbuffered scatter over loop positions
+    mesh = load.mesh
+    loop = mesh.boundary_loop()
+    pos = np.empty(mesh.n_nodes, dtype=int)
+    pos[loop] = np.arange(len(loop))
+    idx = pos[mesh.boundary_edges].ravel()
+    q, m = load.edge_values((-1.0, 1.0))
+    nq = np.zeros(len(loop))
+    nm = np.zeros((len(loop), 2))
+    np.add.at(nq, idx, q.ravel())
+    np.add.at(nm, idx, m.reshape(-1, 2))
+    counts = np.bincount(idx, minlength=len(loop))
+    return nq / counts, nm / counts[:, None]
+
+
+@settings(settings.get_profile("derandomized"), max_examples=200)
+@given(overlay_domains(), st.floats(0.05, 0.25))
+def test_overlay_mesh_has_one_ccw_boundary_loop(domain, target):
+    try:
+        mesh = generate_mesh(domain, target)
+    except ValueError as err:
+        assert MESH_REFUSAL.match(str(err)), err
+        return
+    edges = mesh.boundary_edges
+    # the edges chain into one closed loop through every boundary node once
+    assert np.array_equal(edges[1:, 0], edges[:-1, 1])
+    assert edges[-1, 1] == edges[0, 0]
+    loop = mesh.boundary_loop()
+    sides = np.sort(np.stack([mesh.elements, np.roll(mesh.elements, -1, 1)],
+                             axis=2).reshape(-1, 2), axis=1)
+    keys, counts = np.unique(sides, axis=0, return_counts=True)
+    border = keys[counts == 1]
+    assert len(loop) == len(border)
+    assert np.array_equal(np.sort(loop), np.unique(border))
+    assert polygon_signed_area(mesh.nodes[loop]) > 0.0
+    load = load_from_family(mesh, "pure_bending a=1",
+                            IsotropicMaterial(lam=1.0, mu=1.0, h=1.0))
+    for got, want in zip(load.nodal_samples(), _scatter_nodal_samples(load)):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("verts", [UNIT, LSHAPE], ids=["unit", "lshape"])

@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from platelab.geometry import Domain, generate_mesh
@@ -15,6 +18,7 @@ from platelab.material import (
     jump_bounds,
     shear_matrix,
     validate_on_mesh,
+    _override_spectrum,
     _shared_edge_pairs,
 )
 
@@ -227,6 +231,69 @@ def test_jump_straddle_rejected():
     pt = 0.5 * bending_voigt(t)
     with pytest.raises(ValueError, match="element"):
         jump_bounds(STD, InclusionMaterial(stilde=st, ptilde=pt))
+
+
+def _random_override(rng, background, low, high):
+    # background^(1/2) W background^(1/2)^T for random W with eigenvalues in
+    # [low, high], made exactly symmetric: its generalized eigenvalues
+    # against the background are those of W
+    n = len(background)
+    eig = rng.uniform(low, high, size=(n, background.shape[-1]))
+    q = np.linalg.qr(rng.normal(size=background.shape))[0]
+    w = (q * eig[:, None, :]) @ q.swapaxes(1, 2)
+    half = np.linalg.cholesky(background)
+    a = half @ w @ half.swapaxes(1, 2)
+    return 0.5 * (a + a.swapaxes(1, 2))
+
+
+def _eigh_spectrum(mat, st, pt):
+    # the per-element scipy.linalg.eigh reference, rows with a NaN skipped
+    t = derive_plate_tensors(mat)
+    smat, bmat = shear_matrix(t, len(st)), bending_voigt(t, len(pt))
+    elems = [e for e in range(len(st))
+             if not (np.isnan(st[e]).any() or np.isnan(pt[e]).any())]
+    vals = [np.concatenate([
+        scipy.linalg.eigh(st[e], smat[e], eigvals_only=True),
+        scipy.linalg.eigh(pt[e], bmat[e], eigvals_only=True)]) for e in elems]
+    return np.array(vals), np.array(elems)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_override_spectrum_matches_elementwise_eigh(seed):
+    rng = np.random.default_rng(seed)
+    ne = 200
+    mat = IsotropicMaterial(lam=1.0, mu=rng.uniform(1.0, 1.5, ne), h=1.0)
+    t = derive_plate_tensors(mat)
+
+    def tables(low, high):
+        st = _random_override(rng, shear_matrix(t, ne), low, high)
+        pt = _random_override(rng, bending_voigt(t, ne), low, high)
+        st[rng.choice(ne, 5, replace=False)] = np.nan
+        pt[rng.choice(ne, 5, replace=False)] = np.nan
+        return st, pt
+
+    st, pt = tables(1e-3, 1e3)
+    got, elems = _override_spectrum(mat, InclusionMaterial(stilde=st,
+                                                           ptilde=pt))
+    want, want_elems = _eigh_spectrum(mat, st, pt)
+    assert np.array_equal(elems, want_elems)
+    assert_allclose(got, want, rtol=1e-13)
+    # the errors name the elements that the reference names
+    st, pt = tables(0.2, 0.9)
+    usable = ~(np.isnan(st).any(axis=(1, 2)) | np.isnan(pt).any(axis=(1, 2)))
+    pt[rng.choice(np.flatnonzero(usable)), 2, 2] *= -1.0
+    want, want_elems = _eigh_spectrum(mat, st, pt)
+    worst = want_elems[np.argmin(want.min(axis=1))]
+    with pytest.raises(ValueError, match=re.escape(
+            f"override is not positive definite at element {worst}")):
+        jump_bounds(mat, InclusionMaterial(stilde=st, ptilde=pt))
+    st, pt = tables(0.5, 2.0)
+    want, want_elems = _eigh_spectrum(mat, st, pt)
+    lo = want_elems[np.argmin(want.min(axis=1))]
+    hi = want_elems[np.argmax(want.max(axis=1))]
+    with pytest.raises(ValueError, match=re.escape(
+            f"(min at element {lo}, max at element {hi})")):
+        jump_bounds(mat, InclusionMaterial(stilde=st, ptilde=pt))
 
 
 def test_jump_bounds_validation():

@@ -16,7 +16,9 @@ at target size 0.05 too, whose overlay meshes give point orders that do
 not follow the probe lattice. solve and size (kappa 2.5) run on thin plates,
 h = 0.1 and 0.01, with and without --full-integration. size
 also runs with tensor tables in place of kappa, without the lambda key
-(exit 1) and with the zero load `pure_bending a=0` (exit 1). Three more
+(exit 1), with the zero load `pure_bending a=0` (exit 1) and on a
+dumbbell, two unit squares joined by a 0.02-wide neck, at target size
+0.25, whose overlay splits into two plates (exit 1). Three more
 calibrate corpora run at --jobs 1 and 2: one spans two meshes and holds a
 reference-only entry, in another the second entry has an unknown load, and
 the third holds two zero-load entries (exit 1). Every run is a fresh
@@ -48,6 +50,9 @@ BASE = (f"domain = rectangle 0 0 1 1\n{workloads.MATERIAL}"
         "target_size = 0.125\nload = pure_bending a=1\ntimestamp = off\n")
 INCLUSION = [(0.3, 0.3), (0.7, 0.3), (0.7, 0.6), (0.3, 0.7)]
 SKEWED = [(0.0, 0.0), (1.0, 0.2), (1.3, 1.1), (0.2, 0.9)]
+DUMBBELL = [(0.0, 0.0), (1.0, 0.0), (1.0, 0.49), (2.0, 0.49), (2.0, 0.0),
+            (3.0, 0.0), (3.0, 1.0), (2.0, 1.0), (2.0, 0.51), (1.0, 0.51),
+            (1.0, 1.0), (0.0, 1.0)]
 
 
 def _write(path, text):
@@ -105,6 +110,10 @@ def command_runs(inputs):
                         workloads._polygon_text(verts))
         cfgs[key] = BASE.replace("rectangle 0 0 1 1", domain).replace(
             "pure_bending a=1", load)
+    dumbbell = _write(os.path.join(inputs, "dumbbell.poly"),
+                      workloads._polygon_text(DUMBBELL))
+    cfgs["dumbbell"] = BASE.replace("rectangle 0 0 1 1", dumbbell).replace(
+        "target_size = 0.125", "target_size = 0.25")
     # the probes on overlay meshes, whose point rows do not follow the
     # probe lattice; rho0 = 2.5 rho keeps the three-spheres fits feasible
     for key, rho, rho0, radii in (("lshape", "0.02", "0.05", "0.02 0.015 0.01"),
@@ -162,6 +171,7 @@ def command_runs(inputs):
             ("size-tables", ["size", "--config", path["tables"]]),
             ("size-no-lambda", ["size", "--config", path["no_lambda"]]),
             ("size-zero-load", ["size", "--config", path["zero_load"]]),
+            ("size-dumbbell", ["size", "--config", path["dumbbell"]]),
             ("three-spheres", ["three-spheres", "--config",
                                path["three_spheres"]]),
             ("lps", ["lps", "--config", path["lps"]]),
