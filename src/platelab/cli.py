@@ -33,6 +33,7 @@ from .material import (
     InclusionMaterial,
     IsotropicMaterial,
     JumpBounds,
+    ellipticity_constants,
     inclusion_from_tables,
     jump_bounds,
 )
@@ -262,6 +263,7 @@ def _cmd_energy_lemma(cfg, args, name, outdir, stamp):
     if config.inclusion is None:
         raise ConfigError("energy-lemma needs an inclusion")
     jumps = jump_bounds(config.material, config.inclusion)
+    ellipticity_constants(config.material)
     fw = forward(config)
     rep = verify_energy_lemma(fw.state0, fw.state, fw.load, config.material,
                               jumps, fw.indicator)

@@ -502,9 +502,12 @@ def _size_experiment(config, reference):
     """run_size_experiment on reference(), the _shared_reference of a
     config with the same reference key."""
     ap = config.domain.apriori
-    # the config's own contrast error comes before its reference's errors
-    jumps = None if config.inclusion is None else \
-        jump_bounds(config.material, config.inclusion)
+    # the config's own contrast and material window errors come before its
+    # reference's errors
+    jumps = None
+    if config.inclusion is not None:
+        jumps = jump_bounds(config.material, config.inclusion)
+        ellipticity_constants(config.material)
     plate, factor, freq = reference()
     fw = _forward(config, plate, factor)
     del plate, factor  # size frees the factor once the inclusion is solved

@@ -255,21 +255,20 @@ class Mesh:
     """Conforming bilinear quad mesh of a Domain.
 
     boundary_edges are node pairs ordered along the (single, closed,
-    counterclockwise) boundary loop; normals point outward, tangents follow
-    the loop so that n is the tangent rotated by -90 degrees.
+    counterclockwise) boundary loop; normals point outward, the edge
+    direction rotated by -90 degrees.
     """
 
     nodes: np.ndarray            # (nn, 2)
     elements: np.ndarray         # (ne, 4) int, counterclockwise
     boundary_edges: np.ndarray   # (nb, 2) int, loop order
     boundary_normals: np.ndarray  # (nb, 2) outward unit normals
-    boundary_tangents: np.ndarray  # (nb, 2) unit tangents
     mesh_size: float
     domain: Domain
 
     def __post_init__(self):
         for name in ("nodes", "elements", "boundary_edges",
-                     "boundary_normals", "boundary_tangents"):
+                     "boundary_normals"):
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -354,7 +353,7 @@ def _extract_boundary(nodes, elements):
     length = np.linalg.norm(vec, axis=1)
     tang = vec / length[:, None]
     norm = np.column_stack([tang[:, 1], -tang[:, 0]])  # outward for ccw loops
-    return edges, norm, tang
+    return edges, norm
 
 
 def _finish_mesh(nodes, elements, domain):
@@ -367,10 +366,10 @@ def _finish_mesh(nodes, elements, domain):
     bad = np.flatnonzero(np.any(det <= 0.0, axis=1))
     if len(bad):
         raise ValueError(f"element {bad[0]} has a nonpositive Jacobian")
-    edges, normals, tangents = _extract_boundary(nodes, elements)
+    edges, normals = _extract_boundary(nodes, elements)
     diffs = quads[:, :, None, :] - quads[:, None, :, :]
     diam = float(np.sqrt((diffs ** 2).sum(-1)).max())
-    return Mesh(nodes, elements, edges, normals, tangents, diam, domain)
+    return Mesh(nodes, elements, edges, normals, diam, domain)
 
 
 def _grid_cells(nx, ny):

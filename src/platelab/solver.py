@@ -344,8 +344,9 @@ class BoundaryLoad:
     """Per-edge Gauss samples of the transverse force q and couple m.
 
     q has shape (n_edges, 2) and m (n_edges, 2, 2): two Gauss points per
-    edge at parameters -1/sqrt(3), 1/sqrt(3); edge_values extends the two
-    samples linearly.
+    edge at parameters -1/sqrt(3), 1/sqrt(3), edges in loop order. The
+    samples are linear along each edge, so the two-point rule integrates
+    every boundary term exactly.
     """
 
     mesh: object
@@ -363,32 +364,19 @@ class BoundaryLoad:
         b = self.mesh.nodes[self.mesh.boundary_edges[:, 1]]
         return np.linalg.norm(b - a, axis=1)
 
-    def edge_values(self, tpts):
-        """(q, m) at edge parameters tpts: shapes (n_edges, T), (n_edges, T, 2),
-        the linear extension of the two stored samples."""
-        t = np.asarray(tpts, dtype=float)
-        span = GAUSS2[1] - GAUSS2[0]
-        mid_q = 0.5 * (self.q[:, 0] + self.q[:, 1])
-        slope_q = (self.q[:, 1] - self.q[:, 0]) / span
-        mid_m = 0.5 * (self.m[:, 0] + self.m[:, 1])
-        slope_m = (self.m[:, 1] - self.m[:, 0]) / span
-        q = mid_q[:, None] + slope_q[:, None] * t[None, :]
-        m = mid_m[:, None, :] + slope_m[:, None, :] * t[None, :, None]
-        return q, m
-
-    def resample(self, order):
-        """Samples (q, m, tpts, wts) at an order-point edge Gauss rule."""
-        t, w = np.polynomial.legendre.leggauss(order)
-        q, m = self.edge_values(t)
-        return q, m, t, w
-
     def nodal_samples(self):
-        """(q, m) at the boundary nodes in loop order: the edge values at
-        both ends of every edge, averaged over the two edges meeting at
-        each node; edge i ends where edge i + 1 starts."""
-        q, m = self.edge_values((-1.0, 1.0))
-        return (0.5 * (q[:, 0] + np.roll(q[:, 1], 1)),
-                0.5 * (m[:, 0] + np.roll(m[:, 1], 1, axis=0)))
+        """(q, m) at the boundary nodes in loop order: the linear extension
+        of the two stored samples to both ends of every edge, averaged over
+        the two edges meeting at each node; edge i ends where edge i + 1
+        starts."""
+        span = GAUSS2[1] - GAUSS2[0]
+        samples = []
+        for v in (self.q, self.m):
+            mid = 0.5 * (v[:, 0] + v[:, 1])
+            slope = (v[:, 1] - v[:, 0]) / span
+            samples.append(0.5 * ((mid - slope)
+                                  + np.roll(mid + slope, 1, axis=0)))
+        return tuple(samples)
 
     def compatibility_residuals(self):
         """(net force, net moment 2-vector, load scale) by edge quadrature."""
@@ -485,12 +473,13 @@ def _parse_family(spec):
     return parts[0], params
 
 
-def assemble_load(load, order=2, check=True):
-    """Consistent load vector on load.mesh by edge-wise Gauss quadrature.
+def assemble_load(load, check=True):
+    """Consistent load vector on load.mesh by the two-point edge rule.
 
-    check=True enforces the closed-boundary equilibrium identities (zero
-    net transverse force, zero net moment) within COMPAT_TOL relative to
-    the load magnitude.
+    Each boundary node gets the start terms of its edge and the end terms
+    of the edge before it, in loop order. check=True enforces the
+    closed-boundary equilibrium identities (zero net transverse force, zero
+    net moment) within COMPAT_TOL relative to the load magnitude.
     """
     mesh = load.mesh
     if check:
@@ -502,22 +491,16 @@ def assemble_load(load, order=2, check=True):
                 f"incompatible load: net force {int_q:.3e}, "
                 f"net moment {int_mx}",
                 force_residual=int_q, moment_residual=int_mx)
-    if order == 2:
-        q, m = load.q, load.m
-        t, w = GAUSS2, np.array([1.0, 1.0])
-    else:
-        q, m, t, w = load.resample(order)
-    L = load.edge_lengths()
+    wq = 0.5 * load.edge_lengths()
+    loop = mesh.boundary_loop()
     f = np.zeros(3 * mesh.n_nodes)
-    na = 0.5 * (1.0 - t)
-    nb_ = 0.5 * (1.0 + t)
-    for gi in range(len(t)):
-        wq = 0.5 * L * w[gi]
-        for side, shape in ((0, na[gi]), (1, nb_[gi])):
-            nodes = mesh.boundary_edges[:, side]
-            np.add.at(f, 3 * nodes + 2, wq * shape * q[:, gi])
-            np.add.at(f, 3 * nodes, wq * shape * m[:, gi, 0])
-            np.add.at(f, 3 * nodes + 1, wq * shape * m[:, gi, 1])
+    # dofs (phi1, phi2, w) take the couple components and the force
+    for dof, v in enumerate((load.m[..., 0], load.m[..., 1], load.q)):
+        total = 0.0
+        for gi, t in enumerate(GAUSS2):
+            total = (total + wq * (0.5 * (1.0 - t)) * v[:, gi]
+                     + np.roll(wq * (0.5 * (1.0 + t)) * v[:, gi], 1))
+        f[3 * loop + dof] = total
     return f
 
 
@@ -600,12 +583,14 @@ class Factor:
 
 
 def factorize(system):
-    """The Factor of a system's stiffness."""
+    """The Factor of a system's stiffness. The pinned stiffness is symmetric
+    positive definite, so the pivots stay on the diagonal; threshold
+    pivoting leaves it on thin plates and multiplies the fill."""
     free = np.ones(system.n_dof, dtype=bool)
     free[_pinned_dofs(system.mesh)] = False
     kr = system.stiffness[free][:, free].tocsc()
     try:
-        lu = spla.splu(kr, permc_spec="MMD_AT_PLUS_A",
+        lu = spla.splu(kr, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolveError(f"sparse factorization failed: {exc}") from exc
@@ -737,7 +722,8 @@ def dense_oracle_solve(system, cap=600):
 
 
 def residual_check(state, material, load, indicator=None, inclusion=None):
-    """Weak residual of a state against an enriched (3x3, 3-point) quadrature.
+    """Weak residual of a state: element terms by the enriched 3x3 rule,
+    the load by the two-point edge rule, which is exact for it.
 
     Returns (max_element_residual, relative_norm, worst_element).
     """
@@ -752,7 +738,7 @@ def residual_check(state, material, load, indicator=None, inclusion=None):
     re = np.einsum("eij,ej->ei", ke, ue)
     r = np.zeros(3 * mesh.n_nodes)
     np.add.at(r, dofs.ravel(), re.ravel())
-    f = assemble_load(load, order=3, check=False)
+    f = assemble_load(load, check=False)
     r -= f
     per_elem = np.linalg.norm(r[dofs], axis=1)
     worst = int(np.argmax(per_elem))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import platelab
-from platelab import cli, estimates, functionals, geometry, tables
+from platelab import cli, estimates, functionals, tables
 from platelab.cli import ConfigError, main, parse_config
 from platelab.estimates import admissible_centers, three_spheres_sweep
 from platelab.material import (IsotropicMaterial, bending_voigt,
@@ -327,18 +327,20 @@ def test_three_spheres_scans_no_disk_per_center(tmp_path, monkeypatch):
         [three_spheres_sweep(field, [c], 0.015, 0.3)[0] for c in centers]),
         timestamp=False)
 
-    def per_center(*args, **kwargs):
-        raise AssertionError("per-center scan")
+    calls = []
+    inner = estimates.disk_energies
 
-    for mod in (estimates, functionals):
-        monkeypatch.setattr(mod, "region_energy", per_center, raising=False)
-    for mod in (estimates, geometry):
-        monkeypatch.setattr(mod, "distance_to_boundary", per_center,
-                            raising=False)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(estimates, "disk_energies", counted)
     assert main(["three-spheres", "--config", cfg, "--out", str(tmp_path)]) \
         in (0, 3)
     got = (tmp_path / "three_spheres_three_spheres.csv").read_text()
     assert len(centers) > 10 and got == expected
+    # one disk sum over all centers at once, not one per center
+    assert len(calls) == 1
 
 
 def test_three_spheres_inadmissible_center_message(tmp_path, capsys):
@@ -399,6 +401,27 @@ def test_probe_keys_checked_before_the_solve(tmp_path, capsys, monkeypatch,
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["size", "energy-lemma"])
+def test_material_window_checked_before_any_solve(tmp_path, capsys,
+                                                  monkeypatch, command):
+    # lam = mu = 1.5 passes the constructor, but its spherical bending
+    # eigenvalue 5 exceeds 2 alpha1 = 4
+    def no_work(*args, **kwargs):
+        raise AssertionError("meshed or factored before the window check")
+
+    for name in ("generate_mesh", "factorize"):
+        monkeypatch.setattr(estimates, name, no_work)
+    poly = _sq_poly(tmp_path)
+    cfg = _cfg(tmp_path, BASE.replace("lambda = 1.0\nmu = 1.0",
+                                      "lambda = 1.5\nmu = 1.5")
+               + f"inclusion = {poly}\nkappa = 2.0\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: bending sandwich fails from above at element 0\n")
     assert not list(out.glob("*.csv"))
 
 

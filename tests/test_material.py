@@ -3,6 +3,8 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from platelab.geometry import Domain, generate_mesh
@@ -131,6 +133,60 @@ def test_ellipticity_sandwich_random():
 def test_ellipticity_tie_case():
     mat = IsotropicMaterial(lam=0.0, mu=1.0, h=1.0, gamma0=2.0)
     assert ellipticity_constants(mat).xi0 == 2.0
+
+
+@st.composite
+def accepted_materials(draw):
+    """Materials inside the constructor's floors and caps, with scalar or
+    per-element Lame fields."""
+    alpha0 = draw(st.floats(0.1, 3.0))
+    alpha1 = alpha0 * draw(st.floats(1.0, 4.0))
+    gamma0 = draw(st.floats(0.05, 5.0)) * alpha1
+    n = draw(st.sampled_from([None, 1, 5]))
+    # mu >= (gamma0 - 3 alpha1) / 2 leaves room for lam <= alpha1
+    mu_lo = max(alpha0, 0.5 * (gamma0 - 3.0 * alpha1))
+    mus, lams = [], []
+    for _ in range(n or 1):
+        mu = mu_lo + (alpha1 - mu_lo) * draw(st.floats(0.0, 1.0))
+        lam_lo = max(-alpha1, (gamma0 - 2.0 * mu) / 3.0)
+        mus.append(mu)
+        lams.append(lam_lo + (alpha1 - lam_lo) * draw(st.floats(0.0, 1.0)))
+    h = draw(st.floats(0.01, 2.0))
+    lam, mu = (v[0] if n is None else np.array(v) for v in (lams, mus))
+    try:
+        return IsotropicMaterial(lam=lam, mu=mu, h=h, alpha0=alpha0,
+                                 gamma0=gamma0, alpha1=alpha1)
+    except ValueError:
+        assume(False)  # a floor missed by rounding
+
+
+@settings(settings.get_profile("derandomized"), max_examples=200)
+@given(accepted_materials())
+def test_constructor_implies_shear_window_and_bending_floor(mat):
+    # the two window checks ellipticity_constants once made, as it made
+    # them; only its bending cap can fail on an accepted material
+    sigma0, sigma1 = mat.alpha0, mat.alpha1
+    xi0, xi1 = min(2.0 * mat.alpha0, mat.gamma0), 2.0 * mat.alpha1
+    mu = np.atleast_1d(np.asarray(mat.mu, dtype=float))
+    slack = 1e-12 * mat.h * sigma1
+    assert not np.any(mat.h * mu < mat.h * sigma0 - slack)
+    assert not np.any(mat.h * mu > mat.h * sigma1 + slack)
+    t = derive_plate_tensors(mat)
+    gram = bending_voigt(t, np.size(t.rigidity))
+    gram[..., 2, 2] *= 2.0
+    eigs = np.linalg.eigvalsh(gram)
+    lo = mat.h ** 3 / 12.0 * xi0
+    hi = mat.h ** 3 / 12.0 * xi1
+    assert not np.any(eigs[..., 0] < lo - 1e-12 * hi)
+
+
+def test_bending_cap_refused():
+    # the spherical bending eigenvalue 2 mu (2 mu + 3 lam) / (2 mu + lam)
+    # is 5 at lam = mu = 1.5, over 2 alpha1 = 4
+    mat = IsotropicMaterial(lam=1.5, mu=1.5, h=1.0)
+    with pytest.raises(ValueError, match="^bending sandwich fails from above "
+                                         "at element 0$"):
+        ellipticity_constants(mat)
 
 
 def test_voigt_bending_matches_apply():

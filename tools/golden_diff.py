@@ -14,11 +14,12 @@ conjugate gradients overflow, exit 2) and, under --dense-oracle, 1e3.
 three-spheres and lps (three radii) run on the L-shape and the skewed quad
 at target size 0.05 too, whose overlay meshes give point orders that do
 not follow the probe lattice. solve and size (kappa 2.5) run on thin plates,
-h = 0.1 and 0.01, with and without --full-integration. size
-also runs with tensor tables in place of kappa, without the lambda key
-(exit 1), with the zero load `pure_bending a=0` (exit 1) and on a
-dumbbell, two unit squares joined by a 0.02-wide neck, at target size
-0.25, whose overlay splits into two plates (exit 1). Three more
+h = 0.1 and 0.01, with and without --full-integration; size-h0.1-32 runs
+size at h = 0.1 and target size 1/32 too, where the factor's fill depends
+on the pivot choice. size also runs with tensor tables in place of kappa,
+without the lambda key (exit 1), with the zero load `pure_bending a=0`
+(exit 1) and on a dumbbell, two unit squares joined by a 0.02-wide neck,
+at target size 0.25, whose overlay splits into two plates (exit 1). Three more
 calibrate corpora run at --jobs 1 and 2: one spans two meshes and holds a
 reference-only entry, in another the second entry has an unknown load, and
 the third holds two zero-load entries (exit 1). Every run is a fresh
@@ -126,6 +127,8 @@ def command_runs(inputs):
     for h in ("0.1", "0.01"):
         cfgs[f"plain_h{h}"] = BASE.replace("h = 1.0", f"h = {h}")
         cfgs[f"stiff_h{h}"] = incl.replace("h = 1.0", f"h = {h}")
+    cfgs["stiff_h0.1_32"] = cfgs["stiff_h0.1"].replace(
+        "target_size = 0.125", "target_size = 0.03125")
     coarse = BASE.replace("target_size = 0.125", "target_size = 0.25")
     corpora = {
         "calibrate": [BASE.replace("pure_bending", load)
@@ -188,6 +191,7 @@ def command_runs(inputs):
              for h in ("0.1", "0.01")
              for command, cfg in (("solve", "plain"), ("size", "stiff"))
              for full in ([], ["--full-integration"])]
+    runs += [("size-h0.1-32", ["size", "--config", path["stiff_h0.1_32"]])]
     runs += [(f"calibrate-jobs{j}", ["calibrate", "--config", path["calibrate"],
                                      "--jobs", str(j)]) for j in (1, 2, 3)]
     runs += [(f"{key.replace('_', '-')}-jobs{j}",
