@@ -37,7 +37,7 @@ from .material import (
     inclusion_from_tables,
     jump_bounds,
 )
-from .solver import CompatibilityError, SolveError, residual_check
+from .solver import SolveError, residual_check
 
 ENV_OUT = "PLATELAB_OUT"
 
@@ -390,7 +390,7 @@ def _cmd_calibrate(cfg, args, name, outdir, stamp):
             raise ConfigError(f"corpus mixes rho0 = {rho0!r} ({paths[0]}) and "
                               f"rho0 = {c.domain.apriori.rho0!r} ({p})")
 
-    reports = run_corpus(configs, max(args.jobs or 1, 1))
+    reports = run_corpus(configs, args.jobs)
 
     entries = [r for r in reports if r.regime is not None]
     if not entries:
@@ -439,6 +439,18 @@ _HANDLERS = {
 }
 
 
+def _jobs(text):
+    # the --jobs type: argparse refuses other values with a line naming it
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def _parser():
     p = argparse.ArgumentParser(
         prog="platelab",
@@ -447,7 +459,7 @@ def _parser():
     p.add_argument("command", choices=sorted(_HANDLERS))
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--dense-oracle", action="store_true")
     p.add_argument("--full-integration", action="store_true")
     return p
@@ -468,7 +480,7 @@ def main(argv=None):
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (SolveError, CompatibilityError, np.linalg.LinAlgError) as exc:
+    except (SolveError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -568,18 +568,33 @@ def _by_value(value):
     return value
 
 
+def _once(compute):
+    """A callable that runs compute() on its first call, under a lock;
+    every later call, from any thread, returns the value or raises the
+    exception of that first run."""
+    lock = threading.Lock()
+    outcome = []
+
+    def once():
+        with lock:
+            if not outcome:
+                try:
+                    outcome.append((compute(), None))
+                except Exception as exc:
+                    outcome.append((None, exc))
+        value, exc = outcome[0]
+        if exc is not None:
+            raise exc
+        return value
+    return once
+
+
 def _shared_reference(config):
     """_reference_plate(config) and a callable that computes the plate's
     frequency report once, on first call: after an inclusion solve, when
     size has freed the factor."""
     plate, factor = _reference_plate(config)
-    report = functools.cache(functools.partial(frequency, plate.load))
-    lock = threading.Lock()
-
-    def freq():
-        with lock:  # the experiments of a group call it from their threads
-            return report()
-    return plate, factor, freq
+    return plate, factor, _once(functools.partial(frequency, plate.load))
 
 
 def run_corpus(configs, jobs=1):
@@ -587,10 +602,11 @@ def run_corpus(configs, jobs=1):
 
     Configs that differ only in inclusion-only fields (_INCLUSION_ONLY)
     share one reference plate, with its mesh, load, solve, kept factor and
-    frequency report; fields compare by value. The groups run one after
-    the other, so one reference is alive at a time. After the whole corpus
-    ran, the failure of the first failing config is raised, the same one
-    that config raises alone.
+    frequency report; fields compare by value. The first experiment of a
+    group that passes its own checks builds the reference. The groups run
+    one after the other, so one reference is alive at a time. After the
+    whole corpus ran, the failure of the first failing config is raised,
+    the same one that config raises alone.
     """
     configs = list(configs)
     names = [f.name for f in fields(SizeExperimentConfig)
@@ -605,13 +621,13 @@ def run_corpus(configs, jobs=1):
     # corpus
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
         for idx in groups.values():
-            # queued first, so no experiment waits on an untaken reference
-            shared = pool.submit(_shared_reference, configs[idx[0]])
+            reference = _once(functools.partial(_shared_reference,
+                                                configs[idx[0]]))
             for i in idx:
                 outcomes[i] = pool.submit(_size_experiment, configs[i],
-                                          shared.result)
+                                          reference)
             concurrent.futures.wait([outcomes[i] for i in idx])
-            del shared  # before the next reference is built
+            del reference  # before the next reference is built
     return [f.result() for f in outcomes]
 
 

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .geometry import GAUSS2
-from .solver import element_operators
+from .solver import assemble_load, element_operators
 
 
 @dataclass(frozen=True)
@@ -52,30 +51,11 @@ class FrequencyReport:
 
 
 def boundary_work(load, state):
-    """Work of the boundary load against a state, by edge quadrature.
-
-    Uses the same two point edge rule as the load assembly, so the value
-    equals rhs . u exactly for states on the same mesh.
-    """
-    mesh = load.mesh
-    if mesh is not state.mesh:
+    """Work of the boundary load against a state: assemble_load(load) . u,
+    the two-point edge rule paired with the state's boundary values."""
+    if load.mesh is not state.mesh:
         raise ValueError("load and state live on different meshes")
-    edges = mesh.boundary_edges
-    L = load.edge_lengths()
-    na = 0.5 * (1.0 - GAUSS2)
-    nb = 0.5 * (1.0 + GAUSS2)
-    w_nodal = state.w
-    phi1, phi2 = state.phi1, state.phi2
-    total = 0.0
-    for g in range(2):
-        wq = 0.5 * L
-        wg = na[g] * w_nodal[edges[:, 0]] + nb[g] * w_nodal[edges[:, 1]]
-        p1 = na[g] * phi1[edges[:, 0]] + nb[g] * phi1[edges[:, 1]]
-        p2 = na[g] * phi2[edges[:, 0]] + nb[g] * phi2[edges[:, 1]]
-        total += float(np.sum(wq * (load.q[:, g] * wg
-                                    + load.m[:, g, 0] * p1
-                                    + load.m[:, g, 1] * p2)))
-    return total
+    return float(assemble_load(load) @ state.u)
 
 
 def work_report(load, state, state_reference):

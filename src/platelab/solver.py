@@ -34,12 +34,7 @@ class SolveError(RuntimeError):
 
 
 class CompatibilityError(SolveError):
-    """Load violates the closed-boundary equilibrium identities."""
-
-    def __init__(self, message, force_residual=None, moment_residual=None):
-        super().__init__(message)
-        self.force_residual = force_residual
-        self.moment_residual = moment_residual
+    """Load has a component on a rigid motion of the free plate."""
 
 
 def gauss_rule(order):
@@ -353,12 +348,6 @@ class BoundaryLoad:
     q: np.ndarray
     m: np.ndarray
 
-    def edge_points(self):
-        a = self.mesh.nodes[self.mesh.boundary_edges[:, 0]]
-        b = self.mesh.nodes[self.mesh.boundary_edges[:, 1]]
-        return (0.5 * (1.0 - GAUSS2)[None, :, None] * a[:, None, :]
-                + 0.5 * (1.0 + GAUSS2)[None, :, None] * b[:, None, :])
-
     def edge_lengths(self):
         a = self.mesh.nodes[self.mesh.boundary_edges[:, 0]]
         b = self.mesh.nodes[self.mesh.boundary_edges[:, 1]]
@@ -377,19 +366,6 @@ class BoundaryLoad:
             samples.append(0.5 * ((mid - slope)
                                   + np.roll(mid + slope, 1, axis=0)))
         return tuple(samples)
-
-    def compatibility_residuals(self):
-        """(net force, net moment 2-vector, load scale) by edge quadrature."""
-        L = self.edge_lengths()
-        w = 0.5 * L  # each of the two Gauss weights on an edge
-        pts = self.edge_points()
-        int_q = float(np.sum(w[:, None] * self.q))
-        int_mx = np.einsum("eg,eg,egc->c", w[:, None] * np.ones_like(self.q),
-                           self.q, pts) - np.einsum("eg,egc->c", w[:, None] * np.ones_like(self.q), self.m)
-        diam = self.mesh.domain.diameter
-        scale = float(np.sum(w[:, None] * np.abs(self.q)) * diam
-                      + np.sum(w[:, None] * np.linalg.norm(self.m, axis=2)))
-        return int_q, int_mx, scale
 
     def norm(self):
         """L2 boundary norms (of q, of m)."""
@@ -473,24 +449,15 @@ def _parse_family(spec):
     return parts[0], params
 
 
-def assemble_load(load, check=True):
-    """Consistent load vector on load.mesh by the two-point edge rule.
+def assemble_load(load):
+    """Consistent load vector f on load.mesh by the two-point edge rule, the
+    one discrete form of the load: f . u is its work against a dof vector u.
 
     Each boundary node gets the start terms of its edge and the end terms
-    of the edge before it, in loop order. check=True enforces the
-    closed-boundary equilibrium identities (zero net transverse force, zero
-    net moment) within COMPAT_TOL relative to the load magnitude.
+    of the edge before it, in loop order. solve checks f against the rigid
+    motions.
     """
     mesh = load.mesh
-    if check:
-        int_q, int_mx, scale = load.compatibility_residuals()
-        bound = COMPAT_TOL * scale + _TINY
-        diam = mesh.domain.diameter
-        if abs(int_q) * diam > bound or np.linalg.norm(int_mx) > bound:
-            raise CompatibilityError(
-                f"incompatible load: net force {int_q:.3e}, "
-                f"net moment {int_mx}",
-                force_residual=int_q, moment_residual=int_mx)
     wq = 0.5 * load.edge_lengths()
     loop = mesh.boundary_loop()
     f = np.zeros(3 * mesh.n_nodes)
@@ -532,9 +499,10 @@ class PlateState:
 
 
 def _check_kernel_compatibility(mesh, f):
-    fn = np.linalg.norm(f)
+    # a balanced load does no work on a rigid motion k: f . k vanishes up to
+    # the rounding of its own terms, whose size is |f| . |k|
     for i, k in enumerate(kernel_basis(mesh)):
-        if abs(f @ k) > COMPAT_TOL * fn * np.linalg.norm(k) + _TINY:
+        if abs(f @ k) > COMPAT_TOL * (np.abs(f) @ np.abs(k)) + _TINY:
             raise CompatibilityError(
                 f"load has a component on rigid motion {i}: {f @ k:.3e}")
 
@@ -557,9 +525,10 @@ def _pinned_dofs(mesh):
     return 3 * node + np.arange(3)
 
 
-# the load checks (net force and moment, rigid-motion components, dense
-# kernel components) are relative to the load's size; the closed-form and
-# mode loads pass them below 1e-11, a hundred times inside COMPAT_TOL
+# the load checks (rigid-motion components in solve, kernel components in
+# the dense oracle) are relative to the load's size; on the rigid-motion
+# check the closed-form loads read below 1e-15 and the compensated mode
+# loads up to 1.1e-11 (128^2 L-shape), ninety times inside COMPAT_TOL
 COMPAT_TOL = 1e-9
 
 # conjugate gradients on a stiffness near a factored one stop at a relative
@@ -600,6 +569,8 @@ def factorize(system):
 def solve(system, factor=None, update=None, start=None):
     """Sparse solve normalized to zero-mean rotations and deflection.
 
+    A load f with a component f . k on a rigid motion k beyond COMPAT_TOL
+    times |f| . |k| is refused with CompatibilityError before any factoring.
     Fixing the dofs of one node removes the rigid-motion kernel; the reduced
     stiffness is factored once (factor, when given, is factorize(system)),
     the solve gets one step of iterative refinement, and kernel motions then
@@ -738,7 +709,7 @@ def residual_check(state, material, load, indicator=None, inclusion=None):
     re = np.einsum("eij,ej->ei", ke, ue)
     r = np.zeros(3 * mesh.n_nodes)
     np.add.at(r, dofs.ravel(), re.ravel())
-    f = assemble_load(load, check=False)
+    f = assemble_load(load)
     r -= f
     per_elem = np.linalg.norm(r[dofs], axis=1)
     worst = int(np.argmax(per_elem))

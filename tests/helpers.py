@@ -168,8 +168,31 @@ def mode_load(mesh, k, compensate=True):
     load = BoundaryLoad(mesh, q, m)
     if compensate:
         L = load.edge_lengths()
-        pts = load.edge_points()
+        a, b = (mesh.nodes[mesh.boundary_edges[:, i]] for i in (0, 1))
+        pts = (0.5 * (1.0 - GAUSS2)[None, :, None] * a[:, None, :]
+               + 0.5 * (1.0 + GAUSS2)[None, :, None] * b[:, None, :])
         int_qx = np.einsum("eg,egc->c", 0.5 * L[:, None] * q, pts)
         const_m = int_qx / float(L.sum())
         m[:] = const_m[None, None, :]
     return load
+
+
+def edge_rule_work(load, u):
+    """Work of a load against a dof vector u, edge by edge: the two-point
+    rule on the products of the load samples with u interpolated linearly
+    along each edge. The same sum as assemble_load(load) @ u, in another
+    order."""
+    edges = load.mesh.boundary_edges
+    wq = 0.5 * load.edge_lengths()
+    na = 0.5 * (1.0 - GAUSS2)
+    nb = 0.5 * (1.0 + GAUSS2)
+    phi1, phi2, w = u[0::3], u[1::3], u[2::3]
+    total = 0.0
+    for g in range(2):
+        wg = na[g] * w[edges[:, 0]] + nb[g] * w[edges[:, 1]]
+        p1 = na[g] * phi1[edges[:, 0]] + nb[g] * phi1[edges[:, 1]]
+        p2 = na[g] * phi2[edges[:, 0]] + nb[g] * phi2[edges[:, 1]]
+        total += float(np.sum(wq * (load.q[:, g] * wg
+                                    + load.m[:, g, 0] * p1
+                                    + load.m[:, g, 1] * p2)))
+    return total

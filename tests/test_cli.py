@@ -661,6 +661,58 @@ def test_calibrate_reports_the_first_failing_entry(tmp_path, capsys):
             "config error: unknown load family 'bogus'\n"
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_calibrate_checks_the_material_window_before_any_reference(
+        tmp_path, capsys, monkeypatch, jobs):
+    # the material window of test_material_window_checked_before_any_solve:
+    # each entry checks it before it builds its group's reference. The
+    # calls are counted too, since a reference's error that no entry reads
+    # never reaches the exit code
+    calls = []
+
+    def no_work(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("meshed or factored before the window check")
+
+    for name in ("generate_mesh", "factorize"):
+        monkeypatch.setattr(estimates, name, no_work)
+    entry = BASE.replace("lambda = 1.0\nmu = 1.0", "lambda = 1.5\nmu = 1.5") \
+        .replace("target_size = 0.25", "target_size = 0.125") \
+        + f"inclusion = {_sq_poly(tmp_path)}\nkappa = 2.0\n"
+    cfg = _corpus(tmp_path, [
+        ("a", entry), ("b", entry.replace("kappa = 2.0", "kappa = 3.0"))])
+    assert main(["calibrate", "--config", cfg, "--out", str(tmp_path),
+                 "--jobs", jobs]) == 1
+    assert capsys.readouterr().err == (
+        "config error: bending sandwich fails from above at element 0\n")
+    assert not list(tmp_path.glob("*.csv"))
+    assert calls == []
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_calibrate_builds_a_failing_reference_once(tmp_path, capsys,
+                                                   monkeypatch, jobs):
+    # two entries share a reference whose load is unknown: the mesh comes
+    # before the load, and the second entry gets the first one's error
+    meshes = []
+
+    def counted(*args, **kwargs):
+        meshes.append(args)
+        return generate_mesh(*args, **kwargs)
+
+    generate_mesh = estimates.generate_mesh
+    monkeypatch.setattr(estimates, "generate_mesh", counted)
+    bad = BASE.replace("pure_bending", "bogus") + \
+        f"inclusion = {_sq_poly(tmp_path)}\nkappa = 2.0\n"
+    cfg = _corpus(tmp_path, [
+        ("a", bad), ("b", bad.replace("kappa = 2.0", "kappa = 3.0"))])
+    assert main(["calibrate", "--config", cfg, "--out", str(tmp_path),
+                 "--jobs", jobs]) == 1
+    assert capsys.readouterr().err == \
+        "config error: unknown load family 'bogus'\n"
+    assert len(meshes) == 1
+
+
 def test_zero_load_size_and_calibrate_agree(tmp_path, capsys):
     # the zero load has no frequency report, but the report comes last:
     # alone and in a corpus, the size bounds fail first
@@ -719,6 +771,18 @@ def test_unknown_command_is_config_error(tmp_path):
     assert main(["frobnicate", "--config", cfg]) == 1
     # the load checks have one fixed tolerance, solver.COMPAT_TOL
     assert main(["size", "--config", cfg, "--tol", "1e-9"]) == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_refused(tmp_path, capsys, jobs):
+    cfg = _corpus(tmp_path, [
+        ("a", BASE + f"inclusion = {_sq_poly(tmp_path)}\nkappa = 2.0\n")])
+    assert main(["calibrate", "--config", cfg, "--out", str(tmp_path),
+                 "--jobs", jobs]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"platelab: error: argument --jobs: expected an integer of at "
+        f"least 1, got '{jobs}'")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_missing_config_file(tmp_path):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import sys
 import time
 from dataclasses import fields, replace
@@ -650,6 +651,34 @@ def test_one_frequency_report_per_reference_under_threads(monkeypatch):
     for run in range(1, 4):
         assert run_corpus(configs, jobs=2) == expected
         assert len(calls) == 2 * run
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["value", "error"])
+def test_once_computes_once_across_threads(fails):
+    # 16 calls on 8 threads: one run, and every call gets its value or its
+    # exception
+    runs = []
+
+    def compute():
+        runs.append(None)
+        time.sleep(0.01)
+        if fails:
+            raise ValueError("refused")
+        return object()
+
+    once = estimates._once(compute)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(once) for _ in range(16)]
+            done, _ = concurrent.futures.wait(futures, timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(done) == 16 and len(runs) == 1
+    outcomes = [f.exception() if fails else f.result() for f in futures]
+    assert all(o is outcomes[0] for o in outcomes)
+    assert isinstance(outcomes[0], ValueError if fails else object)
 
 
 def _per_element(n, mu):

@@ -24,9 +24,11 @@ from platelab.geometry import (
     _finish_mesh,
 )
 from platelab.material import IsotropicMaterial
-from platelab.solver import assemble_load, load_from_family
+from platelab.functionals import boundary_work
+from platelab.solver import PlateState, assemble_load, load_from_family
 
-from helpers import dumbbell, mask_from_csv, mask_to_csv, write_polygons
+from helpers import (dumbbell, edge_rule_work, mask_from_csv, mask_to_csv,
+                     mode_load, write_polygons)
 
 UNIT = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
 LSHAPE = np.array([[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]],
@@ -307,11 +309,22 @@ def test_overlay_mesh_has_one_ccw_boundary_loop(domain, target):
     load = load_from_family(mesh, "pure_bending a=1", material)
     for got, want in zip(load.nodal_samples(), _scatter_nodal_samples(load)):
         assert np.array_equal(got, want)
+    loads = [load_from_family(mesh, family, material)
+             for family in ("pure_bending a=1", "twist a=0.5",
+                            "edge_moment c=2")]
     # bytes, not np.array_equal, so the sign of every zero counts too
-    for family in ("pure_bending a=1", "twist a=0.5", "edge_moment c=2"):
-        load = load_from_family(mesh, family, material)
+    for load in loads:
         assert (assemble_load(load).tobytes()
                 == _scatter_load(load).tobytes())
+    # the work as f . u against the edge-by-edge rule, on a random dof
+    # vector, relative to the size of the terms: a random u can make the
+    # work itself small
+    u = np.random.default_rng(0).standard_normal(3 * mesh.n_nodes)
+    state = PlateState(u, mesh, 0.0, np.zeros(3))
+    for load in loads + [mode_load(mesh, 2)]:
+        size = np.abs(assemble_load(load)) @ np.abs(u)
+        assert abs(boundary_work(load, state)
+                   - edge_rule_work(load, u)) <= 1e-13 * size
 
 
 @pytest.mark.parametrize("verts", [UNIT, LSHAPE], ids=["unit", "lshape"])

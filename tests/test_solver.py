@@ -141,12 +141,12 @@ def test_incompatible_load_rejected():
     mesh = generate_mesh(SQUARE, 0.25)
     nb = len(mesh.boundary_edges)
     load = BoundaryLoad(mesh, np.ones((nb, 2)), np.zeros((nb, 2, 2)))
-    with pytest.raises(CompatibilityError) as err:
-        assemble_load(load)
-    assert abs(err.value.force_residual - 4.0) < 1e-12
-    # unchecked assembly still produces a vector
-    f = assemble_load(load, check=False)
+    f = assemble_load(load)
     assert f.shape == (3 * mesh.n_nodes,)
+    assert abs(f[2::3].sum() - 4.0) < 1e-12  # the net force
+    sys_ = assemble_stiffness(mesh, MAT).with_load(f)
+    with pytest.raises(CompatibilityError, match="rigid motion"):
+        solve(sys_)
 
 
 def test_net_moment_rejected():
@@ -155,8 +155,23 @@ def test_net_moment_rejected():
     m = np.zeros((nb, 2, 2))
     m[:, :, 0] = 1.0  # constant couple, nonzero integral
     load = BoundaryLoad(mesh, np.zeros((nb, 2)), m)
-    with pytest.raises(CompatibilityError):
-        assemble_load(load)
+    sys_ = assemble_stiffness(mesh, MAT).with_load(assemble_load(load))
+    with pytest.raises(CompatibilityError, match="rigid motion"):
+        solve(sys_)
+
+
+def test_small_net_force_rejected_on_a_fine_mesh():
+    # a force 5e-10 of the couple gives the net force 2e-9 of the couple;
+    # scaled by |f| |k|, the w = 1 component read 8.8e-11 on the 128^2
+    # square (3.2e-10 at 8^2), inside COMPAT_TOL. Scaled by the size of
+    # its own terms, it reads 1: every force term has one sign
+    mesh = generate_mesh(SQUARE, 1.0 / 128)
+    bending = load_from_family(mesh, "pure_bending a=1", MAT)
+    c = np.linalg.norm(bending.m[0, 0])
+    load = BoundaryLoad(mesh, bending.q + 5e-10 * c, bending.m)
+    sys_ = assemble_stiffness(mesh, MAT).with_load(assemble_load(load))
+    with pytest.raises(CompatibilityError, match="rigid motion 2"):
+        solve(sys_)
 
 
 def test_residual_check_small():

@@ -19,11 +19,12 @@ size at h = 0.1 and target size 1/32 too, where the factor's fill depends
 on the pivot choice. size also runs with tensor tables in place of kappa,
 without the lambda key (exit 1), with the zero load `pure_bending a=0`
 (exit 1) and on a dumbbell, two unit squares joined by a 0.02-wide neck,
-at target size 0.25, whose overlay splits into two plates (exit 1). Three more
+at target size 0.25, whose overlay splits into two plates (exit 1). Four more
 calibrate corpora run at --jobs 1 and 2: one spans two meshes and holds a
-reference-only entry, in another the second entry has an unknown load, and
-the third holds two zero-load entries (exit 1). Every run is a fresh
-process.
+reference-only entry, in another the second entry has an unknown load, the
+third holds two zero-load entries (exit 1), and in the fourth,
+calibrate-window, two inclusion entries at lambda = mu = 1.5 fail the
+material window (exit 1). Every run is a fresh process.
 
 For each CSV the report prints "identical" or, for each column that
 changed, the largest relative change |new - old| / max(|new|, |old|); a
@@ -82,6 +83,8 @@ def command_runs(inputs):
                   workloads._polygon_text(INCLUSION))
     incl = BASE + f"inclusion = {poly}\nkappa = 2.5\n"
     zero = incl.replace("pure_bending a=1", "pure_bending a=0")
+    # inside the constructor's window, outside the bending cap
+    window = incl.replace("lambda = 1.0\nmu = 1.0", "lambda = 1.5\nmu = 1.5")
     soft = BASE + f"inclusion = {poly}\nkappa = 0.4\n"
     cfgs = {
         "plain": BASE,
@@ -146,7 +149,9 @@ def command_runs(inputs):
         "calibrate_bad_load": [incl, incl.replace("pure_bending", "bogus"),
                                incl.replace("kappa = 2.5", "kappa = 3.0")],
         "calibrate_zero_load": [zero, zero.replace("kappa = 2.5",
-                                                   "kappa = 3.0")]}
+                                                   "kappa = 3.0")],
+        "calibrate_window": [window, window.replace("kappa = 2.5",
+                                                    "kappa = 3.0")]}
     path = {k: _write(os.path.join(inputs, f"{k}.cfg"), v)
             for k, v in cfgs.items()}
     for key, entries in corpora.items():
@@ -197,7 +202,7 @@ def command_runs(inputs):
     runs += [(f"{key.replace('_', '-')}-jobs{j}",
               ["calibrate", "--config", path[key], "--jobs", str(j)])
              for key in ("calibrate_meshes", "calibrate_bad_load",
-                         "calibrate_zero_load")
+                         "calibrate_zero_load", "calibrate_window")
              for j in (1, 2)]
     return runs
 
