@@ -239,7 +239,7 @@ def _cmd_solve(cfg, args, name, outdir, stamp):
     config = _size_config(cfg, args, name)
     fw = forward(config)
     _emit(outdir, name, tables.state_rows(fw.state), stamp)
-    res = residual_check(fw.state, config.material, fw.load, fw.indicator,
+    res = residual_check(fw.state, config.material, fw.rhs, fw.indicator,
                          config.inclusion)
     _emit(outdir, name, tables.quantity_rows(name, {
         "n_elements": fw.mesh.n_elements,
@@ -253,7 +253,7 @@ def _cmd_solve(cfg, args, name, outdir, stamp):
 
 def _cmd_work(cfg, args, name, outdir, stamp):
     fw = forward(_size_config(cfg, args, name))
-    rep = work_report(fw.load, fw.state, fw.state0)
+    rep = work_report(fw.rhs, fw.state, fw.state0)
     _emit(outdir, name, tables.quantity_rows(name, rep), stamp)
     return 0
 
@@ -265,7 +265,7 @@ def _cmd_energy_lemma(cfg, args, name, outdir, stamp):
     jumps = jump_bounds(config.material, config.inclusion)
     ellipticity_constants(config.material)
     fw = forward(config)
-    rep = verify_energy_lemma(fw.state0, fw.state, fw.load, config.material,
+    rep = verify_energy_lemma(fw.state0, fw.state, fw.rhs, config.material,
                               jumps, fw.indicator)
     _emit(outdir, name, tables.quantity_rows(name, rep), stamp)
     if not rep.passed:

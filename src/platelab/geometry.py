@@ -424,8 +424,6 @@ def _overlay_mesh(domain, target_size, budget):
     if not np.any(keep):
         raise ValueError("no overlay cell centroid falls inside the polygon")
     cells = cells[keep]
-    if len(cells) > budget:
-        raise ValueError(f"mesh would need {len(cells)} elements, budget is {budget}")
 
     used = np.unique(cells)
     remap = -np.ones(len(grid_nodes), dtype=int)

@@ -293,7 +293,7 @@ def _override_spectrum(mat, incl):
     # override whitened by the background's Cholesky factor L, L^-1 A L^-T;
     # rows missing from either table are skipped
     t = derive_plate_tensors(mat)
-    st, pt = override_rows(incl)
+    st, pt = override_rows(incl, None if mat.uniform else np.size(t.rigidity))
     ne = len(st)
     elems = np.flatnonzero(~(np.isnan(st).any(axis=(1, 2))
                              | np.isnan(pt).any(axis=(1, 2))))

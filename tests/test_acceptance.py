@@ -121,7 +121,7 @@ def test_03_work_identity_and_reciprocity():
             states = {}
             for family in ("pure_bending a=1", "twist a=0.7"):
                 mesh, load, f, sys_, state = _solve_on(domain, 0.2, family, mat)
-                w = boundary_work(load, state)
+                w = boundary_work(f, state)
                 energy = state.u @ (sys_.stiffness @ state.u)
                 worst_id = max(worst_id, abs(w - energy) / abs(w))
                 states[family] = (f, state.u)
@@ -199,7 +199,7 @@ def test_06_size_bound_calibration():
     load = load_from_family(mesh, "pure_bending a=1", MAT)
     f = assemble_load(load)
     state0 = solve(assemble_stiffness(mesh, MAT).with_load(f))
-    w0 = boundary_work(load, state0)
+    w0 = boundary_work(f, state0)
     incl = InclusionMaterial(kappa=2.0)
     jumps = jump_bounds(MAT, incl)
 
@@ -209,7 +209,7 @@ def test_06_size_bound_calibration():
         region = rasterize_inclusion(mesh, [_ngon((0.5, 0.5), r)])
         state = solve(assemble_stiffness(mesh, MAT, region, incl)
                       .with_load(f))
-        gap = w0 - boundary_work(load, state)
+        gap = w0 - boundary_work(f, state)
         corpus.append((region.area, gap, w0, jumps))
         ratios.append(region.area * w0 / gap)  # rho0 = 1
     spread = max(ratios) / min(ratios)
@@ -311,8 +311,9 @@ def test_10_locking_robustness():
         for assumed in (True, False):
             load = load_from_family(mesh, "pure_bending a=1", mat)
             sys_ = assemble_stiffness(mesh, mat, assumed_shear=assumed)
-            state = solve(sys_.with_load(assemble_load(load)))
-            err = abs(boundary_work(load, state) - exact) / exact
+            f = assemble_load(load)
+            state = solve(sys_.with_load(f))
+            err = abs(boundary_work(f, state) - exact) / exact
             (t_by_h if assumed else full_errs)[h] = err
     ok = all(err <= 0.05 for err in t_by_h.values())
     _line(10, ok, "assumed-shear work error "

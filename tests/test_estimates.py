@@ -61,7 +61,7 @@ def _pair(kappa, target=0.125, family="pure_bending a=1.0"):
     incl = InclusionMaterial(kappa=kappa)
     s0 = solve(assemble_stiffness(mesh, MAT).with_load(f))
     s1 = solve(assemble_stiffness(mesh, MAT, region, incl).with_load(f))
-    return mesh, load, region, incl, s0, s1
+    return mesh, f, region, incl, s0, s1
 
 
 # energy lemma
@@ -69,9 +69,9 @@ def _pair(kappa, target=0.125, family="pure_bending a=1.0"):
 
 @pytest.mark.parametrize("kappa", [2.0, 0.5])
 def test_lemma_chain_holds(kappa):
-    mesh, load, region, incl, s0, s1 = _pair(kappa)
+    mesh, f, region, incl, s0, s1 = _pair(kappa)
     jumps = jump_bounds(MAT, incl)
-    rep = verify_energy_lemma(s0, s1, load, MAT, jumps, region)
+    rep = verify_energy_lemma(s0, s1, f, MAT, jumps, region)
     assert rep.passed, rep.messages
     assert rep.regime == jumps.sign
     assert rep.lhs <= rep.mid + rep.tolerance
@@ -83,39 +83,39 @@ def test_lemma_chain_holds(kappa):
 
 
 def test_lemma_same_state_trivial():
-    mesh, load, region, incl, s0, s1 = _pair(2.0)
+    mesh, f, region, incl, s0, s1 = _pair(2.0)
     jumps = jump_bounds(MAT, incl)
     empty = rasterize_inclusion(mesh, None)
-    rep = verify_energy_lemma(s0, s0, load, MAT, jumps, empty)
+    rep = verify_energy_lemma(s0, s0, f, MAT, jumps, empty)
     assert rep.passed
     assert rep.mid == 0.0
     assert rep.lhs == 0.0 and rep.rhs == 0.0
 
 
 def test_lemma_regime_mismatch_reported_not_raised():
-    mesh, load, region, incl, s0, s1 = _pair(2.0)
+    mesh, f, region, incl, s0, s1 = _pair(2.0)
     # claim soft bounds against a stiff pair: mid = W - W0 < 0
     wrong = JumpBounds(eta=0.5, delta=0.5, sign="soft")
-    rep = verify_energy_lemma(s0, s1, load, MAT, wrong, region)
+    rep = verify_energy_lemma(s0, s1, f, MAT, wrong, region)
     assert not rep.passed
     assert rep.messages
     assert any("regime" in m or "sign" in m for m in rep.messages)
 
 
 def test_lemma_mesh_mismatch_rejected():
-    mesh, load, region, incl, s0, s1 = _pair(2.0)
+    mesh, f, region, incl, s0, s1 = _pair(2.0)
     other = generate_mesh(SQUARE, 0.125)
     oload = load_from_family(other, "pure_bending a=1.0", MAT)
     alien = solve(assemble_stiffness(other, MAT).with_load(
         assemble_load(oload)))
     with pytest.raises(ValueError):
-        verify_energy_lemma(s0, alien, load, MAT, jump_bounds(MAT, incl), region)
+        verify_energy_lemma(s0, alien, f, MAT, jump_bounds(MAT, incl), region)
 
 
 def test_lemma_integrals_scale_with_region():
-    mesh, load, region, incl, s0, s1 = _pair(2.0)
+    mesh, f, region, incl, s0, s1 = _pair(2.0)
     jumps = jump_bounds(MAT, incl)
-    rep = verify_energy_lemma(s0, s1, load, MAT, jumps, region)
+    rep = verify_energy_lemma(s0, s1, f, MAT, jumps, region)
     # floor and cap integrate the same reference state over the same flags,
     # with coefficient floors below caps
     assert 0.0 < rep.floor_integral <= rep.cap_integral
@@ -455,8 +455,8 @@ def test_forward_with_reference_is_bit_identical(inclusion):
     assert np.array_equal(shared.state.u, alone.state.u)
     assert np.array_equal(shared.indicator.flags, alone.indicator.flags)
     for state in ("state0", "state"):
-        assert boundary_work(shared.load, getattr(shared, state)) == \
-            boundary_work(alone.load, getattr(alone, state))
+        assert boundary_work(shared.rhs, getattr(shared, state)) == \
+            boundary_work(alone.rhs, getattr(alone, state))
     assert run_corpus([other, cfg])[1] == run_size_experiment(cfg)
 
 
@@ -769,8 +769,34 @@ def test_reference_key_compares_by_value(monkeypatch):
     assert got == [run_size_experiment(c) for c in configs]
 
 
+def test_size_experiment_assembles_each_load_once(monkeypatch):
+    # the pairings of an experiment read the load vector its solve used
+    calls = [0]
+    inner = solver.assemble_load
+
+    def counted(load):
+        calls[0] += 1
+        return inner(load)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "platelab" and \
+                getattr(module, "assemble_load", None) is inner:
+            monkeypatch.setattr(module, "assemble_load", counted)
+    base = SizeExperimentConfig(domain=SQUARE, material=MAT, target_size=0.25,
+                                inclusion_polygons=(CENTER_SQ,),
+                                inclusion=InclusionMaterial(kappa=2.0))
+    run_size_experiment(base)
+    assert calls[0] == 1
+    corpus = [replace(base, inclusion=InclusionMaterial(kappa=k), name=f"{k}")
+              for k in (1.5, 2.0, 3.0, 4.0)]
+    for jobs in (1, 2):
+        calls[0] = 0
+        run_corpus(corpus, jobs)
+        assert calls[0] == 1
+
+
 def test_update_is_the_stiffness_change():
-    mesh, load, region, incl, s0, s1 = _pair(3.0)
+    mesh, f, region, incl, s0, s1 = _pair(3.0)
     k0 = assemble_stiffness(mesh, MAT).stiffness
     k1 = assemble_stiffness(mesh, MAT, region, incl).stiffness
     update = assemble_update(mesh, MAT, region, incl)

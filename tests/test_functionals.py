@@ -56,25 +56,35 @@ def solved():
 
 def test_boundary_work_is_duality_pairing(solved):
     mesh, load, f, state = solved
-    w = boundary_work(load, state)
+    w = boundary_work(f, state)
     assert_allclose(w, edge_rule_work(load, state.u), rtol=1e-13)
     assert_allclose(w, 5.0 / 9.0, rtol=1e-12)
 
 
 def test_boundary_work_mesh_mismatch(solved):
+    # a load vector carries no mesh: one of another dof count is refused
     mesh, load, f, state = solved
-    other = generate_mesh(SQUARE, 0.125)
-    wrong = load_from_family(other, "pure_bending a=1.0", MAT)
-    with pytest.raises(ValueError):
+    other = generate_mesh(SQUARE, 0.25)
+    wrong = assemble_load(load_from_family(other, "pure_bending a=1.0", MAT))
+    with pytest.raises(ValueError, match="dof count"):
         boundary_work(wrong, state)
 
 
 def test_work_report_gap(solved):
     mesh, load, f, state = solved
-    rep = work_report(load, state, state)
+    rep = work_report(f, state, state)
     assert rep.gap == 0.0
     assert rep.relative_gap == 0.0
     assert_allclose(rep.work, rep.work_reference)
+
+
+def test_work_report_states_on_two_meshes(solved):
+    mesh, load, f, state = solved
+    other = generate_mesh(SQUARE, 0.125)
+    alien = PlateState(u=state.u, mesh=other, residual=0.0,
+                       normalization=None)
+    with pytest.raises(ValueError, match="one mesh"):
+        work_report(f, state, alien)
 
 
 def test_density_constant_for_pure_bending(solved):
@@ -435,7 +445,7 @@ def test_mode_load_compensated_is_solvable(solved):
     sys_ = assemble_stiffness(mesh, MAT)
     fv = assemble_load(ml)  # solve raises CompatibilityError if unbalanced
     st = solve(sys_.with_load(fv))
-    assert boundary_work(ml, st) > 0.0
+    assert boundary_work(fv, st) > 0.0
 
 
 def test_frequency_at_least_one(solved):

@@ -281,6 +281,22 @@ def test_jump_bounds_skip_rows_missing_from_either_table():
     assert_allclose([jb.eta, jb.delta], [1.0, 5.0])
 
 
+def test_jump_bounds_tables_on_a_per_element_background():
+    # the tables line up with the background's elements, as on a mesh
+    t = derive_plate_tensors(STD)
+    field = IsotropicMaterial(lam=np.full(64, 1.0), mu=1.0, h=1.0)
+    incl = InclusionMaterial(stilde=2.0 * shear_matrix(t, 10),
+                             ptilde=2.0 * bending_voigt(t, 10))
+    assert jump_bounds(STD, incl) == JumpBounds(eta=1.0, delta=2.0,
+                                                sign="stiff")
+    assert jump_bounds(field, incl) == jump_bounds(STD, incl)
+    # a set row past the background's last element is refused
+    long = InclusionMaterial(stilde=2.0 * shear_matrix(t, 70),
+                             ptilde=2.0 * bending_voigt(t, 70))
+    with pytest.raises(ValueError, match="override tables name element 64"):
+        jump_bounds(field, long)
+
+
 def test_jump_straddle_rejected():
     t = derive_plate_tensors(STD)
     st = 1.5 * shear_matrix(t)

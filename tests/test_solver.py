@@ -176,9 +176,11 @@ def test_small_net_force_rejected_on_a_fine_mesh():
 
 def test_residual_check_small():
     mesh, load, f, state = _solved(SQUARE, "pure_bending a=1.0")
-    max_res, rel, worst = residual_check(state, MAT, load)
+    max_res, rel, worst = residual_check(state, MAT, f)
     assert rel < 1e-10
     assert 0 <= worst < mesh.n_elements
+    with pytest.raises(ValueError, match="dof count"):
+        residual_check(state, MAT, f[:-3])
 
 
 def test_state_carries_diagnostics():

@@ -24,7 +24,11 @@ calibrate corpora run at --jobs 1 and 2: one spans two meshes and holds a
 reference-only entry, in another the second entry has an unknown load, the
 third holds two zero-load entries (exit 1), and in the fourth,
 calibrate-window, two inclusion entries at lambda = mu = 1.5 fail the
-material window (exit 1). Every run is a fresh process.
+material window (exit 1). The callers that pair the solve's load vector
+run on more inputs: energy-lemma on the soft and tensor-table inclusions,
+at h = 0.01 and, under --dense-oracle, at kappa 1e3; work on the stiff
+inclusion under --dense-oracle; and solve on the soft inclusion without
+it. Every run is a fresh process.
 
 For each CSV the report prints "identical" or, for each column that
 changed, the largest relative change |new - old| / max(|new|, |old|); a
@@ -169,6 +173,17 @@ def command_runs(inputs):
             ("work-plain", ["work", "--config", path["plain"]]),
             ("work-soft", ["work", "--config", path["soft"]]),
             ("energy-lemma", ["energy-lemma", "--config", path["stiff"]]),
+            ("energy-lemma-soft", ["energy-lemma", "--config", path["soft"]]),
+            ("energy-lemma-tables", ["energy-lemma", "--config",
+                                     path["tables"]]),
+            ("energy-lemma-h0.01", ["energy-lemma", "--config",
+                                    path["stiff_h0.01"]]),
+            ("energy-lemma-dense-kappa1e3", ["energy-lemma", "--config",
+                                             path["kappa1e3"],
+                                             "--dense-oracle"]),
+            ("work-dense", ["work", "--config", path["stiff"],
+                            "--dense-oracle"]),
+            ("solve-soft", ["solve", "--config", path["soft"]]),
             ("size-plain", ["size", "--config", path["plain"]]),
             ("size-soft", ["size", "--config", path["soft"]]),
             ("size-kappa64", ["size", "--config", path["kappa64"]]),
