@@ -46,6 +46,16 @@ class ConfigError(Exception):
     pass
 
 
+# every key a command reads; any other key is a config error
+_KEYS = frozenset((
+    "domain", "lambda", "mu", "h", "alpha0", "gamma0", "alpha1",
+    "target_size", "element_budget", "load", "inclusion", "kappa",
+    "stilde_table", "ptilde_table", "c1", "c2",
+    "rho0", "m1", "s0", "d0", "h1", "x0",
+    "theta", "rho", "center", "pitch", "refinements", "corpus",
+    "name", "out", "timestamp"))
+
+
 def parse_config(path):
     cfg = {}
     try:
@@ -59,6 +69,8 @@ def parse_config(path):
                 key, val = (s.strip() for s in line.split("=", 1))
                 if not key:
                     raise ConfigError(f"{path}:{ln}: empty key")
+                if key not in _KEYS:
+                    raise ConfigError(f"{path}:{ln}: unknown key '{key}'")
                 if key in cfg:
                     raise ConfigError(f"{path}:{ln}: duplicate key '{key}'")
                 cfg[key] = val
@@ -111,11 +123,13 @@ def _onoff(cfg, key, default):
     raise ConfigError(f"config key '{key}' must be on or off, got {val!r}")
 
 
+def _set_floats(cfg, keys):
+    """The number keys of keys that cfg sets; the dataclass has the rest."""
+    return {key: _f(cfg, key) for key in keys if key in cfg}
+
+
 def _build_apriori(cfg):
-    kw = {}
-    for key in ("rho0", "m0", "m1", "s0", "d0", "h1"):
-        if key in cfg:
-            kw[key] = _f(cfg, key)
+    kw = _set_floats(cfg, ("rho0", "m1", "s0", "d0", "h1"))
     if "x0" in cfg:
         parts = _floats(cfg, "x0")
         if len(parts) != 2:
@@ -147,8 +161,7 @@ def _build_domain(cfg):
 def _build_material(cfg):
     return IsotropicMaterial(
         lam=_f(cfg, "lambda"), mu=_f(cfg, "mu"), h=_f(cfg, "h"),
-        alpha0=_f(cfg, "alpha0", 1.0), gamma0=_f(cfg, "gamma0", 5.0),
-        alpha1=_f(cfg, "alpha1", 2.0))
+        **_set_floats(cfg, ("alpha0", "gamma0", "alpha1")))
 
 
 _INCLUSION_KEYS = ("inclusion", "kappa", "stilde_table", "ptilde_table")
@@ -202,10 +215,9 @@ def _size_config(cfg, args, name):
         domain=domain, material=mat, target_size=target,
         load_family=cfg.get("load", "pure_bending a=1"),
         inclusion_polygons=polys, inclusion=incl,
-        c1=_f(cfg, "c1", 1.0), c2=_f(cfg, "c2", 1.0),
+        **_set_floats(cfg, ("c1", "c2")),
         assumed_shear=not args.full_integration,
         dense_oracle=args.dense_oracle,
-        dense_cap=_i(cfg, "dense_cap", 600),
         element_budget=_i(cfg, "element_budget"),
         name=name)
 
@@ -216,9 +228,8 @@ def _reference_field(cfg, args, name):
     The probes study the inclusion-free plate and ignore inclusion keys.
     """
     ref = {k: v for k, v in cfg.items() if k not in _INCLUSION_KEYS}
-    order = _i(cfg, "quad_order", 4)
     fw = forward(_size_config(ref, args, name))
-    return strain_energy_density(fw.state0, order=order)
+    return strain_energy_density(fw.state0, order=4)
 
 
 def _positive(key, value):
@@ -286,6 +297,10 @@ def _cmd_size(cfg, args, name, outdir, stamp):
     return 0 if ok else 3
 
 
+# the share of centers a three-spheres sweep must fit
+FEASIBLE_FRACTION = 0.95
+
+
 def _cmd_three_spheres(cfg, args, name, outdir, stamp):
     # the probe keys are checked before the solve
     rhos = _radii(cfg)
@@ -315,10 +330,9 @@ def _cmd_three_spheres(cfg, args, name, outdir, stamp):
         "rho": rho, "theta": theta, "n_centers": len(reports),
         "feasible_fraction": frac,
     }), stamp)
-    need = _f(cfg, "feasible_fraction", 0.95)
-    if frac < need:
-        print(f"three-spheres: feasible fraction {frac:.3f} < {need}",
-              file=sys.stderr)
+    if frac < FEASIBLE_FRACTION:
+        print(f"three-spheres: feasible fraction {frac:.3f} < "
+              f"{FEASIBLE_FRACTION}", file=sys.stderr)
         return 3
     return 0
 
@@ -349,6 +363,12 @@ def _cmd_lps(cfg, args, name, outdir, stamp):
     return code
 
 
+# convergence targets: the observed order of the finest level and the
+# relative work error
+MIN_ORDER = 1.9
+WORK_RTOL = 0.005
+
+
 def _cmd_convergence(cfg, args, name, outdir, stamp):
     domain = _build_domain(cfg)
     mat = _build_material(cfg)
@@ -359,12 +379,11 @@ def _cmd_convergence(cfg, args, name, outdir, stamp):
         assumed_shear=not args.full_integration)
     _emit(outdir, name, tables.convergence_rows(records), stamp)
     last_order = records[-1][4]
-    min_order = _f(cfg, "min_order", 1.9)
-    if last_order is not None and last_order < min_order:
-        print(f"convergence: observed order {last_order:.3f} < {min_order}",
+    if last_order is not None and last_order < MIN_ORDER:
+        print(f"convergence: observed order {last_order:.3f} < {MIN_ORDER}",
               file=sys.stderr)
         return 3
-    if w_err > _f(cfg, "work_rtol", 0.005):
+    if w_err > WORK_RTOL:
         print(f"convergence: work error {w_err:.3e} over tolerance",
               file=sys.stderr)
         return 3

@@ -166,7 +166,6 @@ class AprioriData:
     """
 
     rho0: float = 1.0
-    m0: float = 10.0      # boundary Lipschitz bound (recorded, not estimated)
     m1: float = 100.0     # diameter bound: diam(domain) <= m1 * rho0
     s0: float = 0.01      # a disk of radius s0*rho0 around x0 fits inside
     d0: float = 0.01      # wanted inclusion clearance from the boundary
@@ -174,7 +173,7 @@ class AprioriData:
     x0: tuple | None = None  # center of the guaranteed interior disk
 
     def __post_init__(self):
-        for name in ("rho0", "m0", "m1", "s0", "d0", "h1"):
+        for name in ("rho0", "m1", "s0", "d0", "h1"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 

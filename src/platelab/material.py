@@ -258,7 +258,7 @@ def _element_rows(table, ne):
     extra = np.flatnonzero(~np.isnan(t[ne:]).all(axis=(1, 2)))
     if len(extra):
         raise ValueError(f"override tables name element {ne + extra[0]}, "
-                         f"the mesh has {ne} elements")
+                         f"past the last of {ne} elements")
     pad = np.full((max(ne - len(t), 0),) + t.shape[1:], np.nan)
     return np.concatenate([t[:ne], pad])
 

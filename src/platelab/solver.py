@@ -659,9 +659,11 @@ def _conjugate_gradients(factor, update, fr, x):
 
 
 _KERNEL_CUT = 1e-10
+# the most dof the dense oracle takes: its eigendecomposition is cubic
+DENSE_CAP = 600
 
 
-def dense_oracle_solve(system, cap=600):
+def dense_oracle_solve(system):
     """Dense eigendecomposition solve, independent of the sparse path.
 
     Verifies that exactly three eigenvalues fall below _KERNEL_CUT times the
@@ -671,8 +673,9 @@ def dense_oracle_solve(system, cap=600):
     if system.rhs is None:
         raise ValueError("system has no load attached; use with_load first")
     n = system.n_dof
-    if n > cap:
-        raise SolveError(f"dense oracle capped at {cap} dof, system has {n}")
+    if n > DENSE_CAP:
+        raise SolveError(
+            f"dense oracle capped at {DENSE_CAP} dof, system has {n}")
     f = system.rhs
     kd = system.stiffness.toarray()
     kd = 0.5 * (kd + kd.T)

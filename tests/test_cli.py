@@ -60,9 +60,9 @@ def _quantities(path):
 
 def test_parse_config_grammar(tmp_path):
     path = tmp_path / "a.cfg"
-    path.write_text("# comment\n\nkey = value\nnum=3   # trailing\n")
+    path.write_text("# comment\n\nname = value\nrefinements=3   # trailing\n")
     cfg = parse_config(str(path))
-    assert cfg == {"key": "value", "num": "3"}
+    assert cfg == {"name": "value", "refinements": "3"}
 
 
 def test_parse_config_duplicate_key(tmp_path):
@@ -77,6 +77,39 @@ def test_parse_config_bad_line(tmp_path):
     path.write_text("just words\n")
     with pytest.raises(ConfigError):
         parse_config(str(path))
+
+
+# m0 and five keys that became constants, and a typo of timestamp
+@pytest.mark.parametrize("key,command", [
+    ("m0", "size"), ("quad_order", "lps"), ("dense_cap", "size"),
+    ("feasible_fraction", "three-spheres"), ("min_order", "convergence"),
+    ("work_rtol", "convergence"), ("timestmp", "solve")])
+def test_unknown_key_is_config_error(tmp_path, capsys, key, command):
+    cfg = _cfg(tmp_path, BASE + f"{key} = 1\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == \
+        f"config error: {cfg}:8: unknown key '{key}'\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_unknown_key_in_a_corpus_entry_is_config_error(tmp_path, capsys):
+    good = BASE + f"inclusion = {_sq_poly(tmp_path)}\nkappa = 2.0\n"
+    cfg = _corpus(tmp_path, [("a", good), ("b", good + "dense_cap = 10\n")])
+    assert main(["calibrate", "--config", cfg, "--out", str(tmp_path)]) == 1
+    entry = tmp_path / "corpus" / "b.cfg"
+    assert capsys.readouterr().err == \
+        f"config error: {entry}:10: unknown key 'dense_cap'\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_readme_lists_the_config_keys():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    table = text.split("Common keys:", 1)[1].split("\n\n", 2)[1]
+    first = [row.split("|")[1] for row in table.splitlines()[2:]]
+    keys = {key for cell in first for key in cell.split("`")[1::2]}
+    assert keys == cli._KEYS
 
 
 def test_material_from_config():
@@ -620,7 +653,7 @@ def test_calibrate_csvs_do_not_depend_on_jobs(tmp_path):
     ("budget", [], 1,
      "config error: mesh would need 16 elements, budget is 3"),
     ("dense_cap", ["--dense-oracle"], 2,
-     "numerical failure: dense oracle capped at 10 dof, system has 75"),
+     "numerical failure: dense oracle capped at 600 dof, system has 867"),
     ("tables", [], 1, "config error: override tables miss flagged element 5"),
     # alone, the contrast check comes before the reference plate
     ("contrast_and_load", [], 1, "config error: indefinite contrast: spectrum "
@@ -637,7 +670,9 @@ def test_calibrate_bad_entry_keeps_its_error(tmp_path, capsys, jobs, bad,
     else:
         bad = {"load": good.replace("pure_bending", "bogus"),
                "budget": good + "element_budget = 3\n",
-               "dense_cap": good + "dense_cap = 10\n"}[bad]
+               # 17 x 17 nodes, 3 dof each
+               "dense_cap": good.replace("target_size = 0.25",
+                                         "target_size = 0.0625")}[bad]
     third = good.replace("kappa = 2.0", "kappa = 3.0")
     cfg = _corpus(tmp_path, [("a", good), ("b", bad), ("c", third)])
     assert main(["calibrate", "--config", cfg, "--out", str(tmp_path),
@@ -735,11 +770,10 @@ def test_zero_load_size_and_calibrate_agree(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("key,command", [
-    ("refinements", "convergence"), ("quad_order", "lps"),
-    ("dense_cap", "size"), ("element_budget", "size")])
+    ("refinements", "convergence"), ("element_budget", "size")])
 def test_nonpositive_integer_key_is_config_error(tmp_path, capsys, key,
                                                  command, value):
-    cfg = _cfg(tmp_path, BASE + f"rho = 0.04\n{key} = {value}\n")
+    cfg = _cfg(tmp_path, BASE + f"{key} = {value}\n")
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f"'{key}'" in err
@@ -783,6 +817,56 @@ def test_jobs_below_one_is_refused(tmp_path, capsys, jobs):
         f"platelab: error: argument --jobs: expected an integer of at "
         f"least 1, got '{jobs}'")
     assert not list(tmp_path.glob("*.csv"))
+
+
+# the 1/8 unit square with a quadrilateral inclusion; at a contrast one
+# rounding step from 1 the inclusion state equals the reference state, and
+# the lemma's positive lower bound fails against a zero gap
+CONTRAST = BASE.replace("target_size = 0.25", "target_size = 0.125")
+QUAD = [(0.3, 0.3), (0.7, 0.3), (0.7, 0.6), (0.3, 0.7)]
+
+
+def _contrast_cfg(tmp_path, kappa):
+    poly = tmp_path / "quad.poly"
+    write_polygons(str(poly), [np.array(QUAD)])
+    return _cfg(tmp_path,
+                CONTRAST + f"inclusion = {poly}\nkappa = {kappa!r}\n")
+
+
+@pytest.mark.parametrize("command", ["size", "energy-lemma"])
+@pytest.mark.parametrize("kappa", [1.0 - 2.0 ** -52, 1.0 + 2.0 ** -52])
+def test_failed_lemma_bound_names_itself(tmp_path, capsys, command, kappa):
+    cfg = _contrast_cfg(tmp_path, kappa)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "lower bound fails: lhs = " in err[0]
+    assert "mid = 0.000e+00" in err[0] and "rhs = " in err[0] \
+        and "tol = " in err[0]
+
+
+@pytest.mark.parametrize("kappa", [1e-300, 1e-12, 1e-3, 1.0 - 2.0 ** -52,
+                                   1.0 + 2.0 ** -52, 1e4, 1e100, 1e105, 1e300])
+def test_exit_code_contract_across_contrast(tmp_path, capsys, kappa):
+    cfg = _contrast_cfg(tmp_path, kappa)
+    code = main(["size", "--config", cfg, "--out", str(tmp_path / "sparse")])
+    err = capsys.readouterr().err.splitlines()
+    assert code in (0, 2, 3)
+    assert len(err) == (0 if code == 0 else 1), err
+    # 1 +- 2^-52 exit 3 (test_failed_lemma_bound_names_itself), the CG
+    # overflow from 1e105 up exits 2. The dense oracle refuses kappa 1e-12
+    # and 1e12, "stiffness kernel has dimension 21 (180), expected 3": its
+    # kernel cut, 1e-10 of the largest eigenvalue, takes in the soft
+    # inclusion's modes at 1e-12 and the background's modes at 1e12
+    if kappa in (1e-3, 1e4):
+        assert code == 0
+        assert main(["size", "--config", cfg, "--out",
+                     str(tmp_path / "dense"), "--dense-oracle"]) == 0
+        sparse, dense = (_quantities(tmp_path / side / "size_quantities.csv")
+                         for side in ("sparse", "dense"))
+        scale = float(dense["work_reference"])
+        for key in ("work_reference", "work", "gap"):
+            assert abs(float(sparse[key]) - float(dense[key])) <= \
+                1e-10 * scale, key
 
 
 def test_missing_config_file(tmp_path):
@@ -847,8 +931,10 @@ def test_lps_zero_field_fails_check(tmp_path):
     assert main(["lps", "--config", cfg, "--out", str(tmp_path)]) == 3
 
 
-def test_convergence_unreachable_order_fails(tmp_path):
-    cfg = _cfg(tmp_path, BASE + "min_order = 99\nwork_rtol = 1e-30\n")
+def test_convergence_unreachable_order_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "MIN_ORDER", 99.0)
+    monkeypatch.setattr(cli, "WORK_RTOL", 1e-30)
+    cfg = _cfg(tmp_path, BASE)
     assert main(["convergence", "--config", cfg, "--out", str(tmp_path)]) == 3
 
 

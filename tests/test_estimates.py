@@ -730,7 +730,6 @@ _OTHER = dict(
     c2=3.0,
     assumed_shear=False,
     dense_oracle=True,
-    dense_cap=500,
     element_budget=1000,
     name="other")
 

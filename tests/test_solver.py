@@ -211,7 +211,8 @@ def test_dense_cap_enforced():
     load = load_from_family(mesh, "pure_bending a=1.0", MAT)
     sys_ = assemble_stiffness(mesh, MAT)
     sys_ = sys_.with_load(assemble_load(load))
-    with pytest.raises(SolveError):
+    with pytest.raises(SolveError,
+                       match="dense oracle capped at 600 dof, system has 1323"):
         dense_oracle_solve(sys_)
 
 
