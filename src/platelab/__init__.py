@@ -40,7 +40,6 @@ from .geometry import (
     Mesh,
     fatness_ratio,
     generate_mesh,
-    interior_region,
     rasterize_inclusion,
 )
 from .material import (

@@ -318,14 +318,10 @@ def _cmd_three_spheres(cfg, args, name, outdir, stamp):
         pitch = _positive("pitch", _f(cfg, "pitch", rho / 2.0))
     field = _reference_field(cfg, args, name)
     if centers is None:
-        centers, _ = admissible_centers(field.mesh, rho, theta, pitch)
-        if not len(centers):
-            raise ConfigError("no admissible centers; shrink rho or theta")
+        centers = admissible_centers(field.mesh, rho, theta, pitch)
     reports = three_spheres_sweep(field, centers, rho, theta)
     _emit(outdir, name, tables.three_spheres_rows(reports), stamp)
-    solid = [r for r in reports if not r.degenerate]
-    n_ok = sum(r.feasible for r in solid) + (len(reports) - len(solid))
-    frac = n_ok / len(reports)
+    frac = sum(r.feasible for r in reports) / len(reports)
     _emit(outdir, name, tables.quantity_rows(name, {
         "rho": rho, "theta": theta, "n_centers": len(reports),
         "feasible_fraction": frac,

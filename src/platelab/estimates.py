@@ -35,7 +35,6 @@ from .functionals import (
 from .geometry import (
     fatness_ratio,
     generate_mesh,
-    interior_region,
     points_in_polygon,
     points_segment_distance,
     rasterize_inclusion,
@@ -226,8 +225,6 @@ class ThreeSpheresReport:
 
     center: tuple
     rho: float
-    theta: float
-    rho0: float
     i_small: float
     i_mid: float
     i_large: float
@@ -250,28 +247,24 @@ def three_spheres_sweep(field, centers, rho, theta=0.3, rho0=None):
     _require_positive("rho", rho)
     if not rho < rho0:
         raise ValueError("rho must be smaller than rho0")
-    margin = 7.0 / (2.0 * theta) * rho
+    margin = _margin(rho, theta)
     pts = np.asarray(centers, dtype=float).reshape(-1, 2)
-    verts = field.mesh.domain.vertices
-    dist = points_segment_distance(pts, verts)
-    outside = ~points_in_polygon(pts, verts) & (dist > 0.0)
-    bad = np.flatnonzero(outside | (dist < margin * (1.0 - 1e-12)))
-    if len(bad):
-        i = bad[0]
+    ok, dist = _admissible(pts, field.mesh, margin)
+    if not ok.all():
+        i = np.flatnonzero(~ok)[0]
         # the caller's own center object, so the message shows it as given
         raise ValueError(
             f"center {tuple(centers[i])} inadmissible: needs distance >= "
-            f"{margin:.4g} from the boundary, has "
-            f"{0.0 if outside[i] else dist[i]:.4g}")
+            f"{margin:.4g} from the boundary, has {dist[i]:.4g}")
     energies = disk_energies(field, pts, (rho, 3.0 * rho, margin))
-    return [_three_spheres_report((float(c[0]), float(c[1])), rho, theta,
-                                  rho0, *map(float, e))
+    return [_three_spheres_report((float(c[0]), float(c[1])), rho, rho0,
+                                  *map(float, e))
             for c, e in zip(pts, energies)]
 
 
-def _three_spheres_report(center, rho, theta, rho0, i1, i3, i7):
-    base = dict(center=center, rho=float(rho), theta=float(theta),
-                rho0=float(rho0), i_small=i1, i_mid=i3, i_large=i7)
+def _three_spheres_report(center, rho, rho0, i1, i3, i7):
+    base = dict(center=center, rho=float(rho), i_small=i1, i_mid=i3,
+                i_large=i7)
 
     def degenerate(feasible, message):
         return ThreeSpheresReport(
@@ -305,65 +298,67 @@ def _require_positive(name, value):
         raise ValueError(f"{name} must be positive")
 
 
+def _margin(rho, theta):
+    """The depth (7/(2 theta)) rho that a probe center keeps from the
+    boundary, the radius of the three-spheres outer disk."""
+    _require_positive("theta", theta)
+    return 7.0 / (2.0 * theta) * rho
+
+
+def _admissible(points, mesh, margin):
+    """(mask, dist) of points: dist is the distance to the boundary, 0 for
+    a point outside the domain, and mask flags the points at least margin
+    deep, up to rounding."""
+    verts = mesh.domain.vertices
+    dist = np.where(points_in_polygon(points, verts),
+                    points_segment_distance(points, verts), 0.0)
+    return dist >= margin * (1.0 - 1e-12), dist
+
+
 def admissible_centers(mesh, rho, theta=0.3, pitch=None):
     """Deterministic center grid for the interpolation and smallness probes.
 
     Pitch defaults to min(rho/2, l) with l the covering-square side
     4 theta h1 rho0 / (2 sqrt(2) theta + 7) from the a priori data.
-    Admissible centers keep distance > (7/(2 theta)) rho from the boundary.
+    Admissible centers lie at least (7/(2 theta)) rho deep in the domain;
+    a grid without one is refused.
     """
     _require_positive("rho", rho)
+    margin = _margin(rho, theta)
     ap = mesh.domain.apriori
     if pitch is None:
         ell = 4.0 * theta * ap.h1 * ap.rho0 / (2.0 * np.sqrt(2.0) * theta + 7.0)
         pitch = min(rho / 2.0, ell)
     _require_positive("pitch", pitch)
-    margin = 7.0 / (2.0 * theta) * rho
     lo = mesh.nodes.min(axis=0)
     hi = mesh.nodes.max(axis=0)
     xs = np.arange(lo[0] + pitch / 2.0, hi[0], pitch)
     ys = np.arange(lo[1] + pitch / 2.0, hi[1], pitch)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     cand = np.column_stack([gx.ravel(), gy.ravel()])
-    verts = mesh.domain.vertices
-    keep = points_in_polygon(cand, verts) & \
-        (points_segment_distance(cand, verts) > margin)
-    return cand[keep], float(pitch)
+    keep, _ = _admissible(cand, mesh, margin)
+    if not keep.any():
+        raise ValueError(f"no admissible centers at depth {margin:.4g}; "
+                         "shrink rho or theta")
+    return cand[keep]
 
 
 @dataclass(frozen=True)
 class LpsReport:
     """Minimum local-to-total energy ratio over a grid of interior disks."""
 
-    rho: float
-    theta: float
-    pitch: float
     centers: np.ndarray
     ratios: np.ndarray
     constant: float
-    worst_center: tuple
     degenerate: bool
-    message: str = ""
 
 
 def lps_check(field, rho, theta=0.3):
-    mesh = field.mesh
-    _require_positive("rho", rho)
-    margin = 7.0 / (2.0 * theta) * rho
-    if interior_region(mesh, margin).empty:
-        raise ValueError(
-            f"no interior elements at depth {margin:.4g}; rho too large")
-    centers, pitch = admissible_centers(mesh, rho, theta)
-    if not len(centers):
-        raise ValueError("no admissible centers on the probe grid")
-
-    base = dict(rho=float(rho), theta=float(theta), pitch=pitch,
-                centers=centers)
+    centers = admissible_centers(field.mesh, rho, theta)
     total = field.total
     if total <= 0.0:
-        return LpsReport(**base, ratios=np.full(len(centers), np.nan),
-                         constant=np.nan, worst_center=tuple(centers[0]),
-                         degenerate=True, message="zero field")
+        return LpsReport(centers, np.full(len(centers), np.nan), np.nan,
+                         degenerate=True)
 
     # summed as (w e2)[disk].sum(), not w[disk] @ e2[disk] as in
     # disk_energies: the two differ in the last bits
@@ -372,9 +367,7 @@ def lps_check(field, rho, theta=0.3):
                                      field.weight * field.e2):
         ratios[rows] = we2.sum(axis=1)
     ratios /= total
-    worst = int(np.argmin(ratios))
-    return LpsReport(**base, ratios=ratios, constant=float(ratios[worst]),
-                     worst_center=tuple(centers[worst]), degenerate=False)
+    return LpsReport(centers, ratios, float(ratios.min()), degenerate=False)
 
 
 # ---------------------------------------------------------------------------

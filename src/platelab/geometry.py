@@ -1,4 +1,4 @@
-"""Polygonal domains, quadrilateral meshes, interior erosion, inclusion masks.
+"""Polygonal domains, quadrilateral meshes, inclusion masks.
 
 All geometry is flat 2D. Domains are simple counterclockwise polygons carrying
 a priori constants (length scale rho0 and the dimensionless factors tied to
@@ -480,15 +480,6 @@ class ElementMask:
     @property
     def empty(self):
         return not bool(self.flags.any())
-
-
-def interior_region(mesh, t):
-    """Flag elements whose centroid sits strictly deeper than t from the boundary."""
-    if t < 0:
-        raise ValueError("erosion depth must be >= 0")
-    d = points_segment_distance(mesh.element_centroids, mesh.domain.vertices)
-    flags = d > t
-    return ElementMask(flags, float(mesh.element_areas[flags].sum()))
 
 
 def rasterize_inclusion(mesh, inclusion_polygons):

@@ -387,21 +387,21 @@ def load_from_family(mesh, family, material=None):
     'edge_moment c=<v>': couple c along the outward normal.
     'twist a=<v>': couple rigidity*a*(1-nu)*(n2, n1), exact solution
         phi = a (x2, x1), w = -a x1 x2.
+
+    A family reads its own parameter alone, given at most once; it
+    defaults to 1.
     """
-    name, params = _parse_family(family)
+    name, value = _parse_family(family)
     if name == "edge_moment":
-        c = params.get("c", 1.0)
-    elif name in ("pure_bending", "twist"):
+        c = value
+    else:
         if material is None:
             raise ValueError(f"family '{name}' needs the background material")
         if not material.uniform:
             raise ValueError("analytic load families need a uniform material")
         t = derive_plate_tensors(material)
-        a = params.get("a", 1.0)
-        c = t.rigidity * a * (1.0 + t.nu if name == "pure_bending"
-                              else 1.0 - t.nu)
-    else:
-        raise ValueError(f"unknown load family '{name}'")
+        c = t.rigidity * value * (1.0 + t.nu if name == "pure_bending"
+                                  else 1.0 - t.nu)
     # every couple is constant along a straight edge, so both Gauss samples
     # hold it
     normals = mesh.boundary_normals
@@ -417,36 +417,41 @@ def exact_strains(family, material):
     The closed forms of load_from_family: returns (curvature 3-vector,
     shear 2-vector, strain energy density).
     """
-    kind, params = _parse_family(family)
+    kind, a = _parse_family(family)
     t = derive_plate_tensors(material)
     b, nu = float(t.rigidity), float(t.nu)
     if kind == "twist":
-        a = params.get("a", 1.0)
         return np.array([0.0, 0.0, 2.0 * a]), np.zeros(2), \
             2.0 * b * a ** 2 * (1.0 - nu)
-    if kind == "pure_bending":
-        a = params.get("a", 1.0)
-    elif kind == "edge_moment":
-        a = params.get("c", 1.0) / (b * (1.0 + nu))
-    else:
-        raise ValueError(f"no closed form for load family '{kind}'")
+    if kind == "edge_moment":
+        a = a / (b * (1.0 + nu))
     return np.array([a, a, 0.0]), np.zeros(2), 2.0 * b * a ** 2 * (1.0 + nu)
 
 
+# each load family and the one parameter it reads
+_FAMILY_PARAMETER = {"pure_bending": "a", "twist": "a", "edge_moment": "c"}
+
+
 def _parse_family(spec):
+    """(name, value) of a family string 'name [key=value]': key must be the
+    family's own parameter, given at most once, and value defaults to 1."""
     parts = spec.split()
     if not parts:
         raise ValueError("empty load family")
-    params = {}
-    for tok in parts[1:]:
-        if "=" not in tok:
-            raise ValueError(f"bad family parameter '{tok}'")
-        key, val = tok.split("=", 1)
-        try:
-            params[key] = float(val)
-        except ValueError:
-            raise ValueError(f"bad family parameter '{tok}'") from None
-    return parts[0], params
+    name = parts[0]
+    if name not in _FAMILY_PARAMETER:
+        raise ValueError(f"unknown load family '{name}'")
+    value = 1.0
+    for i, tok in enumerate(parts[1:]):
+        key, _, val = tok.partition("=")
+        if i == 0 and key == _FAMILY_PARAMETER[name]:
+            try:
+                value = float(val)
+                continue
+            except ValueError:
+                pass
+        raise ValueError(f"bad family parameter '{tok}'")
+    return name, value
 
 
 def assemble_load(load):
@@ -636,6 +641,14 @@ def _conjugate_gradients(factor, update, fr, x):
     p = rz = None
     # an overflow is a SolveError of its own, not a string of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        # r and goal scaled by a power of two that puts r near unit norm
+        # (a finite power, for a subnormal r): the iterates are the
+        # unscaled ones bit for bit, barring subnormals, but the inner
+        # products no longer carry the square of an r that grows with the
+        # contrast, so they overflow far later
+        scale = 2.0 ** -max(int(np.frexp(np.linalg.norm(r))[1]), -1023)
+        r *= scale
+        goal *= scale
         for _ in range(CG_BUDGET):
             if converged():
                 return x
@@ -650,7 +663,7 @@ def _conjugate_gradients(factor, update, fr, x):
                 raise SolveError("conjugate gradients broke down: the "
                                  "stiffness is not positive definite")
             alpha = rz / pq
-            x += alpha * p
+            x += alpha * (p / scale)
             r -= alpha * q
         if converged():
             return x

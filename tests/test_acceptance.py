@@ -232,7 +232,7 @@ def test_06_size_bound_calibration():
 def test_07_three_spheres_feasibility():
     mesh = generate_mesh(SQUARE, 1.0 / 48.0)
     rho, theta, rho0 = 0.04, 0.3, 0.1
-    centers, _ = admissible_centers(mesh, rho, theta, pitch=0.01)
+    centers = admissible_centers(mesh, rho, theta, pitch=0.01)
     fractions = {}
     for family in ("pure_bending a=1", "twist a=1"):
         load = load_from_family(mesh, family, MAT)

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import platelab
 from platelab import cli, estimates, functionals, tables
@@ -355,7 +359,7 @@ def test_three_spheres_scans_no_disk_per_center(tmp_path, monkeypatch):
                + "rho0 = 0.1\nrho = 0.015\npitch = 0.03\n")
     args = cli._parser().parse_args(["three-spheres", "--config", cfg])
     field = cli._reference_field(parse_config(cfg), args, "ref")
-    centers, _ = admissible_centers(field.mesh, 0.015, 0.3, 0.03)
+    centers = admissible_centers(field.mesh, 0.015, 0.3, 0.03)
     expected = tables.csv_text(*tables.three_spheres_rows(
         [three_spheres_sweep(field, [c], 0.015, 0.3)[0] for c in centers]),
         timestamp=False)
@@ -385,6 +389,33 @@ def test_three_spheres_inadmissible_center_message(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"config error: center {center} inadmissible: needs distance >= "
         "0.4667 from the boundary, has 0.1\n")
+
+
+def test_three_spheres_fraction_counts_infeasible_degenerate_centers(
+        tmp_path, capsys):
+    # at rho 0.003 most inner disks hold no quadrature point: 2,080 of the
+    # 2,116 reports are degenerate, and 520 of those infeasible, since
+    # their middle disk is not empty
+    cfg = _cfg(tmp_path, BASE.replace("target_size = 0.25",
+                                      "target_size = 0.125")
+               + "rho0 = 0.1\nrho = 0.003\npitch = 0.02\n")
+    assert main(["three-spheres", "--config", cfg, "--out", str(tmp_path)]) == 3
+    q = _quantities(tmp_path / "three_spheres_quantities.csv")
+    assert q["n_centers"] == "2116"
+    assert q["feasible_fraction"] == repr(1560 / 2116) == "0.7372400756143668"
+    assert capsys.readouterr().err == \
+        "three-spheres: feasible fraction 0.737 < 0.95\n"
+
+
+@pytest.mark.parametrize("command", ["three-spheres", "lps"])
+def test_probes_share_one_refusal_without_centers(tmp_path, capsys, command):
+    # the margin 7/0.6 * 0.2 = 2.333 is deeper than the unit square's
+    # inradius
+    cfg = _cfg(tmp_path, BASE + "rho = 0.2\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == ("config error: no admissible centers "
+                                       "at depth 2.333; shrink rho or theta\n")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("pitch", ["0", "-0.1"])
@@ -792,6 +823,16 @@ def test_non_numeric_value_names_its_key(tmp_path, capsys, old, new, message):
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("family,token", [
+    ("edge_moment a=2", "a=2"), ("pure_bending A=2", "A=2"),
+    ("twist c=5", "c=5"), ("pure_bending a=1 a=2", "a=2")])
+def test_family_takes_its_own_parameter_once(tmp_path, capsys, family, token):
+    cfg = _cfg(tmp_path, BASE.replace("pure_bending a=1", family))
+    assert main(["size", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == \
+        f"config error: bad family parameter '{token}'\n"
+
+
 @pytest.mark.parametrize("key", ["lambda", "mu", "h"])
 def test_missing_material_key_is_config_error(tmp_path, capsys, key):
     cfg = _cfg(tmp_path, BASE.replace(f"\n{key} = 1.0\n", "\n"))
@@ -859,14 +900,46 @@ def test_exit_code_contract_across_contrast(tmp_path, capsys, kappa):
     # inclusion's modes at 1e-12 and the background's modes at 1e12
     if kappa in (1e-3, 1e4):
         assert code == 0
-        assert main(["size", "--config", cfg, "--out",
-                     str(tmp_path / "dense"), "--dense-oracle"]) == 0
-        sparse, dense = (_quantities(tmp_path / side / "size_quantities.csv")
-                         for side in ("sparse", "dense"))
-        scale = float(dense["work_reference"])
-        for key in ("work_reference", "work", "gap"):
-            assert abs(float(sparse[key]) - float(dense[key])) <= \
-                1e-10 * scale, key
+        _assert_works_match_dense(tmp_path, cfg)
+
+
+def _assert_works_match_dense(tmp, cfg):
+    """The work columns of the size run in tmp/sparse agree with a
+    --dense-oracle run of cfg to 1e-10 of the reference work."""
+    assert main(["size", "--config", cfg, "--out", str(tmp / "dense"),
+                 "--dense-oracle"]) == 0
+    sparse, dense = (_quantities(tmp / side / "size_quantities.csv")
+                     for side in ("sparse", "dense"))
+    scale = float(dense["work_reference"])
+    for key in ("work_reference", "work", "gap"):
+        assert abs(float(sparse[key]) - float(dense[key])) <= \
+            1e-10 * scale, key
+
+
+def test_cg_converges_at_contrast_1e105(tmp_path, capsys):
+    # unscaled, the inner products of conjugate gradients overflowed here
+    cfg = _contrast_cfg(tmp_path, 1e105)
+    assert main(["size", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@settings(settings.get_profile("derandomized"), max_examples=40)
+@given(st.floats(-12.0, 200.0).map(lambda e: 10.0 ** e)
+       .filter(lambda kappa: kappa != 1.0))
+def test_exit_code_contract_over_drawn_contrasts(tmp_path_factory, kappa):
+    # log10 kappa drawn over [-12, 200] (kappa = 1 is a config error):
+    # every run keeps the exit-code contract, and from 1e-3 to 1e4 the
+    # sparse solve succeeds and agrees with the dense oracle
+    tmp = tmp_path_factory.mktemp("contrast")
+    cfg = _contrast_cfg(tmp, kappa)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["size", "--config", cfg, "--out", str(tmp / "sparse")])
+    assert code in (0, 2, 3)
+    assert (err.getvalue() == "") == (code == 0), err.getvalue()
+    if 1e-3 <= kappa <= 1e4:
+        assert code == 0
+        _assert_works_match_dense(tmp, cfg)
 
 
 def test_missing_config_file(tmp_path):

@@ -288,9 +288,12 @@ def test_three_spheres_zero_field_degenerate(bending_field):
 
 def test_admissible_centers_clearance():
     mesh = generate_mesh(SQUARE, 1.0 / 32.0)
-    centers, pitch = admissible_centers(mesh, 0.03, theta=0.3)
+    centers = admissible_centers(mesh, 0.03, theta=0.3)
     assert len(centers)
-    assert pitch <= 0.015 + 1e-15
+    # the default pitch is min(rho/2, l) = rho/2 here
+    for axis in (0, 1):
+        spacing = np.diff(np.unique(centers[:, axis]))
+        assert_allclose(spacing, 0.015, rtol=0.0, atol=1e-12)
     margin = 7.0 / 0.6 * 0.03
     d = np.minimum.reduce([centers[:, 0], centers[:, 1],
                            1.0 - centers[:, 0], 1.0 - centers[:, 1]])
@@ -320,6 +323,28 @@ def test_probes_reject_nonpositive_rho(rho):
         lps_check(field, rho)
     with pytest.raises(ValueError, match="rho must be positive"):
         three_spheres_sweep(field, [(0.5, 0.5)], rho)
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.3])
+def test_probes_reject_nonpositive_theta(bending_field, theta):
+    # theta = -0.3 would give a negative margin, which the corner (0, 0)
+    # of the unit square meets
+    mesh, field = bending_field
+    with pytest.raises(ValueError, match="theta must be positive"):
+        lps_check(field, 0.04, theta)
+    for center in ((0.5, 0.5), (0.0, 0.0)):
+        with pytest.raises(ValueError, match="theta must be positive"):
+            three_spheres_sweep(field, [center], 0.04, theta, rho0=0.1)
+
+
+def test_probes_share_one_refusal_of_a_grid_without_centers(bending_field):
+    # a margin of 7/0.6 * 0.2 = 2.333 exceeds the inradius 0.5
+    mesh, field = bending_field
+    message = r"^no admissible centers at depth 2\.333; shrink rho or theta$"
+    with pytest.raises(ValueError, match=message):
+        admissible_centers(mesh, 0.2, 0.3, 0.1)
+    with pytest.raises(ValueError, match=message):
+        lps_check(field, 0.2, 0.3)
 
 
 @pytest.mark.parametrize("domain, target, rho", [

@@ -14,7 +14,6 @@ from platelab.geometry import (
     ElementMask,
     fatness_ratio,
     generate_mesh,
-    interior_region,
     point_in_polygon,
     points_segment_distance,
     polygon_signed_area,
@@ -411,33 +410,6 @@ def test_distance_outside_flagged():
     # the distance carries no sign: outside is told by containment
     assert_allclose(points_segment_distance([(2.0, 0.5)], UNIT), [1.0])
     assert not point_in_polygon((2.0, 0.5), unit_square().vertices)
-
-
-# interior region
-
-
-def test_interior_all_at_zero():
-    mesh = generate_mesh(unit_square(), 0.25)
-    assert interior_region(mesh, 0.0).count == mesh.n_elements
-
-
-def test_interior_empty_beyond_inradius():
-    mesh = generate_mesh(unit_square(), 0.1)
-    assert interior_region(mesh, 0.5).empty
-
-
-def test_interior_matches_brute_force():
-    mesh = generate_mesh(unit_square(), 0.1)
-    got = interior_region(mesh, 0.25).flags
-    want = points_segment_distance(mesh.element_centroids, UNIT) > 0.25
-    assert np.array_equal(got, want)
-
-
-def test_erosion_monotone():
-    mesh = generate_mesh(Domain(LSHAPE.copy()), 0.1)
-    small = interior_region(mesh, 0.05).flags
-    big = interior_region(mesh, 0.15).flags
-    assert not np.any(big & ~small)
 
 
 # rasterization

@@ -9,12 +9,17 @@ configs: the small variants of the benchmark workloads (perfbench/, drawn
 with --seed) and one run of every command, with and without an inclusion,
 under --dense-oracle and with calibrate at --jobs 1, 2 and 3, plus solve and
 size on an L-shape (edge_moment) and a skewed quad (twist), whose normals
-leave the axes, and size at the contrasts 64, 1e-3 and 1e300 (where
-conjugate gradients overflow, exit 2) and, under --dense-oracle, 1e3.
-three-spheres and lps (three radii) run on the L-shape and the skewed quad
-at target size 0.05 too, whose overlay meshes give point orders that do
-not follow the probe lattice. solve and size (kappa 2.5) run on thin plates,
-h = 0.1 and 0.01, with and without --full-integration; size-h0.1-32 runs
+leave the axes, and size at the contrasts 64, 1e-3, 1e105 and 1e300
+(where conjugate gradients overflow, exit 2) and, under --dense-oracle,
+1e3; size-family-typo runs size with `edge_moment a=2`, a parameter its
+family does not read (exit 1). three-spheres and lps (three radii) run on
+the L-shape and the skewed quad at target size 0.05 too, whose overlay
+meshes give point orders that do not follow the probe lattice.
+three-spheres-degenerate runs three-spheres at rho 0.003, where most
+reports are degenerate and some of those infeasible (exit 3), and
+three-spheres-deep and lps-deep run both probes at rho 0.2, deeper than any
+center of the unit square (exit 1). solve and size (kappa 2.5) run on thin
+plates, h = 0.1 and 0.01, with and without --full-integration; size-h0.1-32 runs
 size at h = 0.1 and target size 1/32 too, where the factor's fill depends
 on the pivot choice. size also runs with tensor tables in place of kappa,
 without the lambda key (exit 1), with the zero load `pure_bending a=0`
@@ -98,7 +103,10 @@ def command_runs(inputs):
         "kappa64": incl.replace("kappa = 2.5", "kappa = 64"),
         "kappa1e-3": incl.replace("kappa = 2.5", "kappa = 1e-3"),
         "kappa1e3": incl.replace("kappa = 2.5", "kappa = 1e3"),
+        "kappa1e105": incl.replace("kappa = 2.5", "kappa = 1e105"),
         "kappa1e300": incl.replace("kappa = 2.5", "kappa = 1e300"),
+        # edge_moment reads c alone
+        "family_typo": BASE.replace("pure_bending a=1", "edge_moment a=2"),
         "tables": incl.replace("kappa = 2.5\n", _tensor_tables(inputs)),
         "no_lambda": incl.replace("lambda = 1.0\n", ""),
         # the zero load has no frequency report; the size bounds fail first
@@ -108,6 +116,12 @@ def command_runs(inputs):
         + "rho0 = 0.1\nrho = 0.04\npitch = 0.05\n",
         "lps": BASE.replace("target_size = 0.125", "target_size = 0.05")
         + "rho = 0.04 0.03\n",
+        # most inner disks hold no quadrature point, and a quarter of those
+        # degenerate reports are infeasible
+        "three_spheres_degenerate": BASE
+        + "rho0 = 0.1\nrho = 0.003\npitch = 0.02\n",
+        # a probe depth of 2.333, past the inradius: no admissible center
+        "deep": BASE + "rho = 0.2\n",
         "convergence": BASE.replace("target_size = 0.125",
                                     "target_size = 0.25")
         + "refinements = 3\n",
@@ -190,14 +204,21 @@ def command_runs(inputs):
             ("size-kappa1e-3", ["size", "--config", path["kappa1e-3"]]),
             ("size-dense-kappa1e3", ["size", "--config", path["kappa1e3"],
                                      "--dense-oracle"]),
+            ("size-kappa1e105", ["size", "--config", path["kappa1e105"]]),
             ("size-kappa1e300", ["size", "--config", path["kappa1e300"]]),
+            ("size-family-typo", ["size", "--config", path["family_typo"]]),
             ("size-tables", ["size", "--config", path["tables"]]),
             ("size-no-lambda", ["size", "--config", path["no_lambda"]]),
             ("size-zero-load", ["size", "--config", path["zero_load"]]),
             ("size-dumbbell", ["size", "--config", path["dumbbell"]]),
             ("three-spheres", ["three-spheres", "--config",
                                path["three_spheres"]]),
+            ("three-spheres-degenerate", ["three-spheres", "--config",
+                                          path["three_spheres_degenerate"]]),
+            ("three-spheres-deep", ["three-spheres", "--config",
+                                    path["deep"]]),
             ("lps", ["lps", "--config", path["lps"]]),
+            ("lps-deep", ["lps", "--config", path["deep"]]),
             ("convergence", ["convergence", "--config", path["convergence"]])]
     runs += [(f"{command}-{key}", [command, "--config", path[key]])
              for key in ("lshape", "skewed") for command in ("solve", "size")]
