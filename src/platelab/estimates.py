@@ -59,6 +59,23 @@ from .solver import (
 )
 
 
+# the resolution of a work gap, as a share of |W0|: the sparse and the dense
+# solve of one plate agree on its works to this level, so a gap within it
+# is rounding and reads as zero, and one beyond it on the wrong side of
+# zero is a wrong sign
+GAP_RTOL = 1e-10
+
+
+def _gap_term(gap, work_reference, sign):
+    """The regime's gap term m, W0 - W in the stiff regime and W - W0 in
+    the soft one: 0.0 within GAP_RTOL |W0| of zero, None when it is
+    negative beyond that, else m."""
+    m = gap if sign == "stiff" else -gap
+    if abs(m) <= GAP_RTOL * abs(work_reference):
+        return 0.0
+    return None if m < 0.0 else m
+
+
 @dataclass(frozen=True)
 class EnergyLemmaReport:
     """Two-sided work-gap comparison.
@@ -128,14 +145,15 @@ def verify_energy_lemma(state0, state, f, material, jumps, indicator):
         lhs = jumps.eta * floor_int
         rhs = (1.0 - jumps.delta) / jumps.delta * cap_int
 
-    tol = 1e-8 * max(abs(mid), rhs)
+    # never finer than the works' own resolution
+    tol = max(1e-8 * max(abs(mid), rhs), GAP_RTOL * abs(w0))
     terms = (f"lhs = {lhs:.3e}, mid = {mid:.3e}, rhs = {rhs:.3e}, "
              f"tol = {tol:.3e}")
     if not lhs <= mid + tol:
         messages.append(f"lower bound fails: {terms}")
     if not mid <= rhs + tol:
         messages.append(f"upper bound fails: {terms}")
-    if mid < -tol:
+    if _gap_term(gap, w0, jumps.sign) is None:
         messages.append(
             f"work gap sign inconsistent with {jumps.sign} regime (mid = {mid:.3e})")
     cross_tol = 1e-9 * max(abs(gap), abs(w0), abs(w))
@@ -156,28 +174,25 @@ class SizeBoundsResult(NamedTuple):
 
 
 def size_bounds(gap, work_reference, jumps, c1, c2, rho0):
-    """Area interval from the work gap.
+    """Area interval from the work gap, through the gap term m of _gap_term.
 
-    stiff: [c1 rho0^2 gap / ((delta-1) W0), c2 delta rho0^2 gap / (eta W0)]
-    soft:  [c1 delta rho0^2 (-gap) / ((1-delta) W0), c2 rho0^2 (-gap) / (eta W0)]
+    stiff: [c1 rho0^2 m / ((delta-1) W0), c2 delta rho0^2 m / (eta W0)]
+    soft:  [c1 delta rho0^2 m / ((1-delta) W0), c2 rho0^2 m / (eta W0)]
     """
     if not work_reference > 0.0:
         raise ValueError("reference work must be positive")
     if not (c1 > 0.0 and c2 > 0.0):
         raise ValueError("calibration constants must be positive")
-    guard = 1e-10 * work_reference
+    m = _gap_term(gap, work_reference, jumps.sign)
+    if m is None:
+        side = "negative" if jumps.sign == "stiff" else "positive"
+        raise ValueError(f"{side} work gap {gap:.3e} in {jumps.sign} regime")
     scale = rho0 ** 2 / work_reference
     if jumps.sign == "stiff":
-        if gap < -guard:
-            raise ValueError(f"negative work gap {gap:.3e} in stiff regime")
-        g = max(gap, 0.0)
-        return SizeBoundsResult(c1 * scale * g / (jumps.delta - 1.0),
-                                c2 * jumps.delta * scale * g / jumps.eta)
-    if gap > guard:
-        raise ValueError(f"positive work gap {gap:.3e} in soft regime")
-    g = max(-gap, 0.0)
-    return SizeBoundsResult(c1 * jumps.delta * scale * g / (1.0 - jumps.delta),
-                            c2 * scale * g / jumps.eta)
+        return SizeBoundsResult(c1 * scale * m / (jumps.delta - 1.0),
+                                c2 * jumps.delta * scale * m / jumps.eta)
+    return SizeBoundsResult(c1 * jumps.delta * scale * m / (1.0 - jumps.delta),
+                            c2 * scale * m / jumps.eta)
 
 
 @dataclass(frozen=True)
@@ -418,6 +433,12 @@ class SizeEstimateReport:
     lemma: EnergyLemmaReport | None
     messages: tuple
 
+    @property
+    def passed(self):
+        """The verdict of the report: the gap's sign and, with an
+        inclusion, the energy lemma."""
+        return self.sign_ok and (self.lemma is None or self.lemma.passed)
+
 
 class Forward(NamedTuple):
     """Mesh, load, load vector, inclusion mask and the two solved states of
@@ -513,13 +534,12 @@ def _size_experiment(config, reference):
 
     work = work_report(fw.rhs, fw.state, fw.state0)
     w0, gap = work.work_reference, work.gap
-    guard = 1e-10 * abs(w0)
     if jumps is None:
         sign_ok = True
         lower, upper = 0.0, 0.0
         lemma = None
     else:
-        sign_ok = gap >= -guard if jumps.sign == "stiff" else gap <= guard
+        sign_ok = _gap_term(gap, w0, jumps.sign) is not None
         if sign_ok:
             lower, upper = size_bounds(gap, w0, jumps, config.c1, config.c2,
                                        ap.rho0)

@@ -13,7 +13,7 @@ import platelab
 from platelab import cli, estimates, functionals, tables
 from platelab.cli import ConfigError, main, parse_config
 from platelab.estimates import admissible_centers, three_spheres_sweep
-from platelab.material import (IsotropicMaterial, bending_voigt,
+from platelab.material import (IsotropicMaterial, JumpBounds, bending_voigt,
                                derive_plate_tensors, shear_matrix)
 from platelab.solver import load_from_family
 from platelab.tables import csv_text
@@ -424,6 +424,23 @@ def test_three_spheres_nonpositive_pitch_is_config_error(tmp_path, capsys,
     cfg = _cfg(tmp_path, BASE + f"rho0 = 0.1\nrho = 0.04\npitch = {pitch}\n")
     assert main(["three-spheres", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "config error: pitch must be positive\n"
+
+
+def test_three_spheres_default_pitch_is_the_grids(tmp_path):
+    # without pitch, three-spheres sweeps the grid of admissible_centers'
+    # default pitch, the grid of lps: 0.0153 here, not rho/2
+    cfg = _cfg(tmp_path, BASE.replace("target_size = 0.25",
+                                      "target_size = 0.0625")
+               + "rho = 0.04\n")
+    assert main(["three-spheres", "--config", cfg, "--out", str(tmp_path)]) \
+        in (0, 3)
+    args = cli._parser().parse_args(["three-spheres", "--config", cfg])
+    field = cli._reference_field(parse_config(cfg), args, "ref")
+    expected = admissible_centers(field.mesh, 0.04, 0.3)
+    rows = (tmp_path / "three_spheres_three_spheres.csv").read_text() \
+        .splitlines()[2:]
+    got = np.array([[float(v) for v in r.split(",")[:2]] for r in rows])
+    assert got.shape == expected.shape and (got == expected).all()
 
 
 @pytest.mark.parametrize("rho", ["0", "-0.04"])
@@ -861,8 +878,7 @@ def test_jobs_below_one_is_refused(tmp_path, capsys, jobs):
 
 
 # the 1/8 unit square with a quadrilateral inclusion; at a contrast one
-# rounding step from 1 the inclusion state equals the reference state, and
-# the lemma's positive lower bound fails against a zero gap
+# rounding step from 1 the work gap is rounding alone
 CONTRAST = BASE.replace("target_size = 0.25", "target_size = 0.125")
 QUAD = [(0.3, 0.3), (0.7, 0.3), (0.7, 0.6), (0.3, 0.7)]
 
@@ -875,14 +891,49 @@ def _contrast_cfg(tmp_path, kappa):
 
 
 @pytest.mark.parametrize("command", ["size", "energy-lemma"])
-@pytest.mark.parametrize("kappa", [1.0 - 2.0 ** -52, 1.0 + 2.0 ** -52])
-def test_failed_lemma_bound_names_itself(tmp_path, capsys, command, kappa):
+@pytest.mark.parametrize("kappa,understated", [
+    pytest.param(0.4, JumpBounds(1e-3, 0.999, "soft"), id="soft"),
+    pytest.param(2.5, JumpBounds(1e-3, 1.001, "stiff"), id="stiff")])
+def test_failed_lemma_bound_names_itself(tmp_path, capsys, monkeypatch,
+                                         command, kappa, understated):
+    # bounds that understate the plate's contrast put its gap above the
+    # lemma's upper bound
+    for module in (estimates, cli):
+        monkeypatch.setattr(module, "jump_bounds", lambda *a: understated)
     cfg = _contrast_cfg(tmp_path, kappa)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "lower bound fails: lhs = " in err[0]
-    assert "mid = 0.000e+00" in err[0] and "rhs = " in err[0] \
-        and "tol = " in err[0]
+    assert len(err) == 1 and "upper bound fails: lhs = " in err[0]
+    assert "mid = " in err[0] and "rhs = " in err[0] and "tol = " in err[0]
+
+
+@pytest.mark.parametrize("dense", [[], ["--dense-oracle"]],
+                         ids=["sparse", "dense"])
+@pytest.mark.parametrize("kappa", [1.0 - 2.0 ** -52, 1.0 + 2.0 ** -52])
+def test_rounding_gap_reads_zero(tmp_path, capsys, kappa, dense):
+    # the gap is 0.0 on the sparse path and -8.0e-15 or -1.8e-15 under the
+    # dense oracle, within estimates.GAP_RTOL of the reference work
+    cfg = _contrast_cfg(tmp_path, kappa)
+    for command in ("size", "energy-lemma"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]
+                    + dense) == 0
+        assert capsys.readouterr().err == ""
+    q = _quantities(tmp_path / "size_quantities.csv")
+    assert q["sign_ok"] == "1" and q["lower"] == q["upper"] == "0.0"
+
+
+@pytest.mark.parametrize("dense", [[], ["--dense-oracle"]],
+                         ids=["sparse", "dense"])
+def test_calibrate_refuses_a_rounding_gap(tmp_path, capsys, dense):
+    poly = tmp_path / "quad.poly"
+    write_polygons(str(poly), [np.array(QUAD)])
+    cfg = _corpus(tmp_path, [
+        (f"case{i}", CONTRAST + f"inclusion = {poly}\nkappa = {kappa!r}\n")
+        for i, kappa in enumerate((0.5, 1.0 - 2.0 ** -52))])
+    assert main(["calibrate", "--config", cfg, "--out", str(tmp_path)]
+                + dense) == 1
+    assert capsys.readouterr().err == \
+        "config error: degenerate corpus entry 1: zero work gap\n"
 
 
 @pytest.mark.parametrize("kappa", [1e-300, 1e-12, 1e-3, 1.0 - 2.0 ** -52,
@@ -893,12 +944,11 @@ def test_exit_code_contract_across_contrast(tmp_path, capsys, kappa):
     err = capsys.readouterr().err.splitlines()
     assert code in (0, 2, 3)
     assert len(err) == (0 if code == 0 else 1), err
-    # 1 +- 2^-52 exit 3 (test_failed_lemma_bound_names_itself), the CG
-    # overflow from 1e105 up exits 2. The dense oracle refuses kappa 1e-12
-    # and 1e12, "stiffness kernel has dimension 21 (180), expected 3": its
-    # kernel cut, 1e-10 of the largest eigenvalue, takes in the soft
+    # the CG overflow from 1e105 up exits 2. The dense oracle refuses kappa
+    # 1e-12 and 1e12, "stiffness kernel has dimension 21 (180), expected 3":
+    # its kernel cut, 1e-10 of the largest eigenvalue, takes in the soft
     # inclusion's modes at 1e-12 and the background's modes at 1e12
-    if kappa in (1e-3, 1e4):
+    if kappa in (1e-3, 1.0 - 2.0 ** -52, 1.0 + 2.0 ** -52, 1e4):
         assert code == 0
         _assert_works_match_dense(tmp_path, cfg)
 
@@ -996,12 +1046,17 @@ def test_dense_oracle_cap_is_numerical_failure(tmp_path):
                  "--dense-oracle"]) == 2
 
 
-def test_lps_zero_field_fails_check(tmp_path):
+def test_lps_zero_field_fails_check(tmp_path, capsys):
+    # both probes refuse the zero field of a zero load, with one line
     cfg = _cfg(tmp_path, BASE.replace("load = pure_bending a=1",
                                       "load = pure_bending a=0")
                .replace("target_size = 0.25", "target_size = 0.04")
-               + "rho = 0.04\n")
-    assert main(["lps", "--config", cfg, "--out", str(tmp_path)]) == 3
+               + "rho0 = 0.1\nrho = 0.04\n")
+    for command in ("lps", "three-spheres"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == \
+            "config error: reference energy must be positive\n"
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_convergence_unreachable_order_fails(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import math
 import sys
 import time
 from dataclasses import fields, replace
@@ -152,9 +153,9 @@ def test_size_bounds_linear_in_gap_and_rho0():
 
 def test_size_bounds_guard_and_errors():
     jb = JumpBounds(eta=1.0, delta=2.0, sign="stiff")
-    # inside the guard band the gap clamps to zero
-    lo, up = size_bounds(-1e-12, 1.0, jb, 1.0, 1.0, 1.0)
-    assert lo == 0.0 and up == 0.0
+    # inside the guard band the gap reads as zero, on either side of it
+    for gap in (-1e-12, 1e-12):
+        assert size_bounds(gap, 1.0, jb, 1.0, 1.0, 1.0) == (0.0, 0.0)
     with pytest.raises(ValueError):
         size_bounds(-1e-3, 1.0, jb, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
@@ -164,6 +165,9 @@ def test_size_bounds_guard_and_errors():
     soft = JumpBounds(eta=0.5, delta=0.5, sign="soft")
     with pytest.raises(ValueError):
         size_bounds(0.1, 1.0, soft, 1.0, 1.0, 1.0)
+    # a zero soft gap gives +0.0, not -0.0
+    for bound in size_bounds(0.0, 1.0, soft, 1.0, 1.0, 1.0):
+        assert bound == 0.0 and math.copysign(1.0, bound) == 1.0
 
 
 # calibration

@@ -2,37 +2,41 @@
 
     python3 tools/golden_diff.py OLD NEW [--workdir DIR] [--seed N]
 
-OLD and NEW are git revisions. To compare uncommitted changes, stage them
-and pass `$(git stash create)` as NEW. Each revision is checked out in its
-own temporary `git worktree` and runs the same fixed set of `timestamp = off`
-configs: the small variants of the benchmark workloads (perfbench/, drawn
-with --seed) and one run of every command, with and without an inclusion,
-under --dense-oracle and with calibrate at --jobs 1, 2 and 3, plus solve and
-size on an L-shape (edge_moment) and a skewed quad (twist), whose normals
-leave the axes, and size at the contrasts 64, 1e-3, 1e105 and 1e300
-(where conjugate gradients overflow, exit 2) and, under --dense-oracle,
-1e3; size-family-typo runs size with `edge_moment a=2`, a parameter its
-family does not read (exit 1). three-spheres and lps (three radii) run on
-the L-shape and the skewed quad at target size 0.05 too, whose overlay
-meshes give point orders that do not follow the probe lattice.
-three-spheres-degenerate runs three-spheres at rho 0.003, where most
-reports are degenerate and some of those infeasible (exit 3), and
-three-spheres-deep and lps-deep run both probes at rho 0.2, deeper than any
-center of the unit square (exit 1). solve and size (kappa 2.5) run on thin
-plates, h = 0.1 and 0.01, with and without --full-integration; size-h0.1-32 runs
-size at h = 0.1 and target size 1/32 too, where the factor's fill depends
-on the pivot choice. size also runs with tensor tables in place of kappa,
-without the lambda key (exit 1), with the zero load `pure_bending a=0`
-(exit 1) and on a dumbbell, two unit squares joined by a 0.02-wide neck,
-at target size 0.25, whose overlay splits into two plates (exit 1). Four more
-calibrate corpora run at --jobs 1 and 2: one spans two meshes and holds a
-reference-only entry, in another the second entry has an unknown load, the
-third holds two zero-load entries (exit 1), and in the fourth,
-calibrate-window, two inclusion entries at lambda = mu = 1.5 fail the
-material window (exit 1). The callers that pair the solve's load vector
-run on more inputs: energy-lemma on the soft and tensor-table inclusions,
-at h = 0.01 and, under --dense-oracle, at kappa 1e3; work on the stiff
-inclusion under --dense-oracle; and solve on the soft inclusion without
+OLD and NEW are git revisions. To compare uncommitted changes, stage them and
+pass `$(git stash create)` as NEW. Each revision is checked out in its own
+temporary `git worktree` and runs the same fixed set of `timestamp = off`
+configs: the small variants of the benchmark workloads (perfbench/, drawn with
+--seed) and one run of every command, with and without an inclusion, under
+--dense-oracle and with calibrate at --jobs 1, 2 and 3, plus solve and size on
+an L-shape (edge_moment) and a skewed quad (twist), whose normals leave the
+axes, and size at the contrasts 64, 1e-3, 1e105 and 1e300 (where conjugate
+gradients overflow, exit 2) and, under --dense-oracle, 1e3. size runs at 1 -
+2^-52 and 1 + 2^-52, with and without --dense-oracle, and energy-lemma at 1 +
+2^-52 under it: contrasts one rounding step from 1, whose work gap is rounding
+alone. size-family-typo runs size with `edge_moment a=2`, a parameter its
+family does not read (exit 1). three-spheres and lps (three radii) run on the
+L-shape and the skewed quad at target size 0.05 too, whose overlay meshes give
+point orders that do not follow the probe lattice. three-spheres-degenerate
+runs three-spheres at rho 0.003, where most reports are degenerate and some of
+those infeasible (exit 3), and three-spheres-deep and lps-deep run both probes
+at rho 0.2, deeper than any center of the unit square (exit 1);
+three-spheres-zero-load and lps-zero-load run both probes on the zero load,
+whose field holds no energy. solve and size (kappa 2.5) run on thin plates, h
+= 0.1 and 0.01, with and without --full-integration; size-h0.1-32 runs size at
+h = 0.1 and target size 1/32 too, where the factor's fill depends on the pivot
+choice. size also runs with tensor tables in place of kappa, without the
+lambda key (exit 1), with the zero load `pure_bending a=0` (exit 1) and on a
+dumbbell, two unit squares joined by a 0.02-wide neck, at target size 0.25,
+whose overlay splits into two plates (exit 1). Four more calibrate corpora run
+at --jobs 1 and 2: one spans two meshes and holds a reference-only entry, in
+another the second entry has an unknown load, the third holds two zero-load
+entries (exit 1), and in the fourth, calibrate-window, two inclusion entries
+at lambda = mu = 1.5 fail the material window (exit 1).
+calibrate-rounding-dense runs a corpus of kappa 0.5 and 1 - 2^-52 under
+--dense-oracle at --jobs 1 and 2. The callers that pair the solve's load
+vector run on more inputs: energy-lemma on the soft and tensor-table
+inclusions, at h = 0.01 and, under --dense-oracle, at kappa 1e3; work on the
+stiff inclusion under --dense-oracle; and solve on the soft inclusion without
 it. Every run is a fresh process.
 
 For each CSV the report prints "identical" or, for each column that
@@ -105,6 +109,11 @@ def command_runs(inputs):
         "kappa1e3": incl.replace("kappa = 2.5", "kappa = 1e3"),
         "kappa1e105": incl.replace("kappa = 2.5", "kappa = 1e105"),
         "kappa1e300": incl.replace("kappa = 2.5", "kappa = 1e300"),
+        # one rounding step from 1: a gap of rounding alone
+        "kappa1-2^-52": incl.replace("kappa = 2.5",
+                                     f"kappa = {1.0 - 2.0 ** -52!r}"),
+        "kappa1+2^-52": incl.replace("kappa = 2.5",
+                                     f"kappa = {1.0 + 2.0 ** -52!r}"),
         # edge_moment reads c alone
         "family_typo": BASE.replace("pure_bending a=1", "edge_moment a=2"),
         "tables": incl.replace("kappa = 2.5\n", _tensor_tables(inputs)),
@@ -116,6 +125,11 @@ def command_runs(inputs):
         + "rho0 = 0.1\nrho = 0.04\npitch = 0.05\n",
         "lps": BASE.replace("target_size = 0.125", "target_size = 0.05")
         + "rho = 0.04 0.03\n",
+        # the probes on the zero load's field, which holds no energy
+        "probe_zero_load": BASE.replace("target_size = 0.125",
+                                        "target_size = 0.0625")
+        .replace("pure_bending a=1", "pure_bending a=0")
+        + "rho0 = 0.1\nrho = 0.04\npitch = 0.05\n",
         # most inner disks hold no quadrature point, and a quarter of those
         # degenerate reports are infeasible
         "three_spheres_degenerate": BASE
@@ -169,7 +183,11 @@ def command_runs(inputs):
         "calibrate_zero_load": [zero, zero.replace("kappa = 2.5",
                                                    "kappa = 3.0")],
         "calibrate_window": [window, window.replace("kappa = 2.5",
-                                                    "kappa = 3.0")]}
+                                                    "kappa = 3.0")],
+        # the second entry's gap is rounding alone
+        "calibrate_rounding": [
+            incl.replace("kappa = 2.5", "kappa = 0.5"),
+            incl.replace("kappa = 2.5", f"kappa = {1.0 - 2.0 ** -52!r}")]}
     path = {k: _write(os.path.join(inputs, f"{k}.cfg"), v)
             for k, v in cfgs.items()}
     for key, entries in corpora.items():
@@ -206,6 +224,9 @@ def command_runs(inputs):
                                      "--dense-oracle"]),
             ("size-kappa1e105", ["size", "--config", path["kappa1e105"]]),
             ("size-kappa1e300", ["size", "--config", path["kappa1e300"]]),
+            ("energy-lemma-dense-kappa1+2^-52",
+             ["energy-lemma", "--config", path["kappa1+2^-52"],
+              "--dense-oracle"]),
             ("size-family-typo", ["size", "--config", path["family_typo"]]),
             ("size-tables", ["size", "--config", path["tables"]]),
             ("size-no-lambda", ["size", "--config", path["no_lambda"]]),
@@ -219,6 +240,9 @@ def command_runs(inputs):
                                     path["deep"]]),
             ("lps", ["lps", "--config", path["lps"]]),
             ("lps-deep", ["lps", "--config", path["deep"]]),
+            ("three-spheres-zero-load", ["three-spheres", "--config",
+                                         path["probe_zero_load"]]),
+            ("lps-zero-load", ["lps", "--config", path["probe_zero_load"]]),
             ("convergence", ["convergence", "--config", path["convergence"]])]
     runs += [(f"{command}-{key}", [command, "--config", path[key]])
              for key in ("lshape", "skewed") for command in ("solve", "size")]
@@ -233,6 +257,10 @@ def command_runs(inputs):
              for command, cfg in (("solve", "plain"), ("size", "stiff"))
              for full in ([], ["--full-integration"])]
     runs += [("size-h0.1-32", ["size", "--config", path["stiff_h0.1_32"]])]
+    runs += [(f"size-{dense}kappa1{side}2^-52",
+              ["size", "--config", path[f"kappa1{side}2^-52"]] + flag)
+             for side in "-+"
+             for dense, flag in (("", []), ("dense-", ["--dense-oracle"]))]
     runs += [(f"calibrate-jobs{j}", ["calibrate", "--config", path["calibrate"],
                                      "--jobs", str(j)]) for j in (1, 2, 3)]
     runs += [(f"{key.replace('_', '-')}-jobs{j}",
@@ -240,6 +268,9 @@ def command_runs(inputs):
              for key in ("calibrate_meshes", "calibrate_bad_load",
                          "calibrate_zero_load", "calibrate_window")
              for j in (1, 2)]
+    runs += [(f"calibrate-rounding-dense-jobs{j}",
+              ["calibrate", "--config", path["calibrate_rounding"],
+               "--jobs", str(j), "--dense-oracle"]) for j in (1, 2)]
     return runs
 
 
