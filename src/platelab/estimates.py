@@ -365,16 +365,13 @@ class LpsReport:
     centers: np.ndarray
     ratios: np.ndarray
     constant: float
-    degenerate: bool
 
 
 def lps_check(field, rho, theta=0.3):
-    centers = admissible_centers(field.mesh, rho, theta)
+    """LpsReport of field at radius rho; a field without energy is refused."""
     total = field.total
-    if total <= 0.0:
-        return LpsReport(centers, np.full(len(centers), np.nan), np.nan,
-                         degenerate=True)
-
+    _require_positive("reference energy", total)
+    centers = admissible_centers(field.mesh, rho, theta)
     # summed as (w e2)[disk].sum(), not w[disk] @ e2[disk] as in
     # disk_energies: the two differ in the last bits
     ratios = np.empty(len(centers))
@@ -382,7 +379,7 @@ def lps_check(field, rho, theta=0.3):
                                      field.weight * field.e2):
         ratios[rows] = we2.sum(axis=1)
     ratios /= total
-    return LpsReport(centers, ratios, float(ratios.min()), degenerate=False)
+    return LpsReport(centers, ratios, float(ratios.min()))
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +405,9 @@ class SizeExperimentConfig:
         if (self.inclusion is None) != (len(self.inclusion_polygons) == 0):
             raise ValueError(
                 "inclusion material and inclusion polygons come together")
+        # before any mesh or solve; size_bounds keeps its own guard
+        _require_positive("c1", self.c1)
+        _require_positive("c2", self.c2)
 
 
 @dataclass(frozen=True)
@@ -539,19 +539,13 @@ def _size_experiment(config, reference):
         lower, upper = 0.0, 0.0
         lemma = None
     else:
+        # a wrong sign computes no bounds; the lemma's sign line names it
         sign_ok = _gap_term(gap, w0, jumps.sign) is not None
-        if sign_ok:
-            lower, upper = size_bounds(gap, w0, jumps, config.c1, config.c2,
-                                       ap.rho0)
-        else:
-            lower, upper = np.nan, np.nan
-            messages.append(
-                f"work gap {gap:.3e} has the wrong sign for the "
-                f"{jumps.sign} regime; no bounds computed")
+        lower, upper = size_bounds(gap, w0, jumps, config.c1, config.c2,
+                                   ap.rho0) if sign_ok else (np.nan, np.nan)
         lemma = verify_energy_lemma(fw.state0, fw.state, fw.rhs,
                                     config.material, jumps, indicator)
-        if not lemma.passed:
-            messages.extend(lemma.messages)
+        messages.extend(lemma.messages)
 
     # skip the empty-indicator warning path; 1.0 is its defined value
     fat = 1.0 if indicator.empty else \

@@ -813,6 +813,19 @@ def test_zero_load_size_and_calibrate_agree(tmp_path, capsys):
         assert capsys.readouterr().err == line
 
 
+def test_zero_load_energy_lemma_is_config_error(tmp_path, capsys):
+    # the lemma of the zero load holds trivially, but the size experiment
+    # it comes from refuses the load, as size does
+    text = BASE.replace("a=1", "a=0") + \
+        f"inclusion = {_sq_poly(tmp_path)}\nkappa = 2.0\n"
+    out = tmp_path / "out"
+    assert main(["energy-lemma", "--config", _cfg(tmp_path, text),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "config error: reference work must be positive\n"
+    assert not list(out.glob("*.csv"))
+
+
 # exit codes
 
 
@@ -898,13 +911,68 @@ def test_failed_lemma_bound_names_itself(tmp_path, capsys, monkeypatch,
                                          command, kappa, understated):
     # bounds that understate the plate's contrast put its gap above the
     # lemma's upper bound
-    for module in (estimates, cli):
-        monkeypatch.setattr(module, "jump_bounds", lambda *a: understated)
+    monkeypatch.setattr(estimates, "jump_bounds", lambda *a: understated)
     cfg = _contrast_cfg(tmp_path, kappa)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "upper bound fails: lhs = " in err[0]
     assert "mid = " in err[0] and "rhs = " in err[0] and "tol = " in err[0]
+
+
+def test_wrong_sign_gap_ends_alike_in_every_command(tmp_path, capsys,
+                                                    monkeypatch):
+    # soft bounds on a stiff plate: its positive gap has the wrong sign,
+    # which the lemma's sign line names, once, in size and energy-lemma,
+    # and every entry of a calibrate corpus fails its checks
+    monkeypatch.setattr(estimates, "jump_bounds",
+                        lambda *a: JumpBounds(0.5, 0.5, "soft"))
+    cfg = _contrast_cfg(tmp_path, 2.5)
+    for command, prefix in (("size", "size: "),
+                            ("energy-lemma", "energy lemma: ")):
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err and all(line.startswith(prefix) for line in err), err
+        assert sum("work gap sign inconsistent with soft regime" in line
+                   for line in err) == 1, err
+        assert not any("no bounds computed" in line for line in err), err
+    q = _quantities(tmp_path / "size_quantities.csv")
+    assert q["sign_ok"] == "0" and q["lower"] == q["upper"] == "nan"
+    poly = tmp_path / "quad.poly"
+    corpus = _corpus(tmp_path, [
+        (f"case{i}", CONTRAST + f"inclusion = {poly}\nkappa = {kappa}\n")
+        for i, kappa in enumerate((2.5, 3.0))])
+    out = tmp_path / "calibrate"
+    for jobs in ("1", "2"):
+        assert main(["calibrate", "--config", corpus, "--out", str(out),
+                     "--jobs", jobs]) == 3
+        assert capsys.readouterr().err == (
+            "calibrate: case0 failed checks\ncalibrate: case1 failed checks\n")
+        assert sorted(p.name for p in out.glob("*.csv")) == \
+            ["calibrate_corpus.csv"]
+
+
+@pytest.mark.parametrize("key", ["c1", "c2"])
+@pytest.mark.parametrize("command", ["size", "energy-lemma", "calibrate"])
+def test_nonpositive_constant_refused_before_any_mesh(tmp_path, capsys,
+                                                      monkeypatch, command,
+                                                      key):
+    calls = []
+
+    def no_work(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("meshed or factored before the constants")
+
+    for name in ("generate_mesh", "factorize"):
+        monkeypatch.setattr(estimates, name, no_work)
+    text = BASE + f"inclusion = {_sq_poly(tmp_path)}\nkappa = 2.0\n"
+    cfg = _cfg(tmp_path, text + f"{key} = 0\n")
+    if command == "calibrate":
+        # the second entry holds the bad constant
+        cfg = _corpus(tmp_path, [("a", text), ("b", text + f"{key} = -1\n")])
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"config error: {key} must be positive\n"
+    assert not list(tmp_path.glob("*.csv"))
+    assert calls == []
 
 
 @pytest.mark.parametrize("dense", [[], ["--dense-oracle"]],

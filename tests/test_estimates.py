@@ -400,7 +400,6 @@ def test_lps_tests_about_a_square_per_disk():
 def test_lps_constant_field(bending_field):
     mesh, field = bending_field
     rep = lps_check(field, 0.04, theta=0.3)
-    assert not rep.degenerate
     assert ((rep.ratios >= 0.0) & (rep.ratios <= 1.0)).all()
     assert rep.constant == rep.ratios.min()
     expect = np.pi * 0.04 ** 2  # unit area, constant density
@@ -416,13 +415,13 @@ def test_lps_rho_too_large(bending_field):
 
 
 def test_lps_zero_field_degenerate(bending_field):
+    # a field without energy is refused, in the words of the lps command
     mesh, field = bending_field
     zero = PlateState(u=np.zeros(3 * mesh.n_nodes), mesh=mesh, residual=0.0,
                       normalization=None, assumed_shear=True)
     zf = strain_energy_density(zero, rho0=1.0)
-    rep = lps_check(zf, 0.04, theta=0.3)
-    assert rep.degenerate
-    assert np.isnan(rep.constant)
+    with pytest.raises(ValueError, match="^reference energy must be positive$"):
+        lps_check(zf, 0.04, theta=0.3)
 
 
 # the assembled experiment

@@ -27,7 +27,9 @@ h = 0.1 and target size 1/32 too, where the factor's fill depends on the pivot
 choice. size also runs with tensor tables in place of kappa, without the
 lambda key (exit 1), with the zero load `pure_bending a=0` (exit 1) and on a
 dumbbell, two unit squares joined by a 0.02-wide neck, at target size 0.25,
-whose overlay splits into two plates (exit 1). Four more calibrate corpora run
+whose overlay splits into two plates (exit 1). energy-lemma-zero-load runs
+energy-lemma on that zero load (exit 1), and size-c1-0 and energy-lemma-c1-0
+run both commands with `c1 = 0` (exit 1). Four more calibrate corpora run
 at --jobs 1 and 2: one spans two meshes and holds a reference-only entry, in
 another the second entry has an unknown load, the third holds two zero-load
 entries (exit 1), and in the fourth, calibrate-window, two inclusion entries
@@ -120,6 +122,7 @@ def command_runs(inputs):
         "no_lambda": incl.replace("lambda = 1.0\n", ""),
         # the zero load has no frequency report; the size bounds fail first
         "zero_load": zero,
+        "c1_0": incl + "c1 = 0\n",
         "three_spheres": BASE.replace("target_size = 0.125",
                                       "target_size = 0.0625")
         + "rho0 = 0.1\nrho = 0.04\npitch = 0.05\n",
@@ -231,6 +234,10 @@ def command_runs(inputs):
             ("size-tables", ["size", "--config", path["tables"]]),
             ("size-no-lambda", ["size", "--config", path["no_lambda"]]),
             ("size-zero-load", ["size", "--config", path["zero_load"]]),
+            ("energy-lemma-zero-load", ["energy-lemma", "--config",
+                                        path["zero_load"]]),
+            ("size-c1-0", ["size", "--config", path["c1_0"]]),
+            ("energy-lemma-c1-0", ["energy-lemma", "--config", path["c1_0"]]),
             ("size-dumbbell", ["size", "--config", path["dumbbell"]]),
             ("three-spheres", ["three-spheres", "--config",
                                path["three_spheres"]]),
