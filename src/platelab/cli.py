@@ -36,9 +36,6 @@ from .material import (
 )
 from .solver import SolveError, residual_check
 
-ENV_OUT = "PLATELAB_OUT"
-
-
 class ConfigError(Exception):
     pass
 
@@ -189,7 +186,7 @@ def _build_inclusion(cfg):
 
 
 def _outdir(cfg, args):
-    out = args.out or cfg.get("out") or os.environ.get(ENV_OUT) or "."
+    out = args.out or cfg.get("out") or "."
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -310,6 +307,8 @@ def _cmd_three_spheres(cfg, args, name, outdir, stamp):
             raise ConfigError("center needs two coordinates")
     elif "pitch" in cfg:
         pitch = _positive("pitch", _f(cfg, "pitch"))
+    if not rho < _build_apriori(cfg).rho0:
+        raise ConfigError("rho must be smaller than rho0")
     field = _reference_field(cfg, args, name)
     if centers is None:
         centers = admissible_centers(field.mesh, rho, theta, pitch)
@@ -362,13 +361,13 @@ WORK_RTOL = 0.005
 def _cmd_convergence(cfg, args, name, outdir, stamp):
     domain = _build_domain(cfg)
     mat = _build_material(cfg)
-    records, w_err = convergence_study(
+    records = convergence_study(
         domain, mat, cfg.get("load", "pure_bending a=1"),
         target0=_f(cfg, "target_size", 0.25),
         levels=_i(cfg, "refinements", 3),
         assumed_shear=not args.full_integration)
     _emit(outdir, name, tables.convergence_rows(records), stamp)
-    last_order = records[-1][4]
+    w_err, last_order = records[-1][3:]
     if last_order is not None and last_order < MIN_ORDER:
         print(f"convergence: observed order {last_order:.3f} < {MIN_ORDER}",
               file=sys.stderr)

@@ -26,7 +26,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .functionals import (
-    _disk_points,
     boundary_work,
     disk_energies,
     frequency,
@@ -251,16 +250,14 @@ class ThreeSpheresReport:
     message: str = ""
 
 
-def three_spheres_sweep(field, centers, rho, theta=0.3, rho0=None):
-    """ThreeSpheresReport for each center, from one batched disk pass.
+def three_spheres_sweep(field, centers, rho, theta=0.3):
+    """ThreeSpheresReport for each center at field.rho0, from one disk pass.
 
     Raises ValueError naming the first center that lies outside the domain
     or closer than (7/(2 theta)) rho to its boundary.
     """
-    if rho0 is None:
-        rho0 = field.rho0
     _require_positive("rho", rho)
-    if not rho < rho0:
+    if not rho < field.rho0:
         raise ValueError("rho must be smaller than rho0")
     margin = _margin(rho, theta)
     pts = np.asarray(centers, dtype=float).reshape(-1, 2)
@@ -272,8 +269,8 @@ def three_spheres_sweep(field, centers, rho, theta=0.3, rho0=None):
             f"center {tuple(centers[i])} inadmissible: needs distance >= "
             f"{margin:.4g} from the boundary, has {dist[i]:.4g}")
     energies = disk_energies(field, pts, (rho, 3.0 * rho, margin))
-    return [_three_spheres_report((float(c[0]), float(c[1])), rho, rho0,
-                                  *map(float, e))
+    return [_three_spheres_report((float(c[0]), float(c[1])), rho,
+                                  field.rho0, *map(float, e))
             for c, e in zip(pts, energies)]
 
 
@@ -330,13 +327,19 @@ def _admissible(points, mesh, margin):
     return dist >= margin * (1.0 - 1e-12), dist
 
 
+# the most candidate centers one grid tests: the grid and its admissibility
+# test take about 140 bytes per candidate, so about 140 MB at the budget
+MAX_CENTERS = 1_000_000
+
+
 def admissible_centers(mesh, rho, theta=0.3, pitch=None):
     """Deterministic center grid for the interpolation and smallness probes.
 
     Pitch defaults to min(rho/2, l) with l the covering-square side
     4 theta h1 rho0 / (2 sqrt(2) theta + 7) from the a priori data.
     Admissible centers lie at least (7/(2 theta)) rho deep in the domain;
-    a grid without one is refused.
+    a grid of more than MAX_CENTERS candidates, or without an admissible
+    one, is refused.
     """
     _require_positive("rho", rho)
     margin = _margin(rho, theta)
@@ -349,6 +352,10 @@ def admissible_centers(mesh, rho, theta=0.3, pitch=None):
     hi = mesh.nodes.max(axis=0)
     xs = np.arange(lo[0] + pitch / 2.0, hi[0], pitch)
     ys = np.arange(lo[1] + pitch / 2.0, hi[1], pitch)
+    count = len(xs) * len(ys)
+    if count > MAX_CENTERS:
+        raise ValueError(f"center grid of {count} candidates exceeds the "
+                         f"budget of {MAX_CENTERS}")
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     cand = np.column_stack([gx.ravel(), gy.ravel()])
     keep, _ = _admissible(cand, mesh, margin)
@@ -372,13 +379,7 @@ def lps_check(field, rho, theta=0.3):
     total = field.total
     _require_positive("reference energy", total)
     centers = admissible_centers(field.mesh, rho, theta)
-    # summed as (w e2)[disk].sum(), not w[disk] @ e2[disk] as in
-    # disk_energies: the two differ in the last bits
-    ratios = np.empty(len(centers))
-    for _, rows, we2 in _disk_points(field, centers, (rho,),
-                                     field.weight * field.e2):
-        ratios[rows] = we2.sum(axis=1)
-    ratios /= total
+    ratios = disk_energies(field, centers, (rho,))[:, 0] / total
     return LpsReport(centers, ratios, float(ratios.min()))
 
 
@@ -647,8 +648,8 @@ def convergence_study(domain, material, family="pure_bending a=1", target0=0.25,
                       levels=3, assumed_shear=True):
     """Uniform-refinement errors against the closed-form solution.
 
-    Returns (records, work_error_last) where records are rows
-    (n_elements, mesh_size, energy_error, work_error, observed_order).
+    Returns rows (n_elements, mesh_size, energy_error, work_error,
+    observed_order), one per level.
     Energy errors are relative to the exact energy norm; once an error
     falls below _EXACT_FLOOR the solution is exact to round-off and the
     observed order is reported as inf.
@@ -681,4 +682,4 @@ def convergence_study(domain, material, family="pure_bending a=1", target0=0.25,
         records.append((fw.mesh.n_elements, fw.mesh.mesh_size, e_rel, w_err,
                         order))
         prev = e_rel
-    return records, records[-1][3]
+    return records

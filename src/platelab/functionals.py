@@ -40,7 +40,7 @@ class EnergyField:
 
     @property
     def total(self):
-        return float(self.weight @ self.e2)
+        return float(np.sum(self.weight * self.e2))
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,11 @@ def work_report(f, state, state_reference):
     return WorkReport(w, w0, w0 - w, rel)
 
 
-def strain_energy_density(state, rho0=None, order=2):
-    """EnergyField of a state at an order x order Gauss rule per element."""
+def strain_energy_density(state, order=2):
+    """EnergyField of a state at an order x order Gauss rule per element,
+    with the rho0 of the state's domain."""
     mesh = state.mesh
-    if rho0 is None:
-        rho0 = mesh.domain.apriori.rho0
+    rho0 = mesh.domain.apriori.rho0
     ops = element_operators(mesh, order, state.assumed_shear)
     bend_sq, shear_sq = ops.strain_squares(state.u)
     e2 = bend_sq + shear_sq / rho0 ** 2
@@ -87,14 +87,14 @@ def strain_energy_density(state, rho0=None, order=2):
 _BATCH = 1 << 16
 
 
-def _disk_points(field, centers, radii, *values):
-    """Yield (k, rows, *gathered) batches that cover every disk once.
+def _disk_points(field, centers, radii, values):
+    """Yield (k, rows, gathered) batches that cover every disk once.
 
     The disk of radius radii[k] about centers[i] holds the points with
     (x - cx)^2 + (y - cy)^2 <= r^2; a negative radius reads as |r|. rows
-    indexes centers, and gathered[j][n] holds values[j] at the points of
-    the disk about centers[rows][n], in ascending point index. Every disk
-    of a batch holds the same number of points, so a row-wise reduction of
+    indexes centers, and gathered[n] holds values at the points of the
+    disk about centers[rows][n], in ascending point index. Every disk of a
+    batch holds the same number of points, so a row-wise reduction of
     gathered reduces each disk as one call on that disk alone would.
 
     Only the points of a disk's band |y - cy| <= r are tested. The band is
@@ -141,8 +141,7 @@ def _disk_points(field, centers, radii, *values):
             for k, (l, h, rr) in enumerate(zip(lo[:, i].tolist(),
                                                hi[:, i].tolist(), r2)):
                 m = d2[l - a:h - a] <= rr
-                yield (k, slice(i, i + 1), *(v[l:h][m][None, :]
-                                             for v in values))
+                yield k, slice(i, i + 1), values[l:h][m][None, :]
 
 
 def _windowed(x, y, centers, groups, r, r2, lo, hi, values):
@@ -190,7 +189,7 @@ def _windowed(x, y, centers, groups, r, r2, lo, hi, values):
 
 
 def _batches(rows, counts, keys, n, values):
-    # (rows, *gathered) per member count of the pending disks of _windowed
+    # (rows, gathered) per member count of the pending disks of _windowed
     if not rows:
         return
     rows, counts = np.concatenate(rows), np.concatenate(counts)
@@ -200,7 +199,7 @@ def _batches(rows, counts, keys, n, values):
     for c in np.unique(counts).tolist():
         sel = counts == c
         idx = points[starts[sel, None] + np.arange(c)]
-        yield (rows[sel], *(v[idx] for v in values))
+        yield rows[sel], values[idx]
 
 
 def disk_energies(field, centers, radii):
@@ -208,13 +207,14 @@ def disk_energies(field, centers, radii):
 
     Entry [i, k] integrates over the disk of radius radii[k] about
     centers[i]; a disk that holds no quadrature point gives 0.0. Each
-    entry is w[m] @ e2[m] over the disk's points m in index order.
+    entry is (w e2)[m].sum() over the disk's points m in index order, so
+    a disk that covers every point sums to field.total.
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
     out = np.empty((len(centers), len(radii)))
-    for k, rows, w, e2 in _disk_points(field, centers, radii,
-                                       field.weight, field.e2):
-        out[rows, k] = np.matmul(w[:, None, :], e2[:, :, None])[:, 0, 0]
+    for k, rows, we2 in _disk_points(field, centers, radii,
+                                     field.weight * field.e2):
+        out[rows, k] = we2.sum(axis=1)
     return out
 
 

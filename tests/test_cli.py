@@ -465,6 +465,10 @@ def test_probe_nonpositive_rho_is_config_error(tmp_path, capsys, command,
     ("three-spheres", "rho = 0.04\npitch = -0.1\n", "pitch must be positive"),
     ("three-spheres", "rho = 0.03 0.02\n",
      "rho holds 2 radii; three-spheres takes one"),
+    ("three-spheres", "rho0 = 0.03\nrho = 0.03\n",
+     "rho must be smaller than rho0"),
+    ("three-spheres", "rho0 = 0.03\nrho = 0.04\npitch = 0.05\n",
+     "rho must be smaller than rho0"),
     ("lps", "rho =\n", "config key 'rho' holds no radius"),
     ("lps", "rho = 0.04 nan\n", "rho must be positive"),
     ("lps", "rho = 0.04\ntheta = -0.3\n", "theta must be positive"),
@@ -474,6 +478,7 @@ def test_probe_nonpositive_rho_is_config_error(tmp_path, capsys, command,
 ])
 def test_probe_keys_checked_before_the_solve(tmp_path, capsys, monkeypatch,
                                              command, lines, message):
+    # the reference plate makes the probes' one mesh
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the probe keys were checked")
 
@@ -483,6 +488,30 @@ def test_probe_keys_checked_before_the_solve(tmp_path, capsys, monkeypatch,
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command,lines,count", [
+    # 1111^2 candidates at pitch 0.0009
+    ("three-spheres", "rho = 0.09\npitch = 0.0009\n", 1111 ** 2),
+    # the default pitch 4 theta h1 rho0 / (2 sqrt(2) theta + 7) = 7.6e-4
+    ("lps", "h1 = 0.005\nrho = 0.04\n", 1308 ** 2),
+], ids=["three-spheres", "lps"])
+def test_probes_refuse_a_grid_over_the_budget(tmp_path, capsys, monkeypatch,
+                                               command, lines, count):
+    calls = []
+
+    def no_test(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("tested centers of a grid over the budget")
+
+    monkeypatch.setattr(estimates, "points_in_polygon", no_test)
+    cfg = _cfg(tmp_path, BASE + lines)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: center grid of {count} candidates exceeds the "
+        f"budget of {estimates.MAX_CENTERS}\n")
+    assert not list(tmp_path.glob("*.csv"))
+    assert calls == []
 
 
 @pytest.mark.parametrize("command", ["size", "energy-lemma"])
@@ -560,7 +589,7 @@ def test_convergence_csv_matches_library(tmp_path):
     cfg = _cfg(tmp_path, BASE + "refinements = 3\n")
     assert main(["convergence", "--config", cfg, "--out", str(tmp_path)]) == 0
     square = Domain(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float))
-    records, _ = convergence_study(
+    records = convergence_study(
         square, IsotropicMaterial(lam=1.0, mu=1.0, h=1.0), "pure_bending a=1",
         target0=0.25, levels=3)
     assert (tmp_path / "convergence_convergence.csv").read_text() == \
@@ -1137,18 +1166,16 @@ def test_convergence_unreachable_order_fails(tmp_path, monkeypatch):
 # output routing and determinism
 
 
-def test_out_env_var(tmp_path, monkeypatch):
+def test_out_config_key(tmp_path):
     target = tmp_path / "routed"
-    monkeypatch.setenv("PLATELAB_OUT", str(target))
-    cfg = _cfg(tmp_path, BASE)
+    cfg = _cfg(tmp_path, BASE + f"out = {target}\n")
     assert main(["work", "--config", cfg]) == 0
     assert (target / "work_quantities.csv").exists()
 
 
-def test_out_flag_beats_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("PLATELAB_OUT", str(tmp_path / "loser"))
+def test_out_flag_beats_config_key(tmp_path):
     winner = tmp_path / "winner"
-    cfg = _cfg(tmp_path, BASE)
+    cfg = _cfg(tmp_path, BASE + f"out = {tmp_path / 'loser'}\n")
     assert main(["work", "--config", cfg, "--out", str(winner)]) == 0
     assert (winner / "work_quantities.csv").exists()
     assert not (tmp_path / "loser").exists()

@@ -223,18 +223,29 @@ def test_calibrate_rejects_degenerate_entries():
 # three spheres
 
 
-@pytest.fixture(scope="module")
-def bending_field():
-    mesh = generate_mesh(SQUARE, 1.0 / 24.0)
+def _bending_field(rho0):
+    mesh = generate_mesh(Domain(SQUARE.vertices, AprioriData(rho0=rho0)),
+                         1.0 / 24.0)
     load = load_from_family(mesh, "pure_bending a=1.0", MAT)
     state = solve(assemble_stiffness(mesh, MAT).with_load(
         assemble_load(load)))
-    return mesh, strain_energy_density(state, rho0=1.0, order=3)
+    return mesh, strain_energy_density(state, order=3)
 
 
-def test_three_spheres_constant_density(bending_field):
-    mesh, field = bending_field
-    rep = three_spheres_sweep(field, [(0.5, 0.5)], 0.04, theta=0.3, rho0=0.1)[0]
+@pytest.fixture(scope="module")
+def bending_field():
+    return _bending_field(1.0)
+
+
+@pytest.fixture(scope="module")
+def bending_field_rho0_01():
+    # the same plate on a domain of rho0 = 0.1
+    return _bending_field(0.1)
+
+
+def test_three_spheres_constant_density(bending_field_rho0_01):
+    mesh, field = bending_field_rho0_01
+    rep = three_spheres_sweep(field, [(0.5, 0.5)], 0.04, theta=0.3)[0]
     assert rep.feasible and not rep.degenerate
     assert rep.i_small <= rep.i_mid <= rep.i_large
     # constant density: the fitted exponent has a closed form in the radii
@@ -248,7 +259,7 @@ def test_three_spheres_wide_scale_infeasible(bending_field):
     # rho0/rho far above the mid radius pushes the fitted exponent past 1;
     # the report must say so instead of clamping silently into range
     mesh, field = bending_field
-    rep = three_spheres_sweep(field, [(0.5, 0.5)], 0.04, theta=0.3, rho0=1.0)[0]
+    rep = three_spheres_sweep(field, [(0.5, 0.5)], 0.04, theta=0.3)[0]
     assert not rep.feasible
     assert rep.tau_raw > 1.0
     assert rep.tau == 0.99
@@ -256,8 +267,7 @@ def test_three_spheres_wide_scale_infeasible(bending_field):
 
 def test_three_spheres_invariant_and_message(bending_field):
     mesh, field = bending_field
-    rep = three_spheres_sweep(field, [(0.52, 0.47)], 0.03, theta=0.3,
-                              rho0=1.0)[0]
+    rep = three_spheres_sweep(field, [(0.52, 0.47)], 0.03, theta=0.3)[0]
     assert rep.i_small <= rep.i_mid <= rep.i_large
     assert 0.01 <= rep.tau <= 0.99
 
@@ -265,23 +275,23 @@ def test_three_spheres_invariant_and_message(bending_field):
 def test_three_spheres_admissibility_enforced(bending_field):
     mesh, field = bending_field
     with pytest.raises(ValueError):
-        three_spheres_sweep(field, [(0.5, 0.5)], 0.05, theta=0.3, rho0=1.0)
+        three_spheres_sweep(field, [(0.5, 0.5)], 0.05, theta=0.3)
     with pytest.raises(ValueError):
-        three_spheres_sweep(field, [(0.05, 0.05)], 0.03, theta=0.3, rho0=1.0)
+        three_spheres_sweep(field, [(0.05, 0.05)], 0.03, theta=0.3)
     with pytest.raises(ValueError):
-        three_spheres_sweep(field, [(0.5, 0.5)], 1.5, theta=0.3, rho0=1.0)
+        three_spheres_sweep(field, [(0.5, 0.5)], 1.5, theta=0.3)
     # a sweep names its first inadmissible center as given
     with pytest.raises(ValueError, match=r"center \(0\.05, 0\.95\) inadmissible"):
         three_spheres_sweep(field, [(0.5, 0.5), (0.05, 0.95), (0.05, 0.05)],
-                            0.03, theta=0.3, rho0=1.0)
+                            0.03, theta=0.3)
 
 
 def test_three_spheres_zero_field_degenerate(bending_field):
     mesh, field = bending_field
     zero = PlateState(u=np.zeros(3 * mesh.n_nodes), mesh=mesh, residual=0.0,
                       normalization=None, assumed_shear=True)
-    zf = strain_energy_density(zero, rho0=1.0)
-    rep = three_spheres_sweep(zf, [(0.5, 0.5)], 0.04, theta=0.3, rho0=1.0)[0]
+    zf = strain_energy_density(zero)
+    rep = three_spheres_sweep(zf, [(0.5, 0.5)], 0.04, theta=0.3)[0]
     assert rep.degenerate
     assert "zero" in rep.message
     assert np.isnan(rep.constant)
@@ -330,15 +340,17 @@ def test_probes_reject_nonpositive_rho(rho):
 
 
 @pytest.mark.parametrize("theta", [0.0, -0.3])
-def test_probes_reject_nonpositive_theta(bending_field, theta):
+def test_probes_reject_nonpositive_theta(bending_field, bending_field_rho0_01,
+                                         theta):
     # theta = -0.3 would give a negative margin, which the corner (0, 0)
     # of the unit square meets
     mesh, field = bending_field
     with pytest.raises(ValueError, match="theta must be positive"):
         lps_check(field, 0.04, theta)
+    mesh, field = bending_field_rho0_01
     for center in ((0.5, 0.5), (0.0, 0.0)):
         with pytest.raises(ValueError, match="theta must be positive"):
-            three_spheres_sweep(field, [center], 0.04, theta, rho0=0.1)
+            three_spheres_sweep(field, [center], 0.04, theta)
 
 
 def test_probes_share_one_refusal_of_a_grid_without_centers(bending_field):
@@ -358,7 +370,7 @@ def test_lps_ratios_match_brute_force(domain, target, rho):
     mesh = generate_mesh(domain, target)
     u = np.random.default_rng(8).normal(size=3 * mesh.n_nodes)
     state = PlateState(u=u, mesh=mesh, residual=0.0, normalization=None)
-    field = strain_energy_density(state, rho0=1.0, order=3)
+    field = strain_energy_density(state, order=3)
     rep = lps_check(field, rho, theta=0.3)
     we2 = field.weight * field.e2
     expect = [we2[(field.x - cx) ** 2 + (field.y - cy) ** 2 <= rho ** 2].sum()
@@ -388,7 +400,7 @@ def test_lps_tests_about_a_square_per_disk():
     mesh = generate_mesh(SQUARE, 1.0 / 48.0)
     u = np.random.default_rng(8).normal(size=3 * mesh.n_nodes)
     state = PlateState(u=u, mesh=mesh, residual=0.0, normalization=None)
-    field = strain_energy_density(state, rho0=1.0, order=3)
+    field = strain_energy_density(state, order=3)
     x, tested = _counting_x(field.x)
     rho = 0.02
     rep = lps_check(replace(field, x=x), rho, theta=0.3)
@@ -419,7 +431,7 @@ def test_lps_zero_field_degenerate(bending_field):
     mesh, field = bending_field
     zero = PlateState(u=np.zeros(3 * mesh.n_nodes), mesh=mesh, residual=0.0,
                       normalization=None, assumed_shear=True)
-    zf = strain_energy_density(zero, rho0=1.0)
+    zf = strain_energy_density(zero)
     with pytest.raises(ValueError, match="^reference energy must be positive$"):
         lps_check(zf, 0.04, theta=0.3)
 

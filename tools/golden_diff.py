@@ -21,8 +21,11 @@ runs three-spheres at rho 0.003, where most reports are degenerate and some of
 those infeasible (exit 3), and three-spheres-deep and lps-deep run both probes
 at rho 0.2, deeper than any center of the unit square (exit 1);
 three-spheres-zero-load and lps-zero-load run both probes on the zero load,
-whose field holds no energy. solve and size (kappa 2.5) run on thin plates, h
-= 0.1 and 0.01, with and without --full-integration; size-h0.1-32 runs size at
+whose field holds no energy. three-spheres-rho-ge-rho0 runs three-spheres at
+rho 0.04 over rho0 0.03 (exit 1), and three-spheres-grid-budget at pitch
+0.0009, a grid of 1.23M candidate centers (exit 1). solve and size (kappa
+2.5) run on thin plates, h = 0.1 and 0.01, with and without
+--full-integration; size-h0.1-32 runs size at
 h = 0.1 and target size 1/32 too, where the factor's fill depends on the pivot
 choice. size also runs with tensor tables in place of kappa, without the
 lambda key (exit 1), with the zero load `pure_bending a=0` (exit 1) and on a
@@ -139,6 +142,9 @@ def command_runs(inputs):
         + "rho0 = 0.1\nrho = 0.003\npitch = 0.02\n",
         # a probe depth of 2.333, past the inradius: no admissible center
         "deep": BASE + "rho = 0.2\n",
+        "rho_ge_rho0": BASE + "rho0 = 0.03\nrho = 0.04\npitch = 0.05\n",
+        # 1111^2 candidates, none of them 1.05 deep
+        "grid_budget": BASE + "rho = 0.09\npitch = 0.0009\n",
         "convergence": BASE.replace("target_size = 0.125",
                                     "target_size = 0.25")
         + "refinements = 3\n",
@@ -250,6 +256,10 @@ def command_runs(inputs):
             ("three-spheres-zero-load", ["three-spheres", "--config",
                                          path["probe_zero_load"]]),
             ("lps-zero-load", ["lps", "--config", path["probe_zero_load"]]),
+            ("three-spheres-rho-ge-rho0", ["three-spheres", "--config",
+                                           path["rho_ge_rho0"]]),
+            ("three-spheres-grid-budget", ["three-spheres", "--config",
+                                           path["grid_budget"]]),
             ("convergence", ["convergence", "--config", path["convergence"]])]
     runs += [(f"{command}-{key}", [command, "--config", path[key]])
              for key in ("lshape", "skewed") for command in ("solve", "size")]
