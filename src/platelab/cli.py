@@ -8,8 +8,10 @@ exit-code contract: 0 success, 1 config error, 2 numerical failure,
 
 import argparse
 import glob
+import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -40,110 +42,112 @@ class ConfigError(Exception):
     pass
 
 
-# every key a command reads; any other key is a config error
-_KEYS = frozenset((
-    "domain", "lambda", "mu", "h", "alpha0", "gamma0", "alpha1",
-    "target_size", "element_budget", "load", "inclusion", "kappa",
-    "stilde_table", "ptilde_table", "c1", "c2",
-    "rho0", "m1", "s0", "d0", "h1", "x0",
-    "theta", "rho", "center", "pitch", "refinements", "corpus",
-    "name", "out", "timestamp"))
+class _Config(dict):
+    """Typed values by key; reading a key the file lacks is a config error."""
+
+    def __missing__(self, key):
+        raise ConfigError(f"missing config key '{key}'")
+
+
+def _numbers(key, text, count=None, positive=False):
+    # finite numbers: count 1 is one number, 2 a pair and None a list of
+    # one or more, split at commas and spaces
+    try:
+        values = [float(tok) for tok in
+                  ([text] if count == 1 else text.replace(",", " ").split())]
+    except ValueError:
+        raise ConfigError(f"config key '{key}' is not a number"
+                          f"{'' if count == 1 else ' list'}: {text!r}")
+    if count == 2 and len(values) != 2:
+        raise ConfigError(f"{key} needs two coordinates")
+    if not values:
+        raise ConfigError(f"config key '{key}' holds no radius")
+    for value in values:
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite")
+        if positive and not value > 0.0:
+            raise ConfigError(f"{key} must be positive")
+    return values[0] if count == 1 else tuple(values) if count else values
+
+
+def _count(key, text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise ConfigError(f"config key '{key}' is not an integer: {text!r}")
+    if value < 1:
+        raise ConfigError(f"config key '{key}' must be at least 1, got {value}")
+    return value
+
+
+def _switch(key, text):
+    on = text.lower() in ("on", "true", "1", "yes")
+    if not on and text.lower() not in ("off", "false", "0", "no"):
+        raise ConfigError(f"config key '{key}' must be on or off, got {text!r}")
+    return on
+
+
+def _stem(key, text):
+    if not text or any(c in text for c in ("/", os.sep, "\0")):
+        raise ConfigError(f"{key} must be a plain file name, got {text!r}")
+    return text
+
+
+def _domain(key, text):
+    tokens = text.split()
+    if tokens[:1] != ["rectangle"]:
+        return text  # the path of a polygon file
+    if len(tokens) != 5:
+        raise ConfigError("domain rectangle needs 4 numbers")
+    return tuple(_numbers(key, tok, 1) for tok in tokens[1:])
+
+
+# every config key and the one parser of its text, applied when the file is
+# read; name is the stem of the output files <name>_<kind>.csv
+_KEYS = {
+    "domain": _domain, "timestamp": _switch, "name": _stem,
+    "rho": partial(_numbers, positive=True),
+    **dict.fromkeys(("x0", "center"), partial(_numbers, count=2)),
+    **dict.fromkeys(("element_budget", "refinements"), _count),
+    **dict.fromkeys(("theta", "pitch"),
+                    partial(_numbers, count=1, positive=True)),
+    **dict.fromkeys(("lambda", "mu", "h", "alpha0", "gamma0", "alpha1",
+                     "target_size", "kappa", "c1", "c2", "rho0", "m1", "s0",
+                     "d0", "h1"), partial(_numbers, count=1)),
+    **dict.fromkeys(("load", "inclusion", "stilde_table", "ptilde_table",
+                     "corpus", "out"), lambda key, text: text)}
 
 
 def parse_config(path):
-    cfg = {}
     try:
         with open(path) as fh:
-            for ln, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{ln}: expected 'key = value'")
-                key, val = (s.strip() for s in line.split("=", 1))
-                if not key:
-                    raise ConfigError(f"{path}:{ln}: empty key")
-                if key not in _KEYS:
-                    raise ConfigError(f"{path}:{ln}: unknown key '{key}'")
-                if key in cfg:
-                    raise ConfigError(f"{path}:{ln}: duplicate key '{key}'")
-                cfg[key] = val
+            lines = list(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
+    cfg = _Config()
+    for ln, line in enumerate(lines, 1):
+        key, eq, val = (s.strip() for s in line.split("#", 1)[0].partition("="))
+        if eq and key in _KEYS and key not in cfg:
+            cfg[key] = _KEYS[key](key, val)
+        elif key or eq:
+            raise ConfigError(f"{path}:{ln}: " + (
+                "expected 'key = value'" if not eq else "empty key" if not key
+                else f"duplicate key '{key}'" if key in cfg
+                else f"unknown key '{key}'"))
     return cfg
 
 
-def _f(cfg, key, default=None):
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing config key '{key}'")
-        return default
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise ConfigError(f"config key '{key}' is not a number: {cfg[key]!r}")
-
-
-def _i(cfg, key, default=None):
-    if key not in cfg:
-        return default
-    try:
-        val = int(cfg[key])
-    except ValueError:
-        raise ConfigError(f"config key '{key}' is not an integer: {cfg[key]!r}")
-    if val < 1:
-        raise ConfigError(f"config key '{key}' must be at least 1, got {val}")
-    return val
-
-
-def _floats(cfg, key):
-    if key not in cfg:
-        raise ConfigError(f"missing config key '{key}'")
-    try:
-        return [float(tok) for tok in cfg[key].replace(",", " ").split()]
-    except ValueError:
-        raise ConfigError(f"config key '{key}' is not a number list: {cfg[key]!r}")
-
-
-def _onoff(cfg, key, default):
-    val = cfg.get(key)
-    if val is None:
-        return default
-    low = val.lower()
-    if low in ("on", "true", "1", "yes"):
-        return True
-    if low in ("off", "false", "0", "no"):
-        return False
-    raise ConfigError(f"config key '{key}' must be on or off, got {val!r}")
-
-
-def _set_floats(cfg, keys):
-    """The number keys of keys that cfg sets; the dataclass has the rest."""
-    return {key: _f(cfg, key) for key in keys if key in cfg}
-
-
 def _build_apriori(cfg):
-    kw = _set_floats(cfg, ("rho0", "m1", "s0", "d0", "h1"))
-    if "x0" in cfg:
-        parts = _floats(cfg, "x0")
-        if len(parts) != 2:
-            raise ConfigError("x0 needs two coordinates")
-        kw["x0"] = tuple(parts)
-    return AprioriData(**kw)
+    return AprioriData(**{key: cfg[key] for key in
+                          ("rho0", "m1", "s0", "d0", "h1", "x0") if key in cfg})
 
 
 def _build_domain(cfg):
-    spec = cfg.get("domain")
-    if spec is None:
-        raise ConfigError("missing config key 'domain'")
+    spec = cfg["domain"]
     apriori = _build_apriori(cfg)
     try:
-        tokens = spec.split()
-        if tokens[:1] == ["rectangle"]:
-            parts = tokens[1:]
-            if len(parts) != 4:
-                raise ConfigError("domain rectangle needs 4 numbers")
-            return Domain.rectangle(*(float(p) for p in parts), apriori)
+        if isinstance(spec, tuple):
+            return Domain.rectangle(*spec, apriori)
         polys = read_polygons(spec)
         if len(polys) != 1:
             raise ConfigError("domain file must hold exactly one polygon")
@@ -154,8 +158,9 @@ def _build_domain(cfg):
 
 def _build_material(cfg):
     return IsotropicMaterial(
-        lam=_f(cfg, "lambda"), mu=_f(cfg, "mu"), h=_f(cfg, "h"),
-        **_set_floats(cfg, ("alpha0", "gamma0", "alpha1")))
+        lam=cfg["lambda"], mu=cfg["mu"], h=cfg["h"],
+        **{key: cfg[key] for key in ("alpha0", "gamma0", "alpha1")
+           if key in cfg})
 
 
 _INCLUSION_KEYS = ("inclusion", "kappa", "stilde_table", "ptilde_table")
@@ -175,7 +180,7 @@ def _build_inclusion(cfg):
     try:
         polys = tuple(read_polygons(path))
         if has_kappa:
-            incl = InclusionMaterial(kappa=_f(cfg, "kappa"))
+            incl = InclusionMaterial(kappa=cfg["kappa"])
         else:
             if "stilde_table" not in cfg or "ptilde_table" not in cfg:
                 raise ConfigError("tensor override needs both stilde_table and ptilde_table")
@@ -187,7 +192,11 @@ def _build_inclusion(cfg):
 
 def _outdir(cfg, args):
     out = args.out or cfg.get("out") or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out!r}: "
+                          f"{exc.strerror}")
     return out
 
 
@@ -200,19 +209,19 @@ def _emit(outdir, name, build, timestamp):
 
 
 def _size_config(cfg, args, name):
-    """The SizeExperimentConfig of a config mapping; validates every key."""
+    """The SizeExperimentConfig of a parsed config; builds every part."""
     domain = _build_domain(cfg)
     mat = _build_material(cfg)
-    target = _f(cfg, "target_size")
+    target = cfg["target_size"]
     polys, incl = _build_inclusion(cfg)
     return SizeExperimentConfig(
         domain=domain, material=mat, target_size=target,
         load_family=cfg.get("load", "pure_bending a=1"),
         inclusion_polygons=polys, inclusion=incl,
-        **_set_floats(cfg, ("c1", "c2")),
+        **{key: cfg[key] for key in ("c1", "c2") if key in cfg},
         assumed_shear=not args.full_integration,
         dense_oracle=args.dense_oracle,
-        element_budget=_i(cfg, "element_budget"),
+        element_budget=cfg.get("element_budget"),
         name=name)
 
 
@@ -222,26 +231,12 @@ def _reference_field(cfg, args, name):
     The probes study the inclusion-free plate and ignore inclusion keys;
     a field without energy, from a zero load, is refused.
     """
-    ref = {k: v for k, v in cfg.items() if k not in _INCLUSION_KEYS}
+    ref = _Config((k, v) for k, v in cfg.items() if k not in _INCLUSION_KEYS)
     fw = forward(_size_config(ref, args, name))
     field = strain_energy_density(fw.state0, order=4)
     if not field.total > 0.0:
         raise ConfigError("reference energy must be positive")
     return field
-
-
-def _positive(key, value):
-    if not value > 0.0:
-        raise ConfigError(f"{key} must be positive")
-    return value
-
-
-def _radii(cfg):
-    """The probe radii of the rho key, a list of at least one."""
-    rhos = _floats(cfg, "rho")
-    if not rhos:
-        raise ConfigError("config key 'rho' holds no radius")
-    return rhos
 
 
 def _cmd_solve(cfg, args, name, outdir, stamp):
@@ -288,25 +283,27 @@ def _cmd_size(cfg, args, name, outdir, stamp):
     return 0 if rep.passed else 3
 
 
+def _probe_keys(cfg):
+    """The radii and theta of both probes."""
+    return cfg["rho"], cfg.get("theta", 0.3)
+
+
 # the share of centers a three-spheres sweep must fit
 FEASIBLE_FRACTION = 0.95
 
 
 def _cmd_three_spheres(cfg, args, name, outdir, stamp):
     # the probe keys are checked before the solve
-    rhos = _radii(cfg)
+    rhos, theta = _probe_keys(cfg)
     if len(rhos) != 1:
         raise ConfigError(f"rho holds {len(rhos)} radii; three-spheres "
                           "takes one")
-    rho = _positive("rho", rhos[0])
-    theta = _positive("theta", _f(cfg, "theta", 0.3))
+    rho = rhos[0]
     centers = pitch = None
     if "center" in cfg:
-        centers = np.array([_floats(cfg, "center")])
-        if centers.shape != (1, 2):
-            raise ConfigError("center needs two coordinates")
-    elif "pitch" in cfg:
-        pitch = _positive("pitch", _f(cfg, "pitch"))
+        centers = np.array([cfg["center"]])
+    else:
+        pitch = cfg.get("pitch")
     if not rho < _build_apriori(cfg).rho0:
         raise ConfigError("rho must be smaller than rho0")
     field = _reference_field(cfg, args, name)
@@ -327,8 +324,7 @@ def _cmd_three_spheres(cfg, args, name, outdir, stamp):
 
 
 def _cmd_lps(cfg, args, name, outdir, stamp):
-    theta = _positive("theta", _f(cfg, "theta", 0.3))
-    rhos = [_positive("rho", rho) for rho in _radii(cfg)]
+    rhos, theta = _probe_keys(cfg)
     # a radius names its CSV and its quantities at 6 significant digits
     tags = [f"{rho:g}" for rho in rhos]
     twin = next((t for i, t in enumerate(tags) if t in tags[:i]), None)
@@ -363,8 +359,8 @@ def _cmd_convergence(cfg, args, name, outdir, stamp):
     mat = _build_material(cfg)
     records = convergence_study(
         domain, mat, cfg.get("load", "pure_bending a=1"),
-        target0=_f(cfg, "target_size", 0.25),
-        levels=_i(cfg, "refinements", 3),
+        target0=cfg.get("target_size", 0.25),
+        levels=cfg.get("refinements", 3),
         assumed_shear=not args.full_integration)
     _emit(outdir, name, tables.convergence_rows(records), stamp)
     w_err, last_order = records[-1][3:]
@@ -380,9 +376,7 @@ def _cmd_convergence(cfg, args, name, outdir, stamp):
 
 
 def _cmd_calibrate(cfg, args, name, outdir, stamp):
-    corpus_dir = cfg.get("corpus")
-    if corpus_dir is None:
-        raise ConfigError("missing config key 'corpus'")
+    corpus_dir = cfg["corpus"]
     paths = sorted(glob.glob(os.path.join(corpus_dir, "*.cfg")))
     if not paths:
         raise ConfigError(f"no *.cfg files in {corpus_dir}")
@@ -487,7 +481,7 @@ def main(argv=None):
         cfg = parse_config(args.config)
         name = cfg.get("name", args.command.replace("-", "_"))
         outdir = _outdir(cfg, args)
-        stamp = _onoff(cfg, "timestamp", True)
+        stamp = cfg.get("timestamp", True)
         return _HANDLERS[args.command](cfg, args, name, outdir, stamp)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

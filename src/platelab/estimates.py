@@ -19,6 +19,7 @@ this module relates that number to the override's area:
 
 import concurrent.futures
 import functools
+import math
 import threading
 from dataclasses import dataclass, fields, is_dataclass
 from typing import NamedTuple
@@ -348,14 +349,15 @@ def admissible_centers(mesh, rho, theta=0.3, pitch=None):
         ell = 4.0 * theta * ap.h1 * ap.rho0 / (2.0 * np.sqrt(2.0) * theta + 7.0)
         pitch = min(rho / 2.0, ell)
     _require_positive("pitch", pitch)
-    lo = mesh.nodes.min(axis=0)
-    hi = mesh.nodes.max(axis=0)
-    xs = np.arange(lo[0] + pitch / 2.0, hi[0], pitch)
-    ys = np.arange(lo[1] + pitch / 2.0, hi[1], pitch)
-    count = len(xs) * len(ys)
+    start = mesh.nodes.min(axis=0) + pitch / 2.0
+    stop = mesh.nodes.max(axis=0)
+    # np.arange's lengths, counted before anything is allocated
+    count = math.prod(max(0, math.ceil((b - a) / pitch))
+                      for a, b in zip(start, stop))
     if count > MAX_CENTERS:
         raise ValueError(f"center grid of {count} candidates exceeds the "
                          f"budget of {MAX_CENTERS}")
+    xs, ys = (np.arange(a, b, pitch) for a, b in zip(start, stop))
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     cand = np.column_stack([gx.ravel(), gy.ravel()])
     keep, _ = _admissible(cand, mesh, margin)
@@ -659,6 +661,7 @@ def convergence_study(domain, material, family="pure_bending a=1", target0=0.25,
     db = bending_voigt(t)
     sm = shear_matrix(t)
     w_exact = density * domain.area
+    _require_positive("reference work", w_exact)
     records = []
     prev = None
     for level in range(levels):

@@ -140,7 +140,9 @@ def _nearest_on_polygon(points, vertices):
         if denom:
             t = np.clip(((pts - a) @ ab) / denom, 0.0, 1.0)
         proj = a + t[:, None] * ab
-        d = np.linalg.norm(pts - proj, axis=1)
+        # a distance past 1e154 overflows to inf, farther than any other
+        with np.errstate(over="ignore"):
+            d = np.linalg.norm(pts - proj, axis=1)
         closer = d < best_d
         best_d[closer] = d[closer]
         best_p[closer] = proj[closer]
@@ -223,7 +225,10 @@ class Domain:
     def diameter(self):
         v = self.vertices
         d = v[:, None, :] - v[None, :, :]
-        return float(np.sqrt((d ** 2).sum(-1)).max())
+        # a side past 1e154 overflows to an infinite diameter, which the
+        # m1 * rho0 bound refuses
+        with np.errstate(over="ignore"):
+            return float(np.sqrt((d ** 2).sum(-1)).max())
 
     @property
     def x0(self):

@@ -80,6 +80,8 @@ class IsotropicMaterial:
         if np.any(mu > self.alpha1) or np.any(np.abs(lam) > self.alpha1):
             e = _worst(np.maximum(mu, np.abs(lam)), reverse=True)
             raise ValueError(f"Lame moduli exceed the cap alpha1 at element {e}")
+        # the derived tensors must be finite doubles
+        derive_plate_tensors(self)
 
     @property
     def uniform(self):
@@ -97,12 +99,20 @@ class PlateTensors(NamedTuple):
 
 
 def derive_plate_tensors(mat):
-    """Shear stiffness, Young modulus, Poisson ratio, bending rigidity."""
+    """Shear stiffness, Young modulus, Poisson ratio, bending rigidity;
+    tensors that overflow a double are refused."""
     lam, mu, h = mat.lam, mat.mu, mat.h
-    young = mu * (2.0 * mu + 3.0 * lam) / (mu + lam)
-    nu = lam / (2.0 * (mu + lam))
-    rigidity = young * h ** 3 / (12.0 * (1.0 - nu ** 2))
-    return PlateTensors(h * mu, young, nu, rigidity, h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        young = mu * (2.0 * mu + 3.0 * lam) / (mu + lam)
+        nu = lam / (2.0 * (mu + lam))
+        try:
+            rigidity = young * h ** 3 / (12.0 * (1.0 - nu ** 2))
+        except OverflowError:
+            rigidity = np.inf
+        tensors = PlateTensors(h * mu, young, nu, rigidity, h)
+    if not all(np.all(np.isfinite(t)) for t in tensors):
+        raise ValueError("lambda, mu and h overflow the plate tensors")
+    return tensors
 
 
 def bending_voigt(tensors, n_elements=None):

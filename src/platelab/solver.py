@@ -278,8 +278,12 @@ def _coefficient_fields(mesh, material, indicator, inclusion):
             raise ValueError("flagged elements need an inclusion override")
         fl = indicator.flags
         if inclusion.scalar:
-            bend[fl] *= inclusion.kappa
-            shear[fl] *= inclusion.kappa
+            with np.errstate(over="ignore"):
+                bend[fl] *= inclusion.kappa
+                shear[fl] *= inclusion.kappa
+            if not (np.isfinite(bend).all() and np.isfinite(shear).all()):
+                raise ValueError("kappa overflows the inclusion's plate "
+                                 "tensors")
         else:
             if np.isnan(st[fl]).any() or np.isnan(pt[fl]).any():
                 bad = np.where(fl & (np.isnan(st).any(axis=(1, 2))
@@ -420,12 +424,17 @@ def exact_strains(family, material):
     kind, a = _parse_family(family)
     t = derive_plate_tensors(material)
     b, nu = float(t.rigidity), float(t.nu)
-    if kind == "twist":
-        return np.array([0.0, 0.0, 2.0 * a]), np.zeros(2), \
-            2.0 * b * a ** 2 * (1.0 - nu)
     if kind == "edge_moment":
         a = a / (b * (1.0 + nu))
-    return np.array([a, a, 0.0]), np.zeros(2), 2.0 * b * a ** 2 * (1.0 + nu)
+    try:
+        density = 2.0 * b * a ** 2 * (1.0 - nu if kind == "twist" else 1.0 + nu)
+    except OverflowError:
+        density = float("inf")
+    if not np.isfinite(density):
+        raise ValueError(f"load '{family}' overflows the exact energy density")
+    if kind == "twist":
+        return np.array([0.0, 0.0, 2.0 * a]), np.zeros(2), density
+    return np.array([a, a, 0.0]), np.zeros(2), density
 
 
 # each load family and the one parameter it reads
@@ -447,9 +456,12 @@ def _parse_family(spec):
         if i == 0 and key == _FAMILY_PARAMETER[name]:
             try:
                 value = float(val)
-                continue
             except ValueError:
                 pass
+            else:
+                if not np.isfinite(value):
+                    raise ValueError(f"family parameter '{tok}' must be finite")
+                continue
         raise ValueError(f"bad family parameter '{tok}'")
     return name, value
 
@@ -518,7 +530,10 @@ def _normalized_state(system, u, k):
     mesh, c, f = system.mesh, system.constraints, system.rhs
     z = kernel_basis(mesh).T
     u = u - z @ np.linalg.solve(c @ z, c @ u)
-    res = np.linalg.norm(k @ u - f) / (np.linalg.norm(f) + _TINY)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = np.linalg.norm(k @ u - f) / (np.linalg.norm(f) + _TINY)
+    if not np.isfinite(res):
+        raise SolveError("solve residual is not finite")
     return PlateState(u, mesh, float(res), c @ u, system.assumed_shear)
 
 

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ def test_parse_config_grammar(tmp_path):
     path = tmp_path / "a.cfg"
     path.write_text("# comment\n\nname = value\nrefinements=3   # trailing\n")
     cfg = parse_config(str(path))
-    assert cfg == {"name": "value", "refinements": "3"}
+    assert cfg == {"name": "value", "refinements": 3}
 
 
 def test_parse_config_duplicate_key(tmp_path):
@@ -113,14 +114,15 @@ def test_readme_lists_the_config_keys():
     table = text.split("Common keys:", 1)[1].split("\n\n", 2)[1]
     first = [row.split("|")[1] for row in table.splitlines()[2:]]
     keys = {key for cell in first for key in cell.split("`")[1::2]}
-    assert keys == cli._KEYS
+    assert keys == set(cli._KEYS)
 
 
 def test_material_from_config():
-    assert cli._build_material({"lambda": "1.0", "mu": "1.0", "h": "0.5"}) \
+    assert cli._build_material(
+        cli._Config({"lambda": 1.0, "mu": 1.0, "h": 0.5})) \
         == IsotropicMaterial(lam=1.0, mu=1.0, h=0.5)
     with pytest.raises(ConfigError):
-        cli._build_material({"mu": "1.0", "h": "1.0"})
+        cli._build_material(cli._Config({"mu": 1.0, "h": 1.0}))
 
 
 def test_csv_text_schema_and_no_timestamp():
@@ -470,7 +472,7 @@ def test_probe_nonpositive_rho_is_config_error(tmp_path, capsys, command,
     ("three-spheres", "rho0 = 0.03\nrho = 0.04\npitch = 0.05\n",
      "rho must be smaller than rho0"),
     ("lps", "rho =\n", "config key 'rho' holds no radius"),
-    ("lps", "rho = 0.04 nan\n", "rho must be positive"),
+    ("lps", "rho = 0.04 nan\n", "rho must be finite"),
     ("lps", "rho = 0.04\ntheta = -0.3\n", "theta must be positive"),
     ("lps", "rho = 0.04 0.04000001\n",
      "rho holds two radii that print as 0.04"),
@@ -882,6 +884,147 @@ def test_non_numeric_value_names_its_key(tmp_path, capsys, old, new, message):
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+def _run_clean(command, cfg, out, *flags):
+    """(exit code, stderr lines) of a run; a numpy warning fails the test."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([command, "--config", cfg, "--out", str(out), *flags])
+    return code, err.getvalue().splitlines()
+
+
+def _no_mesh(monkeypatch):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("meshed before the config was checked")
+
+    monkeypatch.setattr(estimates, "generate_mesh", no_mesh)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+@pytest.mark.parametrize("command,old,new,key", [
+    ("solve", "h = 1.0", "h = {}", "h"),
+    ("solve", "target_size = 0.25", "target_size = {}", "target_size"),
+    ("size", "", "c1 = {}", "c1"),
+    ("three-spheres", "", "rho = 0.04\ntheta = {}", "theta"),
+    ("three-spheres", "", "rho = 0.04\ncenter = 0.5 {}", "center"),
+    ("solve", "", "rho0 = {}", "rho0"),
+    ("solve", "", "x0 = {} 0.5", "x0"),
+    ("solve", "rectangle 0 0 1 1", "rectangle 0 0 {} 1", "domain"),
+    # keys the command does not read
+    ("lps", "", "rho = 0.04\npitch = {}", "pitch"),
+    ("convergence", "", "kappa = {}", "kappa"),
+])
+def test_non_finite_number_is_refused_when_read(tmp_path, monkeypatch, command,
+                                                old, new, key, value):
+    _no_mesh(monkeypatch)
+    text = BASE.replace(old, new.format(value)) if old else \
+        BASE + new.format(value) + "\n"
+    out = tmp_path / "out"
+    code, err = _run_clean(command, _cfg(tmp_path, text), out)
+    assert (code, err) == (1, [f"config error: {key} must be finite"])
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_malformed_value_of_an_unread_key_is_refused(tmp_path, monkeypatch):
+    # lps sweeps its own grid and does not read pitch
+    _no_mesh(monkeypatch)
+    cfg = _cfg(tmp_path, BASE + "rho = 0.04\npitch = x\n")
+    code, err = _run_clean("lps", cfg, tmp_path / "out")
+    assert (code, err) == (1, ["config error: config key 'pitch' is not a "
+                               "number: 'x'"])
+
+
+@pytest.mark.parametrize("command", ["solve", "convergence"])
+def test_overflowing_thickness_is_config_error(tmp_path, monkeypatch, command):
+    # h^3 of 1e300 overflows a double: refused with the material, before
+    # any mesh
+    _no_mesh(monkeypatch)
+    cfg = _cfg(tmp_path, BASE.replace("h = 1.0", "h = 1e300"))
+    code, err = _run_clean(command, cfg, tmp_path / "out")
+    assert (code, err) == (1, ["config error: lambda, mu and h overflow the "
+                               "plate tensors"])
+
+
+@pytest.mark.parametrize("family", ["pure_bending a=1e300", "twist a=1e300",
+                                    "edge_moment c=1e300"])
+def test_overflowing_exact_energy_is_config_error(tmp_path, monkeypatch,
+                                                  family):
+    _no_mesh(monkeypatch)
+    cfg = _cfg(tmp_path, BASE.replace("pure_bending a=1", family))
+    code, err = _run_clean("convergence", cfg, tmp_path / "out")
+    assert (code, err) == (1, [f"config error: load '{family}' overflows the "
+                               "exact energy density"])
+
+
+def test_zero_load_convergence_is_config_error(tmp_path, monkeypatch):
+    # the closed-form work of a zero load is zero: no relative error
+    _no_mesh(monkeypatch)
+    cfg = _cfg(tmp_path, BASE.replace("pure_bending a=1", "pure_bending a=0"))
+    out = tmp_path / "out"
+    code, err = _run_clean("convergence", cfg, out)
+    assert (code, err) == (1, ["config error: reference work must be "
+                               "positive"])
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("param", ["inf", "nan"])
+def test_non_finite_family_parameter_is_config_error(tmp_path, monkeypatch,
+                                                      param):
+    cfg = _cfg(tmp_path, BASE.replace("pure_bending a=1",
+                                      f"pure_bending a={param}"))
+    code, err = _run_clean("solve", cfg, tmp_path / "out")
+    assert (code, err) == (1, [f"config error: family parameter 'a={param}' "
+                               "must be finite"])
+
+
+def test_non_finite_solve_residual_is_numerical_failure(tmp_path):
+    # the twist a=1e300 couples are finite, the residual of its solve is not
+    cfg = _cfg(tmp_path, BASE.replace("pure_bending a=1", "twist a=1e300"))
+    out = tmp_path / "out"
+    code, err = _run_clean("solve", cfg, out)
+    assert (code, err) == (2, ["numerical failure: solve residual is not "
+                               "finite"])
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_overflowing_contrast_is_config_error(tmp_path):
+    # kappa 1e300 times the bending rigidity of h = 1000 overflows
+    poly = _sq_poly(tmp_path)
+    cfg = _cfg(tmp_path, BASE.replace("h = 1.0", "h = 1000.0")
+               + f"inclusion = {poly}\nkappa = 1e300\n")
+    code, err = _run_clean("size", cfg, tmp_path / "out")
+    assert (code, err) == (1, ["config error: kappa overflows the inclusion's "
+                               "plate tensors"])
+
+
+def test_far_center_is_refused_without_warnings(tmp_path):
+    cfg = _cfg(tmp_path, BASE + "rho0 = 0.1\nrho = 0.04\ncenter = 0.5 1e300\n")
+    code, err = _run_clean("three-spheres", cfg, tmp_path / "out")
+    assert code == 1 and len(err) == 1 and "inadmissible" in err[0]
+
+
+@pytest.mark.parametrize("name", ["a/b", "", "a\0b"])
+def test_name_must_be_a_plain_file_name(tmp_path, monkeypatch, name):
+    _no_mesh(monkeypatch)
+    out = tmp_path / "out"
+    cfg = _cfg(tmp_path, BASE + f"name = {name}\n")
+    code, err = _run_clean("solve", cfg, out)
+    assert (code, err) == (1, [f"config error: name must be a plain file "
+                               f"name, got {name!r}"])
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_out_naming_a_file_is_config_error(tmp_path, monkeypatch):
+    _no_mesh(monkeypatch)
+    out = tmp_path / "taken"
+    out.write_text("")
+    code, err = _run_clean("solve", _cfg(tmp_path, BASE), out)
+    assert (code, err) == (1, [f"config error: cannot make output directory "
+                               f"{str(out)!r}: File exists"])
+    assert out.read_text() == "" and not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("family,token", [
     ("edge_moment a=2", "a=2"), ("pure_bending A=2", "A=2"),
     ("twist c=5", "c=5"), ("pure_bending a=1 a=2", "a=2")])
@@ -1108,8 +1251,7 @@ def test_infinite_kappa_is_config_error(tmp_path, capsys, value):
     poly = _sq_poly(tmp_path)
     cfg = _cfg(tmp_path, BASE + f"inclusion = {poly}\nkappa = {value}\n")
     assert main(["size", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == \
-        "config error: bad inclusion: kappa must be finite\n"
+    assert capsys.readouterr().err == "config error: kappa must be finite\n"
 
 
 def test_inclusion_without_polygons_rejected(tmp_path):

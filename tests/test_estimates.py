@@ -2,6 +2,7 @@ import concurrent.futures
 import math
 import sys
 import time
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -324,6 +325,21 @@ def test_admissible_centers_rejects_nonpositive(rho, pitch, message):
     mesh = generate_mesh(SQUARE, 0.25)
     with pytest.raises(ValueError, match=message):
         admissible_centers(mesh, rho, theta=0.3, pitch=pitch)
+
+
+def test_center_grid_is_counted_before_it_is_built():
+    # pitch 1e-7 gives 1e7 candidates a side: the axes alone would take
+    # 160 MB
+    mesh = generate_mesh(SQUARE, 0.25)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^center grid of 1000000000000"
+                                             r"00 candidates exceeds"):
+            admissible_centers(mesh, 0.03, theta=0.3, pitch=1e-7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("rho", [0.0, -0.04, np.nan])

@@ -38,7 +38,13 @@ another the second entry has an unknown load, the third holds two zero-load
 entries (exit 1), and in the fourth, calibrate-window, two inclusion entries
 at lambda = mu = 1.5 fail the material window (exit 1).
 calibrate-rounding-dense runs a corpus of kappa 0.5 and 1 - 2^-52 under
---dense-oracle at --jobs 1 and 2. The callers that pair the solve's load
+--dense-oracle at --jobs 1 and 2. Runs that end by the config parse or the
+derived tensors: size with c1 = inf, three-spheres with theta = inf, solve
+with target_size = inf, solve and convergence with h = 1e300, convergence
+with pure_bending a=1e300 and with the zero load, solve with pure_bending
+a=inf, twist a=1e300 (a residual that is not finite, exit 2), an --out that
+names a file and name = a/b, lps with pitch = x (a key it does not read)
+and size at h = 1000 and kappa 1e300. The callers that pair the solve's load
 vector run on more inputs: energy-lemma on the soft and tensor-table
 inclusions, at h = 0.01 and, under --dense-oracle, at kappa 1e3; work on the
 stiff inclusion under --dense-oracle; and solve on the soft inclusion without
@@ -126,6 +132,16 @@ def command_runs(inputs):
         # the zero load has no frequency report; the size bounds fail first
         "zero_load": zero,
         "c1_0": incl + "c1 = 0\n",
+        # values the config parse or the derived tensors refuse
+        "c1_inf": incl + "c1 = inf\n",
+        "target_inf": BASE.replace("target_size = 0.125", "target_size = inf"),
+        "h1e300": BASE.replace("h = 1.0", "h = 1e300"),
+        "a_inf": BASE.replace("pure_bending a=1", "pure_bending a=inf"),
+        "a1e300": BASE.replace("pure_bending a=1", "pure_bending a=1e300"),
+        "twist1e300": BASE.replace("pure_bending a=1", "twist a=1e300"),
+        "name_slash": BASE + "name = a/b\n",
+        "kappa_overflow": incl.replace("h = 1.0", "h = 1000.0").replace(
+            "kappa = 2.5", "kappa = 1e300"),
         "three_spheres": BASE.replace("target_size = 0.125",
                                       "target_size = 0.0625")
         + "rho0 = 0.1\nrho = 0.04\npitch = 0.05\n",
@@ -148,6 +164,8 @@ def command_runs(inputs):
         "convergence": BASE.replace("target_size = 0.125",
                                     "target_size = 0.25")
         + "refinements = 3\n",
+        "theta_inf": BASE + "rho0 = 0.1\nrho = 0.04\ntheta = inf\n",
+        "lps_pitch_x": BASE + "rho = 0.04\npitch = x\n",
     }
     for key, verts, load in (("lshape", workloads.LSHAPE, "edge_moment c=1"),
                              ("skewed", SKEWED, "twist a=1")):
@@ -260,7 +278,27 @@ def command_runs(inputs):
                                            path["rho_ge_rho0"]]),
             ("three-spheres-grid-budget", ["three-spheres", "--config",
                                            path["grid_budget"]]),
-            ("convergence", ["convergence", "--config", path["convergence"]])]
+            ("convergence", ["convergence", "--config", path["convergence"]]),
+            ("size-c1-inf", ["size", "--config", path["c1_inf"]]),
+            ("three-spheres-theta-inf", ["three-spheres", "--config",
+                                         path["theta_inf"]]),
+            ("solve-target-inf", ["solve", "--config", path["target_inf"]]),
+            ("solve-h1e300", ["solve", "--config", path["h1e300"]]),
+            ("convergence-h1e300", ["convergence", "--config",
+                                    path["h1e300"]]),
+            ("convergence-a1e300", ["convergence", "--config",
+                                    path["a1e300"]]),
+            ("convergence-zero-load", ["convergence", "--config",
+                                       path["zero_load"]]),
+            ("solve-a-inf", ["solve", "--config", path["a_inf"]]),
+            ("solve-twist1e300", ["solve", "--config", path["twist1e300"]]),
+            ("solve-out-is-a-file", ["solve", "--config", path["plain"],
+                                     "--out", _write(os.path.join(
+                                         inputs, "taken"), "")]),
+            ("solve-name-slash", ["solve", "--config", path["name_slash"]]),
+            ("lps-pitch-x", ["lps", "--config", path["lps_pitch_x"]]),
+            ("size-kappa-overflow", ["size", "--config",
+                                     path["kappa_overflow"]])]
     runs += [(f"{command}-{key}", [command, "--config", path[key]])
              for key in ("lshape", "skewed") for command in ("solve", "size")]
     runs += [(f"{command}-{key}",
@@ -309,8 +347,11 @@ def run_all(checkout, runs, outroot):
     for label, argv in runs:
         out = os.path.join(outroot, label)
         os.makedirs(out)
-        proc = subprocess.run([sys.executable, "-c", RUNNER] + argv
-                              + ["--out", out], env=env, cwd=out,
+        # a run that names its own --out writes nowhere else
+        if "--out" not in argv:
+            argv = argv + ["--out", out]
+        proc = subprocess.run([sys.executable, "-c", RUNNER] + argv, env=env,
+                              cwd=out,
                               capture_output=True, text=True, timeout=600)
         results[label] = (proc.returncode, proc.stderr)
     return results
