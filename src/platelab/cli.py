@@ -1,9 +1,10 @@
 """Command line experiment driver.
 
 Config files are flat `key = value` lines with `#` comments. Subcommands
-write schema-versioned CSV files into the output directory and use the
-exit-code contract: 0 success, 1 config error, 2 numerical failure,
-3 inequality-check failure.
+return tables, which main writes as schema-versioned CSV files into the
+output directory, and use the exit-code contract: 0 success, 1 config
+error, 2 numerical failure, 3 inequality-check failure. A run that ends in
+1 or 2 leaves no CSV.
 """
 
 import argparse
@@ -17,6 +18,7 @@ import numpy as np
 
 from . import tables
 from .estimates import (
+    THETA,
     SizeExperimentConfig,
     admissible_centers,
     calibrate_constants,
@@ -137,9 +139,15 @@ def parse_config(path):
     return cfg
 
 
+def _given(cfg, *keys, **renamed):
+    """Keyword arguments of the keys the config sets, each named as its key
+    or as renamed maps it; a key left out keeps the library's default."""
+    params = dict(zip(keys, keys), **renamed)
+    return {param: cfg[key] for param, key in params.items() if key in cfg}
+
+
 def _build_apriori(cfg):
-    return AprioriData(**{key: cfg[key] for key in
-                          ("rho0", "m1", "s0", "d0", "h1", "x0") if key in cfg})
+    return AprioriData(**_given(cfg, "rho0", "m1", "s0", "d0", "h1", "x0"))
 
 
 def _build_domain(cfg):
@@ -159,8 +167,7 @@ def _build_domain(cfg):
 def _build_material(cfg):
     return IsotropicMaterial(
         lam=cfg["lambda"], mu=cfg["mu"], h=cfg["h"],
-        **{key: cfg[key] for key in ("alpha0", "gamma0", "alpha1")
-           if key in cfg})
+        **_given(cfg, "alpha0", "gamma0", "alpha1"))
 
 
 _INCLUSION_KEYS = ("inclusion", "kappa", "stilde_table", "ptilde_table")
@@ -200,14 +207,6 @@ def _outdir(cfg, args):
     return out
 
 
-def _emit(outdir, name, build, timestamp):
-    kind, header, rows = build
-    path = os.path.join(outdir, f"{name}_{kind}.csv")
-    tables.write_csv(path, kind, header, rows, timestamp=timestamp)
-    print(path)
-    return path
-
-
 def _size_config(cfg, args, name):
     """The SizeExperimentConfig of a parsed config; builds every part."""
     domain = _build_domain(cfg)
@@ -216,13 +215,10 @@ def _size_config(cfg, args, name):
     polys, incl = _build_inclusion(cfg)
     return SizeExperimentConfig(
         domain=domain, material=mat, target_size=target,
-        load_family=cfg.get("load", "pure_bending a=1"),
         inclusion_polygons=polys, inclusion=incl,
-        **{key: cfg[key] for key in ("c1", "c2") if key in cfg},
+        **_given(cfg, "c1", "c2", "element_budget", load_family="load"),
         assumed_shear=not args.full_integration,
-        dense_oracle=args.dense_oracle,
-        element_budget=cfg.get("element_budget"),
-        name=name)
+        dense_oracle=args.dense_oracle, name=name)
 
 
 def _reference_field(cfg, args, name):
@@ -239,91 +235,82 @@ def _reference_field(cfg, args, name):
     return field
 
 
-def _cmd_solve(cfg, args, name, outdir, stamp):
+# Every command handler takes (cfg, args, name), writes and prints nothing,
+# and returns (tables, failures): the (stem, (kind, header, rows)) tables
+# that main writes to <stem>_<kind>.csv, in order, and the stderr lines of
+# the checks that failed, which make the exit code 3.
+
+
+def _cmd_solve(cfg, args, name):
     config = _size_config(cfg, args, name)
     fw = forward(config)
-    _emit(outdir, name, tables.state_rows(fw.state), stamp)
     res = residual_check(fw.state, config.material, fw.rhs, fw.indicator,
                          config.inclusion)
-    _emit(outdir, name, tables.quantity_rows(name, {
-        "n_elements": fw.mesh.n_elements,
-        "mesh_size": fw.mesh.mesh_size,
-        "solve_residual": fw.state.residual,
-        "equilibrium_residual": res[1],
-        "stability_ratio": stability_ratio(fw.state, fw.load),
-    }), stamp)
-    return 0
+    return [(name, tables.state_rows(fw.state)),
+            (name, tables.quantity_rows(name, {
+                "n_elements": fw.mesh.n_elements,
+                "mesh_size": fw.mesh.mesh_size,
+                "solve_residual": fw.state.residual,
+                "equilibrium_residual": res[1],
+                "stability_ratio": stability_ratio(fw.state, fw.load),
+            }))], []
 
 
-def _cmd_work(cfg, args, name, outdir, stamp):
+def _cmd_work(cfg, args, name):
     fw = forward(_size_config(cfg, args, name))
     rep = work_report(fw.rhs, fw.state, fw.state0)
-    _emit(outdir, name, tables.quantity_rows(name, rep), stamp)
-    return 0
+    return [(name, tables.quantity_rows(name, rep))], []
 
 
-def _cmd_energy_lemma(cfg, args, name, outdir, stamp):
+def _cmd_energy_lemma(cfg, args, name):
     config = _size_config(cfg, args, name)
     if config.inclusion is None:
         raise ConfigError("energy-lemma needs an inclusion")
     lemma = run_size_experiment(config).lemma
-    _emit(outdir, name, tables.quantity_rows(name, lemma), stamp)
-    for msg in lemma.messages:
-        print(f"energy lemma: {msg}", file=sys.stderr)
-    return 0 if lemma.passed else 3
+    return [(name, tables.quantity_rows(name, lemma))], \
+        [f"energy lemma: {msg}" for msg in lemma.messages]
 
 
-def _cmd_size(cfg, args, name, outdir, stamp):
+def _cmd_size(cfg, args, name):
     rep = run_size_experiment(_size_config(cfg, args, name))
-    _emit(outdir, name, tables.corpus_rows([rep]), stamp)
-    _emit(outdir, name, tables.quantity_rows(name, rep), stamp)
-    if not rep.passed:
-        for msg in rep.messages:
-            print(f"size: {msg}", file=sys.stderr)
-    return 0 if rep.passed else 3
+    return [(name, tables.corpus_rows([rep])),
+            (name, tables.quantity_rows(name, rep))], \
+        [] if rep.passed else [f"size: {msg}" for msg in rep.messages]
 
 
 def _probe_keys(cfg):
     """The radii and theta of both probes."""
-    return cfg["rho"], cfg.get("theta", 0.3)
+    return cfg["rho"], cfg.get("theta", THETA)
 
 
 # the share of centers a three-spheres sweep must fit
 FEASIBLE_FRACTION = 0.95
 
 
-def _cmd_three_spheres(cfg, args, name, outdir, stamp):
+def _cmd_three_spheres(cfg, args, name):
     # the probe keys are checked before the solve
     rhos, theta = _probe_keys(cfg)
     if len(rhos) != 1:
         raise ConfigError(f"rho holds {len(rhos)} radii; three-spheres "
                           "takes one")
     rho = rhos[0]
-    centers = pitch = None
-    if "center" in cfg:
-        centers = np.array([cfg["center"]])
-    else:
-        pitch = cfg.get("pitch")
     if not rho < _build_apriori(cfg).rho0:
         raise ConfigError("rho must be smaller than rho0")
     field = _reference_field(cfg, args, name)
-    if centers is None:
-        centers = admissible_centers(field.mesh, rho, theta, pitch)
+    centers = np.array([cfg["center"]]) if "center" in cfg else \
+        admissible_centers(field.mesh, rho, theta, cfg.get("pitch"))
     reports = three_spheres_sweep(field, centers, rho, theta)
-    _emit(outdir, name, tables.three_spheres_rows(reports), stamp)
     frac = sum(r.feasible for r in reports) / len(reports)
-    _emit(outdir, name, tables.quantity_rows(name, {
-        "rho": rho, "theta": theta, "n_centers": len(reports),
-        "feasible_fraction": frac,
-    }), stamp)
-    if frac < FEASIBLE_FRACTION:
-        print(f"three-spheres: feasible fraction {frac:.3f} < "
-              f"{FEASIBLE_FRACTION}", file=sys.stderr)
-        return 3
-    return 0
+    failures = [f"three-spheres: feasible fraction {frac:.3f} < "
+                f"{FEASIBLE_FRACTION}"] if frac < FEASIBLE_FRACTION else []
+    return [(name, tables.three_spheres_rows(reports)),
+            (name, tables.quantity_rows(name, {
+                "rho": rho, "theta": theta, "n_centers": len(reports),
+                "feasible_fraction": frac,
+            }))], failures
 
 
-def _cmd_lps(cfg, args, name, outdir, stamp):
+def _cmd_lps(cfg, args, name):
     rhos, theta = _probe_keys(cfg)
     # a radius names its CSV and its quantities at 6 significant digits
     tags = [f"{rho:g}" for rho in rhos]
@@ -331,21 +318,18 @@ def _cmd_lps(cfg, args, name, outdir, stamp):
     if twin is not None:
         raise ConfigError(f"rho holds two radii that print as {twin}")
     field = _reference_field(cfg, args, name)
-    code = 0
+    results, failures = [], []
     quantities = {"theta": theta}
-    # every radius is checked before the first CSV is written
-    reports = [lps_check(field, rho, theta) for rho in rhos]
-    for tag, rep in zip(tags, reports):
-        _emit(outdir, f"{name}_rho{tag}".replace(".", "p"),
-              tables.lps_rows(rep), stamp)
+    for tag, rho in zip(tags, rhos):
+        rep = lps_check(field, rho, theta)
+        results.append((f"{name}_rho{tag.replace('.', 'p')}",
+                        tables.lps_rows(rep)))
         quantities[f"constant_rho_{tag}"] = rep.constant
         quantities[f"n_centers_rho_{tag}"] = len(rep.centers)
         if not rep.constant > 0.0:
-            print(f"lps: no positive smallness constant at rho {tag}",
-                  file=sys.stderr)
-            code = 3
-    _emit(outdir, name, tables.quantity_rows(name, quantities), stamp)
-    return code
+            failures.append(f"lps: no positive smallness constant at rho "
+                            f"{tag}")
+    return results + [(name, tables.quantity_rows(name, quantities))], failures
 
 
 # convergence targets: the observed order of the finest level and the
@@ -354,28 +338,23 @@ MIN_ORDER = 1.9
 WORK_RTOL = 0.005
 
 
-def _cmd_convergence(cfg, args, name, outdir, stamp):
-    domain = _build_domain(cfg)
-    mat = _build_material(cfg)
+def _cmd_convergence(cfg, args, name):
     records = convergence_study(
-        domain, mat, cfg.get("load", "pure_bending a=1"),
-        target0=cfg.get("target_size", 0.25),
-        levels=cfg.get("refinements", 3),
+        _build_domain(cfg), _build_material(cfg),
+        **_given(cfg, family="load", target0="target_size",
+                 levels="refinements"),
         assumed_shear=not args.full_integration)
-    _emit(outdir, name, tables.convergence_rows(records), stamp)
     w_err, last_order = records[-1][3:]
+    failures = []
     if last_order is not None and last_order < MIN_ORDER:
-        print(f"convergence: observed order {last_order:.3f} < {MIN_ORDER}",
-              file=sys.stderr)
-        return 3
-    if w_err > WORK_RTOL:
-        print(f"convergence: work error {w_err:.3e} over tolerance",
-              file=sys.stderr)
-        return 3
-    return 0
+        failures = [f"convergence: observed order {last_order:.3f} < "
+                    f"{MIN_ORDER}"]
+    elif w_err > WORK_RTOL:
+        failures = [f"convergence: work error {w_err:.3e} over tolerance"]
+    return [(name, tables.convergence_rows(records))], failures
 
 
-def _cmd_calibrate(cfg, args, name, outdir, stamp):
+def _cmd_calibrate(cfg, args, name):
     corpus_dir = cfg["corpus"]
     paths = sorted(glob.glob(os.path.join(corpus_dir, "*.cfg")))
     if not paths:
@@ -397,18 +376,16 @@ def _cmd_calibrate(cfg, args, name, outdir, stamp):
     entries = [r for r in reports if r.regime is not None]
     if not entries:
         raise ConfigError("calibration corpus has no inclusion experiments")
+    results = [(name, tables.corpus_rows(reports))]
     # the fit needs every entry's verdict; a failed entry ends as in size
-    failed = [r.name for r in entries if not r.passed]
-    if failed:
-        for entry in failed:
-            print(f"calibrate: {entry} failed checks", file=sys.stderr)
-        _emit(outdir, name, tables.corpus_rows(reports), stamp)
-        return 3
+    failures = [f"calibrate: {r.name} failed checks"
+                for r in entries if not r.passed]
+    if failures:
+        return results, failures
     jumps = [JumpBounds(r.eta, r.delta, r.regime) for r in entries]
     fit = calibrate_constants([(r.true_area, r.gap, r.work_reference, jb)
                                for r, jb in zip(entries, jumps)], rho0=rho0)
 
-    code = 0
     rows = []
     worst_spread = 0.0
     for r, jb in zip(entries, jumps):
@@ -419,18 +396,15 @@ def _cmd_calibrate(cfg, args, name, outdir, stamp):
             worst_spread = max(worst_spread, hi / lo)
         rows.append((r.name, r.true_area, lo, hi, 1 if bracketed else 0))
         if not bracketed:
-            print(f"calibrate: {r.name} not bracketed", file=sys.stderr)
-            code = 3
-    _emit(outdir, name, tables.corpus_rows(reports), stamp)
-    _emit(outdir, name, ("calibration",
-                         ("id", "true_area", "lower", "upper", "bracketed"),
-                         rows), stamp)
-    _emit(outdir, name, tables.quantity_rows(name, {
-        "c1": fit.c1, "c2": fit.c2, "spread": fit.c2 / fit.c1,
-        "worst_interval_ratio": worst_spread, "count": fit.count,
-        "regime": fit.regime,
-    }), stamp)
-    return code
+            failures.append(f"calibrate: {r.name} not bracketed")
+    return results + [
+        (name, ("calibration",
+                ("id", "true_area", "lower", "upper", "bracketed"), rows)),
+        (name, tables.quantity_rows(name, {
+            "c1": fit.c1, "c2": fit.c2, "spread": fit.c2 / fit.c1,
+            "worst_interval_ratio": worst_spread, "count": fit.count,
+            "regime": fit.regime,
+        }))], failures
 
 
 _HANDLERS = {
@@ -481,14 +455,31 @@ def main(argv=None):
         cfg = parse_config(args.config)
         name = cfg.get("name", args.command.replace("-", "_"))
         outdir = _outdir(cfg, args)
-        stamp = cfg.get("timestamp", True)
-        return _HANDLERS[args.command](cfg, args, name, outdir, stamp)
+        results, failures = _HANDLERS[args.command](cfg, args, name)
+        paths = []
+        for stem, (kind, header, rows) in results:
+            path = os.path.join(outdir, f"{stem}_{kind}.csv")
+            try:
+                paths.append(tables.write_csv(
+                    path, kind, header, rows,
+                    timestamp=cfg.get("timestamp", True)))
+            except OSError as exc:
+                # a run that does not end in 0 or 3 leaves no CSV
+                for done in paths:
+                    os.remove(done)
+                raise ConfigError(f"cannot write {path!r}: "
+                                  f"{exc.strerror or exc}")
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (SolveError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    for path in paths:
+        print(path)
+    for line in failures:
+        print(line, file=sys.stderr)
+    return 3 if failures else 0
 
 
 if __name__ == "__main__":

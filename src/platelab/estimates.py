@@ -33,6 +33,7 @@ from .functionals import (
     work_report,
 )
 from .geometry import (
+    count_text,
     fatness_ratio,
     generate_mesh,
     points_in_polygon,
@@ -64,6 +65,14 @@ from .solver import (
 # is rounding and reads as zero, and one beyond it on the wrong side of
 # zero is a wrong sign
 GAP_RTOL = 1e-10
+
+# the defaults of the library, which a config that leaves the key out gets
+# too: the load family, the probes' theta, and the convergence study's
+# coarsest target size and number of levels
+LOAD_FAMILY = "pure_bending a=1"
+THETA = 0.3
+CONVERGENCE_TARGET = 0.25
+CONVERGENCE_LEVELS = 3
 
 
 def _gap_term(gap, work_reference, sign):
@@ -251,7 +260,7 @@ class ThreeSpheresReport:
     message: str = ""
 
 
-def three_spheres_sweep(field, centers, rho, theta=0.3):
+def three_spheres_sweep(field, centers, rho, theta=THETA):
     """ThreeSpheresReport for each center at field.rho0, from one disk pass.
 
     Raises ValueError naming the first center that lies outside the domain
@@ -265,9 +274,8 @@ def three_spheres_sweep(field, centers, rho, theta=0.3):
     ok, dist = _admissible(pts, field.mesh, margin)
     if not ok.all():
         i = np.flatnonzero(~ok)[0]
-        # the caller's own center object, so the message shows it as given
         raise ValueError(
-            f"center {tuple(centers[i])} inadmissible: needs distance >= "
+            f"center {tuple(pts[i].tolist())} inadmissible: needs distance >= "
             f"{margin:.4g} from the boundary, has {dist[i]:.4g}")
     energies = disk_energies(field, pts, (rho, 3.0 * rho, margin))
     return [_three_spheres_report((float(c[0]), float(c[1])), rho,
@@ -333,7 +341,7 @@ def _admissible(points, mesh, margin):
 MAX_CENTERS = 1_000_000
 
 
-def admissible_centers(mesh, rho, theta=0.3, pitch=None):
+def admissible_centers(mesh, rho, theta=THETA, pitch=None):
     """Deterministic center grid for the interpolation and smallness probes.
 
     Pitch defaults to min(rho/2, l) with l the covering-square side
@@ -346,17 +354,19 @@ def admissible_centers(mesh, rho, theta=0.3, pitch=None):
     margin = _margin(rho, theta)
     ap = mesh.domain.apriori
     if pitch is None:
-        ell = 4.0 * theta * ap.h1 * ap.rho0 / (2.0 * np.sqrt(2.0) * theta + 7.0)
-        pitch = min(rho / 2.0, ell)
+        # in floats, not numpy scalars, like the count below
+        side = 4.0 * theta * ap.h1 * ap.rho0
+        pitch = min(rho / 2.0, side / (2.0 * math.sqrt(2.0) * theta + 7.0))
     _require_positive("pitch", pitch)
     start = mesh.nodes.min(axis=0) + pitch / 2.0
     stop = mesh.nodes.max(axis=0)
-    # np.arange's lengths, counted before anything is allocated
-    count = math.prod(max(0, math.ceil((b - a) / pitch))
+    # np.arange's lengths, counted in floats before anything is allocated:
+    # a count past the float range is inf, not an error
+    count = math.prod(max(0.0, float(np.ceil(float(b - a) / pitch)))
                       for a, b in zip(start, stop))
     if count > MAX_CENTERS:
-        raise ValueError(f"center grid of {count} candidates exceeds the "
-                         f"budget of {MAX_CENTERS}")
+        raise ValueError(f"center grid of {count_text(count)} candidates "
+                         f"exceeds the budget of {MAX_CENTERS}")
     xs, ys = (np.arange(a, b, pitch) for a, b in zip(start, stop))
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     cand = np.column_stack([gx.ravel(), gy.ravel()])
@@ -376,7 +386,7 @@ class LpsReport:
     constant: float
 
 
-def lps_check(field, rho, theta=0.3):
+def lps_check(field, rho, theta=THETA):
     """LpsReport of field at radius rho; a field without energy is refused."""
     total = field.total
     _require_positive("reference energy", total)
@@ -394,7 +404,7 @@ class SizeExperimentConfig:
     domain: object
     material: object
     target_size: float
-    load_family: str = "pure_bending a=1"
+    load_family: str = LOAD_FAMILY
     inclusion_polygons: tuple = ()
     inclusion: object | None = None
     c1: float = 1.0
@@ -646,8 +656,9 @@ def run_corpus(configs, jobs=1):
 _EXACT_FLOOR = 1e-8
 
 
-def convergence_study(domain, material, family="pure_bending a=1", target0=0.25,
-                      levels=3, assumed_shear=True):
+def convergence_study(domain, material, family=LOAD_FAMILY,
+                      target0=CONVERGENCE_TARGET, levels=CONVERGENCE_LEVELS,
+                      assumed_shear=True):
     """Uniform-refinement errors against the closed-form solution.
 
     Returns rows (n_elements, mesh_size, energy_error, work_error,

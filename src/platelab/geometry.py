@@ -6,6 +6,7 @@ it). Meshes are conforming bilinear quads: rectangles get a structured grid,
 anything else a uniform overlay of the bounding box with boundary snapping.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -355,6 +356,12 @@ def _extract_boundary(nodes, elements):
     edges = np.column_stack([order, nxt[order]])
     vec = nodes[edges[:, 1]] - nodes[edges[:, 0]]
     length = np.linalg.norm(vec, axis=1)
+    # snapping can put two boundary nodes on one polygon corner
+    short = np.flatnonzero(length == 0.0)
+    if len(short):
+        a, b = edges[short[0]]
+        raise ValueError(f"boundary nodes {a} and {b} coincide; use a "
+                         "smaller target_size")
     tang = vec / length[:, None]
     norm = np.column_stack([tang[:, 1], -tang[:, 0]])  # outward for ccw loops
     return edges, norm
@@ -395,15 +402,26 @@ def _is_axis_aligned_rectangle(vertices):
     return True
 
 
+def count_text(count):
+    """A grid's count of cells or candidates as a refusal line gives it: in
+    digits up to 10^15, then to three significant digits, and past the
+    float range as 'over 1e308'."""
+    if count <= 1e15:
+        return str(int(count))
+    return f"{count:.3g}" if math.isfinite(count) else "over 1e308"
+
+
 def _box_grid(vertices, cell, budget, refusal):
     # nodes of the grid over the bounding box whose cells are at most `cell`
     # wide, numbered as in _grid_cells, and its cell counts; more cells than
-    # budget raise refusal.format(cells, budget) before anything is built
+    # budget raise refusal.format(count_text(cells), budget) before anything
+    # is built. The counts are floats, so a tiny cell counts inf cells
     lo, hi = vertices.min(axis=0), vertices.max(axis=0)
-    nx, ny = (max(1, int(np.ceil((b - a) / cell - 1e-12)))
+    nx, ny = (max(1.0, float(np.ceil(float(b - a) / cell - 1e-12)))
               for a, b in zip(lo, hi))
     if nx * ny > budget:
-        raise ValueError(refusal.format(nx * ny, budget))
+        raise ValueError(refusal.format(count_text(nx * ny), budget))
+    nx, ny = int(nx), int(ny)
     X, Y = np.meshgrid(np.linspace(lo[0], hi[0], nx + 1),
                        np.linspace(lo[1], hi[1], ny + 1), indexing="xy")
     return np.column_stack([X.ravel(), Y.ravel()]), nx, ny

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import os
 import subprocess
@@ -387,9 +388,8 @@ def test_three_spheres_inadmissible_center_message(tmp_path, capsys):
                                       "target_size = 0.0625")
                + "rho0 = 0.1\nrho = 0.04\ncenter = 0.1 0.5\n")
     assert main(["three-spheres", "--config", cfg, "--out", str(tmp_path)]) == 1
-    center = tuple(np.array([0.1, 0.5]))
     assert capsys.readouterr().err == (
-        f"config error: center {center} inadmissible: needs distance >= "
+        "config error: center (0.1, 0.5) inadmissible: needs distance >= "
         "0.4667 from the boundary, has 0.1\n")
 
 
@@ -405,8 +405,12 @@ def test_three_spheres_fraction_counts_infeasible_degenerate_centers(
     q = _quantities(tmp_path / "three_spheres_quantities.csv")
     assert q["n_centers"] == "2116"
     assert q["feasible_fraction"] == repr(1560 / 2116) == "0.7372400756143668"
-    assert capsys.readouterr().err == \
-        "three-spheres: feasible fraction 0.737 < 0.95\n"
+    # exit 3 writes every table and prints its path
+    captured = capsys.readouterr()
+    assert captured.err == "three-spheres: feasible fraction 0.737 < 0.95\n"
+    assert captured.out.splitlines() == [
+        str(tmp_path / f"three_spheres_{kind}.csv")
+        for kind in ("three_spheres", "quantities")]
 
 
 @pytest.mark.parametrize("command", ["three-spheres", "lps"])
@@ -1001,7 +1005,88 @@ def test_overflowing_contrast_is_config_error(tmp_path):
 def test_far_center_is_refused_without_warnings(tmp_path):
     cfg = _cfg(tmp_path, BASE + "rho0 = 0.1\nrho = 0.04\ncenter = 0.5 1e300\n")
     code, err = _run_clean("three-spheres", cfg, tmp_path / "out")
-    assert code == 1 and len(err) == 1 and "inadmissible" in err[0]
+    assert code == 1 and len(err) == 1
+    assert err[0].startswith("config error: center (0.5, 1e+300) inadmissible")
+
+
+MESH_BUDGET = "mesh would need {} elements, budget is 40000"
+GRID_BUDGET = "center grid of {} candidates exceeds the budget of 1000000"
+
+
+@pytest.mark.parametrize("command,old,new,message", [
+    ("solve", "0.25", "1e-10", MESH_BUDGET.format("1e+20")),
+    ("solve", "0.25", "1e-300", MESH_BUDGET.format("over 1e308")),
+    ("solve", "0.25", "1e-310", MESH_BUDGET.format("over 1e308")),
+    ("solve", "0.25", "5e-324", MESH_BUDGET.format("over 1e308")),
+    ("three-spheres", "", "rho0 = 0.1\nrho = 0.04\npitch = 1e-300",
+     GRID_BUDGET.format("over 1e308")),
+    ("three-spheres", "", "rho0 = 0.1\nrho = 0.04\npitch = 5e-324",
+     GRID_BUDGET.format("over 1e308")),
+    # the default pitch is rho / 2
+    ("lps", "", "rho = 1e-310", GRID_BUDGET.format("over 1e308")),
+])
+def test_budget_refusal_of_a_tiny_step_is_one_short_line(tmp_path, command,
+                                                         old, new, message):
+    text = BASE.replace(old, new) if old else BASE + new + "\n"
+    code, err = _run_clean(command, _cfg(tmp_path, text), tmp_path / "out")
+    assert (code, err) == (1, [f"config error: {message}"])
+    assert len(err[0].encode()) <= 120
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["solve", "size"])
+def test_coincident_boundary_nodes_are_config_error(tmp_path, command):
+    # the 1/8 overlay snaps boundary nodes 2 and 3 onto the corner (0.8, 0.1)
+    poly = tmp_path / "corner.poly"
+    write_polygons(str(poly), [[(0.8, 0.1), (1.0, 0.9), (0.2, 0.9),
+                                (0.6, 0.0), (0.7, 0.6)]])
+    cfg = _cfg(tmp_path, BASE.replace("rectangle 0 0 1 1", str(poly))
+               .replace("0.25", "0.125"))
+    code, err = _run_clean(command, cfg, tmp_path / "out")
+    assert (code, err) == (1, ["config error: boundary nodes 2 and 3 "
+                               "coincide; use a smaller target_size"])
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_lps_keeps_a_dotted_name(tmp_path):
+    cfg = _cfg(tmp_path, BASE.replace("0.25", "0.1")
+               + "rho = 0.04\nname = run.v2\n")
+    assert main(["lps", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+        "run.v2_quantities.csv", "run.v2_rho0p04_lps.csv"]
+
+
+def test_handlers_take_the_config_args_and_name():
+    # main alone writes the tables a handler returns
+    for handler in cli._HANDLERS.values():
+        assert list(inspect.signature(handler).parameters) == [
+            "cfg", "args", "name"]
+
+
+def test_name_too_long_to_write_is_config_error(tmp_path, capsys):
+    name = "n" * 300
+    out = tmp_path / "out"
+    cfg = _cfg(tmp_path, BASE + f"name = {name}\n")
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    path = os.path.join(str(out), f"{name}_state.csv")
+    assert captured.err.startswith(f"config error: cannot write {path!r}: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not list(out.iterdir())
+
+
+def test_failed_write_removes_the_tables_of_the_run(tmp_path, capsys):
+    # a directory takes the path of solve's second table
+    out = tmp_path / "out"
+    (out / "solve_quantities.csv").mkdir(parents=True)
+    cfg = _cfg(tmp_path, BASE)
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    path = str(out / "solve_quantities.csv")
+    assert captured.err == (f"config error: cannot write {path!r}: "
+                            "Is a directory\n")
+    assert captured.out == ""
+    assert not (out / "solve_state.csv").exists()
 
 
 @pytest.mark.parametrize("name", ["a/b", "", "a\0b"])

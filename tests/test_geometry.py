@@ -205,9 +205,24 @@ def test_split_mesh_refused():
         generate_mesh(Domain(dumbbell(0.02)), 0.25)
 
 
+# boundary nodes 2 and 3 of its 1/8 overlay both snap onto the corner
+# (0.8, 0.1)
+CORNER = np.array([[0.8, 0.1], [1.0, 0.9], [0.2, 0.9], [0.6, 0.0],
+                   [0.7, 0.6]])
+
+
+def test_coincident_boundary_nodes_refused():
+    with pytest.raises(ValueError, match="^boundary nodes 2 and 3 coincide; "
+                                         "use a smaller target_size$"):
+        generate_mesh(Domain(CORNER), 0.125)
+    mesh = generate_mesh(Domain(CORNER), 0.1)
+    assert np.isfinite(mesh.boundary_normals).all()
+
+
 # the refusals of generate_mesh on a valid domain
 MESH_REFUSAL = re.compile(
     r"boundary is not a collection of simple loops|"
+    r"boundary nodes \d+ and \d+ coincide|"
     r"mesh boundary splits into several loops|"
     r"element \d+ has a nonpositive Jacobian|"
     r"no overlay cell centroid falls inside the polygon")
@@ -304,6 +319,9 @@ def test_overlay_mesh_has_one_ccw_boundary_loop(domain, target):
     assert len(loop) == len(border)
     assert np.array_equal(np.sort(loop), np.unique(border))
     assert polygon_signed_area(mesh.nodes[loop]) > 0.0
+    lengths = np.linalg.norm(mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]],
+                             axis=1)
+    assert (lengths > 0.0).all() and np.isfinite(mesh.boundary_normals).all()
     material = IsotropicMaterial(lam=1.0, mu=1.0, h=1.0)
     load = load_from_family(mesh, "pure_bending a=1", material)
     for got, want in zip(load.nodal_samples(), _scatter_nodal_samples(load)):

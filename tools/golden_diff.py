@@ -44,7 +44,14 @@ with target_size = inf, solve and convergence with h = 1e300, convergence
 with pure_bending a=1e300 and with the zero load, solve with pure_bending
 a=inf, twist a=1e300 (a residual that is not finite, exit 2), an --out that
 names a file and name = a/b, lps with pitch = x (a key it does not read)
-and size at h = 1000 and kappa 1e300. The callers that pair the solve's load
+and size at h = 1000 and kappa 1e300. Steps too fine to count in full:
+solve at target sizes 1e-300, 1e-310 and 5e-324, three-spheres at pitch
+1e-300 and 5e-324 and lps at rho 1e-310 (all exit 1). solve-corner and
+size-corner mesh a pentagon whose 1/8 overlay snaps two boundary nodes onto
+one corner (exit 1); three-spheres-far-center names the center (0.5, 1e300)
+(exit 1); lps-dotted-name runs lps with name = run.v2, and
+solve-long-name solve with a 300-character name, too long for a file
+name (exit 1). The callers that pair the solve's load
 vector run on more inputs: energy-lemma on the soft and tensor-table
 inclusions, at h = 0.01 and, under --dense-oracle, at kappa 1e3; work on the
 stiff inclusion under --dense-oracle; and solve on the soft inclusion without
@@ -76,6 +83,7 @@ BASE = (f"domain = rectangle 0 0 1 1\n{workloads.MATERIAL}"
         "target_size = 0.125\nload = pure_bending a=1\ntimestamp = off\n")
 INCLUSION = [(0.3, 0.3), (0.7, 0.3), (0.7, 0.6), (0.3, 0.7)]
 SKEWED = [(0.0, 0.0), (1.0, 0.2), (1.3, 1.1), (0.2, 0.9)]
+CORNER = [(0.8, 0.1), (1.0, 0.9), (0.2, 0.9), (0.6, 0.0), (0.7, 0.6)]
 DUMBBELL = [(0.0, 0.0), (1.0, 0.0), (1.0, 0.49), (2.0, 0.49), (2.0, 0.0),
             (3.0, 0.0), (3.0, 1.0), (2.0, 1.0), (2.0, 0.51), (1.0, 0.51),
             (1.0, 1.0), (0.0, 1.0)]
@@ -166,6 +174,18 @@ def command_runs(inputs):
         + "refinements = 3\n",
         "theta_inf": BASE + "rho0 = 0.1\nrho = 0.04\ntheta = inf\n",
         "lps_pitch_x": BASE + "rho = 0.04\npitch = x\n",
+        # steps too fine for any grid count to be printed in full
+        **{f"target{t}": BASE.replace("target_size = 0.125",
+                                      f"target_size = {t}")
+           for t in ("1e-300", "1e-310", "5e-324")},
+        **{f"pitch{p}": BASE + f"rho0 = 0.1\nrho = 0.04\npitch = {p}\n"
+           for p in ("1e-300", "5e-324")},
+        "rho1e-310": BASE + "rho = 1e-310\n",
+        "far_center": BASE + "rho0 = 0.1\nrho = 0.04\ncenter = 0.5 1e300\n",
+        "dotted_name": BASE.replace("target_size = 0.125",
+                                    "target_size = 0.1")
+        + "rho = 0.04\nname = run.v2\n",
+        "long_name": BASE + f"name = {'n' * 300}\n",
     }
     for key, verts, load in (("lshape", workloads.LSHAPE, "edge_moment c=1"),
                              ("skewed", SKEWED, "twist a=1")):
@@ -177,6 +197,10 @@ def command_runs(inputs):
                       workloads._polygon_text(DUMBBELL))
     cfgs["dumbbell"] = BASE.replace("rectangle 0 0 1 1", dumbbell).replace(
         "target_size = 0.125", "target_size = 0.25")
+    # the 1/8 overlay snaps two boundary nodes onto the corner (0.8, 0.1)
+    corner = _write(os.path.join(inputs, "corner.poly"),
+                    workloads._polygon_text(CORNER))
+    cfgs["corner"] = BASE.replace("rectangle 0 0 1 1", corner)
     # the probes on overlay meshes, whose point rows do not follow the
     # probe lattice; rho0 = 2.5 rho keeps the three-spheres fits feasible
     for key, rho, rho0, radii in (("lshape", "0.02", "0.05", "0.02 0.015 0.01"),
@@ -298,7 +322,19 @@ def command_runs(inputs):
             ("solve-name-slash", ["solve", "--config", path["name_slash"]]),
             ("lps-pitch-x", ["lps", "--config", path["lps_pitch_x"]]),
             ("size-kappa-overflow", ["size", "--config",
-                                     path["kappa_overflow"]])]
+                                     path["kappa_overflow"]]),
+            *((f"solve-target-{t}", ["solve", "--config", path[f"target{t}"]])
+              for t in ("1e-300", "1e-310", "5e-324")),
+            *((f"three-spheres-pitch-{p}", ["three-spheres", "--config",
+                                            path[f"pitch{p}"]])
+              for p in ("1e-300", "5e-324")),
+            ("lps-rho-1e-310", ["lps", "--config", path["rho1e-310"]]),
+            ("solve-corner", ["solve", "--config", path["corner"]]),
+            ("size-corner", ["size", "--config", path["corner"]]),
+            ("three-spheres-far-center", ["three-spheres", "--config",
+                                          path["far_center"]]),
+            ("lps-dotted-name", ["lps", "--config", path["dotted_name"]]),
+            ("solve-long-name", ["solve", "--config", path["long_name"]])]
     runs += [(f"{command}-{key}", [command, "--config", path[key]])
              for key in ("lshape", "skewed") for command in ("solve", "size")]
     runs += [(f"{command}-{key}",
