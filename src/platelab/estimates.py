@@ -244,7 +244,9 @@ class ThreeSpheresReport:
     exponent solves I_mid = (rho0/rho)^2 * I_small^tau * I_large^(1-tau)
     exactly when feasible; tau is that root clipped to (0.01, 0.99) and
     constant is the prefactor making the clipped form an equality. feasible
-    means the unclipped root lies in (0, 1).
+    means the unclipped root lies in (0, 1). A degenerate report, of a zero
+    field or of vanishing inner integrals, has no fit; it is infeasible when
+    the middle integral holds energy that the inner one does not.
     """
 
     center: tuple
@@ -257,7 +259,6 @@ class ThreeSpheresReport:
     constant: float
     feasible: bool
     degenerate: bool
-    message: str = ""
 
 
 def three_spheres_sweep(field, centers, rho, theta=THETA):
@@ -287,17 +288,13 @@ def _three_spheres_report(center, rho, rho0, i1, i3, i7):
     base = dict(center=center, rho=float(rho), i_small=i1, i_mid=i3,
                 i_large=i7)
 
-    def degenerate(feasible, message):
+    def degenerate(feasible):
         return ThreeSpheresReport(
             **base, tau=np.nan, tau_raw=np.nan, constant=np.nan,
-            feasible=feasible, degenerate=True, message=message)
+            feasible=feasible, degenerate=True)
 
-    if i7 <= 0.0:
-        return degenerate(True, "zero field")
-    if i1 <= 0.0:
-        if i3 <= 0.0:
-            return degenerate(True, "inner integrals vanish")
-        return degenerate(False, "inner integral vanishes while middle does not")
+    if i7 <= 0.0 or i1 <= 0.0:
+        return degenerate(i7 <= 0.0 or i3 <= 0.0)
 
     # equality exponent: log(i3/i1) = 2 log(rho0/rho) + (1-tau) log(i7/i1)
     pref = 2.0 * np.log(rho0 / rho)

@@ -307,29 +307,18 @@ class Mesh:
         return self.boundary_edges[:, 0].copy()
 
 
-def _edge_keys(elements):
-    """Directed element edges and how their undirected keys repeat.
-
-    Edge k of element e runs from elements[e, k] to elements[e, (k + 1) % 4]
-    and has flat index 4*e + k. Its key is the (min, max) node-id pair.
-    Returns the directed edges (4 ne, 2), and per edge the flat index of the
-    first edge with the same key and the number of edges with that key.
-    """
+def _extract_boundary(nodes, elements):
+    # edges appearing in exactly one element, kept in that element's ccw
+    # direction, then chained into the one boundary loop, which starts at
+    # its smallest node id; edge k of element e runs from elements[e, k] to
+    # elements[e, (k + 1) % 4], and its key is the (min, max) node-id pair
     directed = np.stack([elements, np.roll(elements, -1, axis=1)], axis=2)
     directed = directed.reshape(-1, 2)
     lo, hi = directed.min(axis=1), directed.max(axis=1)
     keys = lo * (int(hi.max(initial=-1)) + 1) + hi
-    _, first, inverse, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True)
-    return directed, first[inverse], counts[inverse]
-
-
-def _extract_boundary(nodes, elements):
-    # edges appearing in exactly one element, kept in that element's ccw
-    # direction, then chained into the one boundary loop, which starts at
-    # its smallest node id
-    directed, _, counts = _edge_keys(elements)
-    border = directed[counts == 1]
+    _, inverse, counts = np.unique(keys, return_inverse=True,
+                                   return_counts=True)
+    border = directed[counts[inverse] == 1]
     if not len(border):
         raise ValueError("mesh has no boundary edges")
     # every boundary node must start one edge and end one: a pinched node
@@ -495,10 +484,6 @@ class ElementMask:
         object.__setattr__(self, "flags", arr)
         if self.area < -1e-12:
             raise ValueError("mask area must be nonnegative")
-
-    @property
-    def count(self):
-        return int(self.flags.sum())
 
     @property
     def empty(self):

@@ -1,7 +1,7 @@
 """Isotropic plate material and the derived stiffness tensors.
 
-The background material is isotropic with Lame fields lam, mu (scalar or one
-value per element) and thickness h. Derived quantities: transverse shear
+The background material is isotropic with constant Lame moduli lam, mu and
+thickness h. Derived quantities: transverse shear
 stiffness S = h*mu and bending rigidity B = E h^3 / (12 (1 - nu^2)) acting as
     P A = B [ (1-nu) sym(A) + nu tr(A) I ].
 Quadratic forms over symmetric 2x2 matrices are represented in a 3-vector
@@ -21,80 +21,59 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import _edge_keys
-
 _REL = 1e-12
 
 
-def _as_field(x, name):
-    if np.ndim(x) == 0:
-        return float(x)
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be scalar or a 1d per-element array")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
-
-
 def _worst(values, reverse=False):
-    # index of the extreme entry, 0 for scalars
-    if np.ndim(values) == 0:
-        return 0
+    # index of the extreme entry
     return int(np.argmax(values) if reverse else np.argmin(values))
 
 
 @dataclass(frozen=True)
 class IsotropicMaterial:
-    """Background Lame fields with declared ellipticity window.
+    """Background Lame moduli, one constant pair, with declared ellipticity
+    window.
 
     alpha0 and gamma0 are the declared floors (mu >= alpha0,
-    2 mu + 3 lam >= gamma0); alpha1 caps |lam| and mu and doubles as the
-    regularity budget for cross-element variation (see validate_on_mesh).
+    2 mu + 3 lam >= gamma0); alpha1 caps |lam| and mu.
     """
 
-    lam: object
-    mu: object
+    lam: float
+    mu: float
     h: float
     alpha0: float = 1.0
     gamma0: float = 5.0
     alpha1: float = 2.0
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", _as_field(self.lam, "lam"))
-        object.__setattr__(self, "mu", _as_field(self.mu, "mu"))
+        for name in ("lam", "mu"):
+            value = getattr(self, name)
+            if np.ndim(value) != 0:
+                raise ValueError(f"{name} must be a number")
+            object.__setattr__(self, name, float(value))
         if not self.h > 0:
             raise ValueError("h must be positive")
         for name in ("alpha0", "gamma0", "alpha1"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        lam, mu = np.asarray(self.lam), np.asarray(self.mu)
-        if lam.shape != mu.shape and lam.ndim and mu.ndim:
-            raise ValueError("lam and mu fields must have matching length")
-        if np.any(mu < self.alpha0):
-            e = _worst(mu - self.alpha0)
-            raise ValueError(f"mu violates the floor alpha0 at element {e}")
-        if np.any(2.0 * mu + 3.0 * lam < self.gamma0):
-            e = _worst(2.0 * mu + 3.0 * lam - self.gamma0)
-            raise ValueError(f"2*mu + 3*lam violates the floor gamma0 at element {e}")
-        if np.any(mu > self.alpha1) or np.any(np.abs(lam) > self.alpha1):
-            e = _worst(np.maximum(mu, np.abs(lam)), reverse=True)
-            raise ValueError(f"Lame moduli exceed the cap alpha1 at element {e}")
+        lam, mu = self.lam, self.mu
+        if mu < self.alpha0:
+            raise ValueError("mu violates the floor alpha0")
+        if 2.0 * mu + 3.0 * lam < self.gamma0:
+            raise ValueError("2*mu + 3*lam violates the floor gamma0")
+        if mu > self.alpha1 or abs(lam) > self.alpha1:
+            raise ValueError("Lame moduli exceed the cap alpha1")
         # the derived tensors must be finite doubles
         derive_plate_tensors(self)
 
-    @property
-    def uniform(self):
-        return np.ndim(self.lam) == 0 and np.ndim(self.mu) == 0
-
 
 class PlateTensors(NamedTuple):
-    """Per-element derived coefficients (scalars when fields are uniform)."""
+    """Derived plate coefficients, one number each."""
 
-    shear: object      # S = h * mu
-    young: object      # E
-    nu: object
-    rigidity: object   # B
+    shear: float       # S = h * mu
+    young: float       # E
+    nu: float
+    rigidity: float    # B
     h: float
 
 
@@ -110,37 +89,21 @@ def derive_plate_tensors(mat):
         except OverflowError:
             rigidity = np.inf
         tensors = PlateTensors(h * mu, young, nu, rigidity, h)
-    if not all(np.all(np.isfinite(t)) for t in tensors):
+    if not all(np.isfinite(t) for t in tensors):
         raise ValueError("lambda, mu and h overflow the plate tensors")
     return tensors
 
 
-def bending_voigt(tensors, n_elements=None):
-    """Bending quadratic form as a 3x3 matrix per element.
-
-    Acts on (A11, A22, 2*A12). Returns (3, 3) for uniform coefficients and
-    n_elements None, else (n_elements, 3, 3).
-    """
-    b = np.broadcast_to(np.asarray(tensors.rigidity, dtype=float),
-                        () if n_elements is None else (n_elements,))
-    nu = np.broadcast_to(np.asarray(tensors.nu, dtype=float), b.shape)
-    out = np.zeros(b.shape + (3, 3))
-    out[..., 0, 0] = b
-    out[..., 1, 1] = b
-    out[..., 0, 1] = b * nu
-    out[..., 1, 0] = b * nu
-    out[..., 2, 2] = 0.5 * b * (1.0 - nu)
-    return out
+def bending_voigt(tensors):
+    """Bending quadratic form as a 3x3 matrix acting on (A11, A22, 2*A12)."""
+    b, nu = tensors.rigidity, tensors.nu
+    return np.array([[b, b * nu, 0.0], [b * nu, b, 0.0],
+                     [0.0, 0.0, 0.5 * b * (1.0 - nu)]])
 
 
-def shear_matrix(tensors, n_elements=None):
-    """Shear quadratic form S*I2 per element."""
-    s = np.broadcast_to(np.asarray(tensors.shear, dtype=float),
-                        () if n_elements is None else (n_elements,))
-    out = np.zeros(s.shape + (2, 2))
-    out[..., 0, 0] = s
-    out[..., 1, 1] = s
-    return out
+def shear_matrix(tensors):
+    """Shear quadratic form S*I2."""
+    return tensors.shear * np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -152,11 +115,11 @@ class EllipticityConstants:
 
 
 def ellipticity_constants(mat):
-    """Derived shear/bending spectral window, verified against the fields.
+    """Derived shear/bending spectral window, verified against the material.
 
     The window is sigma0 = alpha0, sigma1 = alpha1, xi0 = min(2 alpha0,
     gamma0), xi1 = 2 alpha1; the shear tensor sits in h*[sigma0, sigma1]
-    and the bending form spectrum in (h^3/12)*[xi0, xi1] at every element.
+    and the bending form spectrum in (h^3/12)*[xi0, xi1].
     The floors and caps of IsotropicMaterial imply all of it but the
     bending cap: h mu lies in h*[alpha0, alpha1], and the bending
     eigenvalues are (h^3/12) times 2 mu and 2 mu (2 mu + 3 lam) / (2 mu +
@@ -172,13 +135,11 @@ def ellipticity_constants(mat):
     # Voigt matrix with its shear entry doubled; eigenvalues B(1-nu) twice
     # and B(1+nu)
     t = derive_plate_tensors(mat)
-    gram = bending_voigt(t, np.size(t.rigidity))
-    gram[..., 2, 2] *= 2.0
-    top = np.linalg.eigvalsh(gram)[..., -1]
+    gram = bending_voigt(t)
+    gram[2, 2] *= 2.0
     hi = mat.h ** 3 / 12.0 * ec.xi1
-    if np.any(top > hi + _REL * hi):
-        raise ValueError(
-            f"bending sandwich fails from above at element {_worst(top, reverse=True)}")
+    if np.linalg.eigvalsh(gram)[-1] > hi + _REL * hi:
+        raise ValueError("bending sandwich fails from above")
     return ec
 
 
@@ -287,13 +248,13 @@ def override_rows(incl, n_elements=None):
 
 
 def _lower_solve(low, rhs):
-    # low^-1 rhs for stacked lower-triangular low, by forward substitution;
-    # np.linalg.solve rounds otherwise, and a table of twice the background
-    # bending matrix no longer gives the eigenvalue 2 exactly
+    # low^-1 rhs for lower-triangular low and stacked rhs, by forward
+    # substitution; np.linalg.solve rounds otherwise, and a table of twice
+    # the background bending matrix no longer gives the eigenvalue 2 exactly
     out = np.empty_like(rhs)
     for i in range(low.shape[-1]):
-        out[:, i] = (rhs[:, i] - np.einsum("ej,ejk->ek", low[:, i, :i],
-                                           out[:, :i])) / low[:, i, i, None]
+        out[:, i] = (rhs[:, i] - np.einsum("j,ejk->ek", low[i, :i],
+                                           out[:, :i])) / low[i, i]
     return out
 
 
@@ -303,15 +264,14 @@ def _override_spectrum(mat, incl):
     # override whitened by the background's Cholesky factor L, L^-1 A L^-T;
     # rows missing from either table are skipped
     t = derive_plate_tensors(mat)
-    st, pt = override_rows(incl, None if mat.uniform else np.size(t.rigidity))
-    ne = len(st)
+    st, pt = override_rows(incl)
     elems = np.flatnonzero(~(np.isnan(st).any(axis=(1, 2))
                              | np.isnan(pt).any(axis=(1, 2))))
     if not len(elems):
         raise ValueError("override tables contain no usable rows")
     vals = []
-    for a, b in ((st, shear_matrix(t, ne)), (pt, bending_voigt(t, ne))):
-        low = np.linalg.cholesky(b[elems])
+    for a, b in ((st, shear_matrix(t)), (pt, bending_voigt(t))):
+        low = np.linalg.cholesky(b)
         half = _lower_solve(low, a[elems])
         vals.append(np.linalg.eigvalsh(_lower_solve(low, half.swapaxes(1, 2))))
     return np.concatenate(vals, axis=1), elems
@@ -345,45 +305,6 @@ def jump_bounds(mat, incl):
     raise ValueError(
         "indefinite contrast: spectrum straddles 1 "
         f"(min at element {e_lo}, max at element {e_hi})")
-
-
-def validate_on_mesh(mat, mesh):
-    """Check per-element fields against the mesh.
-
-    Field lengths must match the element count, and values on elements that
-    share an edge may differ by at most alpha1 * centroid distance / rho0,
-    the discrete stand-in for a Lipschitz bound with budget alpha1.
-    """
-    if mat.uniform:
-        return
-    ne = mesh.n_elements
-    for name in ("lam", "mu"):
-        field = getattr(mat, name)
-        if np.ndim(field) and len(field) != ne:
-            raise ValueError(f"{name} has {len(field)} entries for {ne} elements")
-    rho0 = mesh.domain.apriori.rho0
-    pairs = _shared_edge_pairs(mesh.elements)
-    cent = mesh.element_centroids
-    gap = np.linalg.norm(cent[pairs[:, 0]] - cent[pairs[:, 1]], axis=1)
-    budget = mat.alpha1 * gap / rho0 * (1.0 + 1e-9) + _REL * mat.alpha1
-    for name in ("lam", "mu"):
-        field = np.broadcast_to(np.asarray(getattr(mat, name), dtype=float), (ne,))
-        diff = np.abs(field[pairs[:, 0]] - field[pairs[:, 1]])
-        bad = diff > budget
-        if np.any(bad):
-            i = int(np.argmax(diff - budget))
-            raise ValueError(
-                f"{name} jumps by {diff[i]:.3g} between elements "
-                f"{pairs[i, 0]} and {pairs[i, 1]}, over the regularity budget "
-                f"{budget[i]:.3g}")
-
-
-def _shared_edge_pairs(elements):
-    # (first owner, later owner) of every edge key met again, ordered by the
-    # later edge's flat index 4*e + k
-    _, first, _ = _edge_keys(elements)
-    later = np.flatnonzero(first != np.arange(len(first)))
-    return np.column_stack([first[later] // 4, later // 4])
 
 
 # ---------------------------------------------------------------------------

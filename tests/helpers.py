@@ -51,11 +51,15 @@ def mask_from_csv(path, mesh):
     return ElementMask(flags, float(mesh.element_areas[flags].sum()))
 
 
-def bending_apply(mat, element, a):
-    """Apply the bending tensor of one element to a 2x2 matrix."""
+def rows(matrix, n):
+    """n copies of a matrix, one table row per element."""
+    return np.repeat(matrix[None], n, axis=0)
+
+
+def bending_apply(mat, a):
+    """Apply the background bending tensor to a 2x2 matrix."""
     t = derive_plate_tensors(mat)
-    b = t.rigidity if np.ndim(t.rigidity) == 0 else t.rigidity[element]
-    nu = t.nu if np.ndim(t.nu) == 0 else t.nu[element]
+    b, nu = t.rigidity, t.nu
     a = np.asarray(a, dtype=float)
     sym = 0.5 * (a + a.T)
     return b * ((1.0 - nu) * sym + nu * np.trace(a) * np.eye(2))

@@ -32,7 +32,10 @@ lambda key (exit 1), with the zero load `pure_bending a=0` (exit 1) and on a
 dumbbell, two unit squares joined by a 0.02-wide neck, at target size 0.25,
 whose overlay splits into two plates (exit 1). energy-lemma-zero-load runs
 energy-lemma on that zero load (exit 1), and size-c1-0 and energy-lemma-c1-0
-run both commands with `c1 = 0` (exit 1). Four more calibrate corpora run
+run both commands with `c1 = 0` (exit 1). size-mu-floor (mu = 0.5),
+size-gamma-floor (lambda = 0), size-mu-cap (mu = 3) and size-lambda-cap
+(lambda = 2.5) run size on a background that each of the material's
+floors and caps refuses (exit 1). Four more calibrate corpora run
 at --jobs 1 and 2: one spans two meshes and holds a reference-only entry, in
 another the second entry has an unknown load, the third holds two zero-load
 entries (exit 1), and in the fourth, calibrate-window, two inclusion entries
@@ -140,6 +143,13 @@ def command_runs(inputs):
         # the zero load has no frequency report; the size bounds fail first
         "zero_load": zero,
         "c1_0": incl + "c1 = 0\n",
+        # a background outside the floors mu >= alpha0 and 2 mu + 3 lambda
+        # >= gamma0, or over the cap alpha1 on mu or |lambda|
+        **{f"material_{key}": incl.replace("lambda = 1.0\nmu = 1.0", moduli)
+           for key, moduli in (("mu_floor", "lambda = 1.0\nmu = 0.5"),
+                               ("gamma_floor", "lambda = 0.0\nmu = 1.0"),
+                               ("mu_cap", "lambda = 1.0\nmu = 3.0"),
+                               ("lambda_cap", "lambda = 2.5\nmu = 1.0"))},
         # values the config parse or the derived tensors refuse
         "c1_inf": incl + "c1 = inf\n",
         "target_inf": BASE.replace("target_size = 0.125", "target_size = inf"),
@@ -286,6 +296,9 @@ def command_runs(inputs):
                                         path["zero_load"]]),
             ("size-c1-0", ["size", "--config", path["c1_0"]]),
             ("energy-lemma-c1-0", ["energy-lemma", "--config", path["c1_0"]]),
+            *((f"size-{key.replace('_', '-')}",
+               ["size", "--config", path[f"material_{key}"]])
+              for key in ("mu_floor", "gamma_floor", "mu_cap", "lambda_cap")),
             ("size-dumbbell", ["size", "--config", path["dumbbell"]]),
             ("three-spheres", ["three-spheres", "--config",
                                path["three_spheres"]]),
@@ -377,7 +390,8 @@ def workload_runs(inputs, seed):
 
 
 def run_all(checkout, runs, outroot):
-    """{label: (exit code, stderr)} of every run against checkout's src/."""
+    """{label: (exit code, stderr)} of every run against checkout's src/;
+    outroot reads <out> in the stderr, so that both sides compare."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     results = {}
     for label, argv in runs:
@@ -389,7 +403,8 @@ def run_all(checkout, runs, outroot):
         proc = subprocess.run([sys.executable, "-c", RUNNER] + argv, env=env,
                               cwd=out,
                               capture_output=True, text=True, timeout=600)
-        results[label] = (proc.returncode, proc.stderr)
+        results[label] = (proc.returncode,
+                          proc.stderr.replace(outroot, "<out>"))
     return results
 
 
