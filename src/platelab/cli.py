@@ -221,14 +221,18 @@ def _size_config(cfg, args, name):
         dense_oracle=args.dense_oracle, name=name)
 
 
-def _reference_field(cfg, args, name):
-    """Energy field of the reference plate, for the probes.
-
-    The probes study the inclusion-free plate and ignore inclusion keys;
-    a field without energy, from a zero load, is refused.
-    """
+def _reference_config(cfg, args, name):
+    """The SizeExperimentConfig of the plate without its inclusion: the
+    probes and convergence study the inclusion-free plate and ignore the
+    inclusion keys."""
     ref = _Config((k, v) for k, v in cfg.items() if k not in _INCLUSION_KEYS)
-    fw = forward(_size_config(ref, args, name))
+    return _size_config(ref, args, name)
+
+
+def _reference_field(cfg, args, name):
+    """Energy field of the reference plate, for the probes; a field without
+    energy, from a zero load, is refused."""
+    fw = forward(_reference_config(cfg, args, name))
     field = strain_energy_density(fw.state0, order=4)
     if not field.total > 0.0:
         raise ConfigError("reference energy must be positive")
@@ -339,11 +343,8 @@ WORK_RTOL = 0.005
 
 
 def _cmd_convergence(cfg, args, name):
-    records = convergence_study(
-        _build_domain(cfg), _build_material(cfg),
-        **_given(cfg, family="load", target0="target_size",
-                 levels="refinements"),
-        assumed_shear=not args.full_integration)
+    records = convergence_study(_reference_config(cfg, args, name),
+                                **_given(cfg, levels="refinements"))
     w_err, last_order = records[-1][3:]
     failures = []
     if last_order is not None and last_order < MIN_ORDER:

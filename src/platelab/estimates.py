@@ -21,7 +21,7 @@ import concurrent.futures
 import functools
 import math
 import threading
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -68,10 +68,9 @@ GAP_RTOL = 1e-10
 
 # the defaults of the library, which a config that leaves the key out gets
 # too: the load family, the probes' theta, and the convergence study's
-# coarsest target size and number of levels
+# number of levels
 LOAD_FAMILY = "pure_bending a=1"
 THETA = 0.3
-CONVERGENCE_TARGET = 0.25
 CONVERGENCE_LEVELS = 3
 
 
@@ -653,10 +652,10 @@ def run_corpus(configs, jobs=1):
 _EXACT_FLOOR = 1e-8
 
 
-def convergence_study(domain, material, family=LOAD_FAMILY,
-                      target0=CONVERGENCE_TARGET, levels=CONVERGENCE_LEVELS,
-                      assumed_shear=True):
-    """Uniform-refinement errors against the closed-form solution.
+def convergence_study(config, levels=CONVERGENCE_LEVELS):
+    """Uniform-refinement errors against the closed-form solution, on the
+    plate of config, an inclusion-free one, at its target size halved
+    0 .. levels - 1 times.
 
     Returns rows (n_elements, mesh_size, energy_error, work_error,
     observed_order), one per level.
@@ -664,19 +663,20 @@ def convergence_study(domain, material, family=LOAD_FAMILY,
     falls below _EXACT_FLOOR the solution is exact to round-off and the
     observed order is reported as inf.
     """
-    kv, gv, density = exact_strains(family, material)
-    t = derive_plate_tensors(material)
+    if config.inclusion is not None:
+        raise ValueError("convergence studies a plate without inclusion")
+    kv, gv, density = exact_strains(config.load_family, config.material)
+    t = derive_plate_tensors(config.material)
     db = bending_voigt(t)
     sm = shear_matrix(t)
-    w_exact = density * domain.area
+    w_exact = density * config.domain.area
     _require_positive("reference work", w_exact)
     records = []
     prev = None
     for level in range(levels):
-        fw = forward(SizeExperimentConfig(
-            domain=domain, material=material, target_size=target0 / 2 ** level,
-            load_family=family, assumed_shear=assumed_shear))
-        ops = element_operators(fw.mesh, 2, assumed_shear)
+        fw = forward(replace(config,
+                             target_size=config.target_size / 2 ** level))
+        ops = element_operators(fw.mesh, 2, config.assumed_shear)
         wts = ops.point_weights()
         dk = ops.curvatures(fw.state.u) - kv
         dg = ops.shears(fw.state.u) - gv

@@ -148,20 +148,22 @@ class InclusionMaterial:
     """Tensor override on the flagged region.
 
     Either a scalar contrast kappa (override = kappa * background for both
-    tensors) or explicit tables: stilde as (2, 2) or (n, 2, 2) shear
-    tensors, ptilde as (3, 3) or (n, 3, 3) bending matrices in the
-    (A11, A22, 2*A12) convention, row i for element i. Rows may be NaN for
-    elements the override never touches; override_rows lines the tables up
-    with the elements.
+    tensors) or explicit tables: elements holds the ascending ids of the k
+    elements the tables name, and row i of stilde (k, 2, 2) and of ptilde
+    (k, 3, 3) holds element elements[i]'s shear tensor and bending matrix,
+    the latter in the (A11, A22, 2*A12) convention. Every row is finite and
+    symmetric; override_rows lines the rows up with a mesh's elements.
     """
 
     kappa: float | None = None
+    elements: np.ndarray | None = None
     stilde: np.ndarray | None = None
     ptilde: np.ndarray | None = None
 
     def __post_init__(self):
+        tables = (self.elements, self.stilde, self.ptilde)
         if self.kappa is not None:
-            if self.stilde is not None or self.ptilde is not None:
+            if any(t is not None for t in tables):
                 raise ValueError("give either kappa or explicit tensor tables, not both")
             if not self.kappa > 0:
                 raise ValueError("kappa must be positive")
@@ -170,23 +172,29 @@ class InclusionMaterial:
             if self.kappa == 1.0:
                 raise ValueError("kappa = 1 gives no contrast")
             return
-        if self.stilde is None or self.ptilde is None:
-            raise ValueError("explicit override needs both stilde and ptilde")
-        st = np.asarray(self.stilde, dtype=float)
-        pt = np.asarray(self.ptilde, dtype=float)
-        if st.shape[-2:] != (2, 2) or pt.shape[-2:] != (3, 3):
-            raise ValueError("stilde must be (..,2,2) and ptilde (..,3,3)")
-        ok = ~np.isnan(st).any(axis=(-2, -1))
-        if np.any(np.abs(st - np.swapaxes(st, -1, -2))[ok] > _REL * (1 + np.abs(st[ok]).max(initial=0))):
+        if any(t is None for t in tables):
+            raise ValueError("explicit override needs elements, stilde and "
+                             "ptilde")
+        ids = np.array(self.elements)
+        st = np.array(self.stilde, dtype=float)
+        pt = np.array(self.ptilde, dtype=float)
+        k = len(ids) if ids.ndim == 1 else -1
+        if k < 1 or st.shape != (k, 2, 2) or pt.shape != (k, 3, 3):
+            raise ValueError("explicit override needs elements (k,), stilde "
+                             "(k, 2, 2) and ptilde (k, 3, 3), k >= 1")
+        if ids.dtype.kind not in "iu" or ids[0] < 0 or \
+                np.any(ids[1:] <= ids[:-1]):
+            raise ValueError("override elements must be ascending "
+                             "non-negative integers")
+        if not (np.isfinite(st).all() and np.isfinite(pt).all()):
+            raise ValueError("override tables must be finite")
+        if np.any(np.abs(st - st.swapaxes(1, 2)) > _REL * (1 + np.abs(st).max())):
             raise ValueError("stilde must be symmetric")
-        ok = ~np.isnan(pt).any(axis=(-2, -1))
-        if np.any(np.abs(pt - np.swapaxes(pt, -1, -2))[ok] > _REL * (1 + np.abs(pt[ok]).max(initial=0))):
+        if np.any(np.abs(pt - pt.swapaxes(1, 2)) > _REL * (1 + np.abs(pt).max())):
             raise ValueError("ptilde must be symmetric (major symmetry)")
-        st, pt = st.copy(), pt.copy()
-        st.setflags(write=False)
-        pt.setflags(write=False)
-        object.__setattr__(self, "stilde", st)
-        object.__setattr__(self, "ptilde", pt)
+        for name, t in (("elements", ids), ("stilde", st), ("ptilde", pt)):
+            t.setflags(write=False)
+            object.__setattr__(self, name, t)
 
     @property
     def scalar(self):
@@ -222,29 +230,17 @@ class JumpBounds:
                 raise ValueError("soft bounds need eta <= 1 - delta")
 
 
-def _element_rows(table, ne):
-    t = np.asarray(table, dtype=float)
-    if t.ndim == 2:
-        return np.broadcast_to(t, (ne,) + t.shape)
-    extra = np.flatnonzero(~np.isnan(t[ne:]).all(axis=(1, 2)))
-    if len(extra):
-        raise ValueError(f"override tables name element {ne + extra[0]}, "
-                         f"past the last of {ne} elements")
-    pad = np.full((max(ne - len(t), 0),) + t.shape[1:], np.nan)
-    return np.concatenate([t[:ne], pad])
-
-
-def override_rows(incl, n_elements=None):
-    """(stilde, ptilde) of a tensor override, one row per element.
-
-    A single tensor is broadcast to every element; a shorter table is
-    NaN-padded, so its missing rows count as absent; set rows past the last
-    element are rejected. n_elements None takes the longer table's length.
-    """
-    tables = (incl.stilde, incl.ptilde)
-    if n_elements is None:
-        n_elements = max(len(t) if np.ndim(t) == 3 else 1 for t in tables)
-    return tuple(_element_rows(t, n_elements) for t in tables)
+def override_rows(incl, n_elements):
+    """Each of n_elements elements' row in a tensor override's tables, -1
+    where the tables name none; ids past the last element are refused."""
+    ids = incl.elements
+    if ids[-1] >= n_elements:
+        raise ValueError(f"override tables name element "
+                         f"{ids[np.searchsorted(ids, n_elements)]}, "
+                         f"past the last of {n_elements} elements")
+    row = np.full(n_elements, -1)
+    row[ids] = np.arange(len(ids))
+    return row
 
 
 def _lower_solve(low, rhs):
@@ -259,22 +255,16 @@ def _lower_solve(low, rhs):
 
 
 def _override_spectrum(mat, incl):
-    # generalized eigenvalues of (override, background), elementwise, for
+    # generalized eigenvalues of (override, background), row by row, for
     # both the shear pair and the bending pair: the eigenvalues of the
-    # override whitened by the background's Cholesky factor L, L^-1 A L^-T;
-    # rows missing from either table are skipped
+    # override whitened by the background's Cholesky factor L, L^-1 A L^-T
     t = derive_plate_tensors(mat)
-    st, pt = override_rows(incl)
-    elems = np.flatnonzero(~(np.isnan(st).any(axis=(1, 2))
-                             | np.isnan(pt).any(axis=(1, 2))))
-    if not len(elems):
-        raise ValueError("override tables contain no usable rows")
     vals = []
-    for a, b in ((st, shear_matrix(t)), (pt, bending_voigt(t))):
+    for a, b in ((incl.stilde, shear_matrix(t)), (incl.ptilde, bending_voigt(t))):
         low = np.linalg.cholesky(b)
-        half = _lower_solve(low, a[elems])
+        half = _lower_solve(low, a)
         vals.append(np.linalg.eigvalsh(_lower_solve(low, half.swapaxes(1, 2))))
-    return np.concatenate(vals, axis=1), elems
+    return np.concatenate(vals, axis=1)
 
 
 def jump_bounds(mat, incl):
@@ -290,7 +280,8 @@ def jump_bounds(mat, incl):
         if k > 1.0:
             return JumpBounds(k - 1.0, k, "stiff")
         return JumpBounds(1.0 - k, k, "soft")
-    vals, elems = _override_spectrum(mat, incl)
+    vals = _override_spectrum(mat, incl)
+    elems = incl.elements
     lo = float(vals.min())
     hi = float(vals.max())
     if lo > 1.0:
@@ -315,6 +306,7 @@ _BEND_COLS = ["element_id", "p1111", "p1122", "p1112", "p2222", "p2212", "p1212"
 
 
 def _read_table(path, cols):
+    # (ids, rows) of a table, sorted by id; every cell finite
     ids, rows = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -333,6 +325,8 @@ def _read_table(path, cols):
             except ValueError:
                 raise ValueError(f"{where}: expected an integer element id "
                                  f"and {len(cols) - 1} numbers") from None
+            if not np.isfinite(rows[-1]).all():
+                raise ValueError(f"{where}: values must be finite")
     if not ids:
         raise ValueError(f"no rows in {path}")
     ids = np.array(ids, dtype=int)
@@ -341,31 +335,27 @@ def _read_table(path, cols):
     uniq, counts = np.unique(ids, return_counts=True)
     if counts.max() > 1:
         raise ValueError(f"{path}: duplicate element id {uniq[counts > 1][0]}")
-    return ids, np.array(rows, dtype=float)
+    order = np.argsort(ids)
+    return ids[order], np.array(rows, dtype=float)[order]
 
 
 def inclusion_from_tables(shear_path, bending_path):
     """Build an explicit override from CSV tables keyed by element id.
 
-    Both tables get one row per id up to the largest listed one; unlisted
-    elements get NaN rows. The assembly refuses to use those, so the
-    tables must cover every flagged element, and it rejects ids the mesh
+    Both tables name the same elements, each once, with finite values; the
+    override holds one row per named element, by ascending id. The assembly
+    refuses a flagged element the tables do not name and an id the mesh
     does not have.
     """
     sid, svals = _read_table(shear_path, _SHEAR_COLS)
     bid, bvals = _read_table(bending_path, _BEND_COLS)
-    n_elements = int(max(sid.max(), bid.max())) + 1
-    st = np.full((n_elements, 2, 2), np.nan)
-    st[sid, 0, 0] = svals[:, 0]
-    st[sid, 0, 1] = svals[:, 1]
-    st[sid, 1, 0] = svals[:, 1]
-    st[sid, 1, 1] = svals[:, 2]
-    pt = np.full((n_elements, 3, 3), np.nan)
-    p1111, p1122, p1112, p2222, p2212, p1212 = bvals.T
-    pt[bid, 0, 0] = p1111
-    pt[bid, 0, 1] = pt[bid, 1, 0] = p1122
-    pt[bid, 0, 2] = pt[bid, 2, 0] = p1112
-    pt[bid, 1, 1] = p2222
-    pt[bid, 1, 2] = pt[bid, 2, 1] = p2212
-    pt[bid, 2, 2] = p1212
-    return InclusionMaterial(stilde=st, ptilde=pt)
+    if not np.array_equal(sid, bid):
+        e = np.setxor1d(sid, bid)[0]
+        has, lacks = (shear_path, bending_path) if e in sid else \
+            (bending_path, shear_path)
+        raise ValueError(f"{has} names element {e}, {lacks} does not")
+    # (s11, s12, s22) and (p1111, p1122, p1112, p2222, p2212, p1212) as
+    # symmetric matrices
+    return InclusionMaterial(
+        elements=sid, stilde=svals[:, [0, 1, 1, 2]].reshape(-1, 2, 2),
+        ptilde=bvals[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1, 3, 3))

@@ -272,7 +272,7 @@ def _coefficient_fields(mesh, material, indicator, inclusion):
     bend = np.repeat(bending_voigt(tens)[None], ne, axis=0)
     shear = np.repeat(shear_matrix(tens)[None], ne, axis=0)
     if inclusion is not None and not inclusion.scalar:
-        st, pt = override_rows(inclusion, ne)
+        row = override_rows(inclusion, ne)
     if indicator is not None and not indicator.empty:
         if inclusion is None:
             raise ValueError("flagged elements need an inclusion override")
@@ -285,12 +285,12 @@ def _coefficient_fields(mesh, material, indicator, inclusion):
                 raise ValueError("kappa overflows the inclusion's plate "
                                  "tensors")
         else:
-            if np.isnan(st[fl]).any() or np.isnan(pt[fl]).any():
-                bad = np.where(fl & (np.isnan(st).any(axis=(1, 2))
-                                     | np.isnan(pt).any(axis=(1, 2))))[0][0]
-                raise ValueError(f"override tables miss flagged element {bad}")
-            shear[fl] = st[fl]
-            bend[fl] = pt[fl]
+            miss = fl & (row < 0)
+            if miss.any():
+                raise ValueError("override tables miss flagged element "
+                                 f"{np.argmax(miss)}")
+            shear[fl] = inclusion.stilde[row[fl]]
+            bend[fl] = inclusion.ptilde[row[fl]]
     return bend, shear
 
 

@@ -73,8 +73,9 @@ def _ngon(center, r, n=64):
 
 
 def test_01_forward_convergence():
-    records = convergence_study(SQUARE, MAT, "pure_bending a=1",
-                                target0=0.25, levels=3)
+    records = convergence_study(SizeExperimentConfig(
+        domain=SQUARE, material=MAT, target_size=0.25,
+        load_family="pure_bending a=1"), levels=3)
     w_err, order = records[-1][3:]
     order_ok = order == float("inf") or order >= 1.9
     work_ok = w_err <= 0.005

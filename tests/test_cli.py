@@ -47,12 +47,15 @@ def _sq_poly(tmp_path, name="incl.poly", lo=0.25, hi=0.75):
     return str(path)
 
 
-def _tables(tmp_path, ids, factor=2.0):
-    """Config lines for a factor * background override at the given ids."""
+def _tables(tmp_path, ids, factor=2.0, bending_ids=None):
+    """Config lines for a factor * background override at the given ids,
+    or at bending_ids in the bending table."""
     tens = derive_plate_tensors(IsotropicMaterial(lam=1.0, mu=1.0, h=1.0))
     spath, bpath = tmp_path / "s.csv", tmp_path / "p.csv"
+    bids = ids if bending_ids is None else bending_ids
     write_shear_table(spath, ids, factor * rows(shear_matrix(tens), len(ids)))
-    write_bending_table(bpath, ids, factor * rows(bending_voigt(tens), len(ids)))
+    write_bending_table(bpath, bids,
+                        factor * rows(bending_voigt(tens), len(bids)))
     return f"stilde_table = {spath}\nptilde_table = {bpath}\n"
 
 
@@ -332,6 +335,43 @@ def test_table_bad_row_names_file_and_line(tmp_path, capsys, row, message):
         f"config error: bad inclusion: {shear}:3: {message}\n"
 
 
+@pytest.mark.parametrize("element", [0, 5], ids=["unflagged", "flagged"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("table", ["s", "p"], ids=["shear", "bending"])
+def test_table_cell_not_finite_names_file_and_line(tmp_path, monkeypatch,
+                                                   table, value, element):
+    # refused when the table is read, in a flagged element's row or not
+    _no_mesh(monkeypatch)
+    tables_text = _tables(tmp_path, np.arange(16))
+    path = tmp_path / f"{table}.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[element + 1].split(",")
+    cells[2] = value
+    lines[element + 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    cfg = _cfg(tmp_path, BASE + f"inclusion = {_sq_poly(tmp_path)}\n"
+               + tables_text)
+    code, err = _run_clean("size", cfg, tmp_path / "out")
+    assert (code, err) == (1, [f"config error: bad inclusion: {path}:"
+                               f"{element + 2}: values must be finite"])
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize("shear_ids,bending_ids,has,lacks,element", [
+    (np.arange(16), np.delete(np.arange(16), 3), "s", "p", 3),
+    (np.arange(15), np.arange(16), "p", "s", 15)], ids=["shear", "bending"])
+def test_tables_naming_different_elements_are_refused(
+        tmp_path, monkeypatch, shear_ids, bending_ids, has, lacks, element):
+    _no_mesh(monkeypatch)
+    cfg = _cfg(tmp_path, BASE + f"inclusion = {_sq_poly(tmp_path)}\n"
+               + _tables(tmp_path, shear_ids, bending_ids=bending_ids))
+    code, err = _run_clean("size", cfg, tmp_path / "out")
+    assert (code, err) == (1, [
+        f"config error: bad inclusion: {tmp_path / has}.csv names element "
+        f"{element}, {tmp_path / lacks}.csv does not"])
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
 def test_domain_path_starting_with_rectangle(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_polygons("rectangle.poly", [np.array(
@@ -588,18 +628,35 @@ def test_convergence_command(tmp_path):
 
 
 def test_convergence_csv_matches_library(tmp_path):
-    from platelab.estimates import convergence_study
+    from platelab.estimates import SizeExperimentConfig, convergence_study
     from platelab.geometry import Domain
     from platelab.tables import convergence_rows
 
     cfg = _cfg(tmp_path, BASE + "refinements = 3\n")
     assert main(["convergence", "--config", cfg, "--out", str(tmp_path)]) == 0
     square = Domain(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float))
-    records = convergence_study(
-        square, IsotropicMaterial(lam=1.0, mu=1.0, h=1.0), "pure_bending a=1",
-        target0=0.25, levels=3)
+    records = convergence_study(SizeExperimentConfig(
+        domain=square, material=IsotropicMaterial(lam=1.0, mu=1.0, h=1.0),
+        target_size=0.25, load_family="pure_bending a=1"), levels=3)
     assert (tmp_path / "convergence_convergence.csv").read_text() == \
         csv_text(*convergence_rows(records), timestamp=False)
+
+
+@pytest.mark.parametrize("text,flags,code,line", [
+    (BASE + "element_budget = 10\n", [], 1,
+     "config error: mesh would need 16 elements, budget is 10"),
+    # 17 x 17 nodes at the third level, 3 dof each
+    (BASE, ["--dense-oracle"], 2,
+     "numerical failure: dense oracle capped at 600 dof, system has 867"),
+    (BASE.replace("target_size = 0.25\n", ""), [], 1,
+     "config error: missing config key 'target_size'")],
+    ids=["budget", "dense-oracle", "no-target"])
+def test_convergence_reads_the_plate_as_size_does(tmp_path, text, flags, code,
+                                                  line):
+    out = tmp_path / "out"
+    assert _run_clean("convergence", _cfg(tmp_path, text), out, *flags) == \
+        (code, [line])
+    assert not list(out.glob("*.csv"))
 
 
 def test_calibrate_command_parallel(tmp_path):

@@ -488,7 +488,8 @@ def test_experiment_end_to_end(kappa, regime):
 
 def _table_inclusion(n, factor):
     t = derive_plate_tensors(MAT)
-    return InclusionMaterial(stilde=factor * rows(shear_matrix(t), n),
+    return InclusionMaterial(elements=np.arange(n),
+                             stilde=factor * rows(shear_matrix(t), n),
                              ptilde=factor * rows(bending_voigt(t), n))
 
 
@@ -533,6 +534,16 @@ def test_config_pairing_validated():
     with pytest.raises(ValueError):
         SizeExperimentConfig(domain=SQUARE, material=MAT, target_size=0.125,
                              inclusion=InclusionMaterial(kappa=2.0), name="other")
+
+
+
+def test_convergence_refuses_an_inclusion():
+    cfg = SizeExperimentConfig(domain=SQUARE, material=MAT, target_size=0.25,
+                               inclusion_polygons=[CENTER_SQ],
+                               inclusion=InclusionMaterial(kappa=2.0))
+    with pytest.raises(ValueError, match="^convergence studies a plate "
+                                         "without inclusion$"):
+        estimates.convergence_study(cfg)
 
 
 # the kept reference factor

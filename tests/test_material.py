@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -244,12 +245,18 @@ def test_jump_chain_scalar_substitution():
         assert diff <= (jb.delta - 1.0) * base + 1e-12
 
 
+def _override(st, pt, elements=None):
+    # tables of the elements 0 .. k-1, or of the ids given
+    ids = np.arange(len(st)) if elements is None else elements
+    return InclusionMaterial(elements=ids, stilde=st, ptilde=pt)
+
+
 def test_jump_explicit_matches_scalar():
     t = derive_plate_tensors(STD)
     kappa = 2.0
-    st = kappa * shear_matrix(t)
-    pt = kappa * bending_voigt(t)
-    jb = jump_bounds(STD, InclusionMaterial(stilde=st, ptilde=pt))
+    st = kappa * rows(shear_matrix(t), 3)
+    pt = kappa * rows(bending_voigt(t), 3)
+    jb = jump_bounds(STD, _override(st, pt, [1, 4, 9]))
     assert_allclose(jb.eta, kappa - 1.0)
     assert_allclose(jb.delta, kappa)
     assert jb.sign == "stiff"
@@ -257,45 +264,30 @@ def test_jump_explicit_matches_scalar():
 
 def test_jump_explicit_soft():
     t = derive_plate_tensors(STD)
-    st = 0.25 * shear_matrix(t)
-    pt = 0.25 * bending_voigt(t)
-    jb = jump_bounds(STD, InclusionMaterial(stilde=st, ptilde=pt))
+    st = 0.25 * rows(shear_matrix(t), 3)
+    pt = 0.25 * rows(bending_voigt(t), 3)
+    jb = jump_bounds(STD, _override(st, pt, [0, 2, 63]))
     assert_allclose(jb.eta, 0.75)
     assert_allclose(jb.delta, 0.25)
     assert jb.sign == "soft"
 
 
-def test_jump_bounds_skip_rows_missing_from_either_table():
-    # the assembly NaN-pads the 3-row stilde, so rows 3 and 4 (the 5x
-    # bending rows) override nothing and must not set delta
-    t = derive_plate_tensors(STD)
-    st = 2.0 * rows(shear_matrix(t), 3)
-    pt = np.concatenate([2.0 * rows(bending_voigt(t), 3),
-                         5.0 * rows(bending_voigt(t), 2)])
-    jb = jump_bounds(STD, InclusionMaterial(stilde=st, ptilde=pt))
-    assert jb.sign == "stiff"
-    assert_allclose([jb.eta, jb.delta], [1.0, 2.0])
-    # a single tensor is broadcast, so every bending row counts
-    jb = jump_bounds(STD, InclusionMaterial(stilde=2.0 * shear_matrix(t),
-                                            ptilde=pt))
-    assert_allclose([jb.eta, jb.delta], [1.0, 5.0])
-
-
 def test_override_rows_line_up_with_the_mesh():
-    # the assembly asks for one row per mesh element: a shorter table is
-    # NaN-padded, and twice the background still bounds the jump exactly
+    # the assembly asks for each mesh element's row: -1 where the tables
+    # name none, and twice the background still bounds the jump exactly
     t = derive_plate_tensors(STD)
-    incl = InclusionMaterial(stilde=2.0 * rows(shear_matrix(t), 10),
-                             ptilde=2.0 * rows(bending_voigt(t), 10))
-    st, pt = override_rows(incl, 64)
-    assert st.shape == (64, 2, 2) and pt.shape == (64, 3, 3)
-    assert not np.isnan(st[:10]).any() and np.isnan(st[10:]).all()
-    assert np.isnan(pt[10:]).all()
+    ids = np.array([0, 3, 4, 9, 40, 63])
+    incl = _override(2.0 * rows(shear_matrix(t), 6),
+                     2.0 * rows(bending_voigt(t), 6), ids)
+    row = override_rows(incl, 64)
+    want = np.full(64, -1)
+    want[ids] = np.arange(6)
+    assert np.array_equal(row, want)
     assert jump_bounds(STD, incl) == JumpBounds(eta=1.0, delta=2.0,
                                                 sign="stiff")
-    # a set row past the mesh's last element is refused
-    long = InclusionMaterial(stilde=2.0 * rows(shear_matrix(t), 70),
-                             ptilde=2.0 * rows(bending_voigt(t), 70))
+    # a row past the mesh's last element is refused by the first such id
+    long = _override(2.0 * rows(shear_matrix(t), 4),
+                     2.0 * rows(bending_voigt(t), 4), [5, 63, 64, 70])
     with pytest.raises(ValueError) as err:
         override_rows(long, 64)
     assert str(err.value) == \
@@ -307,7 +299,7 @@ def test_jump_straddle_rejected():
     st = 1.5 * shear_matrix(t)
     pt = 0.5 * bending_voigt(t)
     with pytest.raises(ValueError, match="element"):
-        jump_bounds(STD, InclusionMaterial(stilde=st, ptilde=pt))
+        jump_bounds(STD, _override(st[None], pt[None]))
 
 
 def _random_override(rng, background, low, high):
@@ -324,15 +316,13 @@ def _random_override(rng, background, low, high):
 
 
 def _eigh_spectrum(mat, st, pt):
-    # the per-element scipy.linalg.eigh reference, rows with a NaN skipped
+    # the per-row scipy.linalg.eigh reference
     t = derive_plate_tensors(mat)
     smat, bmat = shear_matrix(t), bending_voigt(t)
-    elems = [e for e in range(len(st))
-             if not (np.isnan(st[e]).any() or np.isnan(pt[e]).any())]
-    vals = [np.concatenate([
-        scipy.linalg.eigh(st[e], smat, eigvals_only=True),
-        scipy.linalg.eigh(pt[e], bmat, eigvals_only=True)]) for e in elems]
-    return np.array(vals), np.array(elems)
+    return np.array([np.concatenate([
+        scipy.linalg.eigh(s, smat, eigvals_only=True),
+        scipy.linalg.eigh(p, bmat, eigvals_only=True)])
+        for s, p in zip(st, pt)])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -343,17 +333,15 @@ def test_override_spectrum_matches_elementwise_eigh(seed):
     t = derive_plate_tensors(mat)
 
     def tables(low, high):
+        # the rows of 190 ascending ids of the 200 drawn
         st = _random_override(rng, rows(shear_matrix(t), ne), low, high)
         pt = _random_override(rng, rows(bending_voigt(t), ne), low, high)
-        st[rng.choice(ne, 5, replace=False)] = np.nan
-        pt[rng.choice(ne, 5, replace=False)] = np.nan
-        return st, pt
+        ids = np.sort(rng.choice(ne, 190, replace=False))
+        return ids, st[ids], pt[ids]
 
-    st, pt = tables(1e-3, 1e3)
-    got, elems = _override_spectrum(mat, InclusionMaterial(stilde=st,
-                                                           ptilde=pt))
-    want, want_elems = _eigh_spectrum(mat, st, pt)
-    assert np.array_equal(elems, want_elems)
+    ids, st, pt = tables(1e-3, 1e3)
+    got = _override_spectrum(mat, _override(st, pt, ids))
+    want = _eigh_spectrum(mat, st, pt)
     # each eigenvalue against itself, to the rounding its element's
     # conditioning allows: whitening leaves an error near eps times the
     # element's largest eigenvalue, so in a spectrum 1e6 wide the smallest
@@ -362,21 +350,20 @@ def test_override_spectrum_matches_elementwise_eigh(seed):
     rel_err = np.abs(got - want) / np.abs(want)
     assert np.all(rel_err <= 1e-14 * cond)
     # the errors name the elements that the reference names
-    st, pt = tables(0.2, 0.9)
-    usable = ~(np.isnan(st).any(axis=(1, 2)) | np.isnan(pt).any(axis=(1, 2)))
-    pt[rng.choice(np.flatnonzero(usable)), 2, 2] *= -1.0
-    want, want_elems = _eigh_spectrum(mat, st, pt)
-    worst = want_elems[np.argmin(want.min(axis=1))]
+    ids, st, pt = tables(0.2, 0.9)
+    pt[rng.choice(len(ids)), 2, 2] *= -1.0
+    want = _eigh_spectrum(mat, st, pt)
+    worst = ids[np.argmin(want.min(axis=1))]
     with pytest.raises(ValueError, match=re.escape(
             f"override is not positive definite at element {worst}")):
-        jump_bounds(mat, InclusionMaterial(stilde=st, ptilde=pt))
-    st, pt = tables(0.5, 2.0)
-    want, want_elems = _eigh_spectrum(mat, st, pt)
-    lo = want_elems[np.argmin(want.min(axis=1))]
-    hi = want_elems[np.argmax(want.max(axis=1))]
+        jump_bounds(mat, _override(st, pt, ids))
+    ids, st, pt = tables(0.5, 2.0)
+    want = _eigh_spectrum(mat, st, pt)
+    lo = ids[np.argmin(want.min(axis=1))]
+    hi = ids[np.argmax(want.max(axis=1))]
     with pytest.raises(ValueError, match=re.escape(
             f"(min at element {lo}, max at element {hi})")):
-        jump_bounds(mat, InclusionMaterial(stilde=st, ptilde=pt))
+        jump_bounds(mat, _override(st, pt, ids))
 
 
 def test_jump_bounds_validation():
@@ -389,27 +376,75 @@ def test_jump_bounds_validation():
 
 
 def test_nonsymmetric_stilde_rejected():
-    st = np.array([[1.0, 0.2], [0.3, 1.0]])
-    pt = bending_voigt(derive_plate_tensors(STD))
-    with pytest.raises(ValueError):
-        InclusionMaterial(stilde=st, ptilde=pt)
+    st = np.array([[[1.0, 0.2], [0.3, 1.0]]])
+    pt = bending_voigt(derive_plate_tensors(STD))[None]
+    with pytest.raises(ValueError, match="^stilde must be symmetric$"):
+        _override(st, pt)
+
+
+def _spoil(kind):
+    # (elements, stilde, ptilde) of two stiff rows, spoiled one way
+    t = derive_plate_tensors(STD)
+    ids = np.array([1, 4])
+    st = 2.0 * rows(shear_matrix(t), 2)
+    pt = 2.0 * rows(bending_voigt(t), 2)
+    if kind == "rows":
+        pt = 2.0 * rows(bending_voigt(t), 3)
+    elif kind == "single":
+        st, pt = st[0], pt[0]
+    elif kind == "empty":
+        ids, st, pt = ids[:0], st[:0], pt[:0]
+    elif kind in ("nan", "inf"):
+        pt = pt.copy()
+        pt[1, 0, 2] = pt[1, 2, 0] = float(kind)
+    else:
+        ids = {"order": [4, 1], "twice": [4, 4], "negative": [-1, 4],
+               "float": [1.0, 4.0]}[kind]
+    return ids, st, pt
+
+
+# each spoiled table's refusal
+_SHAPE = ("explicit override needs elements (k,), stilde (k, 2, 2) and "
+          "ptilde (k, 3, 3), k >= 1")
+_IDS = "override elements must be ascending non-negative integers"
+_SPOILED_MESSAGES = {
+    "rows": _SHAPE, "single": _SHAPE, "empty": _SHAPE, "order": _IDS,
+    "twice": _IDS, "negative": _IDS, "float": _IDS,
+    "nan": "override tables must be finite",
+    "inf": "override tables must be finite"}
+
+
+@pytest.mark.parametrize("kind", list(_SPOILED_MESSAGES))
+def test_table_override_shape_checked(kind):
+    # one row per named element, ascending ids, every cell finite; a row
+    # that one table lacks, or a tensor for every element, has no shape
+    ids, st, pt = _spoil(kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="^" + re.escape(
+                _SPOILED_MESSAGES[kind]) + "$"):
+            _override(st, pt, ids)
 
 
 def test_table_roundtrip(tmp_path):
     t = derive_plate_tensors(STD)
-    ids = [2, 5, 7]
-    st = np.stack([2.0 * shear_matrix(t)] * 3)
-    pt = np.stack([2.0 * bending_voigt(t)] * 3)
+    ids = [7, 2, 5]
+    scale = np.array([2.0, 3.0, 4.0])[:, None, None]
+    st = scale * rows(shear_matrix(t), 3)
+    pt = scale * rows(bending_voigt(t), 3)
     spath, bpath = tmp_path / "s.csv", tmp_path / "p.csv"
     write_shear_table(spath, ids, st)
     write_bending_table(bpath, ids, pt)
     incl = inclusion_from_tables(spath, bpath)
-    assert_allclose(incl.stilde[ids], st)
-    assert_allclose(incl.ptilde[ids], pt)
-    assert np.isnan(incl.stilde[0]).all()
+    # the rows come sorted by id
+    assert incl.elements.tolist() == [2, 5, 7]
+    assert_allclose(incl.stilde, st[[1, 2, 0]])
+    assert_allclose(incl.ptilde, pt[[1, 2, 0]])
+    assert not incl.stilde.flags.writeable
     jb = jump_bounds(STD, incl)
     assert jb.sign == "stiff"
     assert_allclose(jb.eta, 1.0)
+    assert_allclose(jb.delta, 4.0)
 
 
 @pytest.mark.parametrize("ids, message", [([2, -1, 7], "negative element id -1"),

@@ -341,24 +341,26 @@ def test_override_tables_padded_and_checked_against_mesh():
     from platelab.geometry import ElementMask
     from platelab.material import InclusionMaterial, bending_voigt, shear_matrix
 
+    from helpers import rows
+
     mesh = generate_mesh(SQUARE, 0.25)
     flags = np.zeros(mesh.n_elements, dtype=bool)
     flags[[0, 1]] = True
     mask = ElementMask(flags, float(mesh.element_areas[flags].sum()))
     t = derive_plate_tensors(MAT)
 
-    def tables(n, used=None):
-        # n rows, the first `used` of them set, the rest NaN
-        st = np.full((n, 2, 2), np.nan)
-        pt = np.full((n, 3, 3), np.nan)
-        st[:used] = 2.0 * shear_matrix(t)
-        pt[:used] = 2.0 * bending_voigt(t)
-        return InclusionMaterial(stilde=st, ptilde=pt)
+    def tables(ids):
+        return InclusionMaterial(
+            elements=ids, stilde=2.0 * rows(shear_matrix(t), len(ids)),
+            ptilde=2.0 * rows(bending_voigt(t), len(ids)))
 
     want = assemble_stiffness(mesh, MAT, mask, InclusionMaterial(kappa=2.0))
-    short = assemble_stiffness(mesh, MAT, mask, tables(2))
+    short = assemble_stiffness(mesh, MAT, mask, tables([0, 1]))
     assert abs(short.stiffness - want.stiffness).max() == 0.0
-    unused_tail = assemble_stiffness(mesh, MAT, mask, tables(20, used=16))
+    unused_tail = assemble_stiffness(mesh, MAT, mask, tables(np.arange(16)))
     assert abs(unused_tail.stiffness - want.stiffness).max() == 0.0
     with pytest.raises(ValueError, match="element 16"):
-        assemble_stiffness(mesh, MAT, mask, tables(17))
+        assemble_stiffness(mesh, MAT, mask, tables(np.arange(17)))
+    with pytest.raises(ValueError, match="^override tables miss flagged "
+                                         "element 1$"):
+        assemble_stiffness(mesh, MAT, mask, tables([0, 2, 15]))

@@ -27,7 +27,9 @@ rho 0.04 over rho0 0.03 (exit 1), and three-spheres-grid-budget at pitch
 2.5) run on thin plates, h = 0.1 and 0.01, with and without
 --full-integration; size-h0.1-32 runs size at
 h = 0.1 and target size 1/32 too, where the factor's fill depends on the pivot
-choice. size also runs with tensor tables in place of kappa, without the
+choice. size also runs with tensor tables in place of kappa, with tables
+that hold a nan cell (in an unflagged element) or an inf cell (in a
+flagged one) or that name different elements (each exit 1), without the
 lambda key (exit 1), with the zero load `pure_bending a=0` (exit 1) and on a
 dumbbell, two unit squares joined by a 0.02-wide neck, at target size 0.25,
 whose overlay splits into two plates (exit 1). energy-lemma-zero-load runs
@@ -41,7 +43,10 @@ another the second entry has an unknown load, the third holds two zero-load
 entries (exit 1), and in the fourth, calibrate-window, two inclusion entries
 at lambda = mu = 1.5 fail the material window (exit 1).
 calibrate-rounding-dense runs a corpus of kappa 0.5 and 1 - 2^-52 under
---dense-oracle at --jobs 1 and 2. Runs that end by the config parse or the
+--dense-oracle at --jobs 1 and 2. convergence reads the plate keys and
+flags as size does: it runs with element_budget = 10 (exit 1), without
+target_size (exit 1) and under --dense-oracle at two levels (243 dof at
+most). Runs that end by the config parse or the
 derived tensors: size with c1 = inf, three-spheres with theta = inf, solve
 with target_size = inf, solve and convergence with h = 1e300, convergence
 with pure_bending a=1e300 and with the zero load, solve with pure_bending
@@ -98,17 +103,19 @@ def _write(path, text):
     return path
 
 
-def _tensor_tables(inputs, n_elements=64):
+def _tensor_tables(inputs, key="", s12=None, bending_ids=range(64)):
     """Config lines for an anisotropic stiff override of the background
-    material lambda = mu = h = 1 on elements 0 .. n_elements-1."""
+    material lambda = mu = h = 1 on elements 0 .. 63, in the files
+    <key>stilde.csv and <key>ptilde.csv: s12 = (element, text) writes text
+    as that element's s12 cell, and the bending table names bending_ids."""
     b, nu = 2.0 / 9.0, 0.25  # bending rigidity and Poisson ratio
-    shear = "3.0,0.5,2.0"
     bend = ",".join(repr(v) for v in (2.0 * b, 2.0 * b * nu, 0.02, 2.0 * b,
                                       0.0, b * (1.0 - nu)))
-    spath = _write(os.path.join(inputs, "stilde.csv"), "".join(
-        f"{e},{shear}\n" for e in range(n_elements)))
-    ppath = _write(os.path.join(inputs, "ptilde.csv"), "".join(
-        f"{e},{bend}\n" for e in range(n_elements)))
+    cell = dict([s12]) if s12 else {}
+    spath = _write(os.path.join(inputs, f"{key}stilde.csv"), "".join(
+        f"{e},3.0,{cell.get(e, '0.5')},2.0\n" for e in range(64)))
+    ppath = _write(os.path.join(inputs, f"{key}ptilde.csv"), "".join(
+        f"{e},{bend}\n" for e in bending_ids))
     return f"stilde_table = {spath}\nptilde_table = {ppath}\n"
 
 
@@ -139,6 +146,14 @@ def command_runs(inputs):
         # edge_moment reads c alone
         "family_typo": BASE.replace("pure_bending a=1", "edge_moment a=2"),
         "tables": incl.replace("kappa = 2.5\n", _tensor_tables(inputs)),
+        # a cell that is not finite, in an unflagged and a flagged element,
+        # and a bending table that lacks the last element
+        "tables_nan": incl.replace("kappa = 2.5\n", _tensor_tables(
+            inputs, "nan_", s12=(0, "nan"))),
+        "tables_inf": incl.replace("kappa = 2.5\n", _tensor_tables(
+            inputs, "inf_", s12=(27, "inf"))),
+        "tables_ids": incl.replace("kappa = 2.5\n", _tensor_tables(
+            inputs, "ids_", bending_ids=range(63))),
         "no_lambda": incl.replace("lambda = 1.0\n", ""),
         # the zero load has no frequency report; the size bounds fail first
         "zero_load": zero,
@@ -182,6 +197,14 @@ def command_runs(inputs):
         "convergence": BASE.replace("target_size = 0.125",
                                     "target_size = 0.25")
         + "refinements = 3\n",
+        # the plate keys convergence reads as size does
+        "convergence_budget": BASE.replace("target_size = 0.125",
+                                           "target_size = 0.25")
+        + "element_budget = 10\n",
+        "convergence_2": BASE.replace("target_size = 0.125",
+                                      "target_size = 0.25")
+        + "refinements = 2\n",
+        "no_target": BASE.replace("target_size = 0.125\n", ""),
         "theta_inf": BASE + "rho0 = 0.1\nrho = 0.04\ntheta = inf\n",
         "lps_pitch_x": BASE + "rho = 0.04\npitch = x\n",
         # steps too fine for any grid count to be printed in full
@@ -290,6 +313,9 @@ def command_runs(inputs):
               "--dense-oracle"]),
             ("size-family-typo", ["size", "--config", path["family_typo"]]),
             ("size-tables", ["size", "--config", path["tables"]]),
+            *((f"size-{key.replace('_', '-')}", ["size", "--config",
+                                                   path[key]])
+              for key in ("tables_nan", "tables_inf", "tables_ids")),
             ("size-no-lambda", ["size", "--config", path["no_lambda"]]),
             ("size-zero-load", ["size", "--config", path["zero_load"]]),
             ("energy-lemma-zero-load", ["energy-lemma", "--config",
@@ -316,6 +342,12 @@ def command_runs(inputs):
             ("three-spheres-grid-budget", ["three-spheres", "--config",
                                            path["grid_budget"]]),
             ("convergence", ["convergence", "--config", path["convergence"]]),
+            ("convergence-budget", ["convergence", "--config",
+                                    path["convergence_budget"]]),
+            ("convergence-dense", ["convergence", "--config",
+                                   path["convergence_2"], "--dense-oracle"]),
+            ("convergence-no-target", ["convergence", "--config",
+                                       path["no_target"]]),
             ("size-c1-inf", ["size", "--config", path["c1_inf"]]),
             ("three-spheres-theta-inf", ["three-spheres", "--config",
                                          path["theta_inf"]]),
@@ -491,11 +523,15 @@ def main(argv=None):
     p.add_argument("old")
     p.add_argument("new")
     p.add_argument("--workdir", default=None,
-                   help="where the worktrees and outputs go (default: a "
-                        "temporary directory, removed afterwards)")
+                   help="the directory, made if missing, that holds the "
+                        "temporary directory of the worktrees and outputs; "
+                        "that directory is removed afterwards (default: the "
+                        "system's temporary directory)")
     p.add_argument("--seed", type=int, default=11)
     args = p.parse_args(argv)
 
+    if args.workdir:
+        os.makedirs(args.workdir, exist_ok=True)
     work = tempfile.mkdtemp(prefix="golden_diff-", dir=args.workdir)
     trees = []
     try:
