@@ -534,12 +534,104 @@ def _normalized_state(system, u, k):
     return PlateState(u, mesh, float(res), c @ u, system.assumed_shear)
 
 
-def _pinned_dofs(mesh):
-    # the three dofs of the node nearest the node centroid; a central pin
-    # keeps the pinned solution small, which keeps the residual small
+def _pinned_node(mesh):
+    # the node nearest the node centroid, whose three dofs solve fixes; a
+    # central pin keeps the pinned solution small, which keeps the residual
+    # small
     d = mesh.nodes - mesh.nodes.mean(axis=0)
-    node = int(np.argmin(np.einsum("ij,ij->i", d, d)))
-    return 3 * node + np.arange(3)
+    return int(np.argmin(np.einsum("ij,ij->i", d, d)))
+
+
+# subdomains of at most this many nodes are not split further
+_ND_LEAF = 8
+
+
+def _ranks(group):
+    # the rank of each entry among the entries of its group, in array order
+    order = np.argsort(group, kind="stable")
+    count = np.bincount(group)
+    rank = np.empty(len(group), dtype=int)
+    rank[order] = np.arange(len(group)) - (np.cumsum(count) - count)[
+        group[order]]
+    return rank
+
+
+def _dissection_order(mesh, pinned):
+    """The nodes other than pinned in geometric nested dissection order
+    (George 1973, "Nested dissection of a regular finite element mesh").
+
+    Two nodes are neighbours when an element holds both. Every subdomain of
+    more than _ND_LEAF nodes is split at its coordinate median, on the axis
+    and with the tie rule (below, or at most, the median) whose separator is
+    the smaller: the nodes above the split that neighbour one below it. The
+    nodes below come first, then those above, then the separator, and each
+    side is ordered the same way in turn; a leaf keeps its nodes in index
+    order. All subdomains of one level split together.
+    """
+    n = mesh.n_nodes
+    el = mesh.elements
+    # each neighbour pair once, as (a, b) with a < b
+    a = el[:, [0, 0, 0, 1, 1, 2]].ravel()
+    b = el[:, [1, 2, 3, 2, 3, 3]].ravel()
+    key = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    a, b = np.divmod(key[np.r_[True, key[1:] != key[:-1]]], n)
+    keep = (a != pinned) & (b != pinned)
+    a, b = a[keep], b[keep]
+    # a live node's subdomain is named by first, the first position the
+    # subdomain's nodes take; pos is the position of a placed node
+    first = np.zeros(n, dtype=int)
+    pos = np.empty(n, dtype=int)
+    live = np.ones(n, dtype=bool)
+    live[pinned] = False
+    while live.any():
+        nodes = np.flatnonzero(live)
+        _, group, size = np.unique(first[nodes], return_inverse=True,
+                                   return_counts=True)
+        leaf = size[group] <= _ND_LEAF
+        pos[nodes[leaf]] = first[nodes[leaf]] + _ranks(group[leaf])
+        live[nodes[leaf]] = False
+        nodes = nodes[~leaf]
+        split = size > _ND_LEAF
+        group = (np.cumsum(split) - 1)[group[~leaf]]
+        size = size[split]
+        start = np.cumsum(size) - size
+        best = np.full(len(size), np.inf)
+        low = np.zeros(len(nodes), dtype=bool)
+        sep = np.zeros(len(nodes), dtype=bool)
+        for axis in (0, 1):
+            x = mesh.nodes[nodes, axis]
+            s = x[np.lexsort((x, group))]
+            median = 0.5 * (s[start + (size - 1) // 2] + s[start + size // 2])
+            for below in (np.less, np.less_equal):
+                lo = below(x, median[group])
+                is_lo = np.zeros(n, dtype=bool)
+                is_lo[nodes[lo]] = True
+                on = np.zeros(n, dtype=bool)
+                on[b[is_lo[a] & ~is_lo[b]]] = True
+                on[a[is_lo[b] & ~is_lo[a]]] = True
+                n_lo = np.bincount(group[lo], minlength=len(size))
+                cost = np.where((n_lo > 0) & (n_lo < size), np.bincount(
+                    group[on[nodes]], minlength=len(size)), np.inf)
+                take = (cost < best)[group]
+                low = np.where(take, lo, low)
+                sep = np.where(take, on[nodes], sep)
+                best = np.minimum(cost, best)
+        # nodes that no split separates (coincident ones) are placed as a
+        # separator of their own, so that every pass places or splits
+        sep |= np.isinf(best)[group]
+        n_lo = np.bincount(group[low], minlength=len(size))
+        n_sep = np.bincount(group[sep], minlength=len(size))
+        at = nodes[sep]
+        pos[at] = first[at] + (size - n_sep)[group[sep]] + _ranks(group[sep])
+        live[at] = False
+        high = ~(low | sep)
+        first[nodes[high]] += n_lo[group[high]]
+        edge = live[a] & live[b] & (first[a] == first[b])
+        a, b = a[edge], b[edge]
+    order = np.empty(n - 1, dtype=int)
+    free = np.flatnonzero(np.arange(n) != pinned)
+    order[pos[free]] = free
+    return order
 
 
 # the load checks (rigid-motion components in solve, kernel components in
@@ -560,27 +652,30 @@ CG_BUDGET = 200
 @dataclass(frozen=True)
 class Factor:
     """SuperLU factor of a system's stiffness with the dofs of one node
-    pinned: free masks the other dofs, reduced is the stiffness on them."""
+    pinned: dofs lists the other dofs in the order factored, reduced is the
+    stiffness on them in that order."""
 
     system: LinearSystem
-    free: np.ndarray
+    dofs: np.ndarray
     reduced: sp.csc_matrix
     lu: object
 
 
 def factorize(system):
-    """The Factor of a system's stiffness. The pinned stiffness is symmetric
-    positive definite, so the pivots stay on the diagonal; threshold
-    pivoting leaves it on thin plates and multiplies the fill."""
-    free = np.ones(system.n_dof, dtype=bool)
-    free[_pinned_dofs(system.mesh)] = False
-    kr = system.stiffness[free][:, free].tocsc()
+    """The Factor of a system's stiffness, in the nested dissection order of
+    its mesh's nodes with the three dofs of a node kept together. The pinned
+    stiffness is symmetric positive definite, so SuperLU keeps that order
+    and the pivots on the diagonal; threshold pivoting leaves it on thin
+    plates and multiplies the fill."""
+    order = _dissection_order(system.mesh, _pinned_node(system.mesh))
+    dofs = (3 * order[:, None] + np.arange(3)).ravel()
+    kr = system.stiffness[dofs][:, dofs].tocsc()
     try:
-        lu = spla.splu(kr, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        lu = spla.splu(kr, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolveError(f"sparse factorization failed: {exc}") from exc
-    return Factor(system, free, kr, lu)
+    return Factor(system, dofs, kr, lu)
 
 
 def solve(system, factor=None, update=None, start=None):
@@ -608,8 +703,8 @@ def solve(system, factor=None, update=None, start=None):
         factor = factorize(system)
     elif factor.system is not system:
         raise ValueError("factor belongs to another system")
-    free, kr, lu = factor.free, factor.reduced, factor.lu
-    fr = f[free]
+    dofs, kr, lu = factor.dofs, factor.reduced, factor.lu
+    fr = f[dofs]
     k = system.stiffness
     if update is None:
         ur = lu.solve(fr)
@@ -620,13 +715,14 @@ def solve(system, factor=None, update=None, start=None):
             # the pinned solution is start shifted by the kernel motion
             # that zeroes it on the pinned dofs
             z = kernel_basis(mesh).T
-            x = (start - z @ np.linalg.solve(z[~free], start[~free]))[free]
-        ur = _conjugate_gradients(factor, update[free][:, free], fr, x)
+            pin = 3 * _pinned_node(mesh) + np.arange(3)
+            x = (start - z @ np.linalg.solve(z[pin], start[pin]))[dofs]
+        ur = _conjugate_gradients(factor, update[dofs][:, dofs], fr, x)
         k = spla.aslinearoperator(k) + spla.aslinearoperator(update)
     if not np.all(np.isfinite(ur)):
         raise SolveError("sparse factorization produced non-finite values")
     u = np.zeros(system.n_dof)
-    u[free] = ur
+    u[dofs] = ur
     return _normalized_state(system, u, k)
 
 

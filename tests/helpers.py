@@ -2,12 +2,14 @@
 use."""
 
 import csv
+import re
 from typing import NamedTuple
 
 import numpy as np
+from hypothesis import strategies as st
 
 from platelab.functionals import _fractional_norm, _loop_spectrum
-from platelab.geometry import GAUSS2, ElementMask
+from platelab.geometry import GAUSS2, AprioriData, Domain, ElementMask
 from platelab.material import _BEND_COLS, _SHEAR_COLS, derive_plate_tensors
 from platelab.solver import BoundaryLoad, element_operators
 
@@ -28,6 +30,46 @@ def dumbbell(neck, length=1.0, center=0.5):
     return np.array([[0, 0], [1, 0], [1, lo], [b, lo], [b, 0], [b + 1, 0],
                      [b + 1, 1], [b, 1], [b, hi], [1, hi], [1, 1], [0, 1]],
                     dtype=float)
+
+
+# the refusals of generate_mesh on a valid domain
+MESH_REFUSAL = re.compile(
+    r"boundary is not a collection of simple loops|"
+    r"boundary nodes \d+ and \d+ coincide|"
+    r"mesh boundary splits into several loops|"
+    r"element \d+ has a nonpositive Jacobian|"
+    r"no overlay cell centroid falls inside the polygon")
+
+
+@st.composite
+def overlay_domains(draw):
+    """Star, L, U and dumbbell domains, none an axis-aligned rectangle."""
+    kind = draw(st.sampled_from(["star", "l", "u", "dumbbell"]))
+    if kind == "star":
+        # sorted angles at most 1.8 (2 pi / k) apart keep the origin inside
+        k = draw(st.integers(5, 11))
+        shifts = draw(st.lists(st.floats(0.0, 0.8), min_size=k, max_size=k))
+        radii = draw(st.lists(st.floats(0.3, 1.0), min_size=k, max_size=k))
+        turns = 2.0 * np.pi * (np.arange(k) + np.array(shifts)) / k
+        verts = np.array(radii)[:, None] * np.column_stack(
+            [np.cos(turns), np.sin(turns)])
+        return Domain(verts, AprioriData(x0=(0.0, 0.0)))
+    if kind == "dumbbell":
+        neck, length, center = (draw(st.floats(lo, hi)) for lo, hi in
+                                ((0.005, 0.3), (0.2, 1.0), (0.2, 0.8)))
+        return Domain(dumbbell(neck, length, center),
+                      AprioriData(x0=(0.5, 0.5)))
+    # a by b outer box; the L cuts its top right corner at (c, d), the U
+    # has arms of width w over a slot floor at height d
+    a, b = (draw(st.floats(0.6, 1.4)) for _ in range(2))
+    c, d = (t * draw(st.floats(0.2, 0.8)) for t in (a, b))
+    if kind == "l":
+        verts = [(0, 0), (a, 0), (a, d), (c, d), (c, b), (0, b)]
+        return Domain(np.array(verts), AprioriData(x0=(0.5 * c, 0.5 * d)))
+    w = 0.4 * c
+    verts = [(0, 0), (a, 0), (a, b), (a - w, b), (a - w, d), (w, d), (w, b),
+             (0, b)]
+    return Domain(np.array(verts), AprioriData(x0=(0.5 * a, 0.5 * d)))
 
 
 def mask_to_csv(mask, path):

@@ -1,5 +1,4 @@
 import hashlib
-import re
 
 import numpy as np
 import pytest
@@ -26,8 +25,8 @@ from platelab.material import IsotropicMaterial
 from platelab.functionals import boundary_work
 from platelab.solver import PlateState, assemble_load, load_from_family
 
-from helpers import (dumbbell, edge_rule_work, mask_from_csv, mask_to_csv,
-                     mode_load, write_polygons)
+from helpers import (MESH_REFUSAL, dumbbell, edge_rule_work, mask_from_csv,
+                     mask_to_csv, mode_load, overlay_domains, write_polygons)
 
 UNIT = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
 LSHAPE = np.array([[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]],
@@ -217,46 +216,6 @@ def test_coincident_boundary_nodes_refused():
         generate_mesh(Domain(CORNER), 0.125)
     mesh = generate_mesh(Domain(CORNER), 0.1)
     assert np.isfinite(mesh.boundary_normals).all()
-
-
-# the refusals of generate_mesh on a valid domain
-MESH_REFUSAL = re.compile(
-    r"boundary is not a collection of simple loops|"
-    r"boundary nodes \d+ and \d+ coincide|"
-    r"mesh boundary splits into several loops|"
-    r"element \d+ has a nonpositive Jacobian|"
-    r"no overlay cell centroid falls inside the polygon")
-
-
-@st.composite
-def overlay_domains(draw):
-    """Star, L, U and dumbbell domains, none an axis-aligned rectangle."""
-    kind = draw(st.sampled_from(["star", "l", "u", "dumbbell"]))
-    if kind == "star":
-        # sorted angles at most 1.8 (2 pi / k) apart keep the origin inside
-        k = draw(st.integers(5, 11))
-        shifts = draw(st.lists(st.floats(0.0, 0.8), min_size=k, max_size=k))
-        radii = draw(st.lists(st.floats(0.3, 1.0), min_size=k, max_size=k))
-        turns = 2.0 * np.pi * (np.arange(k) + np.array(shifts)) / k
-        verts = np.array(radii)[:, None] * np.column_stack(
-            [np.cos(turns), np.sin(turns)])
-        return Domain(verts, AprioriData(x0=(0.0, 0.0)))
-    if kind == "dumbbell":
-        neck, length, center = (draw(st.floats(lo, hi)) for lo, hi in
-                                ((0.005, 0.3), (0.2, 1.0), (0.2, 0.8)))
-        return Domain(dumbbell(neck, length, center),
-                      AprioriData(x0=(0.5, 0.5)))
-    # a by b outer box; the L cuts its top right corner at (c, d), the U
-    # has arms of width w over a slot floor at height d
-    a, b = (draw(st.floats(0.6, 1.4)) for _ in range(2))
-    c, d = (t * draw(st.floats(0.2, 0.8)) for t in (a, b))
-    if kind == "l":
-        verts = [(0, 0), (a, 0), (a, d), (c, d), (c, b), (0, b)]
-        return Domain(np.array(verts), AprioriData(x0=(0.5 * c, 0.5 * d)))
-    w = 0.4 * c
-    verts = [(0, 0), (a, 0), (a, b), (a - w, b), (a - w, d), (w, d), (w, b),
-             (0, b)]
-    return Domain(np.array(verts), AprioriData(x0=(0.5 * a, 0.5 * d)))
 
 
 def _edge_ends(samples):

@@ -27,12 +27,16 @@ rho 0.04 over rho0 0.03 (exit 1), and three-spheres-grid-budget at pitch
 2.5) run on thin plates, h = 0.1 and 0.01, with and without
 --full-integration; size-h0.1-32 runs size at
 h = 0.1 and target size 1/32 too, where the factor's fill depends on the pivot
-choice. size also runs with tensor tables in place of kappa, with tables
-that hold a nan cell (in an unflagged element) or an inf cell (in a
-flagged one) or that name different elements (each exit 1), without the
-lambda key (exit 1), with the zero load `pure_bending a=0` (exit 1) and on a
-dumbbell, two unit squares joined by a 0.02-wide neck, at target size 0.25,
-whose overlay splits into two plates (exit 1). energy-lemma-zero-load runs
+choice. size-square-32 and size-lshape-32 run size on the unit square and the
+L-shape at target size 1/32, four times finer than the ladder variants, so
+their factors take deeper nested dissections; each plate holds an inclusion
+(on the L-shape, the unit square's halved). size also runs with tensor
+tables in place of kappa, with tables that hold a nan cell (in an unflagged
+element) or an inf cell (in a flagged one) or that name different elements
+(each exit 1), without the lambda key (exit 1), with the zero load
+`pure_bending a=0` (exit 1) and on a dumbbell, two unit squares joined by a
+0.02-wide neck, at target size 0.25, whose overlay splits into two plates
+(exit 1). energy-lemma-zero-load runs
 energy-lemma on that zero load (exit 1), and size-c1-0 and energy-lemma-c1-0
 run both commands with `c1 = 0` (exit 1). size-mu-floor (mu = 0.5),
 size-gamma-floor (lambda = 0), size-mu-cap (mu = 3) and size-lambda-cap
@@ -248,6 +252,17 @@ def command_runs(inputs):
         cfgs[f"stiff_h{h}"] = incl.replace("h = 1.0", f"h = {h}")
     cfgs["stiff_h0.1_32"] = cfgs["stiff_h0.1"].replace(
         "target_size = 0.125", "target_size = 0.03125")
+    # the ladder's domains at 1/32, whose factors take deeper dissections;
+    # the L-shape's inclusion is the unit square's, halved into its
+    # lower-left block
+    half = _write(os.path.join(inputs, "half_inclusion.poly"),
+                  workloads._polygon_text([(0.5 * x, 0.5 * y)
+                                           for x, y in INCLUSION]))
+    cfgs["square_32"] = incl.replace("target_size = 0.125",
+                                     "target_size = 0.03125")
+    cfgs["lshape_32"] = cfgs["lshape"].replace(
+        "target_size = 0.125", "target_size = 0.03125") + (
+        f"inclusion = {half}\nkappa = 2.5\n")
     coarse = BASE.replace("target_size = 0.125", "target_size = 0.25")
     corpora = {
         "calibrate": [BASE.replace("pure_bending", load)
@@ -392,7 +407,10 @@ def command_runs(inputs):
              for h in ("0.1", "0.01")
              for command, cfg in (("solve", "plain"), ("size", "stiff"))
              for full in ([], ["--full-integration"])]
-    runs += [("size-h0.1-32", ["size", "--config", path["stiff_h0.1_32"]])]
+    runs += [(f"size-{label}-32", ["size", "--config", path[key]])
+             for label, key in (("h0.1", "stiff_h0.1_32"),
+                                ("square", "square_32"),
+                                ("lshape", "lshape_32"))]
     runs += [(f"size-{dense}kappa1{side}2^-52",
               ["size", "--config", path[f"kappa1{side}2^-52"]] + flag)
              for side in "-+"
