@@ -17,10 +17,8 @@ this module relates that number to the override's area:
   * convergence_study checks the forward solve against closed forms.
 """
 
-import concurrent.futures
 import functools
 import math
-import threading
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import NamedTuple
 
@@ -587,23 +585,22 @@ def _by_value(value):
 
 
 def _once(compute):
-    """A callable that runs compute() on its first call, under a lock;
-    every later call, from any thread, returns the value or raises the
-    exception of that first run."""
-    lock = threading.Lock()
+    """A callable that runs compute() on its first call; every later call
+    returns the value or raises the exception of that first run. Its
+    outcome list stays empty until the first call."""
     outcome = []
 
     def once():
-        with lock:
-            if not outcome:
-                try:
-                    outcome.append((compute(), None))
-                except Exception as exc:
-                    outcome.append((None, exc))
+        if not outcome:
+            try:
+                outcome.append((compute(), None))
+            except Exception as exc:
+                outcome.append((None, exc))
         value, exc = outcome[0]
         if exc is not None:
             raise exc
         return value
+    once.outcome = outcome
     return once
 
 
@@ -615,16 +612,61 @@ def _shared_reference(config):
     return plate, factor, _once(functools.partial(frequency, plate.load))
 
 
+def _outcome(config, reference):
+    """_size_experiment(config, reference), or the exception it raised."""
+    try:
+        return _size_experiment(config, reference)
+    except Exception as exc:
+        return exc
+
+
+# the configs and the group reference of a forked worker, set in the worker
+# before its first entry
+_WORKER_GROUP = None
+
+
+def _adopt(configs, reference):
+    global _WORKER_GROUP
+    _WORKER_GROUP = configs, reference
+
+
+def _worker_outcome(i):
+    configs, reference = _WORKER_GROUP
+    return i, _outcome(configs[i], reference)
+
+
+def _forked_outcomes(configs, reference, indices, jobs):
+    """(i, outcome) of each config i of indices, on at most jobs worker
+    processes forked from this one: they inherit configs and reference, so
+    only the indices and the outcomes cross between processes. Every worker
+    has ended when this returns."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, for the inheritance; a fork-context pool forks all its workers
+    # before it starts a thread of its own
+    with ProcessPoolExecutor(min(jobs, len(indices)),
+                             multiprocessing.get_context("fork"),
+                             initializer=_adopt,
+                             initargs=(configs, reference)) as pool:
+        return list(pool.map(_worker_outcome, indices))
+
+
 def run_corpus(configs, jobs=1):
-    """run_size_experiment of every config, in order, on jobs threads.
+    """run_size_experiment of every config, in order, on up to jobs
+    processes.
 
     Configs that differ only in inclusion-only fields (_INCLUSION_ONLY)
     share one reference plate, with its mesh, load, solve, kept factor and
-    frequency report; fields compare by value. The first experiment of a
-    group that passes its own checks builds the reference. The groups run
-    one after the other, so one reference is alive at a time. After the
-    whole corpus ran, the failure of the first failing config is raised,
-    the same one that config raises alone.
+    frequency report; fields compare by value. A group's configs run in
+    this process, in corpus order, until one of them that passes its own
+    checks has built the reference; that one also computes the frequency
+    report. The rest of the group runs on at most jobs worker processes
+    forked from that state, or here when jobs is 1 or one config is left.
+    The groups run one after the other, and a group's workers end before
+    the next reference is built, so one reference is alive at a time.
+    After the whole corpus ran, the failure of the first failing config is
+    raised, the same one that config raises alone.
     """
     configs = list(configs)
     names = [f.name for f in fields(SizeExperimentConfig)
@@ -634,19 +676,26 @@ def run_corpus(configs, jobs=1):
         key = _by_value([getattr(c, n) for n in names])
         groups.setdefault(key, []).append(i)
     outcomes = [None] * len(configs)
-    # every solve runs on the pool: a main thread that solves as well adds
-    # per-thread memory of its own, 8 MB of peak RSS on a 40-entry 32^2
-    # corpus
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        for idx in groups.values():
-            reference = _once(functools.partial(_shared_reference,
-                                                configs[idx[0]]))
-            for i in idx:
-                outcomes[i] = pool.submit(_size_experiment, configs[i],
-                                          reference)
-            concurrent.futures.wait([outcomes[i] for i in idx])
-            del reference  # before the next reference is built
-    return [f.result() for f in outcomes]
+    for idx in groups.values():
+        reference = _once(functools.partial(_shared_reference,
+                                            configs[idx[0]]))
+        rest = iter(idx)
+        for i in rest:
+            outcomes[i] = _outcome(configs[i], reference)
+            if reference.outcome:
+                break
+        rest = list(rest)
+        if jobs > 1 and len(rest) > 1:
+            pairs = _forked_outcomes(configs, reference, rest, jobs)
+        else:
+            pairs = [(i, _outcome(configs[i], reference)) for i in rest]
+        for i, outcome in pairs:
+            outcomes[i] = outcome
+        del reference  # before the next reference is built
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
 
 
 _EXACT_FLOOR = 1e-8

@@ -550,11 +550,12 @@ def fatness_ratio(mesh, indicator, depth):
 
 
 def read_polygons(path):
-    """Read polygons from text: one 'x y' vertex per line, blank line between polygons."""
+    """Read polygons from text: one 'x y' vertex per line, blank line between
+    polygons; every coordinate finite."""
     polys = []
     current = []
     with open(path) as fh:
-        for raw in fh:
+        for num, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 if current:
@@ -565,6 +566,8 @@ def read_polygons(path):
             if len(parts) != 2:
                 raise ValueError(f"bad polygon line: {raw!r}")
             current.append((float(parts[0]), float(parts[1])))
+            if not np.isfinite(current[-1]).all():
+                raise ValueError(f"{path}:{num}: values must be finite")
     if current:
         polys.append(np.array(current, dtype=float))
     if not polys:

@@ -15,7 +15,6 @@ that the means of phi and w vanish. A dense eigendecomposition path
 provides an independent oracle on small meshes.
 """
 
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -213,18 +212,14 @@ class ElementOps:
         return self._per_group((4,), lambda g: g.int_shape)
 
 
-_ELEMENT_OPS_LOCK = threading.Lock()
-
-
 def element_operators(mesh, order=2, assumed=True):
     """The ElementOps of a mesh, built once per (order, assumed) and kept on
-    the mesh; threads sharing a mesh share one."""
-    with _ELEMENT_OPS_LOCK:
-        cache = mesh.__dict__.setdefault("_element_ops", {})
-        key = (order, assumed)
-        if key not in cache:
-            cache[key] = ElementOps(mesh, order, assumed)
-        return cache[key]
+    the mesh."""
+    cache = mesh.__dict__.setdefault("_element_ops", {})
+    key = (order, assumed)
+    if key not in cache:
+        cache[key] = ElementOps(mesh, order, assumed)
+    return cache[key]
 
 
 def kernel_basis(mesh):

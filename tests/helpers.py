@@ -2,6 +2,7 @@
 use."""
 
 import csv
+import os
 import re
 from typing import NamedTuple
 
@@ -21,6 +22,16 @@ def write_polygons(path, polys):
                 fh.write("\n")
             for x, y in np.asarray(p, dtype=float):
                 fh.write(f"{float(x)!r} {float(y)!r}\n")
+
+
+def append_line(path, text):
+    """Append text and a newline to path in one write, so that the lines of
+    forked worker processes land whole."""
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    try:
+        os.write(fd, (text + "\n").encode())
+    finally:
+        os.close(fd)
 
 
 def dumbbell(neck, length=1.0, center=0.5):

@@ -1,6 +1,7 @@
 import contextlib
 import inspect
 import io
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -20,8 +21,8 @@ from platelab.material import (IsotropicMaterial, JumpBounds, bending_voigt,
 from platelab.solver import load_from_family
 from platelab.tables import csv_text
 
-from helpers import (dumbbell, rows, write_bending_table, write_polygons,
-                     write_shear_table)
+from helpers import (append_line, dumbbell, rows, write_bending_table,
+                     write_polygons, write_shear_table)
 
 BASE = """\
 domain = rectangle 0 0 1 1
@@ -354,6 +355,23 @@ def test_table_cell_not_finite_names_file_and_line(tmp_path, monkeypatch,
     code, err = _run_clean("size", cfg, tmp_path / "out")
     assert (code, err) == (1, [f"config error: bad inclusion: {path}:"
                                f"{element + 2}: values must be finite"])
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("key", ["inclusion", "domain"])
+def test_polygon_vertex_not_finite_names_file_and_line(tmp_path, monkeypatch,
+                                                       key, value):
+    # refused when the polygon file is read, before any mesh
+    _no_mesh(monkeypatch)
+    path = tmp_path / "polygon.poly"
+    lo, hi = (0.25, 0.75) if key == "inclusion" else (0.0, 1.0)
+    path.write_text(f"{lo} {lo}\n{value} {lo}\n{hi} {hi}\n{lo} {hi}\n")
+    text = BASE + f"inclusion = {path}\nkappa = 2.0\n" if key == "inclusion" \
+        else BASE.replace("rectangle 0 0 1 1", str(path))
+    code, err = _run_clean("size", _cfg(tmp_path, text), tmp_path / "out")
+    assert (code, err) == (1, [f"config error: bad {key}: {path}:2: values "
+                               "must be finite"])
     assert not list((tmp_path / "out").glob("*.csv"))
 
 
@@ -706,21 +724,56 @@ def test_calibrate_shares_one_mesh_and_one_reference(tmp_path, monkeypatch):
         entries.append((f"case{i}", BASE + f"inclusion = {poly}\n"
                                            f"kappa = {kappa}\n"))
     cfg = _corpus(tmp_path, entries)
-    calls = {"generate_mesh": 0, "solve": 0}
+    # a line per call, from the worker processes too
+    log = tmp_path / "calls.log"
 
     def counted(name):
         fn = getattr(estimates, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            append_line(log, name)
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in calls:
+    names = ("generate_mesh", "solve")
+    for name in names:
         monkeypatch.setattr(estimates, name, counted(name))
     assert main(["calibrate", "--config", cfg, "--out", str(tmp_path),
                  "--jobs", "2"]) == 0
+    lines = log.read_text().splitlines()
+    calls = {name: lines.count(name) for name in names}
     assert calls == {"generate_mesh": 1, "solve": 4}
+
+
+@pytest.mark.parametrize("kappa,code,err", [
+    ("3.0", 0, ""),
+    ("1e200", 2, "numerical failure: conjugate gradients overflowed: the "
+     "residual or an inner product is not a finite double\n")],
+    ids=["exit0", "exit2"])
+def test_calibrate_workers_end_with_the_call(tmp_path, capsys, monkeypatch,
+                                             kappa, code, err):
+    # a builds the reference here; b and c run on forked workers, which
+    # have all ended when main returns, whatever its exit code
+    good = BASE + f"inclusion = {_sq_poly(tmp_path)}\nkappa = 2.0\n"
+    cfg = _corpus(tmp_path, [
+        ("a", good), ("b", good.replace("kappa = 2.0", f"kappa = {kappa}")),
+        ("c", good.replace("kappa = 2.0", "kappa = 4.0"))])
+    log = tmp_path / "pids.log"
+    inner = estimates._size_experiment
+
+    def recorded(config, reference):
+        append_line(log, f"{config.name} {os.getpid()}")
+        return inner(config, reference)
+
+    monkeypatch.setattr(estimates, "_size_experiment", recorded)
+    assert main(["calibrate", "--config", cfg, "--out", str(tmp_path),
+                 "--jobs", "2"]) == code
+    assert capsys.readouterr().err == err
+    assert multiprocessing.active_children() == []
+    pids = dict(line.split() for line in log.read_text().splitlines())
+    assert sorted(pids) == ["a", "b", "c"]
+    assert pids["a"] == str(os.getpid())
+    assert pids["a"] not in (pids["b"], pids["c"])
 
 
 def test_calibrate_computes_one_frequency_per_reference(tmp_path,

@@ -1,7 +1,5 @@
-import concurrent.futures
 import math
 import sys
-import time
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -46,7 +44,7 @@ from platelab.solver import (
     solve,
 )
 
-from helpers import rows, write_polygons
+from helpers import append_line, rows, write_polygons
 
 MAT = IsotropicMaterial(lam=1.0, mu=1.0, h=1.0)
 SQUARE = Domain(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float))
@@ -665,7 +663,7 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_threads_share_one_reference_factor(monkeypatch):
+def test_workers_share_one_reference_factor(monkeypatch, tmp_path):
     base = SizeExperimentConfig(domain=SQUARE, material=MAT,
                                 target_size=1.0 / 24.0)
     configs = [replace(base, inclusion_polygons=[CENTER_SQ * s + 0.1],
@@ -674,32 +672,31 @@ def test_threads_share_one_reference_factor(monkeypatch):
                                            (1.0, 0.5), (0.7, 1.5)))]
     serial = [forward(c).state.u for c in configs]
     expected = [run_size_experiment(c) for c in configs]
-    states = {}
+    # a line per state, from the worker processes too
+    log = tmp_path / "states.log"
     inner = estimates._forward
 
     def recorded(config, plate, factor):
         fw = inner(config, plate, factor)
-        states[config.name] = fw.state.u
+        append_line(log, f"{config.name} {fw.state.u.tobytes().hex()}")
         return fw
 
     monkeypatch.setattr(estimates, "_forward", recorded)
     references = _count_calls(monkeypatch, "_reference_plate")
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for run in range(1, 4):
-            states.clear()
-            assert run_corpus(configs, jobs=4) == expected
-            assert references[0] == run
-            assert all(np.array_equal(states[c.name], u)
-                       for c, u in zip(configs, serial))
-    finally:
-        sys.setswitchinterval(switch)
+    for run in range(1, 4):
+        log.unlink(missing_ok=True)
+        assert run_corpus(configs, jobs=4) == expected
+        assert references[0] == run
+        states = {name: np.frombuffer(bytes.fromhex(text))
+                  for name, text in (line.split() for line in
+                                     log.read_text().splitlines())}
+        assert all(np.array_equal(states[c.name], u)
+                   for c, u in zip(configs, serial))
 
 
-def test_one_frequency_report_per_reference_under_threads(monkeypatch):
-    # the experiments of a group reach the shared report at about the same
-    # time; a slow report widens the window in which two could compute it
+def test_one_frequency_report_per_reference_on_workers(monkeypatch):
+    # the experiment that builds a group's reference computes its report
+    # here, before the rest of the group is forked: the workers inherit it
     base = SizeExperimentConfig(domain=SQUARE, material=MAT, target_size=0.25)
     configs = [replace(base, load_family=load, inclusion_polygons=(CENTER_SQ,),
                        inclusion=InclusionMaterial(kappa=k), name=f"{load}{k}")
@@ -709,41 +706,36 @@ def test_one_frequency_report_per_reference_under_threads(monkeypatch):
     calls = []
     inner = estimates.frequency
 
-    def slow(load):
+    def counted(load):
         calls.append(load)
-        time.sleep(0.02)
         return inner(load)
 
-    monkeypatch.setattr(estimates, "frequency", slow)
+    monkeypatch.setattr(estimates, "frequency", counted)
     for run in range(1, 4):
         assert run_corpus(configs, jobs=2) == expected
         assert len(calls) == 2 * run
 
 
 @pytest.mark.parametrize("fails", [False, True], ids=["value", "error"])
-def test_once_computes_once_across_threads(fails):
-    # 16 calls on 8 threads: one run, and every call gets its value or its
-    # exception
+def test_once_computes_once(fails):
+    # one run, and every call gets its value or its exception
     runs = []
 
     def compute():
         runs.append(None)
-        time.sleep(0.01)
         if fails:
             raise ValueError("refused")
         return object()
 
     once = estimates._once(compute)
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(once) for _ in range(16)]
-            done, _ = concurrent.futures.wait(futures, timeout=60)
-    finally:
-        sys.setswitchinterval(switch)
-    assert len(done) == 16 and len(runs) == 1
-    outcomes = [f.exception() if fails else f.result() for f in futures]
+    assert once.outcome == []
+    outcomes = []
+    for _ in range(4):
+        try:
+            outcomes.append(once())
+        except ValueError as exc:
+            outcomes.append(exc)
+    assert len(runs) == 1
     assert all(o is outcomes[0] for o in outcomes)
     assert isinstance(outcomes[0], ValueError if fails else object)
 

@@ -1,5 +1,3 @@
-import concurrent.futures
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -343,22 +341,23 @@ def test_element_grouping_collapses_structured():
     assert element_operators(mesh) is ops  # cached
 
 
-def test_element_operators_built_once_under_threads(monkeypatch):
-    mesh = generate_mesh(SQUARE, 0.125)
+def test_element_operators_built_once_per_mesh_order_and_shear(monkeypatch):
+    meshes = [generate_mesh(SQUARE, 0.125), generate_mesh(SQUARE, 0.125)]
     builds = []
     init = ElementOps.__init__
 
-    def slow_init(self, *args):
+    def counted_init(self, *args):
         builds.append(args)
-        time.sleep(0.05)  # hold the build open while the other threads ask
         init(self, *args)
 
-    monkeypatch.setattr(ElementOps, "__init__", slow_init)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-        got = list(pool.map(lambda _: element_operators(mesh), range(8),
-                            timeout=60))
-    assert len(builds) == 1
-    assert all(ops is got[0] for ops in got)
+    monkeypatch.setattr(ElementOps, "__init__", counted_init)
+    keys = [(order, assumed) for order in (2, 4) for assumed in (True, False)]
+    got = {(id(mesh), key): element_operators(mesh, *key)
+           for mesh in meshes for key in keys}
+    assert len({id(ops) for ops in got.values()}) == 2 * len(keys)
+    assert all(element_operators(mesh, *key) is got[id(mesh), key]
+               for mesh in meshes for key in keys)
+    assert len(builds) == 2 * len(keys)
 
 
 @pytest.mark.parametrize("domain", [SQUARE, LSHAPE, ROT])
