@@ -612,12 +612,17 @@ def _shared_reference(config):
     return plate, factor, _once(functools.partial(frequency, plate.load))
 
 
-def _outcome(config, reference):
-    """_size_experiment(config, reference), or the exception it raised."""
+def _outcome_of(compute):
+    """compute(), or the exception it raised."""
     try:
-        return _size_experiment(config, reference)
+        return compute()
     except Exception as exc:
         return exc
+
+
+def _outcome(config, reference):
+    """_size_experiment(config, reference), or the exception it raised."""
+    return _outcome_of(functools.partial(_size_experiment, config, reference))
 
 
 # the configs and the group reference of a forked worker, set in the worker
@@ -660,9 +665,10 @@ def run_corpus(configs, jobs=1):
     share one reference plate, with its mesh, load, solve, kept factor and
     frequency report; fields compare by value. A group's configs run in
     this process, in corpus order, until one of them that passes its own
-    checks has built the reference; that one also computes the frequency
-    report. The rest of the group runs on at most jobs worker processes
-    forked from that state, or here when jobs is 1 or one config is left.
+    checks has built the reference; its frequency report is computed here
+    too, by that config or, if it failed first, before any fork. The rest
+    of the group runs on at most jobs worker processes forked from that
+    state, or here when jobs is 1 or one config is left.
     The groups run one after the other, and a group's workers end before
     the next reference is built, so one reference is alive at a time.
     After the whole corpus ran, the failure of the first failing config is
@@ -686,6 +692,9 @@ def run_corpus(configs, jobs=1):
                 break
         rest = list(rest)
         if jobs > 1 and len(rest) > 1:
+            # the entry that built the reference may have failed before its
+            # report: compute it here, so the workers inherit it
+            _outcome_of(lambda: reference()[2]())
             pairs = _forked_outcomes(configs, reference, rest, jobs)
         else:
             pairs = [(i, _outcome(configs[i], reference)) for i in rest]

@@ -778,28 +778,35 @@ def test_calibrate_workers_end_with_the_call(tmp_path, capsys, monkeypatch,
 
 def test_calibrate_computes_one_frequency_per_reference(tmp_path,
                                                        monkeypatch):
+    # in the second corpus the twist group's first entry builds the
+    # reference and then overflows conjugate gradients before its report;
+    # the report is still computed once, before the rest is forked
     poly = _sq_poly(tmp_path)
-    cfg = _corpus(tmp_path, [
-        (f"case{i}", BASE.replace("pure_bending", load)
-         + f"inclusion = {poly}\nkappa = {kappa}\n")
-        for i, (load, kappa) in enumerate((
-            ("pure_bending", 2.0), ("pure_bending", 3.0), ("twist", 2.0),
-            ("twist", 2.5), ("pure_bending", 4.0)))])
-    loads = []
+    mat = IsotropicMaterial(lam=1.0, mu=1.0, h=1.0)
 
     def counted(load, *args, **kwargs):
-        loads.append(load)
+        family, = [f for f in ("pure_bending a=1", "twist a=1")
+                   if np.array_equal(load.m,
+                                     load_from_family(load.mesh, f, mat).m)]
+        append_line(log, family)
         return functionals.frequency(load, *args, **kwargs)
 
     monkeypatch.setattr(estimates, "frequency", counted)
-    assert main(["calibrate", "--config", cfg, "--out", str(tmp_path),
-                 "--jobs", "2"]) == 0
-    mat = IsotropicMaterial(lam=1.0, mu=1.0, h=1.0)
-    families = [f for load in loads
-                for f in ("pure_bending a=1", "twist a=1")
-                if np.array_equal(load.m,
-                                  load_from_family(load.mesh, f, mat).m)]
-    assert sorted(families) == ["pure_bending a=1", "twist a=1"]
+    for head, code in (((), 0), ((("twist", "1e200"),), 2)):
+        run = tmp_path / f"exit{code}"
+        run.mkdir()
+        cfg = _corpus(run, [
+            (f"case{i}", BASE.replace("pure_bending", load)
+             + f"inclusion = {poly}\nkappa = {kappa}\n")
+            for i, (load, kappa) in enumerate((
+                ("pure_bending", 2.0), ("pure_bending", 3.0)) + head + (
+                ("twist", 2.0), ("twist", 2.5), ("pure_bending", 4.0)))])
+        # a line per report, from the worker processes too
+        log = run / "frequency.log"
+        assert main(["calibrate", "--config", cfg, "--out", str(run),
+                     "--jobs", "2"]) == code
+        families = log.read_text().splitlines()
+        assert sorted(families) == ["pure_bending a=1", "twist a=1"]
 
 
 def test_calibrate_csvs_do_not_depend_on_jobs(tmp_path):

@@ -1,4 +1,6 @@
+import functools
 import math
+import os
 import sys
 import tracemalloc
 from dataclasses import fields, replace
@@ -694,26 +696,46 @@ def test_workers_share_one_reference_factor(monkeypatch, tmp_path):
                    for c, u in zip(configs, serial))
 
 
-def test_one_frequency_report_per_reference_on_workers(monkeypatch):
-    # the experiment that builds a group's reference computes its report
-    # here, before the rest of the group is forked: the workers inherit it
+def test_one_frequency_report_per_reference_on_workers(monkeypatch, tmp_path):
+    # each group's report is computed here before the rest of the group is
+    # forked, so the workers inherit it; in the second corpus the entry that
+    # builds the twist reference fails before its report (kappa 1e200
+    # overflows conjugate gradients)
     base = SizeExperimentConfig(domain=SQUARE, material=MAT, target_size=0.25)
-    configs = [replace(base, load_family=load, inclusion_polygons=(CENTER_SQ,),
-                       inclusion=InclusionMaterial(kappa=k), name=f"{load}{k}")
-               for load in ("pure_bending a=1", "twist a=1")
-               for k in (1.5, 2.0, 3.0, 4.0)]
-    expected = [run_size_experiment(c) for c in configs]
-    calls = []
+    corpora = []
+    for head in ((), (1e200,)):
+        kappas = {"pure_bending a=1": (1.5, 2.0, 3.0, 4.0),
+                  "twist a=1": head + (1.5, 2.0, 3.0)}
+        configs = [replace(base, load_family=load,
+                           inclusion_polygons=(CENTER_SQ,),
+                           inclusion=InclusionMaterial(kappa=k),
+                           name=f"{load}{k}")
+                   for load in kappas for k in kappas[load]]
+        corpora.append((configs, [estimates._outcome_of(
+            functools.partial(run_size_experiment, c)) for c in configs]))
+    # a line per report, from the worker processes too
+    log = tmp_path / "frequency.log"
     inner = estimates.frequency
 
     def counted(load):
-        calls.append(load)
+        append_line(log, str(os.getpid()))
         return inner(load)
 
     monkeypatch.setattr(estimates, "frequency", counted)
-    for run in range(1, 4):
-        assert run_corpus(configs, jobs=2) == expected
-        assert len(calls) == 2 * run
+    for configs, outcomes in corpora:
+        log.unlink(missing_ok=True)
+        for run in range(1, 4):
+            error = next((o for o in outcomes if isinstance(o, Exception)),
+                         None)
+            if error is None:
+                assert run_corpus(configs, jobs=2) == outcomes
+            else:
+                with pytest.raises(type(error)) as raised:
+                    run_corpus(configs, jobs=2)
+                assert str(raised.value) == str(error)
+            assert log.read_text().splitlines() == \
+                [str(os.getpid())] * (2 * run)
+    assert isinstance(error, solver.SolveError)
 
 
 @pytest.mark.parametrize("fails", [False, True], ids=["value", "error"])
