@@ -517,23 +517,26 @@ def forward(config):
 
 
 def run_size_experiment(config):
-    """The size report of one configuration: a run_corpus group of one."""
-    return _size_experiment(config, lambda: _shared_reference(config))
+    """The size report of one configuration: a corpus of one."""
+    return run_corpus([config])[0]
 
 
-def _size_experiment(config, reference):
-    """run_size_experiment on reference(), the _shared_reference of a
-    config with the same reference key."""
+def _own_checks(config):
+    """The checks of config that need no mesh, its contrast and its
+    material window: the JumpBounds of its inclusion, None without one."""
+    if config.inclusion is None:
+        return None
+    jumps = jump_bounds(config.material, config.inclusion)
+    ellipticity_constants(config.material)
+    return jumps
+
+
+def _size_experiment(config, jumps, plate, factor):
+    """The size report of config, whose own checks gave jumps, on the
+    reference plate and factor of its group: a partial SizeEstimateReport
+    that takes the frequency_ratio of the plate's load."""
     ap = config.domain.apriori
-    # the config's own contrast and material window errors come before its
-    # reference's errors
-    jumps = None
-    if config.inclusion is not None:
-        jumps = jump_bounds(config.material, config.inclusion)
-        ellipticity_constants(config.material)
-    plate, factor, freq = reference()
     fw = _forward(config, plate, factor)
-    del plate, factor  # size frees the factor once the inclusion is solved
     mesh, indicator = fw.mesh, fw.indicator
     messages = []
     if jumps is not None and indicator.empty:
@@ -557,7 +560,8 @@ def _size_experiment(config, reference):
     # skip the empty-indicator warning path; 1.0 is its defined value
     fat = 1.0 if indicator.empty else \
         fatness_ratio(mesh, indicator, ap.h1 * ap.rho0)
-    return SizeEstimateReport(
+    return functools.partial(
+        SizeEstimateReport,
         name=config.name, n_elements=mesh.n_elements,
         mesh_size=float(mesh.mesh_size), true_area=float(indicator.area),
         work_reference=w0, work=work.work, gap=gap,
@@ -567,7 +571,6 @@ def _size_experiment(config, reference):
         delta=None if jumps is None else jumps.delta,
         c1=config.c1, c2=config.c2, sign_ok=sign_ok,
         lower=float(lower), upper=float(upper), fatness=float(fat),
-        frequency_ratio=freq().ratio,
         lemma=lemma, messages=tuple(messages))
 
 
@@ -584,34 +587,6 @@ def _by_value(value):
     return value
 
 
-def _once(compute):
-    """A callable that runs compute() on its first call; every later call
-    returns the value or raises the exception of that first run. Its
-    outcome list stays empty until the first call."""
-    outcome = []
-
-    def once():
-        if not outcome:
-            try:
-                outcome.append((compute(), None))
-            except Exception as exc:
-                outcome.append((None, exc))
-        value, exc = outcome[0]
-        if exc is not None:
-            raise exc
-        return value
-    once.outcome = outcome
-    return once
-
-
-def _shared_reference(config):
-    """_reference_plate(config) and a callable that computes the plate's
-    frequency report once, on first call: after an inclusion solve, when
-    size has freed the factor."""
-    plate, factor = _reference_plate(config)
-    return plate, factor, _once(functools.partial(frequency, plate.load))
-
-
 def _outcome_of(compute):
     """compute(), or the exception it raised."""
     try:
@@ -620,41 +595,47 @@ def _outcome_of(compute):
         return exc
 
 
-def _outcome(config, reference):
-    """_size_experiment(config, reference), or the exception it raised."""
-    return _outcome_of(functools.partial(_size_experiment, config, reference))
+# the configs, their own-check outcomes, and the reference plate and factor
+# of the group that runs, set before its workers are forked
+_GROUP = None
 
 
-# the configs and the group reference of a forked worker, set in the worker
-# before its first entry
-_WORKER_GROUP = None
+def _entry(i):
+    """_size_experiment of config i of _GROUP, or the exception it raised."""
+    configs, jumps, plate, factor = _GROUP
+    return _outcome_of(functools.partial(_size_experiment, configs[i],
+                                         jumps[i], plate, factor))
 
 
-def _adopt(configs, reference):
-    global _WORKER_GROUP
-    _WORKER_GROUP = configs, reference
+def _group_outcomes(configs, jumps, passing, jobs):
+    """(load, outcomes) of the configs passing, of one group, in order, on
+    the reference plate that the first of them builds; jumps[i] is what
+    config i's own checks gave. Each outcome is a partial report or the
+    exception raised, the reference's own for all when it fails. With
+    jobs > 1 and more than one config, they run on at most jobs worker
+    processes forked from this one. When this returns every worker has
+    ended and, unless a traceback holds it, the reference's factor is
+    freed."""
+    global _GROUP
+    reference = _outcome_of(functools.partial(_reference_plate,
+                                              configs[passing[0]]))
+    if isinstance(reference, Exception):
+        return None, [reference] * len(passing)
+    plate, factor = reference
+    _GROUP = configs, jumps, plate, factor
+    try:
+        if jobs == 1 or len(passing) == 1:
+            return plate.load, [_entry(i) for i in passing]
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-
-def _worker_outcome(i):
-    configs, reference = _WORKER_GROUP
-    return i, _outcome(configs[i], reference)
-
-
-def _forked_outcomes(configs, reference, indices, jobs):
-    """(i, outcome) of each config i of indices, on at most jobs worker
-    processes forked from this one: they inherit configs and reference, so
-    only the indices and the outcomes cross between processes. Every worker
-    has ended when this returns."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork, for the inheritance; a fork-context pool forks all its workers
-    # before it starts a thread of its own
-    with ProcessPoolExecutor(min(jobs, len(indices)),
-                             multiprocessing.get_context("fork"),
-                             initializer=_adopt,
-                             initargs=(configs, reference)) as pool:
-        return list(pool.map(_worker_outcome, indices))
+        # fork, for the inheritance; a fork-context pool forks all its
+        # workers before it starts a thread of its own
+        with ProcessPoolExecutor(min(jobs, len(passing)),
+                                 multiprocessing.get_context("fork")) as pool:
+            return plate.load, list(pool.map(_entry, passing))
+    finally:
+        _GROUP = None
 
 
 def run_corpus(configs, jobs=1):
@@ -663,16 +644,14 @@ def run_corpus(configs, jobs=1):
 
     Configs that differ only in inclusion-only fields (_INCLUSION_ONLY)
     share one reference plate, with its mesh, load, solve, kept factor and
-    frequency report; fields compare by value. A group's configs run in
-    this process, in corpus order, until one of them that passes its own
-    checks has built the reference; its frequency report is computed here
-    too, by that config or, if it failed first, before any fork. The rest
-    of the group runs on at most jobs worker processes forked from that
-    state, or here when jobs is 1 or one config is left.
-    The groups run one after the other, and a group's workers end before
-    the next reference is built, so one reference is alive at a time.
-    After the whole corpus ran, the failure of the first failing config is
-    raised, the same one that config raises alone.
+    frequency report; fields compare by value. Every config runs its own
+    checks first, before any mesh. Then, one group after the other, this
+    process builds the reference of a group with a config that passed them,
+    and those configs run on it (_group_outcomes). Once they have run and
+    the factor is freed, this process computes the group's frequency report
+    and completes their reports with it; so one reference is alive at a
+    time. After the whole corpus ran, the failure of the first failing
+    config is raised, the same one that config raises alone.
     """
     configs = list(configs)
     names = [f.name for f in fields(SizeExperimentConfig)
@@ -681,26 +660,22 @@ def run_corpus(configs, jobs=1):
     for i, c in enumerate(configs):
         key = _by_value([getattr(c, n) for n in names])
         groups.setdefault(key, []).append(i)
-    outcomes = [None] * len(configs)
+    outcomes = [_outcome_of(functools.partial(_own_checks, c))
+                for c in configs]
     for idx in groups.values():
-        reference = _once(functools.partial(_shared_reference,
-                                            configs[idx[0]]))
-        rest = iter(idx)
-        for i in rest:
-            outcomes[i] = _outcome(configs[i], reference)
-            if reference.outcome:
-                break
-        rest = list(rest)
-        if jobs > 1 and len(rest) > 1:
-            # the entry that built the reference may have failed before its
-            # report: compute it here, so the workers inherit it
-            _outcome_of(lambda: reference()[2]())
-            pairs = _forked_outcomes(configs, reference, rest, jobs)
-        else:
-            pairs = [(i, _outcome(configs[i], reference)) for i in rest]
-        for i, outcome in pairs:
+        passing = [i for i in idx if not isinstance(outcomes[i], Exception)]
+        if not passing:
+            continue
+        load, results = _group_outcomes(configs, outcomes, passing, jobs)
+        freq = None
+        for i, outcome in zip(passing, results):
+            if not isinstance(outcome, Exception):
+                if freq is None:
+                    # the factor is freed: the group's report comes last
+                    freq = _outcome_of(functools.partial(frequency, load))
+                outcome = freq if isinstance(freq, Exception) else \
+                    outcome(frequency_ratio=freq.ratio)
             outcomes[i] = outcome
-        del reference  # before the next reference is built
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome

@@ -549,9 +549,15 @@ def fatness_ratio(mesh, indicator, depth):
 # external interfaces
 
 
+# the largest coordinate magnitude of a polygon file: the squared distances
+# and orientation products of such points, at most 8e300, stay finite
+MAX_COORDINATE = 1e150
+
+
 def read_polygons(path):
     """Read polygons from text: one 'x y' vertex per line, blank line between
-    polygons; every coordinate finite."""
+    polygons; every coordinate finite and at most MAX_COORDINATE in
+    magnitude."""
     polys = []
     current = []
     with open(path) as fh:
@@ -568,6 +574,9 @@ def read_polygons(path):
             current.append((float(parts[0]), float(parts[1])))
             if not np.isfinite(current[-1]).all():
                 raise ValueError(f"{path}:{num}: values must be finite")
+            if (np.abs(current[-1]) > MAX_COORDINATE).any():
+                raise ValueError(f"{path}:{num}: values must be at most "
+                                 "1e150 in magnitude")
     if current:
         polys.append(np.array(current, dtype=float))
     if not polys:

@@ -375,6 +375,34 @@ def test_polygon_vertex_not_finite_names_file_and_line(tmp_path, monkeypatch,
     assert not list((tmp_path / "out").glob("*.csv"))
 
 
+@pytest.mark.parametrize("value", ["1e300", "-1e300", "1e160"])
+@pytest.mark.parametrize("key", ["inclusion", "domain"])
+def test_polygon_vertex_too_large_names_file_and_line(tmp_path, monkeypatch,
+                                                      key, value):
+    # squared distances of such vertices overflow: refused when the file
+    # is read, before any mesh and without a numpy warning
+    _no_mesh(monkeypatch)
+    path = tmp_path / "polygon.poly"
+    lo, hi = (0.25, 0.75) if key == "inclusion" else (0.0, 1.0)
+    path.write_text(f"{lo} {lo}\n{value} {lo}\n{hi} {hi}\n{lo} {hi}\n")
+    text = BASE + f"inclusion = {path}\nkappa = 2.0\n" if key == "inclusion" \
+        else BASE.replace("rectangle 0 0 1 1", str(path))
+    code, err = _run_clean("size", _cfg(tmp_path, text), tmp_path / "out")
+    assert (code, err) == (1, [f"config error: bad {key}: {path}:2: values "
+                               "must be at most 1e150 in magnitude"])
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+def test_polygon_vertex_at_the_bound_runs(tmp_path):
+    # an inclusion vertex at 1e150 is read; its clearance stays a number
+    path = tmp_path / "polygon.poly"
+    path.write_text("0.25 0.25\n1e150 0.25\n0.75 0.75\n0.25 0.75\n")
+    text = BASE + f"inclusion = {path}\nkappa = 2.0\n"
+    code, err = _run_clean("size", _cfg(tmp_path, text), tmp_path / "out")
+    assert code == 0 and not any("Warning" in line for line in err)
+    assert len(list((tmp_path / "out").glob("*.csv"))) == 2
+
+
 @pytest.mark.parametrize("shear_ids,bending_ids,has,lacks,element", [
     (np.arange(16), np.delete(np.arange(16), 3), "s", "p", 3),
     (np.arange(15), np.arange(16), "p", "s", 15)], ids=["shear", "bending"])
@@ -752,35 +780,41 @@ def test_calibrate_shares_one_mesh_and_one_reference(tmp_path, monkeypatch):
     ids=["exit0", "exit2"])
 def test_calibrate_workers_end_with_the_call(tmp_path, capsys, monkeypatch,
                                              kappa, code, err):
-    # a builds the reference here; b and c run on forked workers, which
+    # the reference is built here; a, b and c run on forked workers, which
     # have all ended when main returns, whatever its exit code
     good = BASE + f"inclusion = {_sq_poly(tmp_path)}\nkappa = 2.0\n"
     cfg = _corpus(tmp_path, [
         ("a", good), ("b", good.replace("kappa = 2.0", f"kappa = {kappa}")),
         ("c", good.replace("kappa = 2.0", "kappa = 4.0"))])
     log = tmp_path / "pids.log"
-    inner = estimates._size_experiment
+    reference, entry = estimates._reference_plate, estimates._size_experiment
 
-    def recorded(config, reference):
+    def built(config):
+        append_line(log, f"reference {os.getpid()}")
+        return reference(config)
+
+    def ran(config, *args):
         append_line(log, f"{config.name} {os.getpid()}")
-        return inner(config, reference)
+        return entry(config, *args)
 
-    monkeypatch.setattr(estimates, "_size_experiment", recorded)
+    monkeypatch.setattr(estimates, "_reference_plate", built)
+    monkeypatch.setattr(estimates, "_size_experiment", ran)
     assert main(["calibrate", "--config", cfg, "--out", str(tmp_path),
                  "--jobs", "2"]) == code
     assert capsys.readouterr().err == err
     assert multiprocessing.active_children() == []
-    pids = dict(line.split() for line in log.read_text().splitlines())
-    assert sorted(pids) == ["a", "b", "c"]
-    assert pids["a"] == str(os.getpid())
-    assert pids["a"] not in (pids["b"], pids["c"])
+    lines = log.read_text().splitlines()
+    pids = dict(line.split() for line in lines)
+    assert len(lines) == 4 and sorted(pids) == ["a", "b", "c", "reference"]
+    assert pids["reference"] == str(os.getpid())
+    assert pids["reference"] not in (pids["a"], pids["b"], pids["c"])
 
 
 def test_calibrate_computes_one_frequency_per_reference(tmp_path,
                                                        monkeypatch):
-    # in the second corpus the twist group's first entry builds the
-    # reference and then overflows conjugate gradients before its report;
-    # the report is still computed once, before the rest is forked
+    # in the second corpus the twist group's first entry overflows
+    # conjugate gradients before its report; the report is still computed
+    # once, after the group's entries have run
     poly = _sq_poly(tmp_path)
     mat = IsotropicMaterial(lam=1.0, mu=1.0, h=1.0)
 

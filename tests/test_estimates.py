@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -697,10 +698,9 @@ def test_workers_share_one_reference_factor(monkeypatch, tmp_path):
 
 
 def test_one_frequency_report_per_reference_on_workers(monkeypatch, tmp_path):
-    # each group's report is computed here before the rest of the group is
-    # forked, so the workers inherit it; in the second corpus the entry that
-    # builds the twist reference fails before its report (kappa 1e200
-    # overflows conjugate gradients)
+    # each group's report is computed here, once its entries have run on
+    # the workers; in the second corpus the twist group's first entry fails
+    # before its report (kappa 1e200 overflows conjugate gradients)
     base = SizeExperimentConfig(domain=SQUARE, material=MAT, target_size=0.25)
     corpora = []
     for head in ((), (1e200,)):
@@ -738,28 +738,32 @@ def test_one_frequency_report_per_reference_on_workers(monkeypatch, tmp_path):
     assert isinstance(error, solver.SolveError)
 
 
-@pytest.mark.parametrize("fails", [False, True], ids=["value", "error"])
-def test_once_computes_once(fails):
-    # one run, and every call gets its value or its exception
-    runs = []
+def test_the_factor_is_freed_before_the_frequency_report(monkeypatch):
+    # a weak reference to every factor; each frequency report counts the
+    # ones still alive
+    factors, live = [], []
+    make, report = estimates.factorize, estimates.frequency
 
-    def compute():
-        runs.append(None)
-        if fails:
-            raise ValueError("refused")
-        return object()
+    def factorize(system):
+        factor = make(system)
+        factors.append(weakref.ref(factor))
+        return factor
 
-    once = estimates._once(compute)
-    assert once.outcome == []
-    outcomes = []
-    for _ in range(4):
-        try:
-            outcomes.append(once())
-        except ValueError as exc:
-            outcomes.append(exc)
-    assert len(runs) == 1
-    assert all(o is outcomes[0] for o in outcomes)
-    assert isinstance(outcomes[0], ValueError if fails else object)
+    def frequency(load):
+        live.append(sum(ref() is not None for ref in factors))
+        return report(load)
+
+    monkeypatch.setattr(estimates, "factorize", factorize)
+    monkeypatch.setattr(estimates, "frequency", frequency)
+    base = SizeExperimentConfig(domain=SQUARE, material=MAT, target_size=0.25,
+                                inclusion_polygons=(CENTER_SQ,),
+                                inclusion=InclusionMaterial(kappa=2.0))
+    corpus = [replace(base, inclusion=InclusionMaterial(kappa=k), name=f"{k}")
+              for k in (1.5, 3.0, 4.0)]
+    run_size_experiment(base)
+    for jobs in (1, 2):
+        run_corpus(corpus, jobs)
+    assert len(factors) == 3 and live == [0] * 3
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 4])

@@ -32,7 +32,9 @@ L-shape at target size 1/32, four times finer than the ladder variants, so
 their factors take deeper nested dissections; each plate holds an inclusion
 (on the L-shape, the unit square's halved). size-inclusion-nan and size-domain-inf
 run size with a polygon file that holds a vertex that is not finite, nan
-in the inclusion and inf in the domain (exit 1). size also runs with tensor
+in the inclusion and inf in the domain (exit 1), and size-inclusion-1e300
+with an inclusion vertex past the coordinate bound 1e150 (exit 1; before
+that bound it exited 0 after numpy overflow warnings). size also runs with tensor
 tables in place of kappa, with tables that hold a nan cell (in an unflagged
 element) or an inf cell (in a flagged one) or that name different elements
 (each exit 1), without the lambda key (exit 1), with the zero load
@@ -265,13 +267,16 @@ def command_runs(inputs):
     cfgs["lshape_32"] = cfgs["lshape"].replace(
         "target_size = 0.125", "target_size = 0.03125") + (
         f"inclusion = {half}\nkappa = 2.5\n")
-    # a vertex that is not finite: nan in the inclusion, inf in the domain
-    nan_inclusion, inf_domain = list(INCLUSION), list(workloads.LSHAPE)
-    nan_inclusion[1] = (float("nan"), nan_inclusion[1][1])
+    # a vertex that is not finite: nan in the inclusion, inf in the domain;
+    # and one past the coordinate bound 1e150 in the inclusion
+    inf_domain = list(workloads.LSHAPE)
     inf_domain[1] = (float("inf"), inf_domain[1][1])
-    cfgs["inclusion_nan"] = BASE + "inclusion = {}\nkappa = 2.5\n".format(
-        _write(os.path.join(inputs, "inclusion_nan.poly"),
-               workloads._polygon_text(nan_inclusion)))
+    for tag, x in (("nan", float("nan")), ("1e300", 1e300)):
+        vertices = list(INCLUSION)
+        vertices[1] = (x, vertices[1][1])
+        cfgs[f"inclusion_{tag}"] = BASE + "inclusion = {}\nkappa = 2.5\n" \
+            .format(_write(os.path.join(inputs, f"inclusion_{tag}.poly"),
+                           workloads._polygon_text(vertices)))
     cfgs["domain_inf"] = BASE.replace("rectangle 0 0 1 1", _write(
         os.path.join(inputs, "domain_inf.poly"),
         workloads._polygon_text(inf_domain)))
@@ -343,8 +348,9 @@ def command_runs(inputs):
             *((f"size-{key.replace('_', '-')}", ["size", "--config",
                                                    path[key]])
               for key in ("tables_nan", "tables_inf", "tables_ids")),
-            ("size-inclusion-nan", ["size", "--config",
-                                    path["inclusion_nan"]]),
+            *((f"size-inclusion-{tag}", ["size", "--config",
+                                         path[f"inclusion_{tag}"]])
+              for tag in ("nan", "1e300")),
             ("size-domain-inf", ["size", "--config", path["domain_inf"]]),
             ("size-no-lambda", ["size", "--config", path["no_lambda"]]),
             ("size-zero-load", ["size", "--config", path["zero_load"]]),
