@@ -13,7 +13,8 @@ this module relates that number to the override's area:
     continuation properties of inclusion-free energy fields that make the
     lower area bound work,
   * run_size_experiment drives the whole chain for one configuration, and
-    run_corpus for a corpus, whose configs share reference plates,
+    run_corpus for a corpus, whose configs share plates and reference
+    solves,
   * convergence_study checks the forward solve against closed forms.
 """
 
@@ -460,28 +461,72 @@ class Forward(NamedTuple):
 
 
 # the fields that only the inclusion plate and the size report read; configs
-# that agree on every other field share one reference plate
+# that agree on every other field share one reference state, and those that
+# agree on every field but these and load_family share one plate: its mesh,
+# stiffness and factor
 _INCLUSION_ONLY = ("inclusion_polygons", "inclusion", "c1", "c2", "name")
 
 
-def _reference_plate(config):
-    """(Forward, factor) of config's plate without its inclusion; factor is
-    the kept factor of the sparse solve, None under the dense oracle."""
+class _Plate(NamedTuple):
+    """What the configs of a plate group share: the mesh, the (load, load
+    vector) of each of their load families, and (system, factor), the
+    stiffness without a load and its factor, None under the dense oracle.
+    A load, or the stiffness, that failed to build is the exception it
+    raised; the stiffness is None when no load was built."""
+
+    mesh: object
+    loads: dict
+    stiffness: object
+
+
+def _plate(config, families):
+    """The _Plate of config's plate and the load families given, built in
+    the order of one reference solve: the mesh, each load and its load
+    vector, then the stiffness and its factor. A failed mesh raises."""
     mesh = generate_mesh(config.domain, config.target_size,
                          config.element_budget)
-    load = load_from_family(mesh, config.load_family, config.material)
-    rhs = assemble_load(load)
-    system = assemble_stiffness(mesh, config.material,
-                                assumed_shear=config.assumed_shear)
+
+    def loaded(family):
+        load = load_from_family(mesh, family, config.material)
+        return load, assemble_load(load)
+
+    def factored():
+        system = assemble_stiffness(mesh, config.material,
+                                    assumed_shear=config.assumed_shear)
+        return system, None if config.dense_oracle else factorize(system)
+
+    loads = {family: _outcome_of(functools.partial(loaded, family))
+             for family in families}
+    stiffness = None
+    if not all(isinstance(load, Exception) for load in loads.values()):
+        stiffness = _outcome_of(factored)
+    return _Plate(mesh, loads, stiffness)
+
+
+def _raised(outcome):
+    """outcome, unless it is an exception, which is raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _reference_plate(config, plate=None):
+    """(Forward, factor) of config's plate without its inclusion, on the
+    _Plate of its plate group, which it builds when given None; factor is
+    the kept factor of the sparse solve, the plate's with config's load
+    attached to its system, None under the dense oracle."""
+    if plate is None:
+        plate = _plate(config, (config.load_family,))
+    load, rhs = _raised(plate.loads[config.load_family])
+    system, factor = _raised(plate.stiffness)
     system = system.with_load(rhs)
-    factor = None
-    if config.dense_oracle:
+    if factor is None:
         state0 = dense_oracle_solve(system)
     else:
-        factor = factorize(system)
+        factor = replace(factor, system=system)
         state0 = solve(system, factor=factor)
-    return Forward(mesh, load, rhs, rasterize_inclusion(mesh, ()), state0,
-                   state0), factor
+    return Forward(plate.mesh, load, rhs, rasterize_inclusion(plate.mesh, ()),
+                   state0, state0), factor
 
 
 def _inclusion_state(config, plate, factor, indicator):
@@ -504,7 +549,8 @@ def _inclusion_state(config, plate, factor, indicator):
 
 def _forward(config, plate, factor):
     """forward(config), bit for bit, on the reference plate and factor of a
-    config with the same reference key, reused as they are."""
+    config that differs from it only in inclusion-only fields, reused as
+    they are."""
     indicator = rasterize_inclusion(plate.mesh, config.inclusion_polygons)
     state = plate.state0 if config.inclusion is None else \
         _inclusion_state(config, plate, factor, indicator)
@@ -533,7 +579,7 @@ def _own_checks(config):
 
 def _size_experiment(config, jumps, plate, factor):
     """The size report of config, whose own checks gave jumps, on the
-    reference plate and factor of its group: a partial SizeEstimateReport
+    reference plate and factor of its load: a partial SizeEstimateReport
     that takes the frequency_ratio of the plate's load."""
     ap = config.domain.apriori
     fw = _forward(config, plate, factor)
@@ -588,74 +634,86 @@ def _by_value(value):
 
 
 def _outcome_of(compute):
-    """compute(), or the exception it raised."""
+    """compute(), or the exception it raised, without its traceback: the
+    frames of a traceback, and the callers they reach, keep their locals,
+    a reference's factor among them, alive as long as the exception. An
+    exception from a worker process comes without one too."""
     try:
         return compute()
     except Exception as exc:
-        return exc
+        return exc.with_traceback(None)
 
 
-# the configs, their own-check outcomes, and the reference plate and factor
-# of the group that runs, set before its workers are forked
+# the configs, their own-check outcomes, and the reference of each load
+# family of the plate group that runs, set before its workers are forked;
+# nothing else holds the references' factor
 _GROUP = None
 
 
+def _references(configs, passing):
+    """{load family: (Forward, factor) of its reference, or the exception
+    building it raised} of the configs passing, of one plate group: one
+    _Plate with all their load families, then _reference_plate on it once
+    per family, for the family's first config."""
+    first = {}
+    for i in passing:
+        first.setdefault(configs[i].load_family, configs[i])
+    plate = _outcome_of(functools.partial(_plate, configs[passing[0]],
+                                          tuple(first)))
+    if isinstance(plate, Exception):
+        return dict.fromkeys(first, plate)
+    return {family: _outcome_of(functools.partial(_reference_plate, config,
+                                                  plate))
+            for family, config in first.items()}
+
+
 def _entry(i):
-    """_size_experiment of config i of _GROUP, or the exception it raised."""
-    configs, jumps, plate, factor = _GROUP
+    """_size_experiment of config i of _GROUP on the reference of its load
+    family, or the exception that either raised."""
+    configs, jumps, references = _GROUP
+    reference = references[configs[i].load_family]
+    if isinstance(reference, Exception):
+        return reference
     return _outcome_of(functools.partial(_size_experiment, configs[i],
-                                         jumps[i], plate, factor))
+                                         jumps[i], *reference))
 
 
 def _group_outcomes(configs, jumps, passing, jobs):
-    """(load, outcomes) of the configs passing, of one group, in order, on
-    the reference plate that the first of them builds; jumps[i] is what
-    config i's own checks gave. Each outcome is a partial report or the
-    exception raised, the reference's own for all when it fails. With
-    jobs > 1 and more than one config, they run on at most jobs worker
-    processes forked from this one. When this returns every worker has
-    ended and, unless a traceback holds it, the reference's factor is
-    freed."""
+    """(loads, outcomes) of the configs passing, of one plate group, in
+    order; jumps[i] is what config i's own checks gave. loads maps each
+    load family whose reference was built to its load. Each outcome is a
+    partial report or the exception raised, the reference's own when that
+    failed. With jobs > 1 and more than one reference-built config, they
+    run on at most jobs worker processes forked from this one, one pool
+    for the plate. When this returns every worker has ended and the
+    plate's factor is freed."""
     global _GROUP
-    reference = _outcome_of(functools.partial(_reference_plate,
-                                              configs[passing[0]]))
-    if isinstance(reference, Exception):
-        return None, [reference] * len(passing)
-    plate, factor = reference
-    _GROUP = configs, jumps, plate, factor
+    _GROUP = configs, jumps, _references(configs, passing)
     try:
-        if jobs == 1 or len(passing) == 1:
-            return plate.load, [_entry(i) for i in passing]
+        loads = {family: reference[0].load
+                 for family, reference in _GROUP[2].items()
+                 if not isinstance(reference, Exception)}
+        built = sum(configs[i].load_family in loads for i in passing)
+        if jobs == 1 or built < 2:
+            return loads, [_entry(i) for i in passing]
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         # fork, for the inheritance; a fork-context pool forks all its
         # workers before it starts a thread of its own
-        with ProcessPoolExecutor(min(jobs, len(passing)),
+        with ProcessPoolExecutor(min(jobs, built),
                                  multiprocessing.get_context("fork")) as pool:
-            return plate.load, list(pool.map(_entry, passing))
+            return loads, list(pool.map(_entry, passing))
     finally:
         _GROUP = None
 
 
-def run_corpus(configs, jobs=1):
-    """run_size_experiment of every config, in order, on up to jobs
-    processes.
-
-    Configs that differ only in inclusion-only fields (_INCLUSION_ONLY)
-    share one reference plate, with its mesh, load, solve, kept factor and
-    frequency report; fields compare by value. Every config runs its own
-    checks first, before any mesh. Then, one group after the other, this
-    process builds the reference of a group with a config that passed them,
-    and those configs run on it (_group_outcomes). Once they have run and
-    the factor is freed, this process computes the group's frequency report
-    and completes their reports with it; so one reference is alive at a
-    time. After the whole corpus ran, the failure of the first failing
-    config is raised, the same one that config raises alone.
-    """
+def _corpus_outcomes(configs, jobs):
+    """run_corpus(configs, jobs) without its raise: the report of every
+    config, in order, or the exception it raised."""
     configs = list(configs)
     names = [f.name for f in fields(SizeExperimentConfig)
-             if f.name not in _INCLUSION_ONLY]
+             if f.name not in _INCLUSION_ONLY + ("load_family",)]
     groups = {}
     for i, c in enumerate(configs):
         key = _by_value([getattr(c, n) for n in names])
@@ -666,19 +724,41 @@ def run_corpus(configs, jobs=1):
         passing = [i for i in idx if not isinstance(outcomes[i], Exception)]
         if not passing:
             continue
-        load, results = _group_outcomes(configs, outcomes, passing, jobs)
-        freq = None
+        loads, results = _group_outcomes(configs, outcomes, passing, jobs)
         for i, outcome in zip(passing, results):
-            if not isinstance(outcome, Exception):
-                if freq is None:
-                    # the factor is freed: the group's report comes last
-                    freq = _outcome_of(functools.partial(frequency, load))
-                outcome = freq if isinstance(freq, Exception) else \
-                    outcome(frequency_ratio=freq.ratio)
             outcomes[i] = outcome
+        # the factor is freed: each load's report comes last
+        for family, load in loads.items():
+            ran = [i for i in passing if configs[i].load_family == family
+                   and not isinstance(outcomes[i], Exception)]
+            if ran:
+                freq = _outcome_of(functools.partial(frequency, load))
+                for i in ran:
+                    outcomes[i] = freq if isinstance(freq, Exception) else \
+                        outcomes[i](frequency_ratio=freq.ratio)
+    return outcomes
+
+
+def run_corpus(configs, jobs=1):
+    """run_size_experiment of every config, in order, on up to jobs
+    processes.
+
+    Configs that differ only in inclusion-only fields (_INCLUSION_ONLY)
+    and in load_family share one plate: its mesh, stiffness, kept factor
+    and worker pool. Those with one load family also share its reference
+    solve and frequency report. Fields compare by value. Every config runs
+    its own checks first, before any mesh. Then, one plate group after the
+    other, this process builds the plate of a group with a config that
+    passed them and one reference state per load on it, and those configs
+    run on them (_group_outcomes). Once they have run and the factor is
+    freed, this process computes each load's frequency report and
+    completes their reports with it; so one factor is alive at a time, and
+    none beside a report. After the whole corpus ran, the failure of the
+    first failing config is raised, the same one that config raises alone.
+    """
+    outcomes = _corpus_outcomes(configs, jobs)
     for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
+        _raised(outcome)
     return outcomes
 
 

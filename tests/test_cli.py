@@ -789,9 +789,9 @@ def test_calibrate_workers_end_with_the_call(tmp_path, capsys, monkeypatch,
     log = tmp_path / "pids.log"
     reference, entry = estimates._reference_plate, estimates._size_experiment
 
-    def built(config):
+    def built(config, *args):
         append_line(log, f"reference {os.getpid()}")
-        return reference(config)
+        return reference(config, *args)
 
     def ran(config, *args):
         append_line(log, f"{config.name} {os.getpid()}")

@@ -1,11 +1,13 @@
 """The exit-code contract under mutated configs.
 
 One or two keys of a small valid config, per command, take an extreme or
-malformed value. Every run ends by the contract (0 success, 1 config,
-2 numerical, 3 inequality) with no traceback and no numpy warning, writes
-to stderr exactly when it does not succeed, and writes no CSV on a config
-error or a numerical failure. Every mesh drawn is at target size 1/8 or
-coarser; a finer one is refused by its budget before it is built.
+malformed value; for calibrate, a key of the first of two corpus entries,
+whose two loads share one mesh. Every run ends by the contract (0 success,
+1 config, 2 numerical, 3 inequality) with no traceback and no numpy
+warning, writes to stderr exactly when it does not succeed, and writes no
+CSV on a config error or a numerical failure. Every mesh drawn is at
+target size 1/8 or coarser; a finer one is refused by its budget before it
+is built.
 """
 
 import contextlib
@@ -39,10 +41,14 @@ COMMANDS = {
     "solve": BASE,
     "work": BASE + INCLUSION,
     "size": BASE.replace("0.25", "0.125") + INCLUSION,
+    "energy-lemma": BASE + INCLUSION,
+    "calibrate": BASE + INCLUSION,
     "three-spheres": BASE + "rho0 = 0.1\nrho = 0.04\npitch = 0.05\n",
     "lps": BASE + "rho = 0.04\n",
     "convergence": BASE + "refinements = 2\n",
 }
+# the second entry of the calibrate corpus, run at --jobs 1
+SECOND = BASE.replace("pure_bending", "twist") + INCLUSION.replace("2.0", "3.0")
 # with a subnormal, and a name too long for a file name
 VALUES = ("0", "-1", "nan", "inf", "1e-300", "1e-310", "1e300", "x", "",
           "a/b", "n" * 300)
@@ -71,7 +77,8 @@ def _by_design(warning):
         str(warning.message).startswith("inclusion comes within")
 
 
-@settings(settings.get_profile("derandomized"), max_examples=250)
+# about 42 examples per command
+@settings(settings.get_profile("derandomized"), max_examples=334)
 @given(st.sampled_from(sorted(COMMANDS)), mutations)
 def test_mutated_config_keeps_the_exit_code_contract(command, changes):
     with tempfile.TemporaryDirectory() as tmp:
@@ -85,6 +92,14 @@ def test_mutated_config_keeps_the_exit_code_contract(command, changes):
         cfg = os.path.join(tmp, "run.cfg")
         with open(cfg, "w") as fh:
             fh.writelines(f"{k} = {v}\n" for k, v in lines.items())
+        if command == "calibrate":
+            corpus = os.path.join(tmp, "corpus")
+            os.mkdir(corpus)
+            os.rename(cfg, os.path.join(corpus, "a.cfg"))
+            with open(os.path.join(corpus, "b.cfg"), "w") as fh:
+                fh.write(SECOND.format(poly=poly))
+            with open(cfg, "w") as fh:
+                fh.write(f"corpus = {corpus}\ntimestamp = off\n")
         out = os.path.join(tmp, "out")
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \

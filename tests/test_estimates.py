@@ -4,6 +4,7 @@ import os
 import sys
 import tracemalloc
 import weakref
+from concurrent import futures
 from dataclasses import fields, replace
 
 import numpy as np
@@ -738,9 +739,9 @@ def test_one_frequency_report_per_reference_on_workers(monkeypatch, tmp_path):
     assert isinstance(error, solver.SolveError)
 
 
-def test_the_factor_is_freed_before_the_frequency_report(monkeypatch):
-    # a weak reference to every factor; each frequency report counts the
-    # ones still alive
+def _live_factors(monkeypatch):
+    """(factors, live): a weak reference to every factor made, and, for
+    each frequency report, the count of those still alive."""
     factors, live = [], []
     make, report = estimates.factorize, estimates.frequency
 
@@ -755,6 +756,11 @@ def test_the_factor_is_freed_before_the_frequency_report(monkeypatch):
 
     monkeypatch.setattr(estimates, "factorize", factorize)
     monkeypatch.setattr(estimates, "frequency", frequency)
+    return factors, live
+
+
+def test_the_factor_is_freed_before_the_frequency_report(monkeypatch):
+    factors, live = _live_factors(monkeypatch)
     base = SizeExperimentConfig(domain=SQUARE, material=MAT, target_size=0.25,
                                 inclusion_polygons=(CENTER_SQ,),
                                 inclusion=InclusionMaterial(kappa=2.0))
@@ -764,6 +770,80 @@ def test_the_factor_is_freed_before_the_frequency_report(monkeypatch):
     for jobs in (1, 2):
         run_corpus(corpus, jobs)
     assert len(factors) == 3 and live == [0] * 3
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failed_entry_keeps_no_factor_alive(monkeypatch, jobs):
+    # the first entry overflows conjugate gradients in this process with
+    # jobs 1; its exception keeps no frame, so nothing holds the factor
+    # when the report of the others is computed
+    factors, live = _live_factors(monkeypatch)
+    base = SizeExperimentConfig(domain=SQUARE, material=MAT, target_size=0.25,
+                                inclusion_polygons=(CENTER_SQ,),
+                                inclusion=InclusionMaterial(kappa=2.0))
+    corpus = [replace(base, inclusion=InclusionMaterial(kappa=k), name=f"{k}")
+              for k in (1e200, 1.5, 3.0)]
+    with pytest.raises(solver.SolveError, match="overflowed"):
+        run_corpus(corpus, jobs)
+    assert len(factors) == 1 and live == [0]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_the_loads_of_a_plate_share_its_mesh_and_factor(monkeypatch, jobs):
+    base = SizeExperimentConfig(domain=SQUARE, material=MAT, target_size=0.125)
+    corpus = [replace(base, load_family=load, inclusion_polygons=(polygon,),
+                      inclusion=InclusionMaterial(kappa=k), name=f"{i}")
+              for i, (load, polygon, k) in enumerate((
+                  ("pure_bending a=1", CENTER_SQ, 2.0),
+                  ("twist a=1", CENTER_SQ, 3.0),
+                  ("edge_moment c=1", LOWER_LEFT, 0.5),
+                  ("twist a=1", LOWER_LEFT, 1.5),
+                  ("pure_bending a=1", QUAD, 4.0)))]
+    alone = [run_size_experiment(c) for c in corpus]
+    calls = {name: _count_calls(monkeypatch, name)
+             for name in ("generate_mesh", "assemble_stiffness", "factorize",
+                          "_reference_plate")}
+    pools = []
+
+    class Pool(futures.ProcessPoolExecutor):
+        def __init__(self, *args):
+            pools.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", Pool)
+    assert run_corpus(corpus, jobs) == alone
+    assert {name: count[0] for name, count in calls.items()} == {
+        "generate_mesh": 1, "assemble_stiffness": 1, "factorize": 1,
+        "_reference_plate": 3}
+    # one pool of the plate, none at jobs 1
+    assert pools == ([] if jobs == 1 else [2])
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_loads_of_a_plate_keep_their_own_errors(monkeypatch, jobs):
+    # an unknown load fails as it is built, the zero load at its size
+    # bounds; the other loads of the plate run on its one mesh and factor
+    base = SizeExperimentConfig(domain=SQUARE, material=MAT, target_size=0.125,
+                                inclusion_polygons=(CENTER_SQ,),
+                                inclusion=InclusionMaterial(kappa=2.0))
+    corpus = [replace(base, load_family=load,
+                      inclusion=InclusionMaterial(kappa=k), name=f"{i}")
+              for i, (load, k) in enumerate((
+                  ("pure_bending a=1", 2.0), ("bogus", 2.0),
+                  ("pure_bending a=0", 3.0), ("twist a=1", 2.5),
+                  ("pure_bending a=1", 4.0)))]
+    alone = [estimates._outcome_of(functools.partial(run_size_experiment, c))
+             for c in corpus]
+    assert [str(o) for o in alone if isinstance(o, Exception)] == [
+        "unknown load family 'bogus'", "reference work must be positive"]
+    meshes = _count_calls(monkeypatch, "generate_mesh")
+    got = estimates._corpus_outcomes(corpus, jobs)
+    for a, b in zip(got, alone, strict=True):
+        if isinstance(b, Exception):
+            assert type(a) is type(b) and str(a) == str(b)
+        else:
+            assert a == b
+    assert meshes[0] == 1
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 4])

@@ -267,6 +267,16 @@ def test_dissection_fills_less_than_minimum_degree():
     assert factor.lu.nnz < mmd.nnz
 
 
+def test_solve_refuses_the_factor_of_another_stiffness():
+    mesh = generate_mesh(SQUARE, 0.25)
+    f = assemble_load(load_from_family(mesh, "pure_bending a=1", MAT))
+    system, other = (assemble_stiffness(mesh, m).with_load(f)
+                     for m in (MAT, replace(MAT, mu=1.2)))
+    factor = factorize(system)
+    with pytest.raises(ValueError, match="^factor belongs to another system$"):
+        solve(other, factor=factor)
+
+
 # a U whose arms hold more nodes than its floor, which is thicker than both
 # arms together: the first split cuts across the arms and leaves them as one
 # subdomain in two pieces

@@ -45,14 +45,17 @@ energy-lemma on that zero load (exit 1), and size-c1-0 and energy-lemma-c1-0
 run both commands with `c1 = 0` (exit 1). size-mu-floor (mu = 0.5),
 size-gamma-floor (lambda = 0), size-mu-cap (mu = 3) and size-lambda-cap
 (lambda = 2.5) run size on a background that each of the material's
-floors and caps refuses (exit 1). Four more calibrate corpora run
+floors and caps refuses (exit 1). Five more calibrate corpora run
 at --jobs 1 and 2: one spans two meshes and holds a reference-only entry, in
 another the second entry has an unknown load, the third holds two zero-load
-entries (exit 1), and in the fourth, calibrate-window, two inclusion entries
-at lambda = mu = 1.5 fail the material window (exit 1).
-calibrate-rounding-dense runs a corpus of kappa 0.5 and 1 - 2^-52 under
---dense-oracle at --jobs 1 and 2. convergence reads the plate keys and
-flags as size does: it runs with element_budget = 10 (exit 1), without
+entries (exit 1), in the fourth, calibrate-window, two inclusion entries
+at lambda = mu = 1.5 fail the material window (exit 1), and the fifth,
+calibrate-mixed-zero-load, holds a pure_bending, a zero-load and a twist
+entry on one mesh (exit 1). calibrate-rounding-dense runs a corpus of kappa
+0.5 and 1 - 2^-52 under --dense-oracle at --jobs 1 and 2, and
+calibrate-loads-dense the two-load calibrate corpus under --dense-oracle,
+a plate without a factor, at --jobs 1 and 2. convergence reads the plate
+keys and flags as size does: it runs with element_budget = 10 (exit 1), without
 target_size (exit 1) and under --dense-oracle at two levels (243 dof at
 most). Runs that end by the config parse or the
 derived tensors: size with c1 = inf, three-spheres with theta = inf, solve
@@ -300,6 +303,10 @@ def command_runs(inputs):
                                                    "kappa = 3.0")],
         "calibrate_window": [window, window.replace("kappa = 2.5",
                                                     "kappa = 3.0")],
+        # three loads on one mesh, the second of them zero
+        "calibrate_mixed_zero_load": [
+            incl, zero.replace("kappa = 2.5", "kappa = 3.0"),
+            incl.replace("pure_bending", "twist")],
         # the second entry's gap is rounding alone
         "calibrate_rounding": [
             incl.replace("kappa = 2.5", "kappa = 0.5"),
@@ -441,11 +448,15 @@ def command_runs(inputs):
     runs += [(f"{key.replace('_', '-')}-jobs{j}",
               ["calibrate", "--config", path[key], "--jobs", str(j)])
              for key in ("calibrate_meshes", "calibrate_bad_load",
-                         "calibrate_zero_load", "calibrate_window")
+                         "calibrate_zero_load", "calibrate_window",
+                         "calibrate_mixed_zero_load")
              for j in (1, 2)]
-    runs += [(f"calibrate-rounding-dense-jobs{j}",
-              ["calibrate", "--config", path["calibrate_rounding"],
-               "--jobs", str(j), "--dense-oracle"]) for j in (1, 2)]
+    runs += [(f"calibrate-{label}-dense-jobs{j}",
+              ["calibrate", "--config", path[key], "--jobs", str(j),
+               "--dense-oracle"])
+             for label, key in (("rounding", "calibrate_rounding"),
+                                ("loads", "calibrate"))
+             for j in (1, 2)]
     return runs
 
 
