@@ -11,13 +11,16 @@ The traction-only problem is singular with the three dimensional kernel
 (phi = e1, w = -x1), (phi = e2, w = -x2), (w = 1). Solving fixes the three
 dofs of one node, which removes that kernel, factors the reduced symmetric
 positive definite stiffness, and shifts the result by kernel motions so
-that the means of phi and w vanish. A dense eigendecomposition path
-provides an independent oracle on small meshes.
+that the means of phi and w vanish. A dense Cholesky path provides an
+independent oracle on small meshes: it deflates the known kernel instead
+of pinning a node, and refines its solve against a residual in extended
+precision.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -629,10 +632,9 @@ def _dissection_order(mesh, pinned):
     return order
 
 
-# the load checks (rigid-motion components in solve, kernel components in
-# the dense oracle) are relative to the load's size; on the rigid-motion
-# check the closed-form loads read below 1e-15 and the compensated mode
-# loads up to 1.1e-11 (128^2 L-shape), ninety times inside COMPAT_TOL
+# the load check of both solves (rigid-motion components, relative to the
+# load's size): the closed-form loads read below 1e-15 and the compensated
+# mode loads up to 1.1e-11 (128^2 L-shape), ninety times inside COMPAT_TOL
 COMPAT_TOL = 1e-9
 
 # conjugate gradients on a stiffness near a factored one stop at a relative
@@ -774,17 +776,24 @@ def _conjugate_gradients(factor, update, fr, x):
                      f"{CG_TARGET:g} in {CG_BUDGET} back-solves")
 
 
-_KERNEL_CUT = 1e-10
-# the most dof the dense oracle takes: its eigendecomposition is cubic
+# the most dof the dense oracle takes: its dense Cholesky is cubic in them
 DENSE_CAP = 600
+# a stiffness annihilates the rigid motions to this share of its largest
+# entry; the assembled ones read 2e-17 to 4e-17
+_ANNIHILATION_TOL = 1e-12
 
 
 def dense_oracle_solve(system):
-    """Dense eigendecomposition solve, independent of the sparse path.
+    """Dense Cholesky solve, independent of the sparse path.
 
-    Verifies that exactly three eigenvalues fall below _KERNEL_CUT times the
-    largest one, inverts on the complement, then shifts by kernel motions to
-    meet the zero-mean constraints exactly.
+    The load passes the check that solve makes (CompatibilityError). The
+    stiffness K must annihilate the rigid motions, whose orthonormal basis Q
+    comes from kernel_basis; K + a Q Q^T, with a the largest entry of |K|,
+    is then positive definite and factored by a dense Cholesky. Two steps
+    of iterative refinement, the residual formed in np.longdouble, follow
+    the solve, and kernel motions then shift the result onto the zero-mean
+    constraints. A stiffness that is not positive definite once its rigid
+    motions are deflated, the zero one included, is a SolveError.
     """
     if system.rhs is None:
         raise ValueError("system has no load attached; use with_load first")
@@ -793,21 +802,25 @@ def dense_oracle_solve(system):
         raise SolveError(
             f"dense oracle capped at {DENSE_CAP} dof, system has {n}")
     f = system.rhs
+    _check_kernel_compatibility(system.mesh, f)
     kd = system.stiffness.toarray()
-    kd = 0.5 * (kd + kd.T)
-    w, v = np.linalg.eigh(kd)
-    wmax = w[-1]
-    null = w < _KERNEL_CUT * wmax
-    if int(null.sum()) != 3:
-        raise SolveError(f"stiffness kernel has dimension {int(null.sum())}, expected 3")
-    vk = v[:, null]
-    fn = np.linalg.norm(f)
-    comp = vk.T @ f
-    if np.any(np.abs(comp) > COMPAT_TOL * fn + _TINY):
-        raise CompatibilityError(
-            f"load has kernel components {comp} beyond tolerance")
-    vp = v[:, ~null]
-    u = vp @ ((vp.T @ f) / w[~null])
+    a = np.abs(kd).max()
+    q = np.linalg.qr(kernel_basis(system.mesh).T)[0]
+    if np.abs(kd @ q).max() > _ANNIHILATION_TOL * a:
+        raise SolveError("stiffness does not annihilate the rigid motions")
+    try:
+        chol = scipy.linalg.cho_factor(kd + a * (q @ q.T), lower=True,
+                                       check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SolveError("stiffness is not positive definite off the rigid "
+                         "motions") from exc
+    # f does no work on the rigid motions, so the deflated system's
+    # solution solves K u = f, and the refinement's residual is against K
+    u = scipy.linalg.cho_solve(chol, f, check_finite=False)
+    kl, fl = kd.astype(np.longdouble), f.astype(np.longdouble)
+    for _ in range(2):
+        r = (fl - kl @ u).astype(float)
+        u = u + scipy.linalg.cho_solve(chol, r, check_finite=False)
     return _normalized_state(system, u, kd)
 
 

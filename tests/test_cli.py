@@ -1387,8 +1387,8 @@ def test_nonpositive_constant_refused_before_any_mesh(tmp_path, capsys,
                          ids=["sparse", "dense"])
 @pytest.mark.parametrize("kappa", [1.0 - 2.0 ** -52, 1.0 + 2.0 ** -52])
 def test_rounding_gap_reads_zero(tmp_path, capsys, kappa, dense):
-    # the gap is 0.0 on the sparse path and -8.0e-15 or -1.8e-15 under the
-    # dense oracle, within estimates.GAP_RTOL of the reference work
+    # the gap is 0.0 on the sparse path and 0.0 or 2.2e-16 under the dense
+    # oracle, within estimates.GAP_RTOL of the reference work
     cfg = _contrast_cfg(tmp_path, kappa)
     for command in ("size", "energy-lemma"):
         assert main([command, "--config", cfg, "--out", str(tmp_path)]
@@ -1420,10 +1420,11 @@ def test_exit_code_contract_across_contrast(tmp_path, capsys, kappa):
     err = capsys.readouterr().err.splitlines()
     assert code in (0, 2, 3)
     assert len(err) == (0 if code == 0 else 1), err
-    # the CG overflow from 1e105 up exits 2. The dense oracle refuses kappa
-    # 1e-12 and 1e12, "stiffness kernel has dimension 21 (180), expected 3":
-    # its kernel cut, 1e-10 of the largest eigenvalue, takes in the soft
-    # inclusion's modes at 1e-12 and the background's modes at 1e12
+    # the CG overflow from 1e105 up exits 2. The dense oracle solves kappa
+    # 1e-12 and 1e12 too; its works leave the sparse ones 5.6e-15 and
+    # 5.5e-6 of the reference work apart. Past 1e4 the stiff inclusion's
+    # condition widens that gap (2.7e-10 at 1e8) beyond the 1e-10 that
+    # _assert_works_match_dense asks
     if kappa in (1e-3, 1.0 - 2.0 ** -52, 1.0 + 2.0 ** -52, 1e4):
         assert code == 0
         _assert_works_match_dense(tmp_path, cfg)
@@ -1519,6 +1520,24 @@ def test_dense_oracle_cap_is_numerical_failure(tmp_path):
                                       "target_size = 0.05"))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path),
                  "--dense-oracle"]) == 2
+
+
+def test_dense_oracle_solves_a_thin_plate(tmp_path, capsys):
+    # h = 0.001 at target size 1/8: both solves succeed, and their states
+    # agree to 1e-9 of the largest value
+    cfg = _cfg(tmp_path, BASE.replace("h = 1.0", "h = 0.001")
+               .replace("target_size = 0.25", "target_size = 0.125"))
+    states = []
+    for side, flag in (("sparse", []), ("dense", ["--dense-oracle"])):
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / side)]
+                    + flag) == 0
+        assert capsys.readouterr().err == ""
+        states.append(np.loadtxt(tmp_path / side / "solve_state.csv",
+                                 delimiter=",", skiprows=2))
+    sparse, dense = states
+    assert np.array_equal(sparse[:, :3], dense[:, :3])
+    u = dense[:, 3:]
+    assert np.abs(sparse[:, 3:] - u).max() < 1e-9 * np.abs(u).max()
 
 
 def test_lps_zero_field_fails_check(tmp_path, capsys):

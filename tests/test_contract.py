@@ -2,12 +2,12 @@
 
 One or two keys of a small valid config, per command, take an extreme or
 malformed value; for calibrate, a key of the first of two corpus entries,
-whose two loads share one mesh. Every run ends by the contract (0 success,
-1 config, 2 numerical, 3 inequality) with no traceback and no numpy
-warning, writes to stderr exactly when it does not succeed, and writes no
-CSV on a config error or a numerical failure. Every mesh drawn is at
-target size 1/8 or coarser; a finer one is refused by its budget before it
-is built.
+whose two loads share one mesh. work runs under --dense-oracle too. Every
+run ends by the contract (0 success, 1 config, 2 numerical, 3 inequality)
+with no traceback and no numpy warning, writes to stderr exactly when it
+does not succeed, and writes no CSV on a config error or a numerical
+failure. Every mesh drawn is at target size 1/8 or coarser; a finer one is
+refused by its budget before it is built.
 """
 
 import contextlib
@@ -40,6 +40,8 @@ INCLUSION = "inclusion = {poly}\nkappa = 2.0\n"
 COMMANDS = {
     "solve": BASE,
     "work": BASE + INCLUSION,
+    # 243 dof, inside the dense oracle's cap
+    "work --dense-oracle": BASE.replace("0.25", "0.125") + INCLUSION,
     "size": BASE.replace("0.25", "0.125") + INCLUSION,
     "energy-lemma": BASE + INCLUSION,
     "calibrate": BASE + INCLUSION,
@@ -78,7 +80,7 @@ def _by_design(warning):
 
 
 # about 42 examples per command
-@settings(settings.get_profile("derandomized"), max_examples=334)
+@settings(settings.get_profile("derandomized"), max_examples=376)
 @given(st.sampled_from(sorted(COMMANDS)), mutations)
 def test_mutated_config_keeps_the_exit_code_contract(command, changes):
     with tempfile.TemporaryDirectory() as tmp:
@@ -106,7 +108,7 @@ def test_mutated_config_keeps_the_exit_code_contract(command, changes):
                 contextlib.redirect_stderr(err), \
                 contextlib.redirect_stdout(io.StringIO()):
             warnings.simplefilter("always")
-            code = main([command, "--config", cfg, "--out", out])
+            code = main(command.split() + ["--config", cfg, "--out", out])
         written = os.listdir(out) if os.path.isdir(out) else []
     assert code in (0, 1, 2, 3)
     assert [w for w in caught if not _by_design(w)] == []

@@ -2,11 +2,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from platelab import solver
 from platelab.functionals import stability_ratio
 from platelab.geometry import AprioriData, Domain, generate_mesh
 from platelab.material import IsotropicMaterial, derive_plate_tensors
@@ -323,6 +325,63 @@ def test_thin_plate_dense_matches_sparse(domain, family, assumed):
     us = solve(sys_).u
     ud = dense_oracle_solve(sys_).u
     assert np.abs(us - ud).max() < 1e-9 * np.abs(ud).max()
+
+
+def _sparse_and_dense(domain, h):
+    # both solves of pure bending at target size 1/8 and thickness h
+    mat = replace(MAT, h=h)
+    mesh = generate_mesh(domain, 0.125)
+    system = assemble_stiffness(mesh, mat).with_load(
+        assemble_load(load_from_family(mesh, "pure_bending a=1.0", mat)))
+    assert system.n_dof <= DENSE_CAP
+    return solve(system).u, dense_oracle_solve(system).u
+
+
+def test_dense_oracle_solves_the_thinnest_square():
+    # |f| is 1.9e-10 and the smallest elastic eigenvalue 4.7e-9 of the
+    # largest; the load does no work on the analytic rigid motions, which
+    # both solves check it against
+    us, ud = _sparse_and_dense(SQUARE, 0.001)
+    assert np.abs(us - ud).max() < 1e-9 * np.abs(ud).max()
+
+
+@pytest.mark.parametrize("h,bound", [(0.01, 1e-9), (0.001, 1e-7)])
+def test_thin_slender_plate_dense_matches_sparse(h, bound):
+    # the bound grows with the condition number of TALL_U's deflated
+    # stiffness, 1.3e8 at h = 0.01 and 1.3e10 at h = 0.001: there the
+    # sparse solve lands 3.4e-10 and 8.3e-8 from a solve refined against
+    # exactly rounded residuals, and the dense oracle within 1.4e-12
+    us, ud = _sparse_and_dense(TALL_U, h)
+    assert np.abs(us - ud).max() < bound * np.abs(ud).max()
+
+
+@pytest.mark.parametrize("kind", ["bending-only", "zero"])
+def test_dense_oracle_refuses_a_singular_stiffness(monkeypatch, kind):
+    # without shear the rotations and the deflection decouple, and the
+    # kernel holds more than the rigid motions; the zero stiffness holds
+    # every motion. Either is a SolveError, not numpy's LinAlgError
+    mesh = generate_mesh(SQUARE, 0.25)
+    f = assemble_load(load_from_family(mesh, "pure_bending a=1.0", MAT))
+    if kind == "bending-only":
+        monkeypatch.setattr(solver, "shear_matrix",
+                            lambda tensors: np.zeros((2, 2)))
+    system = assemble_stiffness(mesh, MAT).with_load(f)
+    if kind == "zero":
+        system = replace(system, stiffness=0.0 * system.stiffness)
+    with pytest.raises(SolveError):
+        dense_oracle_solve(system)
+
+
+def test_dense_oracle_refuses_a_stiffness_that_strains_rigid_motions():
+    mesh = generate_mesh(SQUARE, 0.25)
+    f = assemble_load(load_from_family(mesh, "pure_bending a=1.0", MAT))
+    system = assemble_stiffness(mesh, MAT).with_load(f)
+    k = system.stiffness
+    system = replace(system, stiffness=k + 1e-9 * abs(k).max()
+                     * sp.identity(system.n_dof, format="csr"))
+    with pytest.raises(SolveError, match="^stiffness does not annihilate "
+                                         "the rigid motions$"):
+        dense_oracle_solve(system)
 
 
 def test_thin_plate_residual_small():

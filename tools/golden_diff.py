@@ -25,7 +25,10 @@ whose field holds no energy. three-spheres-rho-ge-rho0 runs three-spheres at
 rho 0.04 over rho0 0.03 (exit 1), and three-spheres-grid-budget at pitch
 0.0009, a grid of 1.23M candidate centers (exit 1). solve and size (kappa
 2.5) run on thin plates, h = 0.1 and 0.01, with and without
---full-integration; size-h0.1-32 runs size at
+--full-integration; solve-dense-thin-h0.001 solves the plain square at h =
+0.001 under --dense-oracle, and solve-dense-tall-u-h0.01 a 0.6 x 2.4 U with
+0.1-wide arms at h = 0.01: thin plates whose deflated stiffnesses have
+condition numbers near 1e8; size-h0.1-32 runs size at
 h = 0.1 and target size 1/32 too, where the factor's fill depends on the pivot
 choice. size-square-32 and size-lshape-32 run size on the unit square and the
 L-shape at target size 1/32, four times finer than the ladder variants, so
@@ -103,6 +106,9 @@ BASE = (f"domain = rectangle 0 0 1 1\n{workloads.MATERIAL}"
 INCLUSION = [(0.3, 0.3), (0.7, 0.3), (0.7, 0.6), (0.3, 0.7)]
 SKEWED = [(0.0, 0.0), (1.0, 0.2), (1.3, 1.1), (0.2, 0.9)]
 CORNER = [(0.8, 0.1), (1.0, 0.9), (0.2, 0.9), (0.6, 0.0), (0.7, 0.6)]
+# a U whose 0.1-wide arms hold more nodes than its floor
+TALL_U = [(0.0, 0.0), (0.6, 0.0), (0.6, 2.4), (0.5, 2.4), (0.5, 0.6),
+          (0.1, 0.6), (0.1, 2.4), (0.0, 2.4)]
 DUMBBELL = [(0.0, 0.0), (1.0, 0.0), (1.0, 0.49), (2.0, 0.49), (2.0, 0.0),
             (3.0, 0.0), (3.0, 1.0), (2.0, 1.0), (2.0, 0.51), (1.0, 0.51),
             (1.0, 1.0), (0.0, 1.0)]
@@ -257,6 +263,11 @@ def command_runs(inputs):
     for h in ("0.1", "0.01"):
         cfgs[f"plain_h{h}"] = BASE.replace("h = 1.0", f"h = {h}")
         cfgs[f"stiff_h{h}"] = incl.replace("h = 1.0", f"h = {h}")
+    cfgs["plain_h0.001"] = BASE.replace("h = 1.0", "h = 0.001")
+    tall_u = _write(os.path.join(inputs, "tall_u.poly"),
+                    workloads._polygon_text(TALL_U))
+    cfgs["tall_u_h0.01"] = BASE.replace("rectangle 0 0 1 1", tall_u).replace(
+        "h = 1.0", "h = 0.01") + "x0 = 0.3 0.3\n"
     cfgs["stiff_h0.1_32"] = cfgs["stiff_h0.1"].replace(
         "target_size = 0.125", "target_size = 0.03125")
     # the ladder's domains at 1/32, whose factors take deeper dissections;
@@ -325,6 +336,12 @@ def command_runs(inputs):
             ("solve-stiff", ["solve", "--config", path["stiff"]]),
             ("solve-dense", ["solve", "--config", path["soft"],
                              "--dense-oracle"]),
+            ("solve-dense-thin-h0.001", ["solve", "--config",
+                                         path["plain_h0.001"],
+                                         "--dense-oracle"]),
+            ("solve-dense-tall-u-h0.01", ["solve", "--config",
+                                          path["tall_u_h0.01"],
+                                          "--dense-oracle"]),
             ("work-plain", ["work", "--config", path["plain"]]),
             ("work-soft", ["work", "--config", path["soft"]]),
             ("energy-lemma", ["energy-lemma", "--config", path["stiff"]]),
